@@ -24,7 +24,6 @@ from .covers import (
     CoverReport,
     SectionDivisor,
     VertexPosition,
-    branch_dual_degree,
     covers_of,
     dual_section,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "VertexPosition",
     "ZeroFormError",
     "analyze_pencil",
-    "branch_dual_degree",
     "build_normal_form",
     "canonicalize",
     "class_degree",

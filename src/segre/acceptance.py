@@ -18,7 +18,6 @@ from .catalog import (
     CATALOG_ORDER,
     TABLE1_ORDER,
     TABLE2_ROWS,
-    VertexCode,
     class_degree,
     transitions,
 )
@@ -126,8 +125,8 @@ def criterion_3_smooth_quadric_identity() -> CriterionResult:
             bad.append(f"{sym}: no smooth-quadric cover")
             continue
         for c in quadric_covers:
-            if cls != 4 + c.branch_dual_degree:
-                bad.append(f"{sym}: {cls} != 4 + {c.branch_dual_degree}")
+            if cls != 4 + c.branch_structure.dual_degree:
+                bad.append(f"{sym}: {cls} != 4 + {c.branch_structure.dual_degree}")
     return CriterionResult(
         3, "smooth-quadric cover identity", not bad, "; ".join(bad) or "10/10 symbols"
     )
@@ -151,11 +150,11 @@ def criterion_4_cone_identities() -> CriterionResult:
             continue
         cover = matching[0]
         checked += 1
-        m = cls - cover.branch_dual_degree
-        if row.vertex is VertexCode.OFF_BRANCH:
+        m = cls - cover.branch_structure.dual_degree
+        if row.vertex is VertexPosition.OFF_BRANCH:
             if m != 0 or cover.vertex_on_branch is not VertexPosition.OFF_BRANCH:
                 bad.append(f"{row.symbol}: off-branch row has m={m}")
-        elif row.vertex is VertexCode.NODE:
+        elif row.vertex is VertexPosition.NODE:
             if m != 2 or cover.vertex_on_branch is not VertexPosition.NODE:
                 bad.append(f"{row.symbol}: node row has m={m}")
         else:  # cusp, or the branch's unique singular point

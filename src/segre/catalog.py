@@ -27,7 +27,7 @@ __all__ = [
     "AutE",
     "CatalogRow",
     "Table2Row",
-    "VertexCode",
+    "VertexPosition",
     "class_degree",
     "CATALOG",
     "CATALOG_ORDER",
@@ -110,11 +110,6 @@ class CatalogRow:
     def class_degree(self) -> int:
         return class_degree(self.singularities)
 
-    @property
-    def q_star_count(self) -> int:
-        """Number of unbracketed 1s: one double cover over a smooth quadric each."""
-        return SegreSymbol.parse(self.symbol).unbracketed_ones()
-
 
 CATALOG_ORDER: tuple[str, ...] = (
     "[11111]",
@@ -172,9 +167,10 @@ TABLE1_ORDER: tuple[str, ...] = (
 )
 
 
-class VertexCode(Enum):
+class VertexPosition(Enum):
     """Position of the cone vertex relative to the branch curve."""
 
+    NOT_APPLICABLE = "n/a"
     OFF_BRANCH = "off branch"
     NODE = "node of branch"
     CUSP = "cusp of branch"
@@ -188,23 +184,23 @@ class Table2Row:
 
     symbol: str
     source_group: tuple[int, ...]
-    vertex: VertexCode
+    vertex: VertexPosition
 
 
 # Rows realizable as a double cover over a quadratic cone, in table order.
 # [(21)(11)] appears twice: the two bracketed-1 choices give different
 # projections of the same surface.
 TABLE2_ROWS: tuple[Table2Row, ...] = (
-    Table2Row("[(11)111]", (1, 1), VertexCode.OFF_BRANCH),
-    Table2Row("[(21)11]", (2, 1), VertexCode.NODE),
-    Table2Row("[2(11)1]", (1, 1), VertexCode.OFF_BRANCH),
-    Table2Row("[(11)(11)1]", (1, 1), VertexCode.OFF_BRANCH),
-    Table2Row("[3(11)]", (1, 1), VertexCode.OFF_BRANCH),
-    Table2Row("[(31)1]", (3, 1), VertexCode.CUSP),
-    Table2Row("[(21)2]", (2, 1), VertexCode.NODE),
-    Table2Row("[(21)(11)]", (2, 1), VertexCode.NODE),
-    Table2Row("[(21)(11)]", (1, 1), VertexCode.OFF_BRANCH),
-    Table2Row("[(41)]", (4, 1), VertexCode.IS_SINGULAR_LOCUS),
+    Table2Row("[(11)111]", (1, 1), VertexPosition.OFF_BRANCH),
+    Table2Row("[(21)11]", (2, 1), VertexPosition.NODE),
+    Table2Row("[2(11)1]", (1, 1), VertexPosition.OFF_BRANCH),
+    Table2Row("[(11)(11)1]", (1, 1), VertexPosition.OFF_BRANCH),
+    Table2Row("[3(11)]", (1, 1), VertexPosition.OFF_BRANCH),
+    Table2Row("[(31)1]", (3, 1), VertexPosition.CUSP),
+    Table2Row("[(21)2]", (2, 1), VertexPosition.NODE),
+    Table2Row("[(21)(11)]", (2, 1), VertexPosition.NODE),
+    Table2Row("[(21)(11)]", (1, 1), VertexPosition.OFF_BRANCH),
+    Table2Row("[(41)]", (4, 1), VertexPosition.IS_SINGULAR_LOCUS),
 )
 
 # Rows with no double-cover structure at all.

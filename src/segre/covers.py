@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .catalog import catalog_row
+from .catalog import VertexPosition, catalog_row
 from .errors import InternalConsistencyError
 from .symbol import Group, SegreSymbol, canonicalize
 
@@ -31,7 +31,6 @@ __all__ = [
     "SectionDivisor",
     "CoverReport",
     "covers_of",
-    "branch_dual_degree",
     "dual_section",
 ]
 
@@ -39,14 +38,6 @@ __all__ = [
 class BaseKind(Enum):
     SMOOTH_QUADRIC = "smooth quadric"
     QUADRATIC_CONE = "quadratic cone"
-
-
-class VertexPosition(Enum):
-    NOT_APPLICABLE = "n/a"
-    OFF_BRANCH = "off branch"
-    NODE = "node of branch"
-    CUSP = "cusp of branch"
-    IS_SINGULAR_LOCUS = "the singular point of branch"
 
 
 class ComponentKind(Enum):
@@ -173,7 +164,6 @@ class CoverReport:
     source_group: tuple[int, ...]
     branch_symbol: SegreSymbol
     branch_structure: BranchStructure
-    branch_dual_degree: int
     vertex_on_branch: VertexPosition
     section: SectionDivisor | None = None
 
@@ -184,11 +174,6 @@ _VERTEX_BY_COMPANION = {
     (3,): VertexPosition.CUSP,
     (4,): VertexPosition.IS_SINGULAR_LOCUS,
 }
-
-
-def branch_dual_degree(b: BranchStructure) -> int:
-    """Sum of the component dual degrees (lines contribute nothing)."""
-    return b.dual_degree
 
 
 def _branch_lookup(sym: SegreSymbol) -> BranchStructure:
@@ -235,7 +220,6 @@ def covers_of(s: SegreSymbol | str) -> list[CoverReport]:
                     source_group=group.exponents,
                     branch_symbol=branch,
                     branch_structure=structure,
-                    branch_dual_degree=structure.dual_degree,
                     vertex_on_branch=vertex,
                 )
                 reports.append(replace(report, section=dual_section(sym, report)))
@@ -254,7 +238,7 @@ def dual_section(s: SegreSymbol | str, cover: CoverReport) -> SectionDivisor:
     vertex never contribute a plane.
     """
     cls = catalog_row(s).class_degree
-    bdd = cover.branch_dual_degree
+    bdd = cover.branch_structure.dual_degree
     if cover.base is BaseKind.SMOOTH_QUADRIC:
         terms = (
             SectionTerm(SectionComponent.Q_STAR, 2, 2),

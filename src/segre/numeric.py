@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import IllConditionedError
 from .pencil import QuadricPencil, rational_det
+from .symbol import Group, SegreSymbol
 
 __all__ = ["Cluster", "NumericPartition", "numeric_exponent_partitions"]
 
@@ -35,12 +36,7 @@ class NumericPartition:
 
     def exponent_structure(self) -> tuple[tuple[int, ...], ...]:
         """Multiset of cluster partitions, ordered like the exact symbol."""
-        return tuple(
-            sorted(
-                (c.partition for c in self.clusters),
-                key=lambda p: (-sum(p), tuple(-e for e in p), -len(p)),
-            )
-        )
+        return SegreSymbol([Group(c.partition) for c in self.clusters]).exponent_structure()
 
 
 def _svd_rank(m: np.ndarray, threshold: float) -> int:
@@ -75,8 +71,11 @@ def numeric_exponent_partitions(
     if rational_det(p.v) == 0:
         raise ValueError("numeric oracle needs det V != 0; select a member first")
     size = p.size
-    u = np.array([[float(c) for c in row] for row in p.u])
-    v = np.array([[float(c) for c in row] for row in p.v])
+    try:
+        u = np.array([[float(c) for c in row] for row in p.u])
+        v = np.array([[float(c) for c in row] for row in p.v])
+    except OverflowError as exc:
+        raise IllConditionedError(f"pencil entries exceed double precision: {exc}") from exc
     m = np.linalg.solve(v, u)
 
     eigs = sorted(np.linalg.eigvals(m), key=lambda z: (z.real, z.imag))

@@ -89,54 +89,46 @@ def _mat_scale(a: Matrix, c: Fraction) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-def _int_matrix_det(m: list[list[int]]) -> int:
-    """Fraction-free Bareiss determinant of an integer matrix."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [row[:] for row in m]
+def _bareiss(m: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """Fraction-free (Bareiss) elimination of an integer matrix of any shape.
+
+    Returns ``(rank, det)``; ``det`` is 0 unless the matrix is square and
+    nonsingular.  A column with no nonzero entry at or below the current
+    row is skipped, so every division stays exact (Sylvester's identity)
+    and the rank is the rank over the rationals.
+    """
+    a = [list(row) for row in m]
+    rows = len(a)
+    cols = len(a[0]) if a else 0
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    rank = 0
+    for c in range(cols):
+        if rank == rows:
+            break
+        pivot = next((i for i in range(rank, rows) if a[i][c] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            a[rank], a[pivot] = a[pivot], a[rank]
+            sign = -sign
+        pr = a[rank]
+        pc = pr[c]
+        for i in range(rank + 1, rows):
+            row = a[i]
+            f = row[c]
+            for j in range(c + 1, cols):
+                row[j] = (row[j] * pc - f * pr[j]) // prev
+        prev = pc
+        rank += 1
+    det = sign * prev if rank == rows == cols else 0
+    return rank, det
 
 
 def rational_det(m: Matrix) -> Fraction:
     mult = math.lcm(*(c.denominator for row in m for c in row))
     im = [[int(c * mult) for c in row] for row in m]
-    return Fraction(_int_matrix_det(im), mult ** len(m))
-
-
-def _rank(rows: list[list[Fraction]]) -> int:
-    rows = [row[:] for row in rows if any(row)]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for c in range(cols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c] != 0:
-                f = rows[i][c] / pr[c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], pr)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    return Fraction(_bareiss(im)[1], mult ** len(m))
 
 
 # ---------------------------------------------------------------------------
@@ -205,30 +197,6 @@ def change_basis(
 # polynomial minors by evaluation and interpolation
 # ---------------------------------------------------------------------------
 
-_EVAL_NODES = (0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5)
-_INV_VANDERMONDE: dict[int, list[list[Fraction]]] = {}
-
-
-def _inverse_vandermonde(npts: int) -> list[list[Fraction]]:
-    cached = _INV_VANDERMONDE.get(npts)
-    if cached is not None:
-        return cached
-    xs = _EVAL_NODES[:npts]
-    # rows of the inverse, computed from the Lagrange basis polynomials
-    inv = [[Fraction(0)] * npts for _ in range(npts)]
-    for j, xj in enumerate(xs):
-        num = Polynomial([1])
-        den = Fraction(1)
-        for xk in xs:
-            if xk != xj:
-                num = num * Polynomial([-xk, 1])
-                den *= xj - xk
-        for i in range(npts):
-            inv[i][j] = num.coeffs[i] / den if i <= num.degree else Fraction(0)
-    _INV_VANDERMONDE[npts] = inv
-    return inv
-
-
 def _cleared_int_pair(p: QuadricPencil) -> tuple[list[list[int]], list[list[int]], int]:
     mult = math.lcm(
         *(c.denominator for row in p.u for c in row),
@@ -245,20 +213,32 @@ def _poly_minor(
     rows: Sequence[int],
     cols: Sequence[int],
 ) -> list[int]:
-    """Integer coefficients of det(U - t*V) restricted to rows x cols."""
+    """Integer coefficients of det(U - t*V) restricted to rows x cols.
+
+    The minor has degree at most k = len(rows); it is evaluated at
+    t = 0..k and recovered by Newton interpolation.  Divided differences
+    of an integer polynomial at consecutive integers are integers, so
+    every division is exact and no fractions arise.
+    """
     k = len(rows)
-    npts = k + 1
-    vals = []
-    for t in _EVAL_NODES[:npts]:
-        m = [[iu[r][c] - t * iv[r][c] for c in cols] for r in rows]
-        vals.append(_int_matrix_det(m))
-    inv = _inverse_vandermonde(npts)
-    coeffs = []
-    for row in inv:
-        c = sum(f * v for f, v in zip(row, vals))
-        if c.denominator != 1:  # determinant of an integer matrix pencil
-            raise InternalConsistencyError("minor interpolation produced a non-integer")
-        coeffs.append(int(c))
+    dd = [
+        _bareiss([[iu[r][c] - t * iv[r][c] for c in cols] for r in rows])[1]
+        for t in range(k + 1)
+    ]
+    for j in range(1, k + 1):
+        for i in range(k, j - 1, -1):
+            q, rem = divmod(dd[i] - dd[i - 1], j)
+            if rem:  # determinant of an integer matrix pencil
+                raise InternalConsistencyError("minor interpolation produced a non-integer")
+            dd[i] = q
+    # Newton form sum_i dd[i] * t(t-1)...(t-i+1) to coefficients, by Horner
+    coeffs = [dd[k]]
+    for i in range(k - 1, -1, -1):
+        shifted = [0] + coeffs
+        for d, c in enumerate(coeffs):
+            shifted[d] -= i * c
+        shifted[0] += dd[i]
+        coeffs = shifted
     return _int_trim(coeffs)
 
 
@@ -392,6 +372,6 @@ def degeneracy_report(p: QuadricPencil) -> DegeneracyReport:
         pass
     else:
         raise ValueError("pencil has a nonsingular member; nothing to report")
-    stacked = [list(row) for row in p.u] + [list(row) for row in p.v]
-    r0 = p.size - _rank(stacked)
+    iu, iv, _ = _cleared_int_pair(p)
+    r0 = p.size - _bareiss(iu + iv)[0]
     return DegeneracyReport(common_kernel_dim=r0, is_cone=r0 > 0)

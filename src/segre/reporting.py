@@ -15,11 +15,11 @@ from .pencil import (
     DegeneracyReport,
     QuadricPencil,
     degeneracy_report,
-    det_poly,
     invariant_factors,
+    rational_det,
     select_nonsingular_member,
 )
-from .symbol import SegreSymbol, compute_symbol
+from .symbol import SegreSymbol, symbol_from_factors
 
 __all__ = ["AnalysisOutcome", "analyze_pencil", "outcome_to_dict", "render_pretty"]
 
@@ -50,13 +50,15 @@ def analyze_pencil(p: QuadricPencil) -> AnalysisOutcome:
     except NoSmoothMemberError:
         return AnalysisOutcome(degeneracy=degeneracy_report(p))
     inv = invariant_factors(selected)
-    sym = compute_symbol(selected)
+    sym = symbol_from_factors(inv)
     report = classify_symbol(sym)
+    # the factors are monic and det(U - tV) has leading coefficient (-1)^size det V
+    det = inv.product() * ((-1) ** selected.size * rational_det(selected.v))
     return AnalysisOutcome(
         surface=report,
         symbol=sym,
         invariant_factors=tuple(str(f) for f in inv.factors),
-        determinant=str(det_poly(selected)),
+        determinant=str(det),
     )
 
 
@@ -67,7 +69,7 @@ def _cover_to_dict(c: CoverReport) -> dict:
         "branch_symbol": c.branch_symbol.render(),
         "branch_components": [comp.kind.label for comp in c.branch_structure.components],
         "branch_configuration": c.branch_structure.configuration,
-        "branch_dual_degree": c.branch_dual_degree,
+        "branch_dual_degree": c.branch_structure.dual_degree,
         "dual_double_conics": c.branch_structure.dual_double_conics,
         "vertex": c.vertex_on_branch.value,
         "section": c.section.render() if c.section else None,

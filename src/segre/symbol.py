@@ -18,12 +18,14 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .pencil import (
+    InvariantFactors,
     Matrix,
     QuadricPencil,
-    _int_matrix_det,
+    _bareiss,
     as_matrix,
     congruent,
     invariant_factors,
+    select_nonsingular_member,
 )
 from .polynomial import Polynomial, Rational, coprime_basis, squarefree_decomposition
 
@@ -34,6 +36,7 @@ __all__ = [
     "SegreSymbol",
     "canonicalize",
     "compute_symbol",
+    "symbol_from_factors",
     "elementary_block",
     "build_normal_form",
     "random_instance",
@@ -192,7 +195,16 @@ def _valuation(base: Polynomial, target: Polynomial) -> int:
 
 
 def compute_symbol(p: QuadricPencil) -> SegreSymbol:
-    """Segre symbol of a nondegenerate pencil (select a member first).
+    """Segre symbol of a pencil.
+
+    A nonsingular member is selected first, so a root at infinity is never
+    dropped; raises ``NoSmoothMemberError`` when every member is singular.
+    """
+    return symbol_from_factors(invariant_factors(select_nonsingular_member(p)))
+
+
+def symbol_from_factors(inv: InvariantFactors) -> SegreSymbol:
+    """Segre symbol read off the invariant factors of U - lambda*V.
 
     Works entirely over the rationals: the squarefree pieces of the
     invariant factors are refined into a coprime basis that stands in for
@@ -200,7 +212,6 @@ def compute_symbol(p: QuadricPencil) -> SegreSymbol:
     to be found.  Each basis element has a uniform exponent in every
     invariant factor, recovered by exact division.
     """
-    inv = invariant_factors(p)
     nontrivial = inv.nontrivial
     if not nontrivial:
         return SegreSymbol(())
@@ -292,6 +303,6 @@ def random_instance(s: SegreSymbol | str, seed: int) -> QuadricPencil:
     size = normal.size
     while True:
         a = [[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)]
-        if _int_matrix_det(a) != 0:
+        if _bareiss(a)[1] != 0:
             break
     return congruent(normal, as_matrix(a))

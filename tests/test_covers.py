@@ -6,7 +6,6 @@ from segre.covers import (
     BaseKind,
     SectionComponent,
     VertexPosition,
-    branch_dual_degree,
     covers_of,
     dual_section,
 )
@@ -89,7 +88,7 @@ class TestBranchDualDegree:
     )
     def test_component_sums(self, branch, expected):
         key = SegreSymbol.parse(branch).canonical().render()
-        assert branch_dual_degree(BRANCH_STRUCTURES[key]) == expected
+        assert BRANCH_STRUCTURES[key].dual_degree == expected
 
     def test_self_intersection_counts(self):
         assert BRANCH_STRUCTURES["[1111]"].dual_double_conics == 4
@@ -140,4 +139,4 @@ class TestDualSection:
         for sym in TABLE1_ORDER:
             cls = CATALOG[sym].class_degree
             for c in covers_by_base(sym, BaseKind.SMOOTH_QUADRIC):
-                assert cls == 4 + c.branch_dual_degree
+                assert cls == 4 + c.branch_structure.dual_degree

@@ -48,6 +48,11 @@ class TestRefusal:
         with pytest.raises(IllConditionedError):
             numeric_exponent_partitions(p)
 
+    def test_thousand_digit_entries_refused(self):
+        p = QuadricPencil(diagonal([10**999 * k for k in range(1, 6)]), identity(5))
+        with pytest.raises(IllConditionedError):
+            numeric_exponent_partitions(p)
+
     def test_tight_tolerance_refuses_rather_than_guesses(self):
         # a 4-block's eigenvalue cloud is far wider than this clustering radius
         p = random_instance("[(41)]", 3)

@@ -1,11 +1,17 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+import segre.pencil
+from segre.acceptance import _degenerate_pairs
 from segre.errors import DegeneratePencilError, NoSmoothMemberError
 from segre.pencil import (
     QuadricPencil,
+    _bareiss,
+    _cleared_int_pair,
+    _poly_minor,
     as_matrix,
     change_basis,
     congruent,
@@ -18,7 +24,8 @@ from segre.pencil import (
     select_nonsingular_member,
 )
 from segre.polynomial import Polynomial
-from segre.symbol import build_normal_form
+from segre.reporting import analyze_pencil
+from segre.symbol import build_normal_form, random_instance
 
 
 def linear(root):
@@ -104,6 +111,54 @@ class TestDetPoly:
             assert (det_poly(p).degree == 5) == (rational_det(as_matrix(vr)) != 0)
 
 
+def low_rank_matrix(rng, rows, cols, rank, zero_rows=()):
+    """A sum of ``rank`` random integer outer products, some rows zeroed."""
+    m = [[0] * cols for _ in range(rows)]
+    for _ in range(rank):
+        x = [rng.randint(-9, 9) for _ in range(rows)]
+        y = [rng.randint(-9, 9) for _ in range(cols)]
+        m = [[e + xi * yj for e, yj in zip(row, y)] for row, xi in zip(m, x)]
+    for i in zero_rows:
+        m[i] = [0] * cols
+    return m
+
+
+class TestBareiss:
+    @pytest.mark.parametrize("shape", [(5, 5), (10, 5)])
+    def test_rank_and_det_match_sympy(self, shape):
+        sympy = pytest.importorskip("sympy")
+        rows, cols = shape
+        rng = random.Random(23)
+        for trial in range(40):
+            rank = trial % (cols + 1)
+            zero_rows = rng.sample(range(rows), trial % 3)
+            m = low_rank_matrix(rng, rows, cols, rank, zero_rows)
+            got_rank, got_det = _bareiss(m)
+            ref = sympy.Matrix(m)
+            assert got_rank == ref.rank()
+            assert got_det == (ref.det() if rows == cols else 0)
+
+    def test_empty_matrix(self):
+        assert _bareiss([]) == (0, 1)
+
+    @pytest.mark.parametrize("pencil", [
+        random_instance("[(21)2]", 0),
+        QuadricPencil(
+            as_matrix([[Fraction(i + j, 1 + (i * j) % 3) for j in range(5)] for i in range(5)]),
+            diagonal([1, Fraction(1, 2), 0, 3, -1]),
+        ),
+    ])
+    def test_every_minor_against_cofactor_oracle(self, pencil):
+        iu, iv, mult = _cleared_int_pair(pencil)
+        mat = poly_matrix(pencil)
+        for k in range(1, 6):
+            for rows in combinations(range(5), k):
+                for cols in combinations(range(5), k):
+                    sub = [[mat[r][c] for c in cols] for r in rows]
+                    want = cofactor_det(sub) * Fraction(mult) ** k
+                    assert Polynomial(_poly_minor(iu, iv, rows, cols)) == want
+
+
 class TestInvariantFactors:
     def test_repeated_diagonal_eigenvalue(self):
         p = QuadricPencil(diagonal([1, 1, 2, 3, 4]), identity(5))
@@ -185,10 +240,41 @@ class TestDegeneracyReport:
         assert rep.is_cone
         assert rep.verdict == "not a Segre quartic surface"
 
+    @pytest.mark.parametrize("name", ["[2;1]", "[11;1]", "[(11);1]", "[;2]"])
+    def test_normal_pairs_have_trivial_common_kernel(self, name):
+        rep = degeneracy_report(_degenerate_pairs()[name])
+        assert rep.common_kernel_dim == 0
+        assert not rep.is_cone
+
+    def test_two_dimensional_common_kernel(self):
+        p = QuadricPencil(diagonal([1, 2, 3, 0, 0]), diagonal([1, 1, 1, 0, 0]))
+        rep = degeneracy_report(p)
+        assert rep.common_kernel_dim == 2
+        assert rep.is_cone
+
     def test_rejects_pencil_with_smooth_member(self):
         p = QuadricPencil(diagonal([1, 2, 3, 4, 5]), identity(5))
         with pytest.raises(ValueError):
             degeneracy_report(p)
+
+
+class TestAnalyzeWork:
+    @pytest.mark.parametrize("pencil", [
+        random_instance("[(21)2]", 0),
+        QuadricPencil(diagonal([1, 2, 3, 4, 5]), diagonal([1, 1, 1, 1, 0])),
+    ])
+    def test_full_minor_interpolated_once(self, monkeypatch, pencil):
+        full = []
+        real = segre.pencil._poly_minor
+
+        def counting(iu, iv, rows, cols):
+            if len(rows) == len(iu):
+                full.append(rows)
+            return real(iu, iv, rows, cols)
+
+        monkeypatch.setattr(segre.pencil, "_poly_minor", counting)
+        analyze_pencil(pencil)
+        assert len(full) == 1
 
 
 class TestChangeBasis:

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from segre.catalog import CATALOG_ORDER
+from segre.errors import NoSmoothMemberError
+from segre.reporting import analyze_pencil
 from segre.pencil import QuadricPencil, as_matrix, congruent, diagonal, identity, rational_det, select_nonsingular_member
 from segre.symbol import (
     ExplicitRoot,
@@ -91,6 +93,18 @@ class TestComputeSymbol:
     def test_scalar_pencil(self):
         p = QuadricPencil(diagonal([2] * 5), identity(5))
         assert compute_symbol(p) == "[(11111)]"
+
+    def test_singular_v_keeps_root_at_infinity(self):
+        p = QuadricPencil(diagonal([1, 2, 3, 4, 5]), diagonal([1, 1, 1, 1, 0]))
+        sym = compute_symbol(p)
+        assert sym == "[11111]"
+        assert sym.weight == 5
+        assert sym == analyze_pencil(p).symbol
+
+    def test_pencil_without_smooth_member_raises(self):
+        p = QuadricPencil(diagonal([1, 2, 3, 4, 0]), diagonal([5, 1, 2, 7, 0]))
+        with pytest.raises(NoSmoothMemberError):
+            compute_symbol(p)
 
     def test_simple_irrational_spectrum_is_one_basis_element(self):
         # leading 2x2 block [[1,1],[1,-1]] has eigenvalues +-sqrt(2); with
