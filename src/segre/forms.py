@@ -57,7 +57,10 @@ def _tokenize(text: str) -> list[tuple[str, object]]:
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
-            tokens.append(("int", int(text[i:j])))
+            try:
+                tokens.append(("int", int(text[i:j])))
+            except ValueError as exc:  # past Python's int->str digit limit
+                raise ParseError(f"integer at position {i} has too many digits ({j - i})") from exc
             i = j
         elif ch == "X":
             if i + 1 >= len(text) or not text[i + 1].isdigit():

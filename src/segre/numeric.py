@@ -3,7 +3,8 @@
 Independently of the exact path, the elementary-divisor exponents can be
 recovered numerically: form M = V^-1 U, cluster its eigenvalues, and read
 the block-size partition of each cluster off the rank staircase of powers
-of M - alpha*I.  The oracle exists to cross-validate, so it refuses with
+of M - alpha*I.  numpy is imported on the first call, so the exact path
+never loads it.  The oracle exists to cross-validate, so it refuses with
 ``IllConditionedError`` instead of guessing whenever clustering or the
 staircase is ambiguous at the given tolerances.
 """
@@ -11,8 +12,6 @@ staircase is ambiguous at the given tolerances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import IllConditionedError
 from .pencil import QuadricPencil, rational_det
@@ -39,7 +38,9 @@ class NumericPartition:
         return SegreSymbol([Group(c.partition) for c in self.clusters]).exponent_structure()
 
 
-def _svd_rank(m: np.ndarray, threshold: float) -> int:
+def _svd_rank(m: "np.ndarray", threshold: float) -> int:
+    import numpy as np
+
     sv = np.linalg.svd(m, compute_uv=False)
     return int(np.count_nonzero(sv > threshold))
 
@@ -68,6 +69,8 @@ def numeric_exponent_partitions(
     block size, so the comparison scale has to come from the unpowered
     matrix.
     """
+    import numpy as np
+
     if rational_det(p.v) == 0:
         raise ValueError("numeric oracle needs det V != 0; select a member first")
     size = p.size

@@ -8,8 +8,9 @@ nonsingular.
 
 Internally all polynomial determinants run on denominator-cleared integer
 matrices: each minor is evaluated at small integer points and recovered by
-interpolation, and gcd chains terminate early once they reach a constant.
-Monic normalization makes the integer scaling invisible to the results.
+interpolation.  The minor gcds and their quotients stay primitive integer
+coefficient lists; only the finished invariant factors become monic
+``Polynomial`` values, which makes the integer scaling invisible.
 """
 
 from __future__ import annotations
@@ -21,7 +22,17 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import DegeneratePencilError, InternalConsistencyError, NoSmoothMemberError
-from .polynomial import Polynomial, Rational, _int_gcd, _int_primitive, _int_trim
+from .polynomial import (
+    Polynomial,
+    Rational,
+    _int_coeffs,
+    _int_exact_div,
+    _int_gcd,
+    _int_primitive,
+    _int_pseudo_rem,
+    _int_trim,
+    _monic_poly,
+)
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -272,7 +283,9 @@ class InvariantFactors:
 
     def __post_init__(self):
         for a, b in zip(self.factors, self.factors[1:]):
-            if not a.divides(b):
+            ia, ib = _int_coeffs(a), _int_coeffs(b)
+            divides = not _int_pseudo_rem(ib, ia) if ia else not ib
+            if not divides:
                 raise InternalConsistencyError(
                     f"invariant factors fail the divisibility chain: {a} | {b}"
                 )
@@ -288,44 +301,58 @@ class InvariantFactors:
         return out
 
 
+def _minor_gcd(
+    iu: list[list[int]], iv: list[list[int]], k: int, start: list[int], floor: int
+) -> list[int]:
+    """Primitive gcd of ``start`` and the k x k minors of U - t*V.
+
+    U and V are symmetric, so minor(rows, cols) = minor(cols, rows) and
+    only pairs with cols at or after rows are evaluated.  The sweep stops
+    once the gcd has degree ``floor``, a known lower bound on its degree.
+    """
+    subsets = list(combinations(range(len(iu)), k))
+    g = start
+    for i, rows in enumerate(subsets):
+        for cols in subsets[i:]:
+            g = _int_gcd(g, _poly_minor(iu, iv, rows, cols))
+            if len(g) - 1 == floor:
+                return g
+    return g
+
+
 def invariant_factors(p: QuadricPencil) -> InvariantFactors:
     """Invariant factors of U - lambda*V by gcds of minors.
+
+    D_k, the gcd of the k x k minors, is found for k = n, n-1, ..., 1
+    from the known D_{k+1} and d_{k+2} = D_{k+2} / D_{k+1}.  D_k divides
+    D_{k+1}, so the sweep starts from D_{k+1}; and since d_{k+1} divides
+    d_{k+2}, the floor D_{k+1} / gcd(D_{k+1}, d_{k+2}) divides D_k, so the
+    sweep stops as soon as the running gcd has the floor's degree (no
+    minor at all when the floor has the degree of D_{k+1}).
 
     Raises ``DegeneratePencilError`` when |U - lambda*V| vanishes
     identically; callers route that case to degeneracy classification.
     """
-    iu, iv, mult = _cleared_int_pair(p)
-    size = p.size
-    idx = list(range(size))
-
+    iu, iv, _ = _cleared_int_pair(p)
+    idx = list(range(p.size))
     full = _poly_minor(iu, iv, idx, idx)
     if not full:
         raise DegeneratePencilError("determinant of the pencil vanishes identically")
 
-    gcds: list[list[int]] = [[] for _ in range(size + 1)]
-    gcds[0] = [1]
-    gcds[size] = _int_primitive(full)
-    for k in range(size - 1, 0, -1):
-        if len(gcds[k + 1]) == 1:
-            # D_{k+1} is constant and D_k divides it
-            gcds[k] = [1]
-            continue
-        g: list[int] = []
-        for rows in combinations(idx, k):
-            for cols in combinations(idx, k):
-                minor = _poly_minor(iu, iv, rows, cols)
-                if not minor:
-                    continue
-                g = _int_gcd(g, minor) if g else _int_primitive(minor)
-                if len(g) == 1:
-                    break
-            if g and len(g) == 1:
-                break
-        gcds[k] = g if g else [1]
-
-    big = [Polynomial(c).monic() for c in gcds]
-    factors = tuple(big[i].exact_div(big[i - 1]) for i in range(1, size + 1))
-    return InvariantFactors(factors)
+    upper = _int_primitive(full)  # D_{k+1}
+    above: list[int] = []  # d_{k+2}; zero above the top, which every d_{k+1} divides
+    factors: list[list[int]] = []
+    for k in range(p.size - 1, 0, -1):
+        floor = _int_exact_div(upper, _int_gcd(upper, above))
+        if len(floor) < len(upper):
+            lower = _minor_gcd(iu, iv, k, upper, len(floor) - 1)
+        else:  # d_{k+1} divides gcd(D_{k+1}, d_{k+2}) = 1
+            lower = upper
+        above = _int_exact_div(upper, lower)
+        factors.append(above)
+        upper = lower
+    factors.append(upper)
+    return InvariantFactors(tuple(_monic_poly(d) for d in reversed(factors)))
 
 
 def select_nonsingular_member(p: QuadricPencil) -> QuadricPencil:

@@ -2,14 +2,17 @@
 
 The scalar field is ``fractions.Fraction`` (re-exported as ``Rational``),
 so every operation here is exact: no rounding, ever.  Polynomials are
-dense, stored lowest degree first.  Greatest common divisors are computed
-on denominator-cleared integer coefficient lists with a primitive
-pseudo-remainder sequence, which keeps coefficients small at the degrees
-(at most five) this package cares about.
+dense, stored lowest degree first.  Greatest common divisors, exact
+division, Yun decomposition and the coprime basis run on one engine of
+primitive integer coefficient lists (a primitive pseudo-remainder
+sequence keeps coefficients small at the degrees, at most five, this
+package cares about); ``Fraction`` coefficients appear only at the
+``Polynomial`` boundary.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -27,7 +30,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# integer coefficient-list helpers (engine for gcd computations)
+# integer engine: coefficient lists, lowest degree first
 # ---------------------------------------------------------------------------
 
 def _int_trim(c: list[int]) -> list[int]:
@@ -81,6 +84,120 @@ def _int_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
         r = _int_pseudo_rem(a, b)
         a, b = b, _int_primitive(r)
     return a
+
+
+def _int_sub(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] -= c
+    return _int_trim(out)
+
+
+def _int_derivative(c: Sequence[int]) -> list[int]:
+    return [i * a for i, a in enumerate(c)][1:]
+
+
+def _int_divide(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
+    """Quotient a / b in Z[t], or None when b does not divide a there.
+
+    For primitive b this is divisibility over the rationals too (Gauss's
+    lemma), so the test needs no fractions.
+    """
+    db, lb = len(b) - 1, b[-1]
+    r = list(a)
+    if len(r) <= db:
+        return [] if not r else None
+    q = [0] * (len(r) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[k + db], lb)
+        if rem:
+            return None
+        q[k] = c
+        if c:
+            for i, bi in enumerate(b):
+                r[k + i] -= c * bi
+    return q if not any(r[:db]) else None
+
+
+def _int_exact_div(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    q = _int_divide(a, b)
+    if q is None:
+        raise ValueError(f"{b} does not divide {a}")
+    return q
+
+
+def _int_squarefree_decomposition(f: Sequence[int]) -> list[tuple[int, list[int]]]:
+    """Yun decomposition of a nonzero integer polynomial.
+
+    Pairs (k, h) with h primitive, squarefree and pairwise coprime, and f
+    a rational multiple of the product of the h**k.  v and w carry the
+    same integer scale throughout, so w - v' is the Yun difference up to
+    that scale and every division below is exact in Z[t].
+    """
+    df = _int_derivative(f)
+    u = _int_gcd(f, df)
+    v = _int_exact_div(f, u)
+    w = _int_exact_div(df, u)
+    out: list[tuple[int, list[int]]] = []
+    k = 1
+    while len(v) > 1:
+        z = _int_sub(w, _int_derivative(v))
+        h = _int_gcd(v, z)
+        if len(h) > 1:
+            out.append((k, h))
+        v = _int_exact_div(v, h)
+        w = _int_exact_div(z, h)
+        k += 1
+    return out
+
+
+def _int_coprime_basis(ps: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Pairwise-coprime primitive polynomials multiplying out to the inputs.
+
+    Inputs are primitive, squarefree and nonconstant.  Repeated pairwise
+    gcd splitting; sorted by the monic (degree, coefficients from the
+    leading term down), so equal inputs always give the identical basis.
+    """
+    basis: list[list[int]] = []
+    queue = [list(p) for p in ps]
+    while queue:
+        p = queue.pop()
+        for i, b in enumerate(basis):
+            g = _int_gcd(p, b)
+            if len(g) > 1:
+                if g != b:
+                    basis[i] = g
+                    queue.append(_int_exact_div(b, g))
+                q = _int_exact_div(p, g)
+                if len(q) > 1:
+                    queue.append(q)
+                break
+        else:
+            basis.append(p)
+
+    def key(b: list[int]):
+        return (len(b), tuple(Fraction(c, b[-1]) for c in reversed(b)))
+
+    return sorted(basis, key=key)
+
+
+# ---------------------------------------------------------------------------
+# rendering of exact numbers
+# ---------------------------------------------------------------------------
+
+# Python refuses int -> str past a digit limit (4300 by default, 640 at
+# the least); decimal.Decimal converts exactly with no limit.
+_PLAIN_STR_BITS = 2000
+
+
+def _int_str(n: int) -> str:
+    return str(n) if n.bit_length() < _PLAIN_STR_BITS else str(decimal.Decimal(n))
+
+
+def _rational_str(q: Rational | int) -> str:
+    """``str(q)``, also for numerators past the int->str limit."""
+    num = _int_str(q.numerator)
+    return num if q.denominator == 1 else f"{num}/{_int_str(q.denominator)}"
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +379,9 @@ class Polynomial:
             if mag == 1 and mono:
                 body = mono
             elif mono:
-                body = f"{mag}*{mono}"
+                body = f"{_rational_str(mag)}*{mono}"
             else:
-                body = str(mag)
+                body = _rational_str(mag)
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
@@ -273,22 +390,23 @@ class Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# gcd, squarefree part, coprime basis
+# gcd, squarefree part, coprime basis: Fraction wrappers over the engine
 # ---------------------------------------------------------------------------
 
-def _clear_denominators(p: Polynomial) -> list[int]:
-    m = math.lcm(*(c.denominator for c in p.coeffs)) if p.coeffs else 1
-    return [int(c * m) for c in p.coeffs]
+def _int_coeffs(p: Polynomial) -> list[int]:
+    """Primitive integer coefficients of a rational multiple of p."""
+    m = math.lcm(*(c.denominator for c in p.coeffs))
+    return _int_primitive([c.numerator * (m // c.denominator) for c in p.coeffs])
+
+
+def _monic_poly(c: Sequence[int]) -> Polynomial:
+    """The monic Polynomial of an integer coefficient list."""
+    return Polynomial([Fraction(a, c[-1]) for a in c]) if c else Polynomial()
 
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """Monic greatest common divisor; gcd(p, 0) is monic(p)."""
-    if p.is_zero:
-        return q.monic()
-    if q.is_zero:
-        return p.monic()
-    g = _int_gcd(_clear_denominators(p), _clear_denominators(q))
-    return Polynomial(g).monic()
+    return _monic_poly(_int_gcd(_int_coeffs(p), _int_coeffs(q)))
 
 
 def squarefree_part(p: Polynomial) -> Polynomial:
@@ -298,8 +416,8 @@ def squarefree_part(p: Polynomial) -> Polynomial:
     """
     if p.is_zero:
         raise ValueError("squarefree part of the zero polynomial is undefined")
-    g = poly_gcd(p, p.derivative())
-    return p.exact_div(g).monic()
+    c = _int_coeffs(p)
+    return _monic_poly(_int_exact_div(c, _int_gcd(c, _int_derivative(c))))
 
 
 def squarefree_decomposition(p: Polynomial) -> list[tuple[int, Polynomial]]:
@@ -310,23 +428,7 @@ def squarefree_decomposition(p: Polynomial) -> list[tuple[int, Polynomial]]:
     """
     if p.is_zero:
         raise ValueError("squarefree decomposition of the zero polynomial is undefined")
-    f = p.monic()
-    out: list[tuple[int, Polynomial]] = []
-    if f.is_constant:
-        return out
-    u = poly_gcd(f, f.derivative())
-    v = f.exact_div(u).monic()
-    w = f.derivative().exact_div(u)
-    k = 1
-    while v.degree > 0:
-        z = w - v.derivative()
-        h = poly_gcd(v, z)
-        if h.degree > 0:
-            out.append((k, h))
-        v = v.exact_div(h).monic()
-        w = z.exact_div(h)
-        k += 1
-    return out
+    return [(k, _monic_poly(f)) for k, f in _int_squarefree_decomposition(_int_coeffs(p))]
 
 
 def coprime_basis(ps: Sequence[Polynomial]) -> list[Polynomial]:
@@ -339,34 +441,14 @@ def coprime_basis(ps: Sequence[Polynomial]) -> list[Polynomial]:
     sorted by (degree, coefficients from the leading term down) so that
     equal inputs always produce the identical basis.
     """
+    cs: list[list[int]] = []
     for p in ps:
         if p.is_zero or p.is_constant:
             raise ValueError(f"coprime_basis requires nonconstant inputs, got {p}")
         if p.leading != 1:
             raise ValueError(f"coprime_basis requires monic inputs, got {p}")
-        if poly_gcd(p, p.derivative()).degree > 0:
+        c = _int_coeffs(p)
+        if len(_int_gcd(c, _int_derivative(c))) > 1:
             raise ValueError(f"coprime_basis requires squarefree inputs, got {p}")
-
-    basis: list[Polynomial] = []
-    queue = list(ps)
-    while queue:
-        p = queue.pop()
-        if p.is_constant:
-            continue
-        for i, b in enumerate(basis):
-            g = poly_gcd(p, b)
-            if g.degree > 0:
-                if g != b:
-                    basis[i] = g
-                    queue.append(b.exact_div(g))
-                q = p.exact_div(g)
-                if not q.is_constant:
-                    queue.append(q)
-                break
-        else:
-            basis.append(p)
-
-    def key(b: Polynomial):
-        return (b.degree, tuple(reversed(b.coeffs)))
-
-    return sorted(basis, key=key)
+        cs.append(c)
+    return [_monic_poly(b) for b in _int_coprime_basis(cs)]

@@ -27,7 +27,16 @@ from .pencil import (
     invariant_factors,
     select_nonsingular_member,
 )
-from .polynomial import Polynomial, Rational, coprime_basis, squarefree_decomposition
+from .polynomial import (
+    Polynomial,
+    Rational,
+    _int_coeffs,
+    _int_coprime_basis,
+    _int_divide,
+    _int_squarefree_decomposition,
+    _monic_poly,
+    _rational_str,
+)
 
 __all__ = [
     "ExplicitRoot",
@@ -48,7 +57,7 @@ class ExplicitRoot:
     value: Rational
 
     def describe(self) -> str:
-        return str(self.value)
+        return _rational_str(self.value)
 
 
 @dataclass(frozen=True)
@@ -184,13 +193,12 @@ def canonicalize(s: SegreSymbol | str) -> SegreSymbol:
 # pencil -> symbol
 # ---------------------------------------------------------------------------
 
-def _valuation(base: Polynomial, target: Polynomial) -> int:
+def _valuation(base: list[int], target: list[int]) -> int:
+    """Largest v with base**v dividing target; base primitive, nonconstant."""
     v = 0
-    q, r = divmod(target, base)
-    while r.is_zero:
+    while (q := _int_divide(target, base)) is not None:
         v += 1
         target = q
-        q, r = divmod(target, base)
     return v
 
 
@@ -206,28 +214,23 @@ def compute_symbol(p: QuadricPencil) -> SegreSymbol:
 def symbol_from_factors(inv: InvariantFactors) -> SegreSymbol:
     """Segre symbol read off the invariant factors of U - lambda*V.
 
-    Works entirely over the rationals: the squarefree pieces of the
-    invariant factors are refined into a coprime basis that stands in for
-    the set of distinct roots, so irrational and complex roots never need
-    to be found.  Each basis element has a uniform exponent in every
-    invariant factor, recovered by exact division.
+    Works entirely over the rationals, on primitive integer coefficient
+    lists: the squarefree pieces of the invariant factors are refined into
+    a coprime basis that stands in for the set of distinct roots, so
+    irrational and complex roots never need to be found.  Each basis
+    element has a uniform exponent in every invariant factor, recovered by
+    exact division.
     """
-    nontrivial = inv.nontrivial
-    if not nontrivial:
-        return SegreSymbol(())
-    pieces = [f for d in nontrivial for _, f in squarefree_decomposition(d)]
-    basis = coprime_basis(pieces)
+    nontrivial = [_int_coeffs(d) for d in inv.nontrivial]
+    pieces = [f for d in nontrivial for _, f in _int_squarefree_decomposition(d)]
     groups: list[Group] = []
-    for b in basis:
-        exps = [v for d in nontrivial if (v := _valuation(b, d)) > 0]
-        root_count = b.degree
-        for i in range(root_count):
-            root: RootDescriptor
-            if root_count == 1:
-                root = ExplicitRoot(-b.coeffs[0])
-            else:
-                root = SymbolicRoot(b, i)
-            groups.append(Group(tuple(exps), root))
+    for b in _int_coprime_basis(pieces):
+        exps = tuple(v for d in nontrivial if (v := _valuation(b, d)) > 0)
+        if len(b) == 2:
+            groups.append(Group(exps, ExplicitRoot(Fraction(-b[0], b[1]))))
+        else:
+            poly = _monic_poly(b)
+            groups.extend(Group(exps, SymbolicRoot(poly, i)) for i in range(poly.degree))
     return SegreSymbol(groups).canonical()
 
 

@@ -1,9 +1,18 @@
 import json
+import math
+import sys
 
+import segre.polynomial
 from segre.cli import main
+from segre.forms import parse_quadratic_form
+from segre.pencil import QuadricPencil, det_poly
 
 DIAG_FORMS = "X0^2 + 2*X1^2 + 3*X2^2 + 4*X3^2 + 5*X4^2 ; X0^2 + X1^2 + X2^2 + X3^2 + X4^2"
 DEGENERATE_FORMS = "2*X0*X1 + 5*X3^2 + 7*X4^2 ; 2*X1*X2 + X3^2 + X4^2"
+# 3000-digit coefficients: the determinant's leading coefficient has about
+# 6000 digits, past Python's default int->str limit of 4300
+BIG = "7" * 3000
+BIG_FORMS = f"{BIG}*X0^2 + {BIG}*X1^2 + 2*X2^2 + 3*X3^2 + 4*X4^2 ; X0^2+X1^2+X2^2+X3^2+X4^2"
 
 
 def run(capsys, *argv):
@@ -73,6 +82,28 @@ class TestAnalyze:
         assert json.loads(out)["reason"] == "cone"
         code, _ = run(capsys, "analyze", "--file", str(path), "--strict")
         assert code == 3
+
+    def test_coefficients_past_int_str_limit(self, capsys, monkeypatch):
+        code, out = run(capsys, "analyze", "--poly", BIG_FORMS)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["symbol"] == "[(11)111]"
+        f, g = (parse_quadratic_form(t) for t in BIG_FORMS.split(";"))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            monkeypatch.setattr(segre.polynomial, "_PLAIN_STR_BITS", math.inf)
+            want = str(det_poly(QuadricPencil(f.matrix, g.matrix)))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(want) > 12000
+        assert doc["determinant"] == want
+
+    def test_entry_past_int_str_limit_exits_2(self, capsys):
+        forms = "7" * 4400 + "*X0^2 + X1^2 + X2^2 + X3^2 + X4^2 ; X0^2 + X1^2"
+        code = main(["analyze", "--poly", forms])
+        capsys.readouterr()
+        assert code == 2
 
     def test_byte_identical_reports(self, capsys):
         _, first = run(capsys, "analyze", "--poly", DIAG_FORMS)

@@ -14,6 +14,10 @@ from segre.symbol import build_normal_form
 
 
 class TestParse:
+    def test_integer_past_int_str_limit_is_parse_error(self):
+        with pytest.raises(ParseError):
+            parse_quadratic_form("7" * 4400 + "*X0^2")
+
     def test_cross_and_square_terms(self):
         f = parse_quadratic_form("2*X0*X1 + X2^2 + X3^2 + X4^2")
         m = f.matrix

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -68,3 +72,15 @@ class TestAgreement:
             exact = compute_symbol(inst).exponent_structure()
             numeric = numeric_exponent_partitions(inst).exponent_structure()
             assert numeric == exact
+
+
+def test_exact_path_does_not_import_numpy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    forms = "X0^2 + 2*X1^2 + 3*X2^2 + 4*X3^2 + 5*X4^2 ; X0^2 + X1^2 + X2^2 + X3^2 + X4^2"
+    code = (
+        "import segre.cli, sys; assert 'numpy' not in sys.modules; "
+        f"segre.cli.main(['analyze', '--poly', {forms!r}]); assert 'numpy' not in sys.modules"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True)

@@ -1,11 +1,14 @@
+import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
 
 import segre.pencil
 from segre.acceptance import _degenerate_pairs
+from segre.catalog import CATALOG_ORDER
 from segre.errors import DegeneratePencilError, NoSmoothMemberError
 from segre.pencil import (
     QuadricPencil,
@@ -23,7 +26,7 @@ from segre.pencil import (
     rational_det,
     select_nonsingular_member,
 )
-from segre.polynomial import Polynomial
+from segre.polynomial import Polynomial, poly_gcd
 from segre.reporting import analyze_pencil
 from segre.symbol import build_normal_form, random_instance
 
@@ -52,6 +55,51 @@ def cofactor_det(mat):
         term = mat[0][j] * cofactor_det(minor)
         total = total + (term if j % 2 == 0 else -term)
     return total
+
+
+def brute_invariant_factors(p: QuadricPencil):
+    """Test oracle: gcds of every k x k minor, no early exit.
+
+    Minors of U - t*V come from cofactor expansion along the first row, on
+    integer coefficient lists of the denominator-cleared pencil (which
+    scales D_k but not its monic form), shared between sizes so that all
+    C(n, k)^2 of them stay cheap.
+    """
+    mult = math.lcm(*(c.denominator for m in (p.u, p.v) for row in m for c in row))
+    u = [[int(c * mult) for c in row] for row in p.u]
+    v = [[int(c * mult) for c in row] for row in p.v]
+    idx = tuple(range(p.size))
+
+    @lru_cache(maxsize=None)
+    def minor(rows, cols):
+        if not rows:
+            return (1,)
+        out = [0] * (len(rows) + 1)
+        r = rows[0]
+        for j, c in enumerate(cols):
+            sign = 1 if j % 2 == 0 else -1
+            for d, x in enumerate(minor(rows[1:], cols[:j] + cols[j + 1 :])):
+                out[d] += sign * u[r][c] * x
+                out[d + 1] -= sign * v[r][c] * x
+        return tuple(out)
+
+    big = [Polynomial([1])]
+    for k in idx:
+        g = Polynomial()
+        for rows in combinations(idx, k + 1):
+            for cols in combinations(idx, k + 1):
+                g = poly_gcd(g, Polynomial(minor(rows, cols)))
+        big.append(g)
+    return tuple(big[k].exact_div(big[k - 1]) for k in range(1, len(big)))
+
+
+# the eleven weight-5 symbols outside the catalog
+OFF_CATALOG = (
+    "[(111)11]", "[(22)1]", "[(211)1]", "[(1111)1]", "[(111)2]", "[(111)(11)]",
+    "[(32)]", "[(311)]", "[(221)]", "[(2111)]", "[(11111)]",
+)
+# a normal form with a root at 0: its U is singular
+ROOT_AT_ZERO = build_normal_form("[(21)2]", [0, 5])
 
 
 def poly_matrix(p: QuadricPencil):
@@ -202,6 +250,37 @@ class TestInvariantFactors:
         p = QuadricPencil(diagonal([1, 0, 0, 0, 0]), zero)
         with pytest.raises(DegeneratePencilError):
             invariant_factors(p)
+
+
+class TestAgainstBruteForce:
+    @pytest.mark.parametrize("symbol", CATALOG_ORDER + OFF_CATALOG)
+    def test_weight_five_symbols(self, symbol):
+        for seed in range(3):
+            p = random_instance(symbol, seed)
+            assert invariant_factors(p).factors == brute_invariant_factors(p)
+
+    @pytest.mark.parametrize("pencil", [
+        QuadricPencil(diagonal([2] * 5), identity(5)),
+        QuadricPencil(diagonal([1, 2, 3, 4, 5]), diagonal([1, 1, 1, 1, 0])),
+        QuadricPencil(diagonal([1, 1, 2, 3, 3]), diagonal([1, 1, 1, 0, 0])),
+        QuadricPencil(ROOT_AT_ZERO.v, ROOT_AT_ZERO.u),
+    ])
+    def test_scalar_and_singular_v(self, pencil):
+        assert invariant_factors(pencil).factors == brute_invariant_factors(pencil)
+
+    def test_scalar_pencil_minor_count(self, monkeypatch):
+        real = segre.pencil._poly_minor
+        for seed in range(4):
+            calls = []
+
+            def counting(iu, iv, rows, cols):
+                calls.append((rows, cols))
+                return real(iu, iv, rows, cols)
+
+            monkeypatch.setattr(segre.pencil, "_poly_minor", counting)
+            invariant_factors(random_instance("[(11111)]", seed))
+            assert len(calls) <= 19
+            assert all(tuple(rows) <= tuple(cols) for rows, cols in calls)
 
 
 class TestSelectNonsingularMember:

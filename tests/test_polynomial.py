@@ -194,3 +194,57 @@ def test_coprime_basis_reconstructs_products_of_linears(root_sets):
             if b.divides(p):
                 rebuilt = rebuilt * b
         assert rebuilt == p
+
+
+# irreducible factors over Q: linear t - r/d, and quadratics with negative discriminant
+linear_factors = st.builds(
+    lambda r, d: Polynomial([Fraction(-r, d), 1]), st.integers(-6, 6), st.integers(1, 3)
+)
+quadratic_factors = st.tuples(st.integers(-4, 4), st.integers(1, 9)).filter(
+    lambda ab: ab[0] ** 2 < 4 * ab[1]
+).map(lambda ab: Polynomial([ab[1], ab[0], 1]))
+irreducible_factors = st.lists(
+    st.one_of(linear_factors, quadratic_factors), min_size=1, max_size=4, unique=True
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(irreducible_factors, st.data())
+def test_squarefree_decomposition_recovers_multiplicities(factors, data):
+    mults = data.draw(st.lists(st.integers(1, 3), min_size=len(factors), max_size=len(factors)))
+    scale = data.draw(st.fractions(min_value=-5, max_value=5).filter(bool))
+    p = Polynomial([scale])
+    want: dict[int, Polynomial] = {}
+    for f, m in zip(factors, mults):
+        p = p * f**m
+        want[m] = want.get(m, Polynomial([1])) * f
+    dec = squarefree_decomposition(p)
+    assert dict(dec) == want
+    rebuilt = Polynomial([1])
+    for k, f in dec:
+        rebuilt = rebuilt * f**k
+    assert rebuilt == p.monic()
+
+
+@settings(max_examples=60, deadline=None)
+@given(irreducible_factors, st.data())
+def test_coprime_basis_of_products_of_irreducibles(factors, data):
+    subsets = data.draw(st.lists(
+        st.sets(st.sampled_from(range(len(factors))), min_size=1), min_size=1, max_size=4
+    ))
+    inputs = []
+    for subset in subsets:
+        p = Polynomial([1])
+        for i in sorted(subset):
+            p = p * factors[i]
+        inputs.append(p)
+    basis = coprime_basis(inputs)
+    for i, b1 in enumerate(basis):
+        for b2 in basis[i + 1 :]:
+            assert poly_gcd(b1, b2) == P(1)
+    for p in inputs:
+        rebuilt = Polynomial([1])
+        for b in basis:
+            if b.divides(p):
+                rebuilt = rebuilt * b
+        assert rebuilt == p
