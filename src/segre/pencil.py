@@ -26,10 +26,12 @@ from .polynomial import (
     Polynomial,
     Rational,
     _int_coeffs,
+    _int_derivative,
     _int_exact_div,
     _int_gcd,
     _int_primitive,
     _int_pseudo_rem,
+    _int_squarefree_decomposition,
     _int_trim,
     _monic_poly,
 )
@@ -136,9 +138,14 @@ def _bareiss(m: Sequence[Sequence[int]]) -> tuple[int, int]:
     return rank, det
 
 
-def rational_det(m: Matrix) -> Fraction:
+def _cleared(m: Matrix) -> tuple[list[list[int]], int]:
+    """The integer matrix mult * m and the least such ``mult``."""
     mult = math.lcm(*(c.denominator for row in m for c in row))
-    im = [[int(c * mult) for c in row] for row in m]
+    return [[c.numerator * (mult // c.denominator) for c in row] for row in m], mult
+
+
+def rational_det(m: Matrix) -> Fraction:
+    im, mult = _cleared(m)
     return Fraction(_bareiss(im)[1], mult ** len(m))
 
 
@@ -185,10 +192,24 @@ class QuadricPencil:
 
 
 def congruent(p: QuadricPencil, a: Matrix) -> QuadricPencil:
-    """Apply the congruence (U, V) -> (A^T U A, A^T V A)."""
-    a = as_matrix(a)
-    at = transpose(a)
-    return QuadricPencil(mat_mul(at, mat_mul(p.u, a)), mat_mul(at, mat_mul(p.v, a)))
+    """Apply the congruence (U, V) -> (A^T U A, A^T V A).
+
+    The products run on the denominator-cleared integer matrices; the
+    ``Fraction`` entries are built once, for the result.
+    """
+    ia, ma = _cleared(as_matrix(a))
+    iu, iv, mult = _cleared_int_pair(p)
+    den = mult * ma * ma
+    a_cols = list(zip(*ia))
+
+    def conj(m: list[list[int]]) -> Matrix:
+        at_m = [[sum(x * y for x, y in zip(ac, mc)) for mc in zip(*m)] for ac in a_cols]
+        return tuple(
+            tuple(Fraction(sum(x * y for x, y in zip(row, ac)), den) for ac in a_cols)
+            for row in at_m
+        )
+
+    return QuadricPencil(conj(iu), conj(iv))
 
 
 def change_basis(
@@ -209,13 +230,8 @@ def change_basis(
 # ---------------------------------------------------------------------------
 
 def _cleared_int_pair(p: QuadricPencil) -> tuple[list[list[int]], list[list[int]], int]:
-    mult = math.lcm(
-        *(c.denominator for row in p.u for c in row),
-        *(c.denominator for row in p.v for c in row),
-    )
-    iu = [[int(c * mult) for c in row] for row in p.u]
-    iv = [[int(c * mult) for c in row] for row in p.v]
-    return iu, iv, mult
+    both, mult = _cleared(p.u + p.v)
+    return both[: p.size], both[p.size :], mult
 
 
 def _poly_minor(
@@ -320,39 +336,116 @@ def _minor_gcd(
     return g
 
 
+def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _repeated_rational_roots(f: list[int]) -> list[list[int]]:
+    """Primitive linear factors [-p, q] of the rational roots p/q of f of
+    multiplicity two or more.
+
+    A Yun part of multiplicity m >= 2 has degree at most deg f / m.  Linear
+    parts are roots; a quadratic part has rational roots exactly when its
+    discriminant is a square.  For deg f <= 5 there are no other parts,
+    so every rational repeated root is found; for larger degree the roots
+    of cubic and higher parts are missed, which only weakens the floor
+    they feed.
+    """
+    out: list[list[int]] = []
+    for m, part in _int_squarefree_decomposition(f):
+        if m == 1:
+            continue
+        if len(part) == 2:
+            out.append(part)
+        elif len(part) == 3:
+            c, b, a = part
+            disc = b * b - 4 * a * c  # nonzero: the part is squarefree
+            if disc > 0 and math.isqrt(disc) ** 2 == disc:
+                s = math.isqrt(disc)
+                out += [_int_primitive([b - s, 2 * a]), _int_primitive([b + s, 2 * a])]
+    return out
+
+
 def invariant_factors(p: QuadricPencil) -> InvariantFactors:
     """Invariant factors of U - lambda*V by gcds of minors.
 
     D_k, the gcd of the k x k minors, is found for k = n, n-1, ..., 1
-    from the known D_{k+1} and d_{k+2} = D_{k+2} / D_{k+1}.  D_k divides
-    D_{k+1}, so the sweep starts from D_{k+1}; and since d_{k+1} divides
-    d_{k+2}, the floor D_{k+1} / gcd(D_{k+1}, d_{k+2}) divides D_k, so the
-    sweep stops as soon as the running gcd has the floor's degree (no
-    minor at all when the floor has the degree of D_{k+1}).
+    between an upper and a lower bound, and k x k minors are evaluated
+    only while the two differ in degree:
+
+    - Upper: D_k divides gcd(D_{k+1}, D_{k+1}'), since a root of D_k is a
+      root of d_k | d_{k+1} and so has a larger multiplicity in D_{k+1}.
+      The sweep starts from that gcd; for a squarefree determinant it is
+      constant and no minor beyond the determinant is needed.
+    - Lower: the lcm of two divisors of D_k.  Since d_{k+1} divides
+      d_{k+2}, D_{k+1} / gcd(D_{k+1}, d_{k+2}) divides D_k.  And for each
+      rational root alpha of the determinant of multiplicity two or more,
+      g = size - rank(U - alpha*V) of the invariant factors, the top g,
+      vanish at alpha, so (t - alpha)^(g + k - size) divides D_k.
+
+    The sweep stops as soon as the running gcd has the lower bound's
+    degree.  For a 5 x 5 pencil every root of geometric multiplicity two
+    or more is rational, except a conjugate pair of (11) groups.  That
+    pair, and the groups (22), (32) and (221), where the lower bound sits
+    below the true degree, are where a sweep still runs through all its
+    minors; elsewhere the lower bound is exact, and a sweep ends at the
+    first minors that bring the gcd down to it.
 
     Raises ``DegeneratePencilError`` when |U - lambda*V| vanishes
     identically; callers route that case to degeneracy classification.
     """
     iu, iv, _ = _cleared_int_pair(p)
-    idx = list(range(p.size))
+    size = p.size
+    idx = list(range(size))
     full = _poly_minor(iu, iv, idx, idx)
     if not full:
         raise DegeneratePencilError("determinant of the pencil vanishes identically")
 
     upper = _int_primitive(full)  # D_{k+1}
+    start = _int_gcd(upper, _int_derivative(upper))  # D_k divides it
+    roots = []  # (t - alpha as [-p, q], geometric multiplicity of alpha)
+    if len(start) > 1:  # the determinant has a repeated root
+        for lin in _repeated_rational_roots(upper):
+            member = [[lin[1] * a + lin[0] * b for a, b in zip(ru, rv)] for ru, rv in zip(iu, iv)]
+            roots.append((lin, size - _bareiss(member)[0]))
     above: list[int] = []  # d_{k+2}; zero above the top, which every d_{k+1} divides
     factors: list[list[int]] = []
-    for k in range(p.size - 1, 0, -1):
+    for k in range(size - 1, 0, -1):
         floor = _int_exact_div(upper, _int_gcd(upper, above))
-        if len(floor) < len(upper):
-            lower = _minor_gcd(iu, iv, k, upper, len(floor) - 1)
-        else:  # d_{k+1} divides gcd(D_{k+1}, d_{k+2}) = 1
-            lower = upper
+        rank_floor = [1]
+        for lin, g in roots:
+            for _ in range(g + k - size):
+                rank_floor = _int_mul(rank_floor, lin)
+        floor_deg = len(floor) + len(rank_floor) - len(_int_gcd(floor, rank_floor)) - 1
+        lower = _minor_gcd(iu, iv, k, start, floor_deg) if len(start) - 1 > floor_deg else start
         above = _int_exact_div(upper, lower)
         factors.append(above)
         upper = lower
+        start = _int_gcd(upper, _int_derivative(upper))
     factors.append(upper)
     return InvariantFactors(tuple(_monic_poly(d) for d in reversed(factors)))
+
+
+def _select_nonsingular_member(p: QuadricPencil) -> tuple[QuadricPencil, Fraction]:
+    """``select_nonsingular_member`` and det V' of the pencil it returns."""
+    det = rational_det(p.v)
+    if det != 0:
+        return p, det
+    sweep = [0]
+    step = 1
+    while len(sweep) < p.size:
+        sweep += [step, -step]
+        step += 1
+    for t in sweep[: p.size]:
+        w = p.member(1, t)
+        det = rational_det(w)
+        if det != 0:
+            return QuadricPencil(p.v, w), det
+    raise NoSmoothMemberError("no member of the pencil is nonsingular")
 
 
 def select_nonsingular_member(p: QuadricPencil) -> QuadricPencil:
@@ -364,18 +457,7 @@ def select_nonsingular_member(p: QuadricPencil) -> QuadricPencil:
     determinant form vanishes identically, and ``NoSmoothMemberError`` is
     raised.
     """
-    if rational_det(p.v) != 0:
-        return p
-    sweep = [0]
-    step = 1
-    while len(sweep) < p.size:
-        sweep += [step, -step]
-        step += 1
-    for t in sweep[: p.size]:
-        w = p.member(1, t)
-        if rational_det(w) != 0:
-            return QuadricPencil(p.v, w)
-    raise NoSmoothMemberError("no member of the pencil is nonsingular")
+    return _select_nonsingular_member(p)[0]
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,9 @@ from .errors import NoSmoothMemberError
 from .pencil import (
     DegeneracyReport,
     QuadricPencil,
+    _select_nonsingular_member,
     degeneracy_report,
     invariant_factors,
-    rational_det,
-    select_nonsingular_member,
 )
 from .symbol import SegreSymbol, symbol_from_factors
 
@@ -46,14 +45,14 @@ class AnalysisOutcome:
 def analyze_pencil(p: QuadricPencil) -> AnalysisOutcome:
     """Member selection, invariant factors, symbol, catalog report."""
     try:
-        selected = select_nonsingular_member(p)
+        selected, det_v = _select_nonsingular_member(p)
     except NoSmoothMemberError:
         return AnalysisOutcome(degeneracy=degeneracy_report(p))
     inv = invariant_factors(selected)
     sym = symbol_from_factors(inv)
     report = classify_symbol(sym)
     # the factors are monic and det(U - tV) has leading coefficient (-1)^size det V
-    det = inv.product() * ((-1) ** selected.size * rational_det(selected.v))
+    det = inv.product() * ((-1) ** selected.size * det_v)
     return AnalysisOutcome(
         surface=report,
         symbol=sym,

@@ -5,8 +5,11 @@ from functools import lru_cache
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import segre.pencil
+import segre.reporting
+import segre.symbol
 from segre.acceptance import _degenerate_pairs
 from segre.catalog import CATALOG_ORDER
 from segre.errors import DegeneratePencilError, NoSmoothMemberError
@@ -23,12 +26,14 @@ from segre.pencil import (
     diagonal,
     identity,
     invariant_factors,
+    mat_mul,
     rational_det,
     select_nonsingular_member,
+    transpose,
 )
-from segre.polynomial import Polynomial, poly_gcd
+from segre.polynomial import Polynomial, poly_gcd, squarefree_part
 from segre.reporting import analyze_pencil
-from segre.symbol import build_normal_form, random_instance
+from segre.symbol import build_normal_form, canonicalize, random_instance
 
 
 def linear(root):
@@ -100,6 +105,31 @@ OFF_CATALOG = (
 )
 # a normal form with a root at 0: its U is singular
 ROOT_AT_ZERO = build_normal_form("[(21)2]", [0, 5])
+# a fixed congruence with det 1 (unit upper triangular)
+SHEAR = as_matrix([
+    [1, 2, -1, 0, 3], [0, 1, 1, -2, 0], [0, 0, 1, 1, -1], [0, 0, 0, 1, 2], [0, 0, 0, 0, 1],
+])
+# [(11)(11)1] with roots +-sqrt(2): the repeated part t^2 - 2 has no rational root
+SQRT2_PAIR = QuadricPencil(
+    as_matrix([
+        [1, 1, 0, 0, 0], [1, -1, 0, 0, 0], [0, 0, 1, 1, 0], [0, 0, 1, -1, 0], [0, 0, 0, 0, 3],
+    ]),
+    identity(5),
+)
+# pencils at the edges of the sweep's bounds, each also under SHEAR
+BOUND_CASES = {
+    "sqrt2 [(11)(11)1]": SQRT2_PAIR,
+    # repeated part (t - 1/2)(t + 3/4): a square discriminant
+    "[(11)(11)1] at 1/2, -3/4": build_normal_form(
+        "[(11)(11)1]", [Fraction(1, 2), Fraction(-3, 4), 2]
+    ),
+    # rank of q*U - p*V at the root 1/3
+    "[(21)11] at 1/3": build_normal_form("[(21)11]", [Fraction(1, 3), -1, 4]),
+    # the lower bound sits below the true degree of D_4
+    "[(22)1]": build_normal_form("[(22)1]", [Fraction(-2, 3), 1]),
+    "[(32)]": build_normal_form("[(32)]", [Fraction(5, 4)]),
+    "[(221)]": build_normal_form("[(221)]", [Fraction(7, 2)]),
+}
 
 
 def poly_matrix(p: QuadricPencil):
@@ -252,6 +282,21 @@ class TestInvariantFactors:
             invariant_factors(p)
 
 
+def count_minors(monkeypatch, p):
+    """The (rows, cols) pairs ``invariant_factors(p)`` evaluates."""
+    real = segre.pencil._poly_minor
+    calls = []
+
+    def counting(iu, iv, rows, cols):
+        calls.append((tuple(rows), tuple(cols)))
+        return real(iu, iv, rows, cols)
+
+    monkeypatch.setattr(segre.pencil, "_poly_minor", counting)
+    invariant_factors(p)
+    monkeypatch.setattr(segre.pencil, "_poly_minor", real)
+    return calls
+
+
 class TestAgainstBruteForce:
     @pytest.mark.parametrize("symbol", CATALOG_ORDER + OFF_CATALOG)
     def test_weight_five_symbols(self, symbol):
@@ -268,19 +313,54 @@ class TestAgainstBruteForce:
     def test_scalar_and_singular_v(self, pencil):
         assert invariant_factors(pencil).factors == brute_invariant_factors(pencil)
 
+    @pytest.mark.parametrize("name", list(BOUND_CASES))
+    @pytest.mark.parametrize("moved", [False, True])
+    def test_bound_cases(self, name, moved):
+        p = BOUND_CASES[name]
+        if moved:
+            p = congruent(p, SHEAR)
+        assert invariant_factors(p).factors == brute_invariant_factors(p)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from(CATALOG_ORDER + OFF_CATALOG),
+        st.lists(
+            st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
+            min_size=5, max_size=5, unique=True,
+        ),
+        st.lists(st.integers(-3, 3), min_size=25, max_size=25),
+    )
+    def test_random_congruence(self, symbol, roots, entries):
+        a = as_matrix([entries[5 * i : 5 * i + 5] for i in range(5)])
+        assume(rational_det(a) != 0)
+        normal = build_normal_form(symbol, roots[: len(canonicalize(symbol).groups)])
+        p = congruent(normal, a)
+        assert invariant_factors(p).factors == brute_invariant_factors(p)
+
     def test_scalar_pencil_minor_count(self, monkeypatch):
-        real = segre.pencil._poly_minor
+        # the determinant only: both bounds give D_k = (t - a)^k
         for seed in range(4):
-            calls = []
+            calls = count_minors(monkeypatch, random_instance("[(11111)]", seed))
+            assert calls == [((0, 1, 2, 3, 4), (0, 1, 2, 3, 4))]
 
-            def counting(iu, iv, rows, cols):
-                calls.append((rows, cols))
-                return real(iu, iv, rows, cols)
+    def test_squarefree_determinant(self, monkeypatch):
+        rng = random.Random(5)
+        m = [[rng.randint(-999, 999) for _ in range(5)] for _ in range(5)]
+        n = [[rng.randint(-999, 999) for _ in range(5)] for _ in range(5)]
+        p = QuadricPencil(
+            as_matrix([[m[i][j] + m[j][i] for j in range(5)] for i in range(5)]),
+            as_matrix([[n[i][j] + n[j][i] for j in range(5)] for i in range(5)]),
+        )
+        assert squarefree_part(det_poly(p)).degree == 5
+        assert len(count_minors(monkeypatch, p)) == 1
 
-            monkeypatch.setattr(segre.pencil, "_poly_minor", counting)
-            invariant_factors(random_instance("[(11111)]", seed))
-            assert len(calls) <= 19
-            assert all(tuple(rows) <= tuple(cols) for rows, cols in calls)
+    def test_weight_five_minor_total(self, monkeypatch):
+        total = 0
+        for symbol in CATALOG_ORDER + OFF_CATALOG:
+            calls = count_minors(monkeypatch, select_nonsingular_member(random_instance(symbol, 7)))
+            assert all(rows <= cols for rows, cols in calls)
+            total += len(calls)
+        assert total <= 92
 
 
 class TestSelectNonsingularMember:
@@ -354,6 +434,48 @@ class TestAnalyzeWork:
         monkeypatch.setattr(segre.pencil, "_poly_minor", counting)
         analyze_pencil(pencil)
         assert len(full) == 1
+
+
+    def test_det_v_computed_once(self, monkeypatch):
+        calls = []
+        real = segre.pencil.rational_det
+
+        def counting(m):
+            calls.append(m)
+            return real(m)
+
+        monkeypatch.setattr(segre.pencil, "rational_det", counting)
+        monkeypatch.setattr(segre.reporting, "rational_det", counting, raising=False)
+        for seed in range(3):
+            calls.clear()
+            analyze_pencil(random_instance("[(21)2]", seed))
+            assert len(calls) == 1
+
+
+def fraction_congruent(p: QuadricPencil, a):
+    """Reference: A^T U A and A^T V A by ``Fraction`` matrix products."""
+    at = transpose(a)
+    return QuadricPencil(mat_mul(at, mat_mul(p.u, a)), mat_mul(at, mat_mul(p.v, a)))
+
+
+class TestCongruent:
+    def test_non_integer_matrices(self):
+        p = QuadricPencil(
+            as_matrix([[Fraction(i + j, 1 + (i * j) % 3) for j in range(5)] for i in range(5)]),
+            diagonal([1, Fraction(1, 2), 0, 3, Fraction(-7, 5)]),
+        )
+        a = as_matrix([[Fraction(i - 2 * j, 1 + (i + j) % 4) for j in range(5)] for i in range(5)])
+        got = congruent(p, a)
+        want = fraction_congruent(p, a)
+        assert (got.u, got.v) == (want.u, want.v)
+
+    def test_random_instance_matches_fraction_formula(self, monkeypatch):
+        keys = [(s, seed) for s in CATALOG_ORDER + OFF_CATALOG for seed in range(3)]
+        got = {key: random_instance(*key) for key in keys}
+        monkeypatch.setattr(segre.symbol, "congruent", fraction_congruent)
+        for (s, seed), p in got.items():
+            want = random_instance(s, seed)
+            assert (p.u, p.v) == (want.u, want.v)
 
 
 class TestChangeBasis:
