@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cache
 
 from .catalog import (
     AutE,
@@ -12,7 +13,7 @@ from .catalog import (
     transitions,
 )
 from .covers import BaseKind, CoverReport, covers_of
-from .symbol import SegreSymbol, canonicalize
+from .symbol import Group, SegreSymbol, canonicalize
 
 __all__ = ["SurfaceReport", "classify_symbol"]
 
@@ -57,11 +58,20 @@ def classify_symbol(s: SegreSymbol | str) -> SurfaceReport:
     catalog the reason distinguishes a cone over a quartic curve (a
     bracketed group with no 1 in it) from a reducible intersection (a
     bracketed group of three or more entries).
+
+    The report depends only on the exponent structure, so it is built once
+    per structure (at most 27 of weight 5) and handed out with the
+    caller's symbol, root descriptors included.
     """
     sym = canonicalize(s)
     if sym.weight != 5:
         raise ValueError(f"classification needs a weight-5 symbol, got {sym.render()}")
+    return replace(_structure_report(sym.exponent_structure()), symbol=sym)
 
+
+@cache
+def _structure_report(structure: tuple[tuple[int, ...], ...]) -> SurfaceReport:
+    sym = SegreSymbol([Group(exps) for exps in structure])
     if not in_catalog(sym):
         return SurfaceReport(symbol=sym, is_segre=False, reason=_rejection_reason(sym))
 

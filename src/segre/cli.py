@@ -20,7 +20,6 @@ import json
 import sys
 from fractions import Fraction
 
-from .acceptance import run_all
 from .catalog import CATALOG_ORDER
 from .classify import classify_symbol
 from .errors import InternalConsistencyError, ParseError
@@ -128,6 +127,8 @@ def _cmd_random(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .acceptance import run_all  # only verify needs it; keeps CLI start-up lean
+
     results = run_all()
     for r in results:
         status = "PASS" if r.passed else "FAIL"

@@ -17,6 +17,8 @@ M[i][j] = M[j][i] = c/2 while a square term c*Xi^2 lands as M[i][i] = c.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -200,9 +202,38 @@ def render_form(matrix: Matrix) -> str:
 
 # -- pencil file format -------------------------------------------------------
 
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*$")
+
+
+def _entry(text: str, limit: int) -> Fraction:
+    """One matrix entry, read like ``Fraction(text)``.
+
+    As with integers in the form grammar, a numerator or denominator with
+    more digits than ``limit``, Python's int<->str limit, is refused (no
+    check when the limit is switched off).  Without a decimal point or an
+    exponent, ``Fraction`` parses both with ``int``, which applies the
+    limit itself.  An exponent past limit + len(text) is refused before
+    the power of ten is built: with any nonzero mantissa it gives more
+    digits than the limit.
+    """
+    if not limit or ("." not in text and "e" not in text and "E" not in text):
+        return Fraction(text)
+    exp = _EXPONENT.search(text)
+    if exp and abs(int(exp.group(1).replace("_", ""))) > limit + len(text):
+        raise ParseError(f"exponent of {text[:40]!r} is out of range")
+    q = Fraction(text)
+    for n in (q.numerator, q.denominator):
+        if n.bit_length() > 3 * limit and abs(n) >= 10**limit:  # 2^(3 limit) < 10^limit
+            raise ParseError(f"entry {text[:40]!r} has more than {limit} digits")
+    return q
+
+
 def matrix_from_strings(rows: list[list[str]]) -> Matrix:
+    if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
+        raise ParseError("a matrix must be a list of rows, each a list of entries")
+    limit = sys.get_int_max_str_digits()
     try:
-        return as_matrix([[Fraction(str(c)) for c in row] for row in rows])
+        return as_matrix([[_entry(str(c), limit) for c in row] for row in rows])
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational entry in matrix: {exc}") from exc
 

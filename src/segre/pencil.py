@@ -10,7 +10,9 @@ Internally all polynomial determinants run on denominator-cleared integer
 matrices: each minor is evaluated at small integer points and recovered by
 interpolation.  The minor gcds and their quotients stay primitive integer
 coefficient lists; only the finished invariant factors become monic
-``Polynomial`` values, which makes the integer scaling invisible.
+``Polynomial`` values, which makes the integer scaling invisible.  For a
+full analysis the determinant is interpolated once: det V, the member
+sweep and the selected pencil's determinant are all read off it.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def as_matrix(rows: Iterable[Iterable[Rational | int | str]]) -> Matrix:
-    out = tuple(tuple(Fraction(c) for c in row) for row in rows)
+    out = tuple(tuple(c if type(c) is Fraction else Fraction(c) for c in row) for row in rows)
     if any(len(row) != len(out) for row in out):
         raise ValueError("matrix must be square")
     return out
@@ -273,6 +275,15 @@ def _poly_minor(
 # operations
 # ---------------------------------------------------------------------------
 
+def _det_coeffs(iu: list[list[int]], iv: list[list[int]]) -> list[int]:
+    idx = list(range(len(iu)))
+    return _poly_minor(iu, iv, idx, idx)
+
+
+def _scaled(coeffs: Sequence[int], den: int) -> Polynomial:
+    return Polynomial([Fraction(c, den) for c in coeffs])
+
+
 def det_poly(p: QuadricPencil) -> Polynomial:
     """The determinant |U - lambda*V|, exact and unnormalized.
 
@@ -281,10 +292,7 @@ def det_poly(p: QuadricPencil) -> Polynomial:
     interpolating, which avoids symbolic cofactor blowup.
     """
     iu, iv, mult = _cleared_int_pair(p)
-    idx = list(range(p.size))
-    coeffs = _poly_minor(iu, iv, idx, idx)
-    scale = Fraction(1, mult ** p.size)
-    return Polynomial([c * scale for c in coeffs])
+    return _scaled(_det_coeffs(iu, iv), mult ** p.size)
 
 
 @dataclass(frozen=True)
@@ -370,12 +378,13 @@ def _repeated_rational_roots(f: list[int]) -> list[list[int]]:
     return out
 
 
-def invariant_factors(p: QuadricPencil) -> InvariantFactors:
-    """Invariant factors of U - lambda*V by gcds of minors.
+def _factor_chain(iu: list[list[int]], iv: list[list[int]], full: list[int]) -> list[list[int]]:
+    """Primitive integer invariant factors d_1, ..., d_size of U - t*V.
 
-    D_k, the gcd of the k x k minors, is found for k = n, n-1, ..., 1
-    between an upper and a lower bound, and k x k minors are evaluated
-    only while the two differ in degree:
+    ``full`` is a nonzero multiple of det(U - t*V).  D_k, the gcd of the
+    k x k minors, is found for k = n, n-1, ..., 1 between an upper and a
+    lower bound, and k x k minors are evaluated only while the two differ
+    in degree:
 
     - Upper: D_k divides gcd(D_{k+1}, D_{k+1}'), since a root of D_k is a
       root of d_k | d_{k+1} and so has a larger multiplicity in D_{k+1}.
@@ -394,17 +403,8 @@ def invariant_factors(p: QuadricPencil) -> InvariantFactors:
     below the true degree, are where a sweep still runs through all its
     minors; elsewhere the lower bound is exact, and a sweep ends at the
     first minors that bring the gcd down to it.
-
-    Raises ``DegeneratePencilError`` when |U - lambda*V| vanishes
-    identically; callers route that case to degeneracy classification.
     """
-    iu, iv, _ = _cleared_int_pair(p)
-    size = p.size
-    idx = list(range(size))
-    full = _poly_minor(iu, iv, idx, idx)
-    if not full:
-        raise DegeneratePencilError("determinant of the pencil vanishes identically")
-
+    size = len(iu)
     upper = _int_primitive(full)  # D_{k+1}
     start = _int_gcd(upper, _int_derivative(upper))  # D_k divides it
     roots = []  # (t - alpha as [-p, q], geometric multiplicity of alpha)
@@ -427,25 +427,71 @@ def invariant_factors(p: QuadricPencil) -> InvariantFactors:
         upper = lower
         start = _int_gcd(upper, _int_derivative(upper))
     factors.append(upper)
-    return InvariantFactors(tuple(_monic_poly(d) for d in reversed(factors)))
+    factors.reverse()
+    return factors
 
 
-def _select_nonsingular_member(p: QuadricPencil) -> tuple[QuadricPencil, Fraction]:
-    """``select_nonsingular_member`` and det V' of the pencil it returns."""
-    det = rational_det(p.v)
-    if det != 0:
-        return p, det
-    sweep = [0]
-    step = 1
-    while len(sweep) < p.size:
-        sweep += [step, -step]
-        step += 1
-    for t in sweep[: p.size]:
-        w = p.member(1, t)
-        det = rational_det(w)
-        if det != 0:
-            return QuadricPencil(p.v, w), det
+def invariant_factors(p: QuadricPencil) -> InvariantFactors:
+    """Invariant factors of U - lambda*V by gcds of minors.
+
+    The minor-gcd sweep is bounded from the determinant (see
+    ``_factor_chain``), so most pencils need few minors beyond it.
+
+    Raises ``DegeneratePencilError`` when |U - lambda*V| vanishes
+    identically; callers route that case to degeneracy classification.
+    """
+    iu, iv, _ = _cleared_int_pair(p)
+    full = _det_coeffs(iu, iv)
+    if not full:
+        raise DegeneratePencilError("determinant of the pencil vanishes identically")
+    return InvariantFactors(tuple(_monic_poly(d) for d in _factor_chain(iu, iv, full)))
+
+
+def _sweep_value(f: list[int], size: int) -> int:
+    """The first t of 0, 1, -1, 2, -2, ... (``size`` values) with
+    det(U + t*V) != 0, read off f, a nonzero multiple of det(U - t*V).
+
+    With det V = 0, f has degree below ``size``, so it vanishes at all
+    ``size`` values only when it is identically zero: then no member is
+    nonsingular and ``NoSmoothMemberError`` is raised.
+    """
+    for i in range(size):
+        t = (i + 1) // 2 if i % 2 else -(i // 2)
+        value = 0
+        for c in reversed(f):  # f(-t) by Horner
+            value = value * -t + c
+        if value:
+            return t
     raise NoSmoothMemberError("no member of the pencil is nonsingular")
+
+
+def _selected_invariants(p: QuadricPencil) -> tuple[Polynomial, list[list[int]]]:
+    """det(U' - t*V') and the primitive integer invariant factors of the
+    pencil (U', V') that ``select_nonsingular_member`` returns.
+
+    det(U - t*V) is interpolated once, on the cleared pair (iu, iv) with
+    f = mult^size * det(U - t*V).  When det V = 0 (deg f < size) the
+    selected pencil is (V, U + t0*V), whose cleared pair at the same scale
+    is (iv, iu + t0*iv), and whose determinant is
+    det(V - s*(U + t0*V)) = (-1)^size F(s, 1 - t0*s) with F(x, y) =
+    det(x*U - y*V), f homogenised to degree size.  Raises
+    ``NoSmoothMemberError`` when no member is nonsingular.
+    """
+    iu, iv, mult = _cleared_int_pair(p)
+    size = p.size
+    f = _det_coeffs(iu, iv)
+    if len(f) <= size:  # det V = 0
+        t0 = _sweep_value(f, size)
+        sign = (-1) ** size
+        g = [0] * (size + 1)
+        power = [sign]  # (-1)^size (1 - t0*s)^i
+        for i, c in enumerate(f):
+            for j, b in enumerate(power):
+                g[size - i + j] += c * b
+            power = _int_mul(power, [1, -t0])
+        f = _int_trim(g)
+        iu, iv = iv, [[a + t0 * b for a, b in zip(ru, rv)] for ru, rv in zip(iu, iv)]
+    return _scaled(f, mult ** size), _factor_chain(iu, iv, f)
 
 
 def select_nonsingular_member(p: QuadricPencil) -> QuadricPencil:
@@ -457,7 +503,11 @@ def select_nonsingular_member(p: QuadricPencil) -> QuadricPencil:
     determinant form vanishes identically, and ``NoSmoothMemberError`` is
     raised.
     """
-    return _select_nonsingular_member(p)[0]
+    if rational_det(p.v) != 0:
+        return p
+    iu, iv, _ = _cleared_int_pair(p)
+    t = _sweep_value(_det_coeffs(iu, iv), p.size)
+    return QuadricPencil(p.v, p.member(1, t))
 
 
 @dataclass(frozen=True)
@@ -481,6 +531,12 @@ def degeneracy_report(p: QuadricPencil) -> DegeneracyReport:
         pass
     else:
         raise ValueError("pencil has a nonsingular member; nothing to report")
+    return _common_kernel_report(p)
+
+
+def _common_kernel_report(p: QuadricPencil) -> DegeneracyReport:
+    """``degeneracy_report`` for a pencil already known to have no
+    nonsingular member."""
     iu, iv, _ = _cleared_int_pair(p)
     r0 = p.size - _bareiss(iu + iv)[0]
     return DegeneracyReport(common_kernel_dim=r0, is_cone=r0 > 0)

@@ -13,12 +13,13 @@ from .covers import CoverReport
 from .errors import NoSmoothMemberError
 from .pencil import (
     DegeneracyReport,
+    InvariantFactors,
     QuadricPencil,
-    _select_nonsingular_member,
-    degeneracy_report,
-    invariant_factors,
+    _common_kernel_report,
+    _selected_invariants,
 )
-from .symbol import SegreSymbol, symbol_from_factors
+from .polynomial import _monic_poly
+from .symbol import SegreSymbol, _symbol_from_int_factors
 
 __all__ = ["AnalysisOutcome", "analyze_pencil", "outcome_to_dict", "render_pretty"]
 
@@ -43,18 +44,21 @@ class AnalysisOutcome:
 
 
 def analyze_pencil(p: QuadricPencil) -> AnalysisOutcome:
-    """Member selection, invariant factors, symbol, catalog report."""
+    """Member selection, invariant factors, symbol, catalog report.
+
+    The determinant and the invariant factors are those of the pencil
+    ``select_nonsingular_member(p)`` returns; both come from one
+    interpolation of det(U - t*V), and the factors stay integer lists up
+    to the report.
+    """
     try:
-        selected, det_v = _select_nonsingular_member(p)
+        det, chain = _selected_invariants(p)
     except NoSmoothMemberError:
-        return AnalysisOutcome(degeneracy=degeneracy_report(p))
-    inv = invariant_factors(selected)
-    sym = symbol_from_factors(inv)
-    report = classify_symbol(sym)
-    # the factors are monic and det(U - tV) has leading coefficient (-1)^size det V
-    det = inv.product() * ((-1) ** selected.size * det_v)
+        return AnalysisOutcome(degeneracy=_common_kernel_report(p))
+    inv = InvariantFactors(tuple(_monic_poly(d) for d in chain))
+    sym = _symbol_from_int_factors([d for d in chain if len(d) > 1])
     return AnalysisOutcome(
-        surface=report,
+        surface=classify_symbol(sym),
         symbol=sym,
         invariant_factors=tuple(str(f) for f in inv.factors),
         determinant=str(det),

@@ -221,7 +221,12 @@ def symbol_from_factors(inv: InvariantFactors) -> SegreSymbol:
     element has a uniform exponent in every invariant factor, recovered by
     exact division.
     """
-    nontrivial = [_int_coeffs(d) for d in inv.nontrivial]
+    return _symbol_from_int_factors([_int_coeffs(d) for d in inv.nontrivial])
+
+
+def _symbol_from_int_factors(nontrivial: list[list[int]]) -> SegreSymbol:
+    """``symbol_from_factors`` on the primitive integer coefficient lists
+    of the nonconstant invariant factors."""
     pieces = [f for d in nontrivial for _, f in _int_squarefree_decomposition(d)]
     groups: list[Group] = []
     for b in _int_coprime_basis(pieces):

@@ -1,5 +1,10 @@
+from dataclasses import replace
+from fractions import Fraction
+from itertools import product
+
 import pytest
 
+import segre.classify
 from segre.catalog import (
     CATALOG,
     CATALOG_ORDER,
@@ -11,8 +16,9 @@ from segre.catalog import (
     class_degree,
     transitions,
 )
-from segre.classify import classify_symbol
-from segre.symbol import SegreSymbol, canonicalize
+from segre.classify import _structure_report, classify_symbol
+from segre.errors import InternalConsistencyError
+from segre.symbol import ExplicitRoot, Group, SegreSymbol, canonicalize
 
 
 def sings(text):
@@ -97,6 +103,26 @@ class TestCatalogData:
         assert CATALOG["[(31)1]"].aut_e is AutE.C_STAR_OR_TRIVIAL
         assert CATALOG["[(41)]"].aut_e is AutE.C_STAR_OR_TRIVIAL
 
+def partitions(n, largest=None):
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, largest or n), 0, -1):
+        for rest in partitions(n - k, k):
+            yield (k,) + rest
+
+
+# every weight-5 exponent structure: a multiset of groups, each a partition
+WEIGHT_FIVE = sorted({
+    SegreSymbol([Group(e) for e in groups]).exponent_structure()
+    for weights in partitions(5)
+    for groups in product(*(list(partitions(w)) for w in weights))
+})
+
+
+def with_roots(structure, roots):
+    return SegreSymbol([Group(e, ExplicitRoot(r)) for e, r in zip(structure, roots)])
+
 
 class TestClassify:
     def test_smooth_row(self):
@@ -140,6 +166,44 @@ class TestClassify:
     def test_discrepancy_note_present(self):
         r = classify_symbol("[2111]")
         assert any("8" in n and "10" in n for n in r.notes)
+
+    @pytest.mark.parametrize("structure", WEIGHT_FIVE)
+    def test_memoised_report_equals_uncached(self, structure):
+        for roots in (range(1, 6), (Fraction(-1, 2), 7, Fraction(3, 4), -2, 0)):
+            sym = with_roots(structure, [Fraction(r) for r in roots])
+            got = classify_symbol(sym)
+            assert got == replace(_structure_report.__wrapped__(structure), symbol=sym)
+            assert got.symbol.root_descriptions() == sym.root_descriptions()
+
+    def test_covers_built_once_per_structure(self, monkeypatch):
+        calls = []
+        real = segre.classify.covers_of
+
+        def counting(s):
+            calls.append(s.exponent_structure())
+            return real(s)
+
+        monkeypatch.setattr(segre.classify, "covers_of", counting)
+        _structure_report.cache_clear()
+        try:
+            for roots in ((1, 2, 3, 4, 5), (5, 4, 3, 2, 1), (0, -1, -2, -3, -4)):
+                for structure in WEIGHT_FIVE:
+                    classify_symbol(with_roots(structure, roots))
+        finally:
+            _structure_report.cache_clear()
+        assert len(WEIGHT_FIVE) == 27
+        assert sorted(calls) == sorted(canonicalize(s).exponent_structure() for s in CATALOG_ORDER)
+
+    def test_errors_are_not_cached(self, monkeypatch):
+        def broken(s):
+            raise InternalConsistencyError("covers unavailable")
+
+        _structure_report.cache_clear()
+        monkeypatch.setattr(segre.classify, "covers_of", broken)
+        with pytest.raises(InternalConsistencyError):
+            classify_symbol("[2111]")
+        monkeypatch.undo()
+        assert classify_symbol("[2111]").class_degree == 10
 
 
 class TestTransitions:

@@ -1,6 +1,15 @@
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import pytest
 
 import segre.polynomial
 from segre.cli import main
@@ -105,6 +114,18 @@ class TestAnalyze:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("doc", [
+        {"U": 5, "V": 5},
+        {"U": [1, 2, 3, 4, 5], "V": [1, 2, 3, 4, 5]},
+        {"U": [["1e5000"] * 5] * 5, "V": [["1"] * 5] * 5},
+    ])
+    def test_bad_file_exits_2(self, capsys, tmp_path, doc):
+        path = tmp_path / "pencil.json"
+        path.write_text(json.dumps(doc))
+        code = main(["analyze", "--file", str(path)])
+        assert "Traceback" not in capsys.readouterr().err
+        assert code == 2
+
     def test_byte_identical_reports(self, capsys):
         _, first = run(capsys, "analyze", "--poly", DIAG_FORMS)
         _, second = run(capsys, "analyze", "--poly", DIAG_FORMS)
@@ -156,3 +177,72 @@ class TestRandom:
         doc = json.loads(a)
         assert doc["symbol"] == "[41]"
         assert doc["seed"] == 5
+
+
+def test_cli_import_leaves_acceptance_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import segre.cli, sys; assert 'segre.acceptance' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True)
+
+
+# JSON values of any shape: the leaves a pencil file may hold, nested in lists
+LEAVES = (
+    st.none()
+    | st.integers(-3, 3)
+    | st.floats()
+    | st.text(alphabet="0123456789-/.e_ ", max_size=6)
+)
+SHAPES = st.recursive(LEAVES, lambda inner: st.lists(inner, max_size=6), max_leaves=40)
+# square matrices, 0x0 to 6x6, and symmetric 5x5 ones that reach the analysis
+SQUARE = st.integers(0, 6).flatmap(
+    lambda n: st.lists(st.lists(LEAVES, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+SYMMETRIC = st.lists(st.integers(-2, 2), min_size=15, max_size=15).map(
+    lambda e: [[str(e[max(i, j) * (max(i, j) + 1) // 2 + min(i, j)]) for j in range(5)]
+               for i in range(5)]
+)
+MATRICES = SHAPES | SQUARE | SYMMETRIC
+DOCS = (
+    st.fixed_dictionaries({"U": SYMMETRIC, "V": SYMMETRIC})
+    | st.fixed_dictionaries({"U": MATRICES, "V": MATRICES})
+    | st.dictionaries(st.sampled_from(["U", "V", "W"]), MATRICES, max_size=3)
+    | SHAPES
+)
+# --poly text: any string over the grammar's alphabet, token soup, and two
+# well-formed sums of quadratic terms
+TERM = st.tuples(
+    st.sampled_from(["+", "-"]), st.integers(0, 3), st.integers(0, 4), st.integers(0, 4)
+).map(lambda t: f"{t[0]} {t[1]}*X{t[2]}*X{t[3]}")
+FORM = st.lists(TERM, min_size=1, max_size=6).map(" ".join)
+FORM_TEXT = (
+    st.text(alphabet="X0123456789+-*/^ ;", max_size=60)
+    | st.lists(
+        st.sampled_from(["X0", "X1", "X4", "X5", "^2", "^3", "*", "+", "-", "/", "2", "0", " ", ";"]),
+        max_size=30,
+    ).map("".join)
+    | st.tuples(FORM, FORM).map(" ; ".join)
+)
+
+
+def run_quietly(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+class TestFuzz:
+    """``segre analyze`` exits 0, 2, 3 or 4 on any input, never with an exception."""
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(DOCS)
+    def test_json_file(self, tmp_path, doc):
+        path = tmp_path / "pencil.json"
+        path.write_text(json.dumps(doc))
+        assert run_quietly(["analyze", "--file", str(path)]) in {0, 2, 3, 4}
+
+    @settings(max_examples=60, deadline=None)
+    @given(FORM_TEXT)
+    def test_poly_text(self, text):
+        assert run_quietly(["analyze", f"--poly={text}"]) in {0, 2, 3, 4}

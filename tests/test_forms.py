@@ -4,6 +4,7 @@ import pytest
 
 from segre.errors import DegreeError, ParseError, ZeroFormError
 from segre.forms import (
+    matrix_from_strings,
     parse_quadratic_form,
     pencil_from_json,
     pencil_to_json,
@@ -103,3 +104,29 @@ class TestPencilJson:
             pencil_from_json('{"U": [["1"]]}')
         with pytest.raises(ParseError):
             pencil_from_json('{"U": [["1"]], "V": [["1"]]}')
+
+    @pytest.mark.parametrize("doc", [
+        '{"U": 5, "V": 5}',
+        '{"U": [1, 2, 3, 4, 5], "V": [1, 2, 3, 4, 5]}',
+        '{"U": null, "V": "12345"}',
+        '{"U": [["1"], 2], "V": [["1"]]}',
+    ])
+    def test_rejects_matrices_that_are_not_lists_of_rows(self, doc):
+        with pytest.raises(ParseError):
+            pencil_from_json(doc)
+
+    @pytest.mark.parametrize("entry", ["1e5000", "1e-5000", "1e4300", "3/1e4300", "0e999999999"])
+    def test_entry_past_int_str_limit_is_parse_error(self, entry):
+        with pytest.raises(ParseError):
+            matrix_from_strings([[entry]])
+
+    def test_decimal_past_int_str_limit_is_parse_error(self):
+        # each side of the point is within the limit, the value's numerator is not
+        with pytest.raises(ParseError):
+            matrix_from_strings([["1" * 3000 + "." + "1" * 3000]])
+
+    def test_exponent_entries_within_limit(self):
+        assert matrix_from_strings([["1e3", "-2.5E-2"], ["1e4299", "0e5"]]) == (
+            (Fraction(1000), Fraction(-1, 40)),
+            (Fraction(10**4299), Fraction(0)),
+        )

@@ -417,39 +417,83 @@ class TestDegeneracyReport:
             degeneracy_report(p)
 
 
+def counting(monkeypatch, module, name, keep=lambda *a: True):
+    """Record the calls to ``module.name`` whose arguments pass ``keep``."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        if keep(*args):
+            calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestAnalyzeWork:
     @pytest.mark.parametrize("pencil", [
         random_instance("[(21)2]", 0),
         QuadricPencil(diagonal([1, 2, 3, 4, 5]), diagonal([1, 1, 1, 1, 0])),
+        _degenerate_pairs()["[2;1]"],
     ])
     def test_full_minor_interpolated_once(self, monkeypatch, pencil):
-        full = []
-        real = segre.pencil._poly_minor
-
-        def counting(iu, iv, rows, cols):
-            if len(rows) == len(iu):
-                full.append(rows)
-            return real(iu, iv, rows, cols)
-
-        monkeypatch.setattr(segre.pencil, "_poly_minor", counting)
+        full = counting(
+            monkeypatch, segre.pencil, "_poly_minor",
+            keep=lambda iu, iv, rows, cols: len(rows) == len(iu),
+        )
+        dets = counting(monkeypatch, segre.pencil, "rational_det")
         analyze_pencil(pencil)
         assert len(full) == 1
-
+        assert dets == []
 
     def test_det_v_computed_once(self, monkeypatch):
-        calls = []
-        real = segre.pencil.rational_det
-
-        def counting(m):
-            calls.append(m)
-            return real(m)
-
-        monkeypatch.setattr(segre.pencil, "rational_det", counting)
-        monkeypatch.setattr(segre.reporting, "rational_det", counting, raising=False)
+        # det V is the leading coefficient of the interpolated determinant,
+        # so analyze_pencil computes it once and never by rational_det
+        calls = counting(monkeypatch, segre.pencil, "rational_det")
+        monkeypatch.setattr(segre.reporting, "rational_det", segre.pencil.rational_det, raising=False)
         for seed in range(3):
-            calls.clear()
             analyze_pencil(random_instance("[(21)2]", seed))
-            assert len(calls) == 1
+            assert len(calls) == 0
+
+    @pytest.mark.parametrize("u, t", [
+        # det(U + tV) = t (t - 1) (t + 2) (t + 3), and so on: det V = 0 and the
+        # sweep 0, 1, -1, 2, -2 stops at t
+        ([1, 0, -1, 2, 3], -1),
+        ([1, 0, -1, 1, 3], 2),
+        ([1, 0, -1, 1, -2], -2),
+    ])
+    def test_sweep_past_singular_members(self, u, t):
+        p = QuadricPencil(diagonal(u), diagonal([0, 1, 1, 1, 1]))
+        selected = select_nonsingular_member(p)
+        assert selected.v == p.member(1, t)
+        outcome = analyze_pencil(p)
+        assert outcome.invariant_factors == tuple(str(f) for f in invariant_factors(selected).factors)
+        assert outcome.determinant == str(det_poly(selected))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(CATALOG_ORDER + OFF_CATALOG),
+        st.integers(0, 2**16),
+        st.integers(0, 4),
+        st.integers(-9, 9),
+        st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(-2, 3)]),
+    )
+    def test_singular_v_matches_selected_member(self, symbol, seed, pick, s, scale):
+        """With det V = 0, the reported factors and determinant are those of
+        the member that select_nonsingular_member picks."""
+        p = random_instance(symbol, seed)
+        d = det_poly(p)
+        roots = [t for t in range(-9, 10) if d(t) == 0]  # the normal form's roots
+        r = roots[pick % len(roots)]
+        assume(s != r)
+        # V' = scale * (U - r*V) is singular; U' = U - s*V is singular when s is a root
+        q = change_basis(p, 1, -s, scale, -scale * r)
+        assert rational_det(q.v) == 0
+        selected = select_nonsingular_member(q)
+        outcome = analyze_pencil(q)
+        assert outcome.invariant_factors == tuple(str(f) for f in invariant_factors(selected).factors)
+        assert outcome.determinant == str(det_poly(selected))
 
 
 def fraction_congruent(p: QuadricPencil, a):
