@@ -23,8 +23,16 @@ from fractions import Fraction
 from .catalog import CATALOG_ORDER
 from .classify import classify_symbol
 from .errors import InternalConsistencyError, ParseError
-from .forms import parse_quadratic_form, pencil_from_json, pencil_to_json, render_form
+from .forms import (
+    _NVARS,
+    _entry,
+    parse_quadratic_form,
+    pencil_from_json,
+    pencil_to_json,
+    render_form,
+)
 from .pencil import QuadricPencil
+from .polynomial import _rational_str
 from .reporting import analyze_pencil, outcome_to_dict, render_pretty, surface_report_to_dict
 from .symbol import SegreSymbol, build_normal_form, compute_symbol, random_instance
 
@@ -84,16 +92,27 @@ def _cmd_catalog(args) -> int:
     return EXIT_OK
 
 
+def _parse_symbol(text: str) -> SegreSymbol:
+    """A symbol of weight at most 5: the command line writes pencils in
+    X0..X4 only, and the work grows without bound with the weight."""
+    sym = SegreSymbol.parse(text)
+    if sym.weight > _NVARS:
+        raise ParseError(f"symbol has weight {sym.weight}; at most {_NVARS} is supported")
+    return sym
+
+
 def _parse_roots(text: str) -> list[Fraction]:
+    """Comma-separated roots, each read and size-checked like a JSON matrix entry."""
+    limit = sys.get_int_max_str_digits()
     try:
-        return [Fraction(piece.strip()) for piece in text.split(",") if piece.strip()]
+        return [_entry(piece.strip(), limit) for piece in text.split(",") if piece.strip()]
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad root list {text!r}: {exc}") from exc
 
 
 def _cmd_normal_form(args) -> int:
     try:
-        sym = SegreSymbol.parse(args.symbol)
+        sym = _parse_symbol(args.symbol)
         roots = _parse_roots(args.roots)
         pencil = build_normal_form(sym, roots)
     except (ParseError, ValueError) as exc:
@@ -101,9 +120,9 @@ def _cmd_normal_form(args) -> int:
         return EXIT_INPUT
     doc = {
         "symbol": sym.canonical().render(),
-        "roots": [str(r) for r in roots],
-        "U": [[str(c) for c in row] for row in pencil.u],
-        "V": [[str(c) for c in row] for row in pencil.v],
+        "roots": [_rational_str(r) for r in roots],
+        "U": [[_rational_str(c) for c in row] for row in pencil.u],
+        "V": [[_rational_str(c) for c in row] for row in pencil.v],
         "equations": [render_form(pencil.u), render_form(pencil.v)],
     }
     _emit(doc, args.pretty)
@@ -112,7 +131,7 @@ def _cmd_normal_form(args) -> int:
 
 def _cmd_random(args) -> int:
     try:
-        sym = SegreSymbol.parse(args.symbol)
+        sym = _parse_symbol(args.symbol)
         pencil = random_instance(sym, args.seed)
     except (ParseError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
@@ -173,6 +192,8 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=_cmd_verify)
 
     args = parser.parse_args(argv)
+    if [] in vars(args).values():  # argparse's value for an option given as "--name=--"
+        parser.error("'--' is not a valid option value")
     try:
         return args.func(args)
     except InternalConsistencyError as exc:

@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from .errors import DegreeError, ParseError, ZeroFormError
 from .pencil import Matrix, QuadricPencil, as_matrix
+from .polynomial import _rational_str
 
 __all__ = [
     "ParsedForm",
@@ -192,7 +193,7 @@ def render_form(matrix: Matrix) -> str:
     chunks: list[str] = []
     for c, mono in parts:
         mag = abs(c)
-        body = mono if mag == 1 else f"{mag}*{mono}"
+        body = mono if mag == 1 else f"{_rational_str(mag)}*{mono}"
         if not chunks:
             chunks.append(body if c > 0 else f"-{body}")
         else:

@@ -27,7 +27,6 @@ from .errors import DegeneratePencilError, InternalConsistencyError, NoSmoothMem
 from .polynomial import (
     Polynomial,
     Rational,
-    _int_coeffs,
     _int_derivative,
     _int_exact_div,
     _int_gcd,
@@ -48,8 +47,6 @@ __all__ = [
     "as_matrix",
     "identity",
     "diagonal",
-    "mat_mul",
-    "transpose",
     "congruent",
     "change_basis",
     "rational_det",
@@ -82,17 +79,6 @@ def diagonal(entries: Sequence[Rational | int]) -> Matrix:
     return tuple(
         tuple(es[i] if i == j else Fraction(0) for j in range(len(es)))
         for i in range(len(es))
-    )
-
-
-def transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
     )
 
 
@@ -305,24 +291,9 @@ class InvariantFactors:
 
     factors: tuple[Polynomial, ...]
 
-    def __post_init__(self):
-        for a, b in zip(self.factors, self.factors[1:]):
-            ia, ib = _int_coeffs(a), _int_coeffs(b)
-            divides = not _int_pseudo_rem(ib, ia) if ia else not ib
-            if not divides:
-                raise InternalConsistencyError(
-                    f"invariant factors fail the divisibility chain: {a} | {b}"
-                )
-
     @property
     def nontrivial(self) -> tuple[Polynomial, ...]:
         return tuple(f for f in self.factors if f.degree > 0)
-
-    def product(self) -> Polynomial:
-        out = Polynomial([1])
-        for f in self.factors:
-            out = out * f
-        return out
 
 
 def _minor_gcd(
@@ -403,6 +374,10 @@ def _factor_chain(iu: list[list[int]], iv: list[list[int]], full: list[int]) -> 
     below the true degree, are where a sweep still runs through all its
     minors; elsewhere the lower bound is exact, and a sweep ends at the
     first minors that bring the gcd down to it.
+
+    Every route to invariant factors or a symbol ends here, so the chain
+    d_1 | d_2 | ... is checked here, once, by pseudo-remainders; a break
+    raises ``InternalConsistencyError``.
     """
     size = len(iu)
     upper = _int_primitive(full)  # D_{k+1}
@@ -428,6 +403,12 @@ def _factor_chain(iu: list[list[int]], iv: list[list[int]], full: list[int]) -> 
         start = _int_gcd(upper, _int_derivative(upper))
     factors.append(upper)
     factors.reverse()
+    for a, b in zip(factors, factors[1:]):
+        if _int_pseudo_rem(b, a):
+            raise InternalConsistencyError(
+                "invariant factors fail the divisibility chain: "
+                f"{_monic_poly(a)} | {_monic_poly(b)}"
+            )
     return factors
 
 

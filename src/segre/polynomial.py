@@ -219,20 +219,6 @@ class Polynomial:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def constant(cls, c: Rational | int) -> "Polynomial":
-        return cls([c])
-
-    @classmethod
-    def from_roots(cls, roots: Iterable[Rational | int]) -> "Polynomial":
-        """Monic polynomial with the given roots (with multiplicity)."""
-        p = cls([1])
-        for r in roots:
-            p = p * cls([-Fraction(r), 1])
-        return p
-
     # -- basic queries --------------------------------------------------------
 
     @property

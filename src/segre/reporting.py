@@ -11,13 +11,7 @@ from dataclasses import dataclass
 from .classify import SurfaceReport, classify_symbol
 from .covers import CoverReport
 from .errors import NoSmoothMemberError
-from .pencil import (
-    DegeneracyReport,
-    InvariantFactors,
-    QuadricPencil,
-    _common_kernel_report,
-    _selected_invariants,
-)
+from .pencil import DegeneracyReport, QuadricPencil, _common_kernel_report, _selected_invariants
 from .polynomial import _monic_poly
 from .symbol import SegreSymbol, _symbol_from_int_factors
 
@@ -55,12 +49,11 @@ def analyze_pencil(p: QuadricPencil) -> AnalysisOutcome:
         det, chain = _selected_invariants(p)
     except NoSmoothMemberError:
         return AnalysisOutcome(degeneracy=_common_kernel_report(p))
-    inv = InvariantFactors(tuple(_monic_poly(d) for d in chain))
-    sym = _symbol_from_int_factors([d for d in chain if len(d) > 1])
+    sym = _symbol_from_int_factors(chain)
     return AnalysisOutcome(
         surface=classify_symbol(sym),
         symbol=sym,
-        invariant_factors=tuple(str(f) for f in inv.factors),
+        invariant_factors=tuple(str(_monic_poly(d)) for d in chain),
         determinant=str(det),
     )
 

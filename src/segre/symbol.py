@@ -17,20 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .pencil import (
-    InvariantFactors,
-    Matrix,
-    QuadricPencil,
-    _bareiss,
-    as_matrix,
-    congruent,
-    invariant_factors,
-    select_nonsingular_member,
-)
+from .pencil import Matrix, QuadricPencil, _bareiss, _selected_invariants, as_matrix, congruent
 from .polynomial import (
     Polynomial,
     Rational,
-    _int_coeffs,
     _int_coprime_basis,
     _int_divide,
     _int_squarefree_decomposition,
@@ -45,7 +35,6 @@ __all__ = [
     "SegreSymbol",
     "canonicalize",
     "compute_symbol",
-    "symbol_from_factors",
     "elementary_block",
     "build_normal_form",
     "random_instance",
@@ -205,32 +194,28 @@ def _valuation(base: list[int], target: list[int]) -> int:
 def compute_symbol(p: QuadricPencil) -> SegreSymbol:
     """Segre symbol of a pencil.
 
-    A nonsingular member is selected first, so a root at infinity is never
-    dropped; raises ``NoSmoothMemberError`` when every member is singular.
+    The symbol is that of the pencil ``select_nonsingular_member(p)``
+    returns, so a root at infinity is never dropped; raises
+    ``NoSmoothMemberError`` when every member is singular.
     """
-    return symbol_from_factors(invariant_factors(select_nonsingular_member(p)))
+    return _symbol_from_int_factors(_selected_invariants(p)[1])
 
 
-def symbol_from_factors(inv: InvariantFactors) -> SegreSymbol:
-    """Segre symbol read off the invariant factors of U - lambda*V.
+def _symbol_from_int_factors(chain: list[list[int]]) -> SegreSymbol:
+    """Segre symbol read off the invariant factors of U - lambda*V, given
+    as primitive integer coefficient lists.
 
-    Works entirely over the rationals, on primitive integer coefficient
-    lists: the squarefree pieces of the invariant factors are refined into
-    a coprime basis that stands in for the set of distinct roots, so
-    irrational and complex roots never need to be found.  Each basis
-    element has a uniform exponent in every invariant factor, recovered by
-    exact division.
+    The squarefree pieces of the factors are refined into a coprime basis
+    that stands in for the set of distinct roots, so irrational and complex
+    roots never need to be found.  Each basis element has a uniform
+    exponent in every invariant factor, recovered by exact division.  A
+    constant factor has no squarefree piece and valuation 0 at every basis
+    element, so it contributes nothing and needs no filter.
     """
-    return _symbol_from_int_factors([_int_coeffs(d) for d in inv.nontrivial])
-
-
-def _symbol_from_int_factors(nontrivial: list[list[int]]) -> SegreSymbol:
-    """``symbol_from_factors`` on the primitive integer coefficient lists
-    of the nonconstant invariant factors."""
-    pieces = [f for d in nontrivial for _, f in _int_squarefree_decomposition(d)]
+    pieces = [f for d in chain for _, f in _int_squarefree_decomposition(d)]
     groups: list[Group] = []
     for b in _int_coprime_basis(pieces):
-        exps = tuple(v for d in nontrivial if (v := _valuation(b, d)) > 0)
+        exps = tuple(v for d in chain if (v := _valuation(b, d)) > 0)
         if len(b) == 2:
             groups.append(Group(exps, ExplicitRoot(Fraction(-b[0], b[1]))))
         else:

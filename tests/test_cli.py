@@ -3,11 +3,12 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import pytest
 
@@ -15,6 +16,7 @@ import segre.polynomial
 from segre.cli import main
 from segre.forms import parse_quadratic_form
 from segre.pencil import QuadricPencil, det_poly
+from segre.symbol import canonicalize
 
 DIAG_FORMS = "X0^2 + 2*X1^2 + 3*X2^2 + 4*X3^2 + 5*X4^2 ; X0^2 + X1^2 + X2^2 + X3^2 + X4^2"
 DEGENERATE_FORMS = "2*X0*X1 + 5*X3^2 + 7*X4^2 ; 2*X1*X2 + X3^2 + X4^2"
@@ -118,12 +120,19 @@ class TestAnalyze:
         {"U": 5, "V": 5},
         {"U": [1, 2, 3, 4, 5], "V": [1, 2, 3, 4, 5]},
         {"U": [["1e5000"] * 5] * 5, "V": [["1"] * 5] * 5},
+        {"U": [["1"] * 4] * 4, "V": [["1"] * 4] * 4},
+        {"U": [["1"] * 6] * 6, "V": [["1"] * 6] * 6},
     ])
     def test_bad_file_exits_2(self, capsys, tmp_path, doc):
         path = tmp_path / "pencil.json"
         path.write_text(json.dumps(doc))
         code = main(["analyze", "--file", str(path)])
         assert "Traceback" not in capsys.readouterr().err
+        assert code == 2
+
+    def test_variable_past_x4_exits_2(self, capsys):
+        code = main(["analyze", "--poly", "X5^2 + X0^2 ; X1^2"])
+        capsys.readouterr()
         assert code == 2
 
     def test_byte_identical_reports(self, capsys):
@@ -168,6 +177,37 @@ class TestNormalForm:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("roots", ["1e5000", "1e-5000", "7" * 4400, "1/" + "7" * 4400])
+    def test_root_past_digit_limit_exits_2(self, capsys, roots):
+        code = main(["normal-form", "[5]", "--roots", roots])
+        assert "Traceback" not in capsys.readouterr().err
+        assert code == 2
+
+    def test_huge_exponent_root_exits_2_promptly(self):
+        # read like a JSON entry: the exponent is refused before 10^999999999 is built
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "segre.cli", "normal-form", "[5]", "--roots", "1e999999999"],
+            env=env, capture_output=True, text=True, timeout=20,
+        )
+        assert done.returncode == 2
+        assert "out of range" in done.stderr
+
+    def test_root_at_digit_limit_renders(self, capsys):
+        # a 4300-digit root is accepted; its doubled cross term has 4301 digits
+        code, out = run(capsys, "normal-form", "[2111]", "--roots", "9e4299,1,2,3")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["roots"][0] == "9" + "0" * 4299
+        assert doc["equations"][0].startswith("18" + "0" * 4299 + "*X0*X1 + X1^2 + X2^2")
+
+    def test_weight_past_five_exits_2(self, capsys):
+        code = main(["normal-form", "[111111]", "--roots", "1,2,3,4,5,6"])
+        assert "weight 6" in capsys.readouterr().err
+        assert code == 2
+
 
 class TestRandom:
     def test_deterministic_and_feedable(self, capsys):
@@ -177,6 +217,33 @@ class TestRandom:
         doc = json.loads(a)
         assert doc["symbol"] == "[41]"
         assert doc["seed"] == 5
+
+    @pytest.mark.parametrize("symbol", [
+        "[111111]", "[999999]", pytest.param("[" + "9" * 10**4 + "]", id="10000-nines"),
+    ])
+    def test_weight_past_five_exits_2(self, capsys, symbol):
+        code = main(["random", "--symbol", symbol, "--seed", "1"])
+        capsys.readouterr()
+        assert code == 2
+
+    def test_weights_up_to_five(self, capsys):
+        for symbol in ("[1]", "[(11)]", "[21]", "[(11)11]", "[(11111)]"):
+            code, out = run(capsys, "random", "--symbol", symbol, "--seed", "3")
+            assert code == 0
+            assert json.loads(out)["symbol"] == canonicalize(symbol).render()
+
+
+@pytest.mark.parametrize("argv", [
+    ["random", "--symbol", "[5]", "--seed=--"],
+    ["random", "--symbol=--", "--seed", "1"],
+    ["normal-form", "[5]", "--roots=--"],
+])
+def test_double_dash_option_value_exits_2(capsys, argv):
+    # argparse hands an option written "--name=--" over as [], not as text
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert "Traceback" not in capsys.readouterr().err
+    assert exc.value.code == 2
 
 
 def test_cli_import_leaves_acceptance_unloaded():
@@ -226,13 +293,57 @@ FORM_TEXT = (
 )
 
 
+# symbol text: any string over the notation's alphabet, and bracketed runs
+# of groups and long digit runs
+DIGIT_RUN = st.tuples(st.sampled_from("0123456789"), st.integers(1, 300)).map(lambda t: t[0] * t[1])
+SYMBOL_TEXT = (
+    st.text(alphabet="[]()0123456789 ,", max_size=16)
+    | st.lists(
+        st.sampled_from(["1", "2", "3", "5", "(11)", "(21)", "(", ")", "0"]) | DIGIT_RUN, max_size=6
+    ).map(lambda parts: "[" + "".join(parts) + "]")
+    | st.sampled_from(["[5]", "[2111]", "[(11)3]", "[11111]", "[(11111)]"])
+)
+# root lists: integers, fractions, decimals and exponent forms up to 10^+-99999
+ROOT = (
+    st.integers(-10**6, 10**6).map(str)
+    | st.fractions(max_denominator=10**6).map(str)
+    | st.tuples(
+        st.sampled_from(["1", "9", "-2", "0", "1.5", ".5", "7_0"]),
+        st.sampled_from(["e", "E"]),
+        st.integers(-99999, 99999),
+    ).map(lambda t: f"{t[0]}{t[1]}{t[2]}")
+    | DIGIT_RUN
+    | st.text(alphabet="0123456789-+/.eE_ ", max_size=8)
+)
+ROOTS = st.lists(ROOT, max_size=6).map(",".join)
+SEED = st.integers(-2**80, 2**80).map(str) | DIGIT_RUN | st.text(alphabet="0123456789-+_ x", max_size=6)
+
+
+WALL_CAP_S = 2.0
+
+
+def _expire(signum, frame):
+    raise TimeoutError(f"example ran past {WALL_CAP_S} s")
+
+
 def run_quietly(argv) -> int:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return main(argv)
+    """``main(argv)``'s exit code; an example running past ``WALL_CAP_S``
+    is interrupted with ``TimeoutError``."""
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.setitimer(signal.ITIMER_REAL, WALL_CAP_S)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return main(argv)
+    except SystemExit as exc:  # argparse refusing the command line
+        return exc.code
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestFuzz:
-    """``segre analyze`` exits 0, 2, 3 or 4 on any input, never with an exception."""
+    """Every subcommand exits 0, 2, 3 or 4 on any input, never with an
+    exception and within ``WALL_CAP_S`` per example."""
 
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -246,3 +357,21 @@ class TestFuzz:
     @given(FORM_TEXT)
     def test_poly_text(self, text):
         assert run_quietly(["analyze", f"--poly={text}"]) in {0, 2, 3, 4}
+
+    @settings(max_examples=150, deadline=None)
+    @given(SYMBOL_TEXT, ROOTS)
+    @example("[5]", "1e5000")
+    @example("[2111]", "9e4299,1,2,3")
+    def test_normal_form(self, symbol, roots):
+        assert run_quietly(["normal-form", symbol, f"--roots={roots}"]) in {0, 2, 3, 4}
+
+    @settings(max_examples=100, deadline=None)
+    @given(SYMBOL_TEXT, SEED)
+    @example("[99999999]", "1")
+    def test_random(self, symbol, seed):
+        assert run_quietly(["random", f"--symbol={symbol}", f"--seed={seed}"]) in {0, 2, 3, 4}
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(st.sampled_from(["--pretty", "--strict", "-x", "[5]", "", "--pretty=1"]), max_size=3))
+    def test_catalog(self, tail):
+        assert run_quietly(["catalog", *tail]) in {0, 2, 3, 4}

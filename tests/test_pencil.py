@@ -12,7 +12,7 @@ import segre.reporting
 import segre.symbol
 from segre.acceptance import _degenerate_pairs
 from segre.catalog import CATALOG_ORDER
-from segre.errors import DegeneratePencilError, NoSmoothMemberError
+from segre.errors import DegeneratePencilError, InternalConsistencyError, NoSmoothMemberError
 from segre.pencil import (
     QuadricPencil,
     _bareiss,
@@ -26,14 +26,12 @@ from segre.pencil import (
     diagonal,
     identity,
     invariant_factors,
-    mat_mul,
     rational_det,
     select_nonsingular_member,
-    transpose,
 )
 from segre.polynomial import Polynomial, poly_gcd, squarefree_part
 from segre.reporting import analyze_pencil
-from segre.symbol import build_normal_form, canonicalize, random_instance
+from segre.symbol import build_normal_form, canonicalize, compute_symbol, random_instance
 
 
 def linear(root):
@@ -261,7 +259,7 @@ class TestInvariantFactors:
     def test_product_is_monic_determinant(self):
         p = build_normal_form("[(21)2]", [2, 5])
         inv = invariant_factors(p)
-        assert inv.product() == det_poly(p).monic()
+        assert product(inv.factors) == det_poly(p).monic()
 
     def test_congruence_invariance(self):
         rng = random.Random(11)
@@ -447,6 +445,22 @@ class TestAnalyzeWork:
         assert len(full) == 1
         assert dets == []
 
+    @pytest.mark.parametrize("pencil", [
+        random_instance("[(21)2]", 0),
+        QuadricPencil(diagonal([1, 2, 3, 4, 5]), diagonal([1, 1, 1, 1, 0])),
+    ])
+    def test_compute_symbol_interpolates_once(self, monkeypatch, pencil):
+        # compute_symbol takes analyze_pencil's route: no member selection
+        # of its own, and det V read off the one interpolation
+        full = counting(
+            monkeypatch, segre.pencil, "_poly_minor",
+            keep=lambda iu, iv, rows, cols: len(rows) == len(iu),
+        )
+        dets = counting(monkeypatch, segre.pencil, "rational_det")
+        compute_symbol(pencil)
+        assert len(full) == 1
+        assert dets == []
+
     def test_det_v_computed_once(self, monkeypatch):
         # det V is the leading coefficient of the interpolated determinant,
         # so analyze_pencil computes it once and never by rational_det
@@ -496,10 +510,24 @@ class TestAnalyzeWork:
         assert outcome.determinant == str(det_poly(selected))
 
 
+class TestChainCheck:
+    @pytest.mark.parametrize("route", [invariant_factors, compute_symbol, analyze_pencil])
+    def test_broken_chain_raises(self, monkeypatch, route):
+        # SQRT2_PAIR needs a sweep for D_4 = t^2 - 2; a sweep returning t - 3
+        # makes d_4 = t - 3, which does not divide d_5 = (t^2 - 2)^2
+        monkeypatch.setattr(segre.pencil, "_minor_gcd", lambda *args: [-3, 1])
+        with pytest.raises(InternalConsistencyError, match=r"chain: t - 3 \| t\^4 - 4\*t\^2 \+ 4$"):
+            route(SQRT2_PAIR)
+
+
 def fraction_congruent(p: QuadricPencil, a):
     """Reference: A^T U A and A^T V A by ``Fraction`` matrix products."""
-    at = transpose(a)
-    return QuadricPencil(mat_mul(at, mat_mul(p.u, a)), mat_mul(at, mat_mul(p.v, a)))
+
+    def mul(x, y):
+        return tuple(tuple(sum(r * c for r, c in zip(row, col)) for col in zip(*y)) for row in x)
+
+    at = tuple(zip(*a))
+    return QuadricPencil(mul(at, mul(p.u, a)), mul(at, mul(p.v, a)))
 
 
 class TestCongruent:

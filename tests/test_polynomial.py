@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -51,10 +52,6 @@ class TestArithmetic:
 
     def test_derivative(self):
         assert P(5, 3, 2).derivative() == P(3, 4)
-
-    def test_from_roots(self):
-        p = Polynomial.from_roots([1, -1])
-        assert p == P(-1, 0, 1)
 
     def test_str(self):
         assert str(P(-2, 0, 1)) == "t^2 - 2"
@@ -183,7 +180,7 @@ def test_squarefree_idempotent(p):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.sets(st.integers(-5, 5), min_size=1, max_size=3), min_size=1, max_size=4))
 def test_coprime_basis_reconstructs_products_of_linears(root_sets):
-    inputs = [Polynomial.from_roots(sorted(s)) for s in root_sets]
+    inputs = [math.prod(map(linear, sorted(s)), start=Polynomial([1])) for s in root_sets]
     basis = coprime_basis(inputs)
     for i, b1 in enumerate(basis):
         for b2 in basis[i + 1 :]:
