@@ -215,8 +215,14 @@ def _entry(text: str, limit: int) -> Fraction:
     exponent, ``Fraction`` parses both with ``int``, which applies the
     limit itself.  An exponent past limit + len(text) is refused before
     the power of ten is built: with any nonzero mantissa it gives more
-    digits than the limit.
+    digits than the limit.  Plain integer text is read with ``int`` alone;
+    text with ``_`` is not, as ``Fraction`` refuses it on Python 3.10.
     """
+    if "_" not in text:
+        try:
+            return Fraction(int(text))
+        except ValueError:  # not an integer, or past the limit: Fraction says which
+            pass
     if not limit or ("." not in text and "e" not in text and "E" not in text):
         return Fraction(text)
     exp = _EXPONENT.search(text)
@@ -259,8 +265,8 @@ def pencil_from_json(text: str) -> QuadricPencil:
 
 def pencil_to_json(p: QuadricPencil, extra: dict | None = None) -> str:
     doc: dict = {
-        "U": [[str(c) for c in row] for row in p.u],
-        "V": [[str(c) for c in row] for row in p.v],
+        "U": [[_rational_str(c) for c in row] for row in p.u],
+        "V": [[_rational_str(c) for c in row] for row in p.v],
     }
     if extra:
         doc.update(extra)

@@ -38,13 +38,6 @@ class NumericPartition:
         return SegreSymbol([Group(c.partition) for c in self.clusters]).exponent_structure()
 
 
-def _svd_rank(m: "np.ndarray", threshold: float) -> int:
-    import numpy as np
-
-    sv = np.linalg.svd(m, compute_uv=False)
-    return int(np.count_nonzero(sv > threshold))
-
-
 def numeric_exponent_partitions(
     p: QuadricPencil,
     tol_cluster: float = DEFAULT_CLUSTER_TOL,
@@ -67,7 +60,8 @@ def numeric_exponent_partitions(
     tol_rank * sigma_1(M - alpha*I)**k: the k-th power of a matrix with a
     defective eigenvalue is numerically the zero matrix once k reaches the
     block size, so the comparison scale has to come from the unpowered
-    matrix.
+    matrix.  The first power's rank is read off the singular values that
+    give sigma_1.
     """
     import numpy as np
 
@@ -110,12 +104,15 @@ def numeric_exponent_partitions(
     for g, center in zip(groups, centers):
         mult = len(g)
         shifted = m - center * np.eye(size)
-        sigma1 = float(np.linalg.svd(shifted, compute_uv=False)[0])
+        sv = np.linalg.svd(shifted, compute_uv=False)
+        sigma1 = float(sv[0])
         ranks = [size]
-        power = np.eye(size)
+        power = shifted
         for k in range(1, mult + 1):
-            power = power @ shifted
-            ranks.append(_svd_rank(power, tol_rank * sigma1**k))
+            if k > 1:
+                power = power @ shifted
+                sv = np.linalg.svd(power, compute_uv=False)
+            ranks.append(int(np.count_nonzero(sv > tol_rank * sigma1**k)))
         if ranks[-1] != size - mult:
             raise IllConditionedError(
                 f"rank staircase of cluster {center:.6g} does not reach "

@@ -266,10 +266,6 @@ def _det_coeffs(iu: list[list[int]], iv: list[list[int]]) -> list[int]:
     return _poly_minor(iu, iv, idx, idx)
 
 
-def _scaled(coeffs: Sequence[int], den: int) -> Polynomial:
-    return Polynomial([Fraction(c, den) for c in coeffs])
-
-
 def det_poly(p: QuadricPencil) -> Polynomial:
     """The determinant |U - lambda*V|, exact and unnormalized.
 
@@ -278,7 +274,8 @@ def det_poly(p: QuadricPencil) -> Polynomial:
     interpolating, which avoids symbolic cofactor blowup.
     """
     iu, iv, mult = _cleared_int_pair(p)
-    return _scaled(_det_coeffs(iu, iv), mult ** p.size)
+    den = mult ** p.size
+    return Polynomial([Fraction(c, den) for c in _det_coeffs(iu, iv)])
 
 
 @dataclass(frozen=True)
@@ -446,9 +443,10 @@ def _sweep_value(f: list[int], size: int) -> int:
     raise NoSmoothMemberError("no member of the pencil is nonsingular")
 
 
-def _selected_invariants(p: QuadricPencil) -> tuple[Polynomial, list[list[int]]]:
-    """det(U' - t*V') and the primitive integer invariant factors of the
-    pencil (U', V') that ``select_nonsingular_member`` returns.
+def _selected_invariants(p: QuadricPencil) -> tuple[list[int], int, list[list[int]]]:
+    """det(U' - t*V'), as integer coefficients and their common
+    denominator, and the primitive integer invariant factors of the pencil
+    (U', V') that ``select_nonsingular_member`` returns.
 
     det(U - t*V) is interpolated once, on the cleared pair (iu, iv) with
     f = mult^size * det(U - t*V).  When det V = 0 (deg f < size) the
@@ -472,7 +470,7 @@ def _selected_invariants(p: QuadricPencil) -> tuple[Polynomial, list[list[int]]]
             power = _int_mul(power, [1, -t0])
         f = _int_trim(g)
         iu, iv = iv, [[a + t0 * b for a, b in zip(ru, rv)] for ru, rv in zip(iu, iv)]
-    return _scaled(f, mult ** size), _factor_chain(iu, iv, f)
+    return f, mult ** size, _factor_chain(iu, iv, f)
 
 
 def select_nonsingular_member(p: QuadricPencil) -> QuadricPencil:

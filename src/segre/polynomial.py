@@ -7,7 +7,10 @@ division, Yun decomposition and the coprime basis run on one engine of
 primitive integer coefficient lists (a primitive pseudo-remainder
 sequence keeps coefficients small at the degrees, at most five, this
 package cares about); ``Fraction`` coefficients appear only at the
-``Polynomial`` boundary.
+``Polynomial`` boundary.  Text comes from one renderer on an integer
+coefficient list and a denominator, ``_poly_str``: reports render the
+exact chain's lists with it directly, and ``Polynomial.__str__`` renders
+through it once and keeps the string.
 """
 
 from __future__ import annotations
@@ -200,6 +203,31 @@ def _rational_str(q: Rational | int) -> str:
     return num if q.denominator == 1 else f"{num}/{_int_str(q.denominator)}"
 
 
+def _poly_str(c: Sequence[int], den: int = 1) -> str:
+    """Text of the polynomial with coefficients c[i] / den (den > 0), the
+    ``str`` of every ``Polynomial``: terms from the leading one down, each
+    coefficient in lowest terms and a unit coefficient left out."""
+    parts: list[str] = []
+    for i in range(len(c) - 1, -1, -1):
+        a = c[i]
+        if not a:
+            continue
+        mono = "" if i == 0 else "t" if i == 1 else f"t^{i}"
+        g = math.gcd(a, den)
+        num, d = abs(a) // g, den // g
+        if num == d == 1 and mono:
+            body = mono
+        else:
+            body = _int_str(num) if d == 1 else f"{_int_str(num)}/{_int_str(d)}"
+            if mono:
+                body = f"{body}*{mono}"
+        if not parts:
+            parts.append(body if a > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if a > 0 else f"- {body}")
+    return " ".join(parts) if parts else "0"
+
+
 # ---------------------------------------------------------------------------
 # public polynomial type
 # ---------------------------------------------------------------------------
@@ -211,13 +239,14 @@ class Polynomial:
     degree -1.  All arithmetic is exact.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_text")
 
     def __init__(self, coeffs: Iterable[Rational | int] = ()):
         cs = [Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "_text", None)  # str(self), made on first use
 
     # -- basic queries --------------------------------------------------------
 
@@ -348,31 +377,11 @@ class Polynomial:
         return f"Polynomial({self})"
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts: list[str] = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                mono = ""
-            elif i == 1:
-                mono = "t"
-            else:
-                mono = f"t^{i}"
-            mag = abs(c)
-            if mag == 1 and mono:
-                body = mono
-            elif mono:
-                body = f"{_rational_str(mag)}*{mono}"
-            else:
-                body = _rational_str(mag)
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        if self._text is None:
+            den = math.lcm(*(c.denominator for c in self.coeffs))
+            ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
+            object.__setattr__(self, "_text", _poly_str(ints, den))
+        return self._text
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from .classify import SurfaceReport, classify_symbol
 from .covers import CoverReport
 from .errors import NoSmoothMemberError
 from .pencil import DegeneracyReport, QuadricPencil, _common_kernel_report, _selected_invariants
-from .polynomial import _monic_poly
+from .polynomial import _poly_str
 from .symbol import SegreSymbol, _symbol_from_int_factors
 
 __all__ = ["AnalysisOutcome", "analyze_pencil", "outcome_to_dict", "render_pretty"]
@@ -42,19 +42,19 @@ def analyze_pencil(p: QuadricPencil) -> AnalysisOutcome:
 
     The determinant and the invariant factors are those of the pencil
     ``select_nonsingular_member(p)`` returns; both come from one
-    interpolation of det(U - t*V), and the factors stay integer lists up
-    to the report.
+    interpolation of det(U - t*V), and both stay integer lists until they
+    are rendered into the report.
     """
     try:
-        det, chain = _selected_invariants(p)
+        det, den, chain = _selected_invariants(p)
     except NoSmoothMemberError:
         return AnalysisOutcome(degeneracy=_common_kernel_report(p))
     sym = _symbol_from_int_factors(chain)
     return AnalysisOutcome(
         surface=classify_symbol(sym),
         symbol=sym,
-        invariant_factors=tuple(str(_monic_poly(d)) for d in chain),
-        determinant=str(det),
+        invariant_factors=tuple(_poly_str(d, d[-1]) for d in chain),
+        determinant=_poly_str(det, den),
     )
 
 

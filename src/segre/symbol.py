@@ -119,18 +119,18 @@ class SegreSymbol:
         parenthesized digit runs are bracketed groups."""
         s = text.strip()
         if not (s.startswith("[") and s.endswith("]")):
-            raise ValueError(f"symbol must be enclosed in square brackets: {text!r}")
+            raise ValueError(f"symbol must be enclosed in square brackets: {text[:40]!r}")
         groups: list[Group] = []
         for m in _SYMBOL_TOKEN.finditer(s[1:-1]):
             run, digit, bad = m.groups()
             if bad is not None:
-                raise ValueError(f"unexpected character {bad!r} in symbol {text!r}")
+                raise ValueError(f"unexpected character {bad!r} in symbol {text[:40]!r}")
             if run is not None:
                 groups.append(Group(tuple(int(ch) for ch in run)))
             else:
                 groups.append(Group((int(digit),)))
         if not groups:
-            raise ValueError(f"empty symbol: {text!r}")
+            raise ValueError(f"empty symbol: {text[:40]!r}")
         return cls(groups)
 
     @property
@@ -198,7 +198,7 @@ def compute_symbol(p: QuadricPencil) -> SegreSymbol:
     returns, so a root at infinity is never dropped; raises
     ``NoSmoothMemberError`` when every member is singular.
     """
-    return _symbol_from_int_factors(_selected_invariants(p)[1])
+    return _symbol_from_int_factors(_selected_invariants(p)[-1])
 
 
 def _symbol_from_int_factors(chain: list[list[int]]) -> SegreSymbol:

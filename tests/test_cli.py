@@ -12,11 +12,12 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import pytest
 
+import segre.cli
 import segre.polynomial
 from segre.cli import main
 from segre.forms import parse_quadratic_form
 from segre.pencil import QuadricPencil, det_poly
-from segre.symbol import canonicalize
+from segre.symbol import build_normal_form, canonicalize, random_instance
 
 DIAG_FORMS = "X0^2 + 2*X1^2 + 3*X2^2 + 4*X3^2 + 5*X4^2 ; X0^2 + X1^2 + X2^2 + X3^2 + X4^2"
 DEGENERATE_FORMS = "2*X0*X1 + 5*X3^2 + 7*X4^2 ; 2*X1*X2 + X3^2 + X4^2"
@@ -217,6 +218,24 @@ class TestRandom:
         doc = json.loads(a)
         assert doc["symbol"] == "[41]"
         assert doc["seed"] == 5
+
+    def test_entries_are_those_of_random_instance(self, capsys):
+        _, out = run(capsys, "random", "--symbol", "[(21)2]", "--seed", "4")
+        doc = json.loads(out)
+        p = random_instance("[(21)2]", 4)
+        assert doc["U"] == [[str(c) for c in row] for row in p.u]
+        assert doc["V"] == [[str(c) for c in row] for row in p.v]
+
+    def test_entries_past_int_str_limit_render(self, capsys, monkeypatch):
+        # the same writer as pencil_to_json: no ValueError from str() past the limit
+        monkeypatch.setattr(
+            segre.cli, "random_instance", lambda sym, seed: build_normal_form(sym, [10**4400])
+        )
+        code, out = run(capsys, "random", "--symbol", "[5]", "--seed", "1")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["symbol"] == "[5]"
+        assert sum(row.count("1" + "0" * 4400) for row in doc["U"]) == 5
 
     @pytest.mark.parametrize("symbol", [
         "[111111]", "[999999]", pytest.param("[" + "9" * 10**4 + "]", id="10000-nines"),

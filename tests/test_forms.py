@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -96,6 +97,13 @@ class TestPencilJson:
         p = QuadricPencil(diagonal([Fraction(1, 2), 2, 3, 4, 5]), identity(5))
         q = pencil_from_json(pencil_to_json(p))
         assert q.u[0][0] == Fraction(1, 2)
+
+    def test_entries_past_int_str_limit_render(self):
+        # the int->str limit would refuse str() of 10^4400
+        doc = json.loads(pencil_to_json(build_normal_form("[5]", [10**4400])))
+        entries = [c for row in doc["U"] for c in row]
+        assert entries.count("1" + "0" * 4400) == 5
+        assert doc["V"][0][4] == "1"
 
     def test_rejects_bad_documents(self):
         with pytest.raises(ParseError):

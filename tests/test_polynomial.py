@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -245,3 +246,101 @@ def test_coprime_basis_of_products_of_irreducibles(factors, data):
             if b.divides(p):
                 rebuilt = rebuilt * b
         assert rebuilt == p
+
+
+# ---------------------------------------------------------------------------
+# rendering: one integer renderer behind every polynomial's text
+# ---------------------------------------------------------------------------
+
+def reference_str(p: Polynomial) -> str:
+    """``Polynomial.__str__`` as it read on Fraction coefficients, before it
+    delegated to the integer renderer; kept as the reference."""
+    from segre.polynomial import _rational_str
+
+    if p.is_zero:
+        return "0"
+    parts: list[str] = []
+    for i in range(p.degree, -1, -1):
+        c = p.coeffs[i]
+        if c == 0:
+            continue
+        if i == 0:
+            mono = ""
+        elif i == 1:
+            mono = "t"
+        else:
+            mono = f"t^{i}"
+        mag = abs(c)
+        if mag == 1 and mono:
+            body = mono
+        elif mono:
+            body = f"{_rational_str(mag)}*{mono}"
+        else:
+            body = _rational_str(mag)
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+def _random_int(rng) -> int:
+    kind = rng.randrange(6)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.choice((1, -1))
+    if kind == 2:  # past _PLAIN_STR_BITS, rendered through decimal
+        return rng.choice((1, -1)) * rng.getrandbits(rng.randrange(2000, 2200))
+    return rng.randint(-50, 50)
+
+
+class TestRendering:
+    def test_matches_fraction_reference_on_random_polynomials(self):
+        from segre.polynomial import _PLAIN_STR_BITS, _poly_str
+
+        rng = random.Random(7)
+        big = 0
+        for _ in range(1500):
+            ints = [_random_int(rng) for _ in range(rng.randrange(0, 7))]
+            den = rng.choice((1, 1, 2, 3, 6, 12, 35, rng.getrandbits(2100) | 1))
+            p = Polynomial([Fraction(a, den) for a in ints])
+            want = reference_str(p)
+            assert str(p) == want
+            assert _poly_str(ints, den) == want
+            big += any(abs(a).bit_length() >= _PLAIN_STR_BITS for a in ints)
+        assert big > 100
+
+    @pytest.mark.parametrize("coeffs,text", [
+        ((), "0"),
+        ((0, 0), "0"),
+        ((5,), "5"),
+        ((-1,), "-1"),
+        ((0, 1), "t"),
+        ((0, -1), "-t"),
+        ((1, -1, 0, -2), "-2*t^3 - t + 1"),
+        ((Fraction(-1, 2), 0, Fraction(3, 4)), "3/4*t^2 - 1/2"),
+        ((Fraction(2, 3), Fraction(-5, 3), 3), "3*t^2 - 5/3*t + 2/3"),
+    ])
+    def test_fixed_texts(self, coeffs, text):
+        assert str(Polynomial(coeffs)) == text == reference_str(Polynomial(coeffs))
+
+    def test_non_primitive_lists_render_in_lowest_terms(self):
+        from segre.polynomial import _poly_str
+
+        assert _poly_str([4, -6, 2], 2) == "t^2 - 3*t + 2"
+        assert _poly_str([3, 0, 9], 6) == "3/2*t^2 + 1/2"
+        assert _poly_str([], 7) == "0"
+
+    def test_text_is_made_once_and_kept(self, monkeypatch):
+        import segre.polynomial
+
+        calls = []
+        real = segre.polynomial._poly_str
+        monkeypatch.setattr(
+            segre.polynomial, "_poly_str", lambda c, den=1: calls.append(den) or real(c, den)
+        )
+        p = Polynomial([Fraction(1, 3), 0, 2])
+        assert str(p) == "2*t^2 + 1/3" and repr(p) == "Polynomial(2*t^2 + 1/3)"
+        assert str(p) is str(p)
+        assert calls == [3]

@@ -39,6 +39,15 @@ class TestParseRender:
         with pytest.raises(ValueError):
             SegreSymbol.parse(bad)
 
+    @pytest.mark.parametrize("bad", [
+        "[" + "0" * 10**4 + "]", "1" * 10**4, "[" + " " * 10**4 + "]", "[(" + "1" * 10**4 + "]",
+    ], ids=["zeros", "no-brackets", "empty", "open-bracket"])
+    def test_parse_error_quotes_at_most_40_characters(self, bad):
+        with pytest.raises(ValueError) as info:
+            SegreSymbol.parse(bad)
+        assert type(info.value) is ValueError
+        assert len(str(info.value)) < 100
+
     def test_round_trip_through_parser(self):
         for text in CATALOG_ORDER:
             s = canonicalize(text)
@@ -75,6 +84,24 @@ class TestCanonicalize:
 
 
 class TestComputeSymbol:
+    def test_symbolic_roots_share_one_rendering(self, monkeypatch):
+        import segre.polynomial
+        from segre.reporting import outcome_to_dict
+
+        u = as_matrix([
+            [2, 1, 0, 0, 3], [1, 0, 1, 0, 0], [0, 1, -1, 1, 0], [0, 0, 1, 1, 1], [3, 0, 0, 1, 0],
+        ])
+        quintic = "t^5 - 2*t^4 - 14*t^3 + 8*t^2 + 31*t - 16"
+        calls = []
+        real = segre.polynomial._poly_str
+        monkeypatch.setattr(
+            segre.polynomial, "_poly_str", lambda c, den=1: calls.append(den) or real(c, den)
+        )
+        doc = outcome_to_dict(analyze_pencil(QuadricPencil(u, identity(5))))
+        assert doc["roots"] == [f"root #{i} of {quintic}" for i in range(1, 6)]
+        assert doc["invariant_factors"] == ["1", "1", "1", "1", quintic]
+        assert len(calls) == 1  # one Polynomial text for the five descriptors
+
     def test_five_distinct_eigenvalues(self):
         p = QuadricPencil(diagonal([1, 2, 3, 4, 5]), identity(5))
         assert compute_symbol(p) == "[11111]"
