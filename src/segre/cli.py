@@ -107,7 +107,7 @@ def _parse_roots(text: str) -> list[Fraction]:
     try:
         return [_entry(piece.strip(), limit) for piece in text.split(",") if piece.strip()]
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad root list {text!r}: {exc}") from exc
+        raise ParseError(f"bad root list {text[:40]!r}: {exc}") from exc
 
 
 def _cmd_normal_form(args) -> int:

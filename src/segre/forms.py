@@ -206,6 +206,21 @@ def render_form(matrix: Matrix) -> str:
 _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*$")
 
 
+def _fraction(text: str) -> Fraction:
+    """``Fraction(text)``, whose error quotes at most 40 characters of a
+    longer text (``Fraction`` itself quotes all of it)."""
+    try:
+        return Fraction(text)
+    except ValueError as exc:
+        if len(text) <= 40 or repr(text) not in str(exc):
+            raise
+        raise ValueError(str(exc).replace(repr(text), repr(text[:40]))) from None
+    except ZeroDivisionError:  # its message holds the numerator's digits
+        if len(text) <= 40:
+            raise
+        raise ZeroDivisionError(f"zero denominator in {text.strip()[:40]!r}") from None
+
+
 def _entry(text: str, limit: int) -> Fraction:
     """One matrix entry, read like ``Fraction(text)``.
 
@@ -224,11 +239,11 @@ def _entry(text: str, limit: int) -> Fraction:
         except ValueError:  # not an integer, or past the limit: Fraction says which
             pass
     if not limit or ("." not in text and "e" not in text and "E" not in text):
-        return Fraction(text)
+        return _fraction(text)
     exp = _EXPONENT.search(text)
     if exp and abs(int(exp.group(1).replace("_", ""))) > limit + len(text):
         raise ParseError(f"exponent of {text[:40]!r} is out of range")
-    q = Fraction(text)
+    q = _fraction(text)
     for n in (q.numerator, q.denominator):
         if n.bit_length() > 3 * limit and abs(n) >= 10**limit:  # 2^(3 limit) < 10^limit
             raise ParseError(f"entry {text[:40]!r} has more than {limit} digits")

@@ -2,17 +2,20 @@
 
 A ``QuadricPencil`` holds two symmetric rational matrices (U, V) spanning
 the pencil x*U + y*V.  This module computes the determinant polynomial
-|U - lambda*V|, the invariant factors of U - lambda*V via gcds of minors,
-selects a nonsingular member, and reports degeneracy when no member is
-nonsingular.
+|U - lambda*V|, the invariant factors of U - lambda*V, selects a
+nonsingular member, and reports degeneracy when no member is nonsingular.
 
-Internally all polynomial determinants run on denominator-cleared integer
-matrices: each minor is evaluated at small integer points and recovered by
-interpolation.  The minor gcds and their quotients stay primitive integer
-coefficient lists; only the finished invariant factors become monic
-``Polynomial`` values, which makes the integer scaling invisible.  For a
-full analysis the determinant is interpolated once: det V, the member
-sweep and the selected pencil's determinant are all read off it.
+Everything runs on the denominator-cleared integer pair.  The determinant
+is evaluated at small integer points and recovered by interpolation; for
+a full analysis it is interpolated once, and det V, the member sweep and
+the selected pencil's determinant are all read off it.  The invariant
+factors come from root classes (``_root_classes``): the Yun parts of the
+determinant, each with the partition of its elementary-divisor exponents,
+read off one or two exact ranks at each repeated root.  For a 5 x 5
+pencil that is all; a repeated part of degree three or more, or a
+partition the two ranks leave open, which needs size six or more, falls
+back to gcds of minors.  Only the finished invariant factors become monic
+``Polynomial`` values, which makes the integer scaling invisible.
 """
 
 from __future__ import annotations
@@ -27,11 +30,13 @@ from .errors import DegeneratePencilError, InternalConsistencyError, NoSmoothMem
 from .polynomial import (
     Polynomial,
     Rational,
+    _int_coprime_basis,
     _int_derivative,
+    _int_divide,
     _int_exact_div,
     _int_gcd,
+    _int_mul,
     _int_primitive,
-    _int_pseudo_rem,
     _int_squarefree_decomposition,
     _int_trim,
     _monic_poly,
@@ -293,127 +298,211 @@ class InvariantFactors:
         return tuple(f for f in self.factors if f.degree > 0)
 
 
-def _minor_gcd(
-    iu: list[list[int]], iv: list[list[int]], k: int, start: list[int], floor: int
-) -> list[int]:
+# a root class: a primitive integer factor and the exponents, descending, of
+# the elementary divisors at each of its roots
+RootClass = tuple[list[int], tuple[int, ...]]
+
+
+def _kernel(m: list[list[int]]) -> list[list[int]]:
+    """Integer basis of the kernel of an integer matrix, by fraction-free
+    Gauss-Jordan elimination.
+
+    After elimination every pivot row holds the last pivot d in its pivot
+    column and zero in the other pivot columns; each entry is a minor of
+    ``m`` (Cramer's rule), so every division is exact.  A free column f
+    gives the kernel vector with d at f and -row[f] at each row's pivot
+    column.
+    """
+    a = [list(row) for row in m]
+    rows, cols = len(a), len(a[0])
+    pivots: list[int] = []
+    prev = 1
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        pr = a[r]
+        pc = pr[c]
+        for i, row in enumerate(a):
+            if i != r:
+                f = row[c]
+                for j in range(cols):
+                    row[j] = (row[j] * pc - f * pr[j]) // prev
+        prev = pc
+        pivots.append(c)
+    out = []
+    for f in range(cols):
+        if f not in pivots:
+            x = [0] * cols
+            x[f] = prev
+            for row, c in zip(a, pivots):
+                x[c] = -row[f]
+            out.append(x)
+    return out
+
+
+def _partition(m: int, at_least: Sequence[int]) -> tuple[int, ...] | None:
+    """Block sizes at a root of algebraic multiplicity m, descending, from
+    at_least[j - 1], the number of blocks of size j or more, known for
+    j = 1..J; None when those counts leave the sizes open.
+
+    Exactly at_least[j - 1] - at_least[j] blocks have size j < J, and the
+    at_least[J - 1] blocks of size J or more take the rest of m.  The rest
+    fixes them when there is one such block, or when it leaves room for at
+    most one block above J.  A staircase that is not decreasing, that
+    overshoots m or that cannot reach it raises
+    ``InternalConsistencyError``.
+    """
+    counts = list(at_least)
+    depth = len(counts)
+    sizes = [j for j in range(depth - 1, 0, -1) for _ in range(counts[j - 1] - counts[j])]
+    rest = m - sum(sizes)
+    last = counts[-1]
+    if counts[0] < 1 or any(a < b for a, b in zip(counts, counts[1:])) or rest < depth * last or (
+        rest and not last
+    ):
+        raise InternalConsistencyError(
+            f"rank staircase {counts} does not fit a root of multiplicity {m}"
+        )
+    if last == 1:
+        big = [rest]
+    elif rest <= depth * last + 1:
+        big = [depth + 1] * (rest - depth * last) + [depth] * (last - rest + depth * last)
+    else:
+        return None
+    return tuple(big + sizes)
+
+
+def _minor_gcd(iu: list[list[int]], iv: list[list[int]], k: int, start: list[int]) -> list[int]:
     """Primitive gcd of ``start`` and the k x k minors of U - t*V.
 
     U and V are symmetric, so minor(rows, cols) = minor(cols, rows) and
     only pairs with cols at or after rows are evaluated.  The sweep stops
-    once the gcd has degree ``floor``, a known lower bound on its degree.
+    once the gcd is constant.
     """
     subsets = list(combinations(range(len(iu)), k))
     g = start
     for i, rows in enumerate(subsets):
         for cols in subsets[i:]:
-            g = _int_gcd(g, _poly_minor(iu, iv, rows, cols))
-            if len(g) - 1 == floor:
+            if len(g) == 1:
                 return g
+            g = _int_gcd(g, _poly_minor(iu, iv, rows, cols))
     return g
 
 
-def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
+def _valuation(base: list[int], target: list[int]) -> int:
+    """Largest v with base**v dividing target; base primitive, nonconstant."""
+    v = 0
+    while (q := _int_divide(target, base)) is not None:
+        v += 1
+        target = q
+    return v
 
 
-def _repeated_rational_roots(f: list[int]) -> list[list[int]]:
-    """Primitive linear factors [-p, q] of the rational roots p/q of f of
-    multiplicity two or more.
+def _minor_classes(iu: list[list[int]], iv: list[list[int]], f: list[int]) -> list[RootClass]:
+    """``_root_classes`` by gcds of minors, for what ranks leave open.
 
-    A Yun part of multiplicity m >= 2 has degree at most deg f / m.  Linear
-    parts are roots; a quadratic part has rational roots exactly when its
-    discriminant is a square.  For deg f <= 5 there are no other parts,
-    so every rational repeated root is found; for larger degree the roots
-    of cubic and higher parts are missed, which only weakens the floor
-    they feed.
+    D_k, the gcd of the k x k minors, divides gcd(D_{k+1}, D_{k+1}') (a
+    root of D_k is a root of d_k | d_{k+1}, so it has a larger
+    multiplicity in D_{k+1}); the sweep starts there.  The invariant
+    factors d_k = D_k / D_{k-1} are refined into a coprime basis of their
+    squarefree pieces; the exponents of a basis element in the d_k, found
+    by exact division, are the partition of each of its roots.
     """
-    out: list[list[int]] = []
-    for m, part in _int_squarefree_decomposition(f):
-        if m == 1:
-            continue
-        if len(part) == 2:
-            out.append(part)
-        elif len(part) == 3:
-            c, b, a = part
-            disc = b * b - 4 * a * c  # nonzero: the part is squarefree
-            if disc > 0 and math.isqrt(disc) ** 2 == disc:
-                s = math.isqrt(disc)
-                out += [_int_primitive([b - s, 2 * a]), _int_primitive([b + s, 2 * a])]
-    return out
+    upper = _int_primitive(f)  # D_{k+1}
+    chain: list[list[int]] = []
+    for k in range(len(iu) - 1, 0, -1):
+        lower = _minor_gcd(iu, iv, k, _int_gcd(upper, _int_derivative(upper)))
+        chain.append(_int_exact_div(upper, lower))
+        upper = lower
+    chain.append(upper)
+    pieces = [h for d in chain for _, h in _int_squarefree_decomposition(d)]
+    return [
+        (b, tuple(v for d in chain if (v := _valuation(b, d)) > 0))
+        for b in _int_coprime_basis(pieces)
+    ]
 
 
-def _factor_chain(iu: list[list[int]], iv: list[list[int]], full: list[int]) -> list[list[int]]:
-    """Primitive integer invariant factors d_1, ..., d_size of U - t*V.
+def _root_classes(iu: list[list[int]], iv: list[list[int]], f: list[int]) -> list[RootClass]:
+    """The roots of f = det(U - t*V) (nonzero, up to a constant) as classes
+    (primitive integer factor, partition): every root of the factor has
+    elementary divisors of U - t*V with those exponents, descending.
 
-    ``full`` is a nonzero multiple of det(U - t*V).  D_k, the gcd of the
-    k x k minors, is found for k = n, n-1, ..., 1 between an upper and a
-    lower bound, and k x k minors are evaluated only while the two differ
-    in degree:
-
-    - Upper: D_k divides gcd(D_{k+1}, D_{k+1}'), since a root of D_k is a
-      root of d_k | d_{k+1} and so has a larger multiplicity in D_{k+1}.
-      The sweep starts from that gcd; for a squarefree determinant it is
-      constant and no minor beyond the determinant is needed.
-    - Lower: the lcm of two divisors of D_k.  Since d_{k+1} divides
-      d_{k+2}, D_{k+1} / gcd(D_{k+1}, d_{k+2}) divides D_k.  And for each
-      rational root alpha of the determinant of multiplicity two or more,
-      g = size - rank(U - alpha*V) of the invariant factors, the top g,
-      vanish at alpha, so (t - alpha)^(g + k - size) divides D_k.
-
-    The sweep stops as soon as the running gcd has the lower bound's
-    degree.  For a 5 x 5 pencil every root of geometric multiplicity two
-    or more is rational, except a conjugate pair of (11) groups.  That
-    pair, and the groups (22), (32) and (221), where the lower bound sits
-    below the true degree, are where a sweep still runs through all its
-    minors; elsewhere the lower bound is exact, and a sweep ends at the
-    first minors that bring the gcd down to it.
-
-    Every route to invariant factors or a symbol ends here, so the chain
-    d_1 | d_2 | ... is checked here, once, by pseudo-remainders; a break
-    raises ``InternalConsistencyError``.
+    The Yun parts of f give the classes.  Its simple roots form one class
+    with partition (1,).  At a rational root p/q of multiplicity m, with
+    A = q*U - p*V, there are nu = size - rank(A) blocks, and those of size
+    two or more number nu - rank(K^T V K), K an integer kernel basis of A:
+    a kernel vector x starts a chain of length two or more when V*x lies
+    in the image of A, which for symmetric A is orthogonal to its kernel.
+    An irreducible quadratic part c0 + c1*t + c2*t^2 has conjugate roots
+    of one structure; with X = 2*c2*U + c1*V and D its discriminant,
+    (X - sqrt(D)*V) is 2*c2*(U - alpha*V) at a root alpha, and its nullity
+    is half that of the rational matrix [[X, -D*V], [-V, X]].  The Yun
+    parts of a 5 x 5 pencil are only of these kinds, and for them nu and
+    that count fix the partition; anything else, a part of degree three or
+    more and multiplicity two or more, or a partition left open, goes to
+    the minor chain (``_minor_classes``), which needs size six or more.
     """
     size = len(iu)
-    upper = _int_primitive(full)  # D_{k+1}
-    start = _int_gcd(upper, _int_derivative(upper))  # D_k divides it
-    roots = []  # (t - alpha as [-p, q], geometric multiplicity of alpha)
-    if len(start) > 1:  # the determinant has a repeated root
-        for lin in _repeated_rational_roots(upper):
-            member = [[lin[1] * a + lin[0] * b for a, b in zip(ru, rv)] for ru, rv in zip(iu, iv)]
-            roots.append((lin, size - _bareiss(member)[0]))
-    above: list[int] = []  # d_{k+2}; zero above the top, which every d_{k+1} divides
-    factors: list[list[int]] = []
-    for k in range(size - 1, 0, -1):
-        floor = _int_exact_div(upper, _int_gcd(upper, above))
-        rank_floor = [1]
-        for lin, g in roots:
-            for _ in range(g + k - size):
-                rank_floor = _int_mul(rank_floor, lin)
-        floor_deg = len(floor) + len(rank_floor) - len(_int_gcd(floor, rank_floor)) - 1
-        lower = _minor_gcd(iu, iv, k, start, floor_deg) if len(start) - 1 > floor_deg else start
-        above = _int_exact_div(upper, lower)
-        factors.append(above)
-        upper = lower
-        start = _int_gcd(upper, _int_derivative(upper))
-    factors.append(upper)
-    factors.reverse()
-    for a, b in zip(factors, factors[1:]):
-        if _int_pseudo_rem(b, a):
-            raise InternalConsistencyError(
-                "invariant factors fail the divisibility chain: "
-                f"{_monic_poly(a)} | {_monic_poly(b)}"
-            )
-    return factors
+    classes: list[RootClass] = []
+    for m, h in _int_squarefree_decomposition(f):
+        if m == 1:
+            classes.append((h, (1,)))
+            continue
+        if len(h) == 3:
+            c0, c1, c2 = h
+            disc = c1 * c1 - 4 * c2 * c0  # nonzero: the part is squarefree
+            s = math.isqrt(disc) if disc > 0 else 0
+            if s * s != disc:  # conjugate roots
+                x = [[2 * c2 * a + c1 * b for a, b in zip(ru, rv)] for ru, rv in zip(iu, iv)]
+                big = [rx + [-disc * b for b in rv] for rx, rv in zip(x, iv)]
+                big += [[-b for b in rv] + rx for rx, rv in zip(x, iv)]
+                lam = _partition(m, [size - _bareiss(big)[0] // 2])
+                if lam is None:
+                    return _minor_classes(iu, iv, f)
+                classes.append((h, lam))
+                continue
+            lins = [_int_primitive([c1 - s, 2 * c2]), _int_primitive([c1 + s, 2 * c2])]
+        elif len(h) == 2:
+            lins = [h]
+        else:
+            return _minor_classes(iu, iv, f)
+        for lin in lins:
+            a = [[lin[1] * x + lin[0] * y for x, y in zip(ru, rv)] for ru, rv in zip(iu, iv)]
+            nu = size - _bareiss(a)[0]
+            lam = _partition(m, [nu])
+            if lam is None:
+                k = _kernel(a)
+                vk = [[sum(x * y for x, y in zip(rv, kb)) for rv in iv] for kb in k]
+                gram = [[sum(x * y for x, y in zip(ka, vb)) for vb in vk] for ka in k]
+                lam = _partition(m, [nu, nu - _bareiss(gram)[0]])
+                if lam is None:
+                    return _minor_classes(iu, iv, f)
+            classes.append((lin, lam))
+    return classes
+
+
+def _chain(classes: list[RootClass], size: int) -> list[list[int]]:
+    """Primitive integer invariant factors d_1, ..., d_size of the classes:
+    d_(size + 1 - i) is the product of each factor to the i-th largest
+    exponent of its partition."""
+    chain = []
+    for i in range(size - 1, -1, -1):
+        d = [1]
+        for h, lam in classes:
+            for _ in range(lam[i] if i < len(lam) else 0):
+                d = _int_mul(d, h)
+        chain.append(d)
+    return chain
 
 
 def invariant_factors(p: QuadricPencil) -> InvariantFactors:
-    """Invariant factors of U - lambda*V by gcds of minors.
-
-    The minor-gcd sweep is bounded from the determinant (see
-    ``_factor_chain``), so most pencils need few minors beyond it.
+    """Invariant factors of U - lambda*V, read off exact ranks at each
+    repeated root of the determinant (see ``_root_classes``).
 
     Raises ``DegeneratePencilError`` when |U - lambda*V| vanishes
     identically; callers route that case to degeneracy classification.
@@ -422,7 +511,8 @@ def invariant_factors(p: QuadricPencil) -> InvariantFactors:
     full = _det_coeffs(iu, iv)
     if not full:
         raise DegeneratePencilError("determinant of the pencil vanishes identically")
-    return InvariantFactors(tuple(_monic_poly(d) for d in _factor_chain(iu, iv, full)))
+    chain = _chain(_root_classes(iu, iv, full), p.size)
+    return InvariantFactors(tuple(_monic_poly(d) for d in chain))
 
 
 def _sweep_value(f: list[int], size: int) -> int:
@@ -443,9 +533,9 @@ def _sweep_value(f: list[int], size: int) -> int:
     raise NoSmoothMemberError("no member of the pencil is nonsingular")
 
 
-def _selected_invariants(p: QuadricPencil) -> tuple[list[int], int, list[list[int]]]:
+def _selected_classes(p: QuadricPencil) -> tuple[list[int], int, list[RootClass]]:
     """det(U' - t*V'), as integer coefficients and their common
-    denominator, and the primitive integer invariant factors of the pencil
+    denominator, and the root classes (``_root_classes``) of the pencil
     (U', V') that ``select_nonsingular_member`` returns.
 
     det(U - t*V) is interpolated once, on the cleared pair (iu, iv) with
@@ -470,7 +560,7 @@ def _selected_invariants(p: QuadricPencil) -> tuple[list[int], int, list[list[in
             power = _int_mul(power, [1, -t0])
         f = _int_trim(g)
         iu, iv = iv, [[a + t0 * b for a, b in zip(ru, rv)] for ru, rv in zip(iu, iv)]
-    return f, mult ** size, _factor_chain(iu, iv, f)
+    return f, mult ** size, _root_classes(iu, iv, f)
 
 
 def select_nonsingular_member(p: QuadricPencil) -> QuadricPencil:

@@ -96,6 +96,14 @@ def _int_sub(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return _int_trim(out)
 
 
+def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def _int_derivative(c: Sequence[int]) -> list[int]:
     return [i * a for i, a in enumerate(c)][1:]
 
@@ -177,11 +185,13 @@ def _int_coprime_basis(ps: Sequence[Sequence[int]]) -> list[list[int]]:
                 break
         else:
             basis.append(p)
+    return sorted(basis, key=_basis_key)
 
-    def key(b: list[int]):
-        return (len(b), tuple(Fraction(c, b[-1]) for c in reversed(b)))
 
-    return sorted(basis, key=key)
+def _basis_key(b: list[int]):
+    """Order of a coprime basis: monic (degree, coefficients from the
+    leading term down)."""
+    return (len(b), tuple(Fraction(c, b[-1]) for c in reversed(b)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,15 @@ from dataclasses import dataclass
 from .classify import SurfaceReport, classify_symbol
 from .covers import CoverReport
 from .errors import NoSmoothMemberError
-from .pencil import DegeneracyReport, QuadricPencil, _common_kernel_report, _selected_invariants
+from .pencil import (
+    DegeneracyReport,
+    QuadricPencil,
+    _chain,
+    _common_kernel_report,
+    _selected_classes,
+)
 from .polynomial import _poly_str
-from .symbol import SegreSymbol, _symbol_from_int_factors
+from .symbol import SegreSymbol, _symbol_from_classes
 
 __all__ = ["AnalysisOutcome", "analyze_pencil", "outcome_to_dict", "render_pretty"]
 
@@ -43,17 +49,22 @@ def analyze_pencil(p: QuadricPencil) -> AnalysisOutcome:
     The determinant and the invariant factors are those of the pencil
     ``select_nonsingular_member(p)`` returns; both come from one
     interpolation of det(U - t*V), and both stay integer lists until they
-    are rendered into the report.
+    are rendered into the report.  When the polynomial of the symbol's one
+    group is the last invariant factor, as for an irreducible determinant,
+    the factor's text is the root descriptors' text.
     """
     try:
-        det, den, chain = _selected_invariants(p)
+        det, den, classes = _selected_classes(p)
     except NoSmoothMemberError:
         return AnalysisOutcome(degeneracy=_common_kernel_report(p))
-    sym = _symbol_from_int_factors(chain)
+    chain = _chain(classes, p.size)
+    sym, top = _symbol_from_classes(classes, chain[-1])
+    texts = [_poly_str(d, d[-1]) for d in chain[:-1]]
+    texts.append(str(top) if top is not None else _poly_str(chain[-1], chain[-1][-1]))
     return AnalysisOutcome(
         surface=classify_symbol(sym),
         symbol=sym,
-        invariant_factors=tuple(_poly_str(d, d[-1]) for d in chain),
+        invariant_factors=tuple(texts),
         determinant=_poly_str(det, den),
     )
 

@@ -2,11 +2,12 @@
 
 The Segre symbol of a pencil records the exponents of the elementary
 divisors of U - lambda*V, grouping entries that share a root inside round
-brackets.  It is computed here without any root finding or factorization:
-the squarefree decompositions of the invariant factors feed a coprime
-basis, and exact exponent valuations of each basis element recover the
-groups.  A basis element of degree g contributes g identical groups, one
-per (possibly irrational or complex) root.
+brackets.  It is computed here without any root finding or factorization,
+from the root classes of ``pencil._root_classes``: the Yun parts of the
+determinant, each with the partition that exact ranks at its roots give.
+Roots that share a partition form one group polynomial, and a group
+polynomial of degree g contributes g identical groups, one per (possibly
+irrational or complex) root.
 """
 
 from __future__ import annotations
@@ -17,16 +18,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .pencil import Matrix, QuadricPencil, _bareiss, _selected_invariants, as_matrix, congruent
-from .polynomial import (
-    Polynomial,
-    Rational,
-    _int_coprime_basis,
-    _int_divide,
-    _int_squarefree_decomposition,
-    _monic_poly,
-    _rational_str,
+from .pencil import (
+    Matrix,
+    QuadricPencil,
+    RootClass,
+    _bareiss,
+    _selected_classes,
+    as_matrix,
+    congruent,
 )
+from .polynomial import Polynomial, Rational, _basis_key, _int_mul, _monic_poly, _rational_str
 
 __all__ = [
     "ExplicitRoot",
@@ -182,15 +183,6 @@ def canonicalize(s: SegreSymbol | str) -> SegreSymbol:
 # pencil -> symbol
 # ---------------------------------------------------------------------------
 
-def _valuation(base: list[int], target: list[int]) -> int:
-    """Largest v with base**v dividing target; base primitive, nonconstant."""
-    v = 0
-    while (q := _int_divide(target, base)) is not None:
-        v += 1
-        target = q
-    return v
-
-
 def compute_symbol(p: QuadricPencil) -> SegreSymbol:
     """Segre symbol of a pencil.
 
@@ -198,30 +190,38 @@ def compute_symbol(p: QuadricPencil) -> SegreSymbol:
     returns, so a root at infinity is never dropped; raises
     ``NoSmoothMemberError`` when every member is singular.
     """
-    return _symbol_from_int_factors(_selected_invariants(p)[-1])
+    return _symbol_from_classes(_selected_classes(p)[-1])[0]
 
 
-def _symbol_from_int_factors(chain: list[list[int]]) -> SegreSymbol:
-    """Segre symbol read off the invariant factors of U - lambda*V, given
-    as primitive integer coefficient lists.
+def _symbol_from_classes(
+    classes: list[RootClass], top: list[int] | None = None
+) -> tuple[SegreSymbol, Polynomial | None]:
+    """Segre symbol of root classes (``pencil._root_classes``), and the
+    monic ``Polynomial`` made for ``top`` when a group's polynomial is
+    ``top``, so that its text is rendered once.
 
-    The squarefree pieces of the factors are refined into a coprime basis
-    that stands in for the set of distinct roots, so irrational and complex
-    roots never need to be found.  Each basis element has a uniform
-    exponent in every invariant factor, recovered by exact division.  A
-    constant factor has no squarefree piece and valuation 0 at every basis
-    element, so it contributes nothing and needs no filter.
+    Roots that share a partition share every exponent in the invariant
+    factors; the product of their class factors is one group polynomial,
+    whose roots are never found.  A linear one gives an explicit root, any
+    other one symbolic roots, one group per root.  The polynomials are
+    ordered as a coprime basis is (``_basis_key``), which fixes the order
+    of the root descriptors.
     """
-    pieces = [f for d in chain for _, f in _int_squarefree_decomposition(d)]
+    by_partition: dict[tuple[int, ...], list[int]] = {}
+    for h, lam in classes:
+        b = by_partition.get(lam)
+        by_partition[lam] = h if b is None else _int_mul(b, h)
     groups: list[Group] = []
-    for b in _int_coprime_basis(pieces):
-        exps = tuple(v for d in chain if (v := _valuation(b, d)) > 0)
+    top_poly = None
+    for lam, b in sorted(by_partition.items(), key=lambda item: _basis_key(item[1])):
         if len(b) == 2:
-            groups.append(Group(exps, ExplicitRoot(Fraction(-b[0], b[1]))))
+            groups.append(Group(lam, ExplicitRoot(Fraction(-b[0], b[1]))))
         else:
             poly = _monic_poly(b)
-            groups.extend(Group(exps, SymbolicRoot(poly, i)) for i in range(poly.degree))
-    return SegreSymbol(groups).canonical()
+            if b == top:
+                top_poly = poly
+            groups.extend(Group(lam, SymbolicRoot(poly, i)) for i in range(poly.degree))
+    return SegreSymbol(groups).canonical(), top_poly
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,18 @@ class TestNormalForm:
         assert "Traceback" not in capsys.readouterr().err
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "roots",
+        ["1/" + "x" * 9998, "x" * 10000, "1" * 4000 + "/0" + " " * 5998],
+        ids=["slash", "letters", "zero-denominator"],
+    )
+    def test_long_bad_root_quotes_40_characters(self, capsys, roots):
+        code = main(["normal-form", "[5]", "--roots", roots])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err) < 300
+        assert roots[:40] in err and roots[:41] not in err
+
     def test_huge_exponent_root_exits_2_promptly(self):
         # read like a JSON entry: the exponent is refused before 10^999999999 is built
         src = str(Path(__file__).resolve().parents[1] / "src")

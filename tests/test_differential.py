@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+import segre.pencil
 from segre.pencil import (
     QuadricPencil,
     _bareiss,
@@ -40,7 +41,8 @@ def sympy_partitions(p: QuadricPencil) -> list[tuple[Polynomial, list[int]]]:
     n = s.size
 
     def dm(m):
-        return DomainMatrix([[qq(c.numerator, c.denominator) for c in row] for row in m], (n, n), qq)
+        rows = [[qq(c.numerator, c.denominator) for c in row] for row in m]
+        return DomainMatrix(rows, (n, n), qq)
 
     m = dm(s.v).inv() * dm(s.u)
     eye = DomainMatrix.eye(n, qq)
@@ -56,7 +58,9 @@ def sympy_partitions(p: QuadricPencil) -> list[tuple[Polynomial, list[int]]]:
             power = power * hm
             nullity.append(n - power.rank())
         at_least = [(b - a) // h.degree() for a, b in zip(nullity, nullity[1:])] + [0]
-        partition = [j for j in range(len(at_least) - 1, 0, -1) for _ in range(at_least[j - 1] - at_least[j])]
+        partition = [
+            j for j in range(len(at_least) - 1, 0, -1) for _ in range(at_least[j - 1] - at_least[j])
+        ]
         coeffs = [Fraction(int(c.numerator), int(c.denominator)) for c in reversed(h.all_coeffs())]
         out.append((Polynomial(coeffs), partition))
     return out
@@ -177,12 +181,28 @@ def case(name: str) -> QuadricPencil:
     return wide_congruence(CASES[name][0], seed=list(CASES).index(name))
 
 
+# the cases whose classes come from the minor chain
+MINOR_CHAIN = {
+    "(11)(11)(11) cubic", "(2)(2)(2) cubic", "[(33)] at 1/2", "[(42)] at -4/3", "[(331)] at 5/3",
+}
+
+
 @pytest.mark.parametrize("name", list(CASES))
-def test_sympy_oracle(name):
+def test_sympy_oracle(name, monkeypatch):
     p = case(name)
     classes = sympy_partitions(p)
+    minors = []
+    real = segre.pencil._poly_minor
+
+    def counted(iu, iv, rows, cols):
+        minors.append(len(rows))
+        return real(iu, iv, rows, cols)
+
+    monkeypatch.setattr(segre.pencil, "_poly_minor", counted)
     assert compute_symbol(p).exponent_structure() == oracle_structure(classes)
     assert invariant_factors(p).factors == oracle_factors(classes, p.size)
+    # ranks alone at size 5 or less; the minor chain only where they leave it open
+    assert (min(minors) < p.size) == (name in MINOR_CHAIN)
     if p.size <= 5 or "cubic" in name:
         assert invariant_factors(p).factors == brute_invariant_factors(p)
 
@@ -195,6 +215,7 @@ def test_sympy_oracle_singular_v(name):
     assert rational_det(q.v) == 0
     classes = sympy_partitions(q)
     assert compute_symbol(q).exponent_structure() == oracle_structure(classes)
-    assert invariant_factors(select_nonsingular_member(q)).factors == oracle_factors(classes, q.size)
+    selected = select_nonsingular_member(q)
+    assert invariant_factors(selected).factors == oracle_factors(classes, q.size)
     if q.size <= 5:
         assert invariant_factors(q).factors == brute_invariant_factors(q)

@@ -128,6 +128,17 @@ class TestPencilJson:
         with pytest.raises(ParseError):
             matrix_from_strings([[entry]])
 
+    @pytest.mark.parametrize(
+        "entry",
+        ["1/" + "x" * 9998, "x" * 10000, "1" * 4000 + "/0" + " " * 5998],
+        ids=["slash", "letters", "zero-denominator"],
+    )
+    def test_long_bad_entry_quotes_40_characters(self, entry):
+        with pytest.raises(ParseError) as info:
+            matrix_from_strings([[entry]])
+        assert len(str(info.value)) < 200
+        assert entry[:40] in str(info.value) and entry[:41] not in str(info.value)
+
     def test_decimal_past_int_str_limit_is_parse_error(self):
         # each side of the point is within the limit, the value's numerator is not
         with pytest.raises(ParseError):

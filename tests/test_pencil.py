@@ -353,12 +353,11 @@ class TestAgainstBruteForce:
         assert len(count_minors(monkeypatch, p)) == 1
 
     def test_weight_five_minor_total(self, monkeypatch):
-        total = 0
+        # ranks at the repeated roots replace every smaller minor
+        full = (0, 1, 2, 3, 4)
         for symbol in CATALOG_ORDER + OFF_CATALOG:
             calls = count_minors(monkeypatch, select_nonsingular_member(random_instance(symbol, 7)))
-            assert all(rows <= cols for rows, cols in calls)
-            total += len(calls)
-        assert total <= 92
+            assert calls == [(full, full)], symbol
 
 
 class TestSelectNonsingularMember:
@@ -513,11 +512,15 @@ class TestAnalyzeWork:
 class TestChainCheck:
     @pytest.mark.parametrize("route", [invariant_factors, compute_symbol, analyze_pencil])
     def test_broken_chain_raises(self, monkeypatch, route):
-        # SQRT2_PAIR needs a sweep for D_4 = t^2 - 2; a sweep returning t - 3
-        # makes d_4 = t - 3, which does not divide d_5 = (t^2 - 2)^2
-        monkeypatch.setattr(segre.pencil, "_minor_gcd", lambda *args: [-3, 1])
-        with pytest.raises(InternalConsistencyError, match=r"chain: t - 3 \| t\^4 - 4\*t\^2 \+ 4$"):
-            route(SQRT2_PAIR)
+        # [(221)] has three blocks at its root, so the staircase needs the
+        # kernel's Gram matrix; three zero kernel vectors make all three
+        # blocks of size two or more, 6 > 5 = the root's multiplicity
+        monkeypatch.setattr(segre.pencil, "_kernel", lambda a: [[0] * len(a)] * 3)
+        with pytest.raises(
+            InternalConsistencyError,
+            match=r"rank staircase \[3, 3\] does not fit a root of multiplicity 5$",
+        ):
+            route(build_normal_form("[(221)]", [Fraction(7, 2)]))
 
 
 def fraction_congruent(p: QuadricPencil, a):

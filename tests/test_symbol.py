@@ -102,6 +102,30 @@ class TestComputeSymbol:
         assert doc["invariant_factors"] == ["1", "1", "1", "1", quintic]
         assert len(calls) == 1  # one Polynomial text for the five descriptors
 
+    def test_irreducible_quintic_rendered_once(self, monkeypatch):
+        # d_5 is the polynomial of the root descriptors: the factor's text is
+        # theirs, so a [11111] op renders d_1..d_4, the determinant and the
+        # quintic once each
+        import segre.polynomial
+        import segre.reporting
+        from segre.reporting import outcome_to_dict
+
+        u = as_matrix([
+            [2, 1, 0, 0, 3], [1, 0, 1, 0, 0], [0, 1, -1, 1, 0], [0, 0, 1, 1, 1], [3, 0, 0, 1, 0],
+        ])
+        texts = []
+        real = segre.polynomial._poly_str
+
+        def counted(c, den=1):
+            texts.append(real(c, den))
+            return texts[-1]
+
+        monkeypatch.setattr(segre.polynomial, "_poly_str", counted)
+        monkeypatch.setattr(segre.reporting, "_poly_str", counted)
+        doc = outcome_to_dict(analyze_pencil(QuadricPencil(u, identity(5))))
+        assert len(texts) == 6
+        assert texts.count(doc["invariant_factors"][-1]) == 1
+
     def test_five_distinct_eigenvalues(self):
         p = QuadricPencil(diagonal([1, 2, 3, 4, 5]), identity(5))
         assert compute_symbol(p) == "[11111]"
