@@ -114,8 +114,9 @@ SQRT2_PAIR = QuadricPencil(
     ]),
     identity(5),
 )
-# pencils at the edges of the sweep's bounds, each also under SHEAR
+# pencils at the edges of the rank path, each also under SHEAR
 BOUND_CASES = {
+    # conjugate roots: the doubled rational matrix
     "sqrt2 [(11)(11)1]": SQRT2_PAIR,
     # repeated part (t - 1/2)(t + 3/4): a square discriminant
     "[(11)(11)1] at 1/2, -3/4": build_normal_form(
@@ -123,7 +124,7 @@ BOUND_CASES = {
     ),
     # rank of q*U - p*V at the root 1/3
     "[(21)11] at 1/3": build_normal_form("[(21)11]", [Fraction(1, 3), -1, 4]),
-    # the lower bound sits below the true degree of D_4
+    # block counts that need the Gram matrix of the kernel
     "[(22)1]": build_normal_form("[(22)1]", [Fraction(-2, 3), 1]),
     "[(32)]": build_normal_form("[(32)]", [Fraction(5, 4)]),
     "[(221)]": build_normal_form("[(221)]", [Fraction(7, 2)]),
@@ -216,6 +217,18 @@ class TestBareiss:
 
     def test_empty_matrix(self):
         assert _bareiss([]) == (0, 1)
+
+    @pytest.mark.parametrize("shape", [(5, 5), (10, 5), (3, 6)])
+    def test_kernel_is_an_integer_basis(self, shape):
+        rows, cols = shape
+        rng = random.Random(29)
+        for trial in range(40):
+            rank = trial % (min(shape) + 1)
+            m = low_rank_matrix(rng, rows, cols, rank, rng.sample(range(rows), trial % 3))
+            k = segre.pencil._kernel(m)
+            assert len(k) == cols - _bareiss(m)[0]
+            assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in m for x in k)
+            assert not k or _bareiss(k)[0] == len(k)
 
     @pytest.mark.parametrize("pencil", [
         random_instance("[(21)2]", 0),
@@ -336,7 +349,7 @@ class TestAgainstBruteForce:
         assert invariant_factors(p).factors == brute_invariant_factors(p)
 
     def test_scalar_pencil_minor_count(self, monkeypatch):
-        # the determinant only: both bounds give D_k = (t - a)^k
+        # the determinant only: rank(U - a*V) = 0 gives the partition (11111)
         for seed in range(4):
             calls = count_minors(monkeypatch, random_instance("[(11111)]", seed))
             assert calls == [((0, 1, 2, 3, 4), (0, 1, 2, 3, 4))]
