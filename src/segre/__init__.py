@@ -35,11 +35,13 @@ from .errors import (
     NoSmoothMemberError,
     ParseError,
     SegreError,
+    SizeLimitError,
     ZeroFormError,
 )
 from .forms import ParsedForm, parse_quadratic_form, render_form
 from .numeric import NumericPartition, numeric_exponent_partitions
 from .pencil import (
+    MAX_SIZE,
     DegeneracyReport,
     InvariantFactors,
     QuadricPencil,
@@ -74,6 +76,7 @@ __all__ = [
     "IllConditionedError",
     "InternalConsistencyError",
     "InvariantFactors",
+    "MAX_SIZE",
     "NoSmoothMemberError",
     "NumericPartition",
     "ParseError",
@@ -85,6 +88,7 @@ __all__ = [
     "SegreError",
     "SegreSymbol",
     "SingularityType",
+    "SizeLimitError",
     "SurfaceReport",
     "VertexPosition",
     "ZeroFormError",

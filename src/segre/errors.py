@@ -17,6 +17,10 @@ class NoSmoothMemberError(DegeneratePencilError):
     """
 
 
+class SizeLimitError(SegreError, ValueError):
+    """A pencil is larger than ``pencil.MAX_SIZE`` x ``pencil.MAX_SIZE``."""
+
+
 class IllConditionedError(SegreError):
     """The floating-point oracle refuses to answer rather than guess."""
 

@@ -94,7 +94,7 @@ class _Parser:
 
     def take(self, kind: str) -> object:
         if self.peek() != kind:
-            raise ParseError(f"expected {kind!r} at token {self.pos} in {self.source!r}")
+            raise ParseError(f"expected {kind!r} at token {self.pos} in {self.source[:40]!r}")
         val = self.tokens[self.pos][1]
         self.pos += 1
         return val
@@ -116,7 +116,8 @@ class _Parser:
             self.take("^")
             exp = self.take("int")
             if exp not in (1, 2):
-                raise DegreeError(f"exponent must be 1 or 2, got {exp}")
+                shown = str(exp) if exp < 10**40 else f"{str(exp)[:40]}..."
+                raise DegreeError(f"exponent must be 1 or 2, got {shown}")
             vs *= exp
         if self.peek() == "*":
             nxt = self.tokens[self.pos + 1][0] if self.pos + 1 < len(self.tokens) else None
@@ -138,7 +139,7 @@ class _Parser:
             return c, []
         if self.peek() == "var":
             return Fraction(1), self.parse_monom()
-        raise ParseError(f"term expected at token {self.pos} in {self.source!r}")
+        raise ParseError(f"term expected at token {self.pos} in {self.source[:40]!r}")
 
     def parse_form(self) -> list[tuple[Fraction, list[int]]]:
         terms = []
@@ -150,7 +151,7 @@ class _Parser:
         while self.peek() is not None:
             op = self.peek()
             if op not in ("+", "-"):
-                raise ParseError(f"expected '+' or '-' at token {self.pos} in {self.source!r}")
+                raise ParseError(f"expected '+' or '-' at token {self.pos} in {self.source[:40]!r}")
             self.take(op)
             c, vs = self.parse_term()
             terms.append((c if op == "+" else -c, vs))
@@ -164,7 +165,7 @@ def parse_quadratic_form(text: str) -> ParsedForm:
     for coeff, vs in terms:
         if len(vs) != 2:
             raise DegreeError(
-                f"term of degree {len(vs)} in {text!r}; every term must be quadratic"
+                f"term of degree {len(vs)} in {text[:40]!r}; every term must be quadratic"
             )
         i, j = vs
         if i == j:
@@ -173,7 +174,7 @@ def parse_quadratic_form(text: str) -> ParsedForm:
             m[i][j] += coeff / 2
             m[j][i] += coeff / 2
     if all(c == 0 for row in m for c in row):
-        raise ZeroFormError(f"form is identically zero: {text!r}")
+        raise ZeroFormError(f"form is identically zero: {text[:40]!r}")
     return ParsedForm(as_matrix(m), text)
 
 

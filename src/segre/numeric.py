@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IllConditionedError
-from .pencil import QuadricPencil, rational_det
+from .pencil import QuadricPencil
 from .symbol import Group, SegreSymbol
 
 __all__ = ["Cluster", "NumericPartition", "numeric_exponent_partitions"]
@@ -65,7 +65,7 @@ def numeric_exponent_partitions(
     """
     import numpy as np
 
-    if rational_det(p.v) == 0:
+    if p.det_v == 0:
         raise ValueError("numeric oracle needs det V != 0; select a member first")
     size = p.size
     try:

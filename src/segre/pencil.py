@@ -6,9 +6,10 @@ the pencil x*U + y*V.  This module computes the determinant polynomial
 nonsingular member, and reports degeneracy when no member is nonsingular.
 
 Everything runs on the denominator-cleared integer pair.  The determinant
-is evaluated at small integer points and recovered by interpolation; for
-a full analysis it is interpolated once, and det V, the member sweep and
-the selected pencil's determinant are all read off it.  The invariant
+comes from a division-free Laplace expansion, memoised over column
+subsets, on the linear entries u - t*v (``_poly_minor``); for a full
+analysis it is expanded once, and det V, the member sweep and the
+selected pencil's determinant are all read off it.  The invariant
 factors come from root classes (``_root_classes``): the Yun parts of the
 determinant, each with the partition of its elementary-divisor exponents,
 read off one or two exact ranks at each repeated root.  For a 5 x 5
@@ -16,17 +17,27 @@ pencil that is all; a repeated part of degree three or more, or a
 partition the two ranks leave open, which needs size six or more, falls
 back to gcds of minors.  Only the finished invariant factors become monic
 ``Polynomial`` values, which makes the integer scaling invisible.
+
+Pencils are at most ``MAX_SIZE`` x ``MAX_SIZE``: the expansion does
+k * 2^(k-1) entry products on a k x k minor, so its cost doubles with
+each row, and a larger pencil raises ``SizeLimitError``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import DegeneratePencilError, InternalConsistencyError, NoSmoothMemberError
+from .errors import (
+    DegeneratePencilError,
+    InternalConsistencyError,
+    NoSmoothMemberError,
+    SizeLimitError,
+)
 from .polynomial import (
     Polynomial,
     Rational,
@@ -44,7 +55,11 @@ from .polynomial import (
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
+# the largest pencil, P^6; the catalog's pencils are 5 x 5 (P^4)
+MAX_SIZE = 7
+
 __all__ = [
+    "MAX_SIZE",
     "Matrix",
     "QuadricPencil",
     "InvariantFactors",
@@ -146,13 +161,19 @@ def rational_det(m: Matrix) -> Fraction:
 # pencil type
 # ---------------------------------------------------------------------------
 
+def _check_size(size: int) -> None:
+    if size > MAX_SIZE:
+        raise SizeLimitError(f"pencils are at most {MAX_SIZE} x {MAX_SIZE}, got {size} x {size}")
+
+
 @dataclass(frozen=True)
 class QuadricPencil:
     """Pair of symmetric rational matrices spanning a pencil of quadrics.
 
     ``n`` is the ambient projective dimension: the matrices are
-    (n+1) x (n+1).  Values are immutable; every operation on pencils is a
-    pure function, so concurrent use needs no coordination.
+    (n+1) x (n+1), with n + 1 at most ``MAX_SIZE``; a larger pair raises
+    ``SizeLimitError``.  Values are immutable; every operation on pencils
+    is a pure function, so concurrent use needs no coordination.
     """
 
     u: Matrix
@@ -163,6 +184,7 @@ class QuadricPencil:
         v = as_matrix(self.v)
         if len(u) != len(v):
             raise ValueError("U and V must have the same size")
+        _check_size(len(u))
         for name, m in (("U", u), ("V", v)):
             for i in range(len(m)):
                 for j in range(i):
@@ -174,6 +196,18 @@ class QuadricPencil:
     @property
     def size(self) -> int:
         return len(self.u)
+
+    @property
+    def det_v(self) -> Fraction:
+        """det V, computed once per pencil.  The value is kept in the
+        instance ``__dict__``, which the frozen dataclass leaves writable;
+        equality, hashing and ``repr`` still use only ``u`` and ``v``.  Two
+        threads may both compute it on a first read; both store the same
+        value."""
+        d = self.__dict__.get("det_v")
+        if d is None:
+            d = self.__dict__["det_v"] = rational_det(self.v)
+        return d
 
     @property
     def n(self) -> int:
@@ -219,12 +253,26 @@ def change_basis(
 
 
 # ---------------------------------------------------------------------------
-# polynomial minors by evaluation and interpolation
+# polynomial minors by division-free Laplace expansion
 # ---------------------------------------------------------------------------
 
 def _cleared_int_pair(p: QuadricPencil) -> tuple[list[list[int]], list[list[int]], int]:
     both, mult = _cleared(p.u + p.v)
     return both[: p.size], both[p.size :], mult
+
+
+@functools.lru_cache(maxsize=MAX_SIZE)
+def _laplace_table(k: int) -> tuple[tuple[int, int, tuple[tuple[int, int, int], ...]], ...]:
+    """The steps of a memoised k x k Laplace expansion: for each nonempty
+    column mask, in increasing order, the mask, its row (one less than its
+    number of columns), and a (column, sign, sub-mask) per column in it.
+    The sign is -1 to the number of the mask's columns after the column."""
+    table = []
+    for mask in range(1, 1 << k):
+        cs = [c for c in range(k) if mask >> c & 1]
+        terms = tuple((c, (-1) ** (len(cs) - 1 - j), mask ^ 1 << c) for j, c in enumerate(cs))
+        table.append((mask, len(cs) - 1, terms))
+    return tuple(table)
 
 
 def _poly_minor(
@@ -235,31 +283,28 @@ def _poly_minor(
 ) -> list[int]:
     """Integer coefficients of det(U - t*V) restricted to rows x cols.
 
-    The minor has degree at most k = len(rows); it is evaluated at
-    t = 0..k and recovered by Newton interpolation.  Divided differences
-    of an integer polynomial at consecutive integers are integers, so
-    every division is exact and no fractions arise.
+    Laplace expansion along the rows in order, memoised over column
+    subsets: the minor on the first j rows and the j columns of a mask is
+    the signed sum, over the mask's columns c, of the linear entry
+    u - t*v of row j at c times the minor on the mask without c.  Zero
+    entries are skipped.  Only integer products and sums: no evaluation
+    points and no division, over 2^k column subsets, k <= MAX_SIZE.
     """
     k = len(rows)
-    dd = [
-        _bareiss([[iu[r][c] - t * iv[r][c] for c in cols] for r in rows])[1]
-        for t in range(k + 1)
-    ]
-    for j in range(1, k + 1):
-        for i in range(k, j - 1, -1):
-            q, rem = divmod(dd[i] - dd[i - 1], j)
-            if rem:  # determinant of an integer matrix pencil
-                raise InternalConsistencyError("minor interpolation produced a non-integer")
-            dd[i] = q
-    # Newton form sum_i dd[i] * t(t-1)...(t-i+1) to coefficients, by Horner
-    coeffs = [dd[k]]
-    for i in range(k - 1, -1, -1):
-        shifted = [0] + coeffs
-        for d, c in enumerate(coeffs):
-            shifted[d] -= i * c
-        shifted[0] += dd[i]
-        coeffs = shifted
-    return _int_trim(coeffs)
+    ru = [[iu[r][c] for c in cols] for r in rows]
+    rv = [[iv[r][c] for c in cols] for r in rows]
+    minors = [[1]] * (1 << k)
+    for mask, r, terms in _laplace_table(k):
+        acc = [0] * (r + 2)
+        for c, sign, sub in terms:
+            a, b = ru[r][c], rv[r][c]
+            if a or b:
+                a, b = sign * a, sign * b
+                for i, x in enumerate(minors[sub]):
+                    acc[i] += a * x
+                    acc[i + 1] -= b * x
+        minors[mask] = acc
+    return _int_trim(minors[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +320,8 @@ def det_poly(p: QuadricPencil) -> Polynomial:
     """The determinant |U - lambda*V|, exact and unnormalized.
 
     Degree is at most n+1, with equality exactly when det V != 0.
-    Computed by evaluating the determinant at n+2 integer points and
-    interpolating, which avoids symbolic cofactor blowup.
+    Computed on the denominator-cleared integer pair by ``_poly_minor``'s
+    division-free Laplace expansion.
     """
     iu, iv, mult = _cleared_int_pair(p)
     den = mult ** p.size
@@ -538,7 +583,7 @@ def _selected_classes(p: QuadricPencil) -> tuple[list[int], int, list[RootClass]
     denominator, and the root classes (``_root_classes``) of the pencil
     (U', V') that ``select_nonsingular_member`` returns.
 
-    det(U - t*V) is interpolated once, on the cleared pair (iu, iv) with
+    det(U - t*V) is expanded once, on the cleared pair (iu, iv) with
     f = mult^size * det(U - t*V).  When det V = 0 (deg f < size) the
     selected pencil is (V, U + t0*V), whose cleared pair at the same scale
     is (iv, iu + t0*iv), and whose determinant is
@@ -572,7 +617,7 @@ def select_nonsingular_member(p: QuadricPencil) -> QuadricPencil:
     determinant form vanishes identically, and ``NoSmoothMemberError`` is
     raised.
     """
-    if rational_det(p.v) != 0:
+    if p.det_v != 0:
         return p
     iu, iv, _ = _cleared_int_pair(p)
     t = _sweep_value(_det_coeffs(iu, iv), p.size)

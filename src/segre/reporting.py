@@ -6,9 +6,11 @@ always serialize to byte-identical JSON.
 
 from __future__ import annotations
 
+import marshal
 from dataclasses import dataclass
+from functools import cache
 
-from .classify import SurfaceReport, classify_symbol
+from .classify import SurfaceReport, _structure_report, classify_symbol
 from .covers import CoverReport
 from .errors import NoSmoothMemberError
 from .pencil import (
@@ -48,8 +50,8 @@ def analyze_pencil(p: QuadricPencil) -> AnalysisOutcome:
 
     The determinant and the invariant factors are those of the pencil
     ``select_nonsingular_member(p)`` returns; both come from one
-    interpolation of det(U - t*V), and both stay integer lists until they
-    are rendered into the report.  When the polynomial of the symbol's one
+    division-free expansion of det(U - t*V), and both stay integer lists
+    until they are rendered into the report.  When the polynomial of the symbol's one
     group is the last invariant factor, as for an irreducible determinant,
     the factor's text is the root descriptors' text.
     """
@@ -83,35 +85,57 @@ def _cover_to_dict(c: CoverReport) -> dict:
     }
 
 
-def surface_report_to_dict(r: SurfaceReport) -> dict:
-    out: dict = {
-        "symbol": r.symbol.render(),
-        "is_segre": r.is_segre,
+def _report_body(r: SurfaceReport) -> dict:
+    """Every key of a Segre surface's report but ``symbol``, in order."""
+    return {
+        "is_segre": True,
+        "verdict": "Segre quartic surface",
+        "singularities": [str(s) for s in r.singularities],
+        "class_degree": r.class_degree,
+        "q_star_count": r.q_star_count,
+        "lines_total": r.lines_total,
+        "planes_in_dual": r.planes_in_dual,
+        "aut_e": r.aut_e.value,
+        "minitwistor": {
+            "genus": r.genus,
+            "embedding_degree": r.embedding_degree,
+            "hyperplane_class": "anticanonical",
+        },
+        "covers": [_cover_to_dict(c) for c in r.covers],
+        "transitions": [t.render() for t in r.transitions],
+        "notes": list(r.notes),
     }
+
+
+@cache
+def _catalog_body(structure: tuple[tuple[int, ...], ...]) -> bytes:
+    """The body of the report ``classify_symbol`` caches for one Segre
+    structure, as marshal bytes: loading them is a deep copy at C speed."""
+    return marshal.dumps(_report_body(_structure_report(structure)))
+
+
+def surface_report_to_dict(r: SurfaceReport) -> dict:
+    """The report dict of ``r``; the caller may mutate it.
+
+    ``classify_symbol`` hands out one report per exponent structure, with
+    the caller's symbol, so such a report's body is rendered once per
+    structure and each caller gets a fresh copy.  Any other report is
+    rendered as it is.
+    """
+    symbol = r.symbol.render()
     if not r.is_segre:
-        out["reason"] = r.reason
-        out["verdict"] = "not a Segre quartic surface"
-        return out
-    out.update(
-        {
-            "verdict": "Segre quartic surface",
-            "singularities": [str(s) for s in r.singularities],
-            "class_degree": r.class_degree,
-            "q_star_count": r.q_star_count,
-            "lines_total": r.lines_total,
-            "planes_in_dual": r.planes_in_dual,
-            "aut_e": r.aut_e.value,
-            "minitwistor": {
-                "genus": r.genus,
-                "embedding_degree": r.embedding_degree,
-                "hyperplane_class": "anticanonical",
-            },
-            "covers": [_cover_to_dict(c) for c in r.covers],
-            "transitions": [t.render() for t in r.transitions],
-            "notes": list(r.notes),
+        return {
+            "symbol": symbol,
+            "is_segre": False,
+            "reason": r.reason,
+            "verdict": "not a Segre quartic surface",
         }
-    )
-    return out
+    structure = r.symbol.exponent_structure()
+    base = _structure_report(structure)
+    # every field but the symbol the very object, or equal to it
+    if vars(r) | {"symbol": base.symbol} == vars(base):
+        return {"symbol": symbol, **marshal.loads(_catalog_body(structure))}
+    return {"symbol": symbol, **_report_body(r)}
 
 
 def outcome_to_dict(o: AnalysisOutcome) -> dict:

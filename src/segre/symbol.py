@@ -23,6 +23,7 @@ from .pencil import (
     QuadricPencil,
     RootClass,
     _bareiss,
+    _check_size,
     _selected_classes,
     as_matrix,
     congruent,
@@ -265,8 +266,11 @@ def build_normal_form(
     Takes one rational root per group (in canonical group order); a group
     contributes its root to one block per exponent.  Roots of distinct
     groups must be pairwise distinct, otherwise the groups would merge.
+    A symbol of weight above ``pencil.MAX_SIZE`` raises ``SizeLimitError``
+    before any block is built.
     """
     s = canonicalize(s)
+    _check_size(s.weight)
     rs = [Fraction(r) for r in roots]
     if len(rs) != len(s.groups):
         raise ValueError(f"{s.render()} needs {len(s.groups)} roots, got {len(rs)}")
@@ -287,9 +291,11 @@ def random_instance(s: SegreSymbol | str, seed: int) -> QuadricPencil:
 
     Builds a normal form on distinct small integer roots, then applies a
     random rational congruence with entries in -3..3 (resampled until the
-    determinant is nonzero).  Bit-identical output for a fixed seed.
+    determinant is nonzero).  Bit-identical output for a fixed seed.  A
+    symbol of weight above ``pencil.MAX_SIZE`` raises ``SizeLimitError``.
     """
     s = canonicalize(s)
+    _check_size(s.weight)  # before the roots: at most 19 groups can have one
     rng = random.Random(seed)
     roots = rng.sample(range(-9, 10), len(s.groups))
     normal = build_normal_form(s, roots)

@@ -111,6 +111,19 @@ class TestAnalyze:
         assert len(want) > 12000
         assert doc["determinant"] == want
 
+    @pytest.mark.parametrize("form", [
+        "X0^2 X1^2" + " + X0*X1" * 1250,
+        "0*X0^2" + " + 0*X1^2" * 1250,
+        "X0^2 + X0^2*X1" + " + X1^2" * 1427,
+    ], ids=["syntax", "zero", "degree"])
+    def test_long_bad_form_quotes_40_characters(self, capsys, form):
+        assert len(form) >= 9998
+        code = main(["analyze", "--poly", f"{form} ; X0^2 + X1^2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err) < 150
+        assert form[:40] in err and form[:41] not in err
+
     def test_entry_past_int_str_limit_exits_2(self, capsys):
         forms = "7" * 4400 + "*X0^2 + X1^2 + X2^2 + X3^2 + X4^2 ; X0^2 + X1^2"
         code = main(["analyze", "--poly", forms])

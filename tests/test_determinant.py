@@ -1,0 +1,202 @@
+"""The determinant polynomial det(U - t*V) on rows x cols against three
+oracles: cofactor expansion over ``Polynomial``, sympy's ``Matrix.det``,
+and the six-point Bareiss evaluation with Newton interpolation that the
+division-free expansion replaced.
+"""
+
+import random
+
+import pytest
+
+import segre.pencil
+from segre.errors import SegreError, SizeLimitError
+from segre.pencil import (
+    MAX_SIZE,
+    QuadricPencil,
+    _bareiss,
+    _cleared_int_pair,
+    _det_coeffs,
+    _laplace_table,
+    _poly_minor,
+    det_poly,
+    identity,
+    invariant_factors,
+)
+from segre.polynomial import Polynomial
+from segre.symbol import random_instance
+from test_pencil import cofactor_det
+
+
+def interpolated_minor(iu, iv, rows, cols):
+    """det(U - t*V) on rows x cols evaluated at t = 0..k by Bareiss and
+    recovered by integer Newton interpolation."""
+    k = len(rows)
+    dd = [
+        _bareiss([[iu[r][c] - t * iv[r][c] for c in cols] for r in rows])[1]
+        for t in range(k + 1)
+    ]
+    for j in range(1, k + 1):
+        for i in range(k, j - 1, -1):
+            q, rem = divmod(dd[i] - dd[i - 1], j)
+            assert rem == 0
+            dd[i] = q
+    coeffs = [dd[k]]
+    for i in range(k - 1, -1, -1):
+        shifted = [0] + coeffs
+        for d, c in enumerate(coeffs):
+            shifted[d] -= i * c
+        shifted[0] += dd[i]
+        coeffs = shifted
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def cofactor_minor(iu, iv, rows, cols):
+    lam = Polynomial([0, 1])
+    mat = [[Polynomial([iu[r][c]]) - lam * Polynomial([iv[r][c]]) for c in cols] for r in rows]
+    return [int(c) for c in cofactor_det(mat).coeffs]
+
+
+def sympy_minor(iu, iv, rows, cols):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    m = sympy.Matrix([[iu[r][c] - t * iv[r][c] for c in cols] for r in rows])
+    det = m.det(method="domain-ge")
+    return [int(c) for c in reversed(sympy.Poly(det, t).all_coeffs())] if det != 0 else []
+
+
+def random_pair(size, digits, seed):
+    rng = random.Random(1000 * size + digits + seed)
+    bound = 10**digits
+
+    def m():
+        return [[rng.randint(-bound, bound) for _ in range(size)] for _ in range(size)]
+
+    return m(), m()
+
+
+def square_cases(size, digits):
+    """(name, iu, iv) at one size: random entries, a zero row of the
+    pencil, a zero column of V, det V = 0 by a repeated row of V, and the
+    all-zero pencil."""
+    iu, iv = random_pair(size, digits, 0)
+    yield "random", iu, iv
+    zu, zv = random_pair(size, digits, 1)
+    zu[size // 2] = [0] * size
+    zv[size // 2] = [0] * size
+    yield "zero row", zu, zv
+    cu, cv = random_pair(size, digits, 2)
+    for row in cv:
+        row[0] = 0
+    yield "zero column of V", cu, cv
+    su, sv = random_pair(size, digits, 3)
+    sv[-1] = list(sv[0])
+    yield "det V = 0", su, sv
+    yield "zero pencil", [[0] * size for _ in range(size)], [[0] * size for _ in range(size)]
+
+
+def check_square(oracle, size, digits):
+    idx = list(range(size))
+    for name, iu, iv in square_cases(size, digits):
+        got = _poly_minor(iu, iv, idx, idx)
+        assert got == oracle(iu, iv, idx, idx), name
+        assert len(got) <= size + 1 and (not got or got[-1] != 0), name
+        if name in ("zero pencil", "zero row"):
+            assert got == [], name
+        if name in ("zero column of V", "det V = 0") and size > 1:
+            assert len(got) <= size, name
+
+
+SIZES = range(1, 8)
+DIGITS = (1, 10, 1000)
+
+
+@pytest.mark.parametrize("digits", DIGITS)
+@pytest.mark.parametrize("size", SIZES)
+def test_against_interpolation(size, digits):
+    check_square(interpolated_minor, size, digits)
+
+
+@pytest.mark.parametrize("digits", DIGITS)
+@pytest.mark.parametrize("size", range(1, 6))
+def test_against_cofactor(size, digits):
+    check_square(cofactor_minor, size, digits)
+
+
+# sympy takes about a second per 1000-digit matrix past size 5
+@pytest.mark.parametrize(
+    "size, digits", [(k, d) for k in SIZES for d in DIGITS if d < 1000 or k <= 5]
+)
+def test_against_sympy(size, digits):
+    check_square(sympy_minor, size, digits)
+
+
+def subsets(size, k, rng, count):
+    """Sorted k-subsets of range(size), the first two fixed to the evens
+    and the odds where they have k elements."""
+    out = [tuple(range(0, size, 2))[:k], tuple(range(1, size, 2))[:k]]
+    out = [s for s in out if len(s) == k]
+    while len(out) < count:
+        out.append(tuple(sorted(rng.sample(range(size), k))))
+    return out
+
+
+@pytest.mark.parametrize("digits", DIGITS)
+def test_non_contiguous_minors_sympy(digits):
+    """rows != cols, both non-contiguous, on symmetric pencils, as the
+    minor chain of a pencil of size six or more passes them."""
+    rng = random.Random(digits)
+    bound = 10**digits
+    size = 7
+    pair = []
+    for _ in range(2):
+        m = [[0] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(i, size):
+                m[i][j] = m[j][i] = rng.randint(-bound, bound)
+        pair.append(m)
+    iu, iv = pair
+    for k in range(1, 6):
+        for rows, cols in zip(subsets(size, k, rng, 3), reversed(subsets(size, k, rng, 3))):
+            got = _poly_minor(iu, iv, rows, cols)
+            assert got == interpolated_minor(iu, iv, rows, cols), (rows, cols)
+            assert got == cofactor_minor(iu, iv, rows, cols), (rows, cols)
+            if digits < 1000 or k <= 3:
+                assert got == sympy_minor(iu, iv, rows, cols), (rows, cols)
+
+
+def test_determinant_makes_no_bareiss_call(monkeypatch):
+    calls = []
+    real = segre.pencil._bareiss
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(segre.pencil, "_bareiss", counted)
+    p = random_instance("[(21)2]", 0)
+    iu, iv, _ = _cleared_int_pair(p)
+    assert len(_det_coeffs(iu, iv)) == p.size + 1
+    det_poly(p)
+    assert calls == []
+
+
+def test_pencils_past_the_size_limit_are_refused():
+    # the expansion's cost doubles with each row, so pencil size is capped
+    with pytest.raises(SizeLimitError, match=f"at most {MAX_SIZE} x {MAX_SIZE}"):
+        QuadricPencil(identity(MAX_SIZE + 1), identity(MAX_SIZE + 1))
+    with pytest.raises(SizeLimitError):
+        random_instance("[" + "1" * (MAX_SIZE + 1) + "]", 0)
+    with pytest.raises(SizeLimitError, match="got 20 x 20"):
+        random_instance("[" + "1" * 20 + "]", 0)  # 20 groups, 19 candidate roots
+    # refused before a weight-90,000 block matrix is built
+    with pytest.raises(SizeLimitError, match="got 90000 x 90000"):
+        random_instance("[(" + "9" * 10000 + ")]", 0)
+    assert issubclass(SizeLimitError, SegreError) and issubclass(SizeLimitError, ValueError)
+    # the largest pencil runs; the expansion tables stay one per size
+    p = random_instance("[" + "1" * (MAX_SIZE - 2) + "2]", 0)
+    assert len(det_poly(p).coeffs) == MAX_SIZE + 1
+    assert len(invariant_factors(p).factors) == MAX_SIZE
+    assert _laplace_table.cache_info().maxsize == MAX_SIZE
+    assert _laplace_table.cache_info().currsize <= MAX_SIZE

@@ -68,6 +68,21 @@ class TestParse:
             with pytest.raises(ParseError):
                 parse_quadratic_form(bad)
 
+    @pytest.mark.parametrize("form, error", [
+        ("X0^2 X1^2" + " + X0*X1" * 1250, ParseError),  # expected '+' or '-'
+        ("X0^2 + " + "X1^2 + " * 1428 + "*", ParseError),  # term expected
+        ("X0^2 + X0^2*X1" + " + X1^2" * 1427, DegreeError),  # a cubic term
+        ("0*X0^2" + " + 0*X1^2" * 1111, ZeroFormError),
+        ("X0^" + "9" * 4000 + " + X1^2" * 857, DegreeError),  # a huge exponent
+    ], ids=["sign", "term", "degree", "zero", "exponent"])
+    def test_long_form_errors_quote_40_characters(self, form, error):
+        assert len(form) >= 9998
+        with pytest.raises(error) as info:
+            parse_quadratic_form(form)
+        assert len(str(info.value)) < 100
+        if error is not DegreeError or "^9" not in form:
+            assert form[:40] in str(info.value) and form[:41] not in str(info.value)
+
 
 class TestRenderRoundTrip:
     def test_round_trip_examples(self):

@@ -8,11 +8,13 @@ order or values changes the digest.
 
 import hashlib
 import json
+from dataclasses import replace
 
 from segre.acceptance import _degenerate_pairs
 from segre.catalog import CATALOG_ORDER
+from segre.classify import classify_symbol
 from segre.pencil import QuadricPencil, diagonal
-from segre.reporting import analyze_pencil, outcome_to_dict
+from segre.reporting import analyze_pencil, outcome_to_dict, surface_report_to_dict
 from segre.symbol import random_instance
 
 GOLDEN_SHA256 = "1e78350d14bb15695c614263fd5e7296db125fc2e1ba69f1747c3960ca71e78b"
@@ -36,3 +38,25 @@ def golden_digest() -> str:
 
 def test_reports_match_pinned_digest():
     assert golden_digest() == GOLDEN_SHA256
+
+
+def test_mutating_a_report_leaves_the_next_one_alone():
+    # report dicts share a rendering per symbol; each caller gets its own copy
+    p = random_instance("[11111]", 0)
+    first = outcome_to_dict(analyze_pencil(p))
+    want = json.dumps(first, indent=2)
+    first["covers"][0]["branch_components"].append("x")
+    first["covers"][1]["base"] = "x"
+    first["covers"].pop()
+    first["transitions"].clear()
+    first["minitwistor"]["genus"] = 0
+    assert json.dumps(outcome_to_dict(analyze_pencil(p)), indent=2) == want
+
+
+def test_a_report_changed_past_its_symbol_is_rendered_as_it_is():
+    # only reports as classify_symbol hands them out share a rendering
+    r = classify_symbol("[2111]")
+    doc = surface_report_to_dict(replace(r, notes=("changed",), transitions=()))
+    assert doc["notes"] == ["changed"] and doc["transitions"] == []
+    assert surface_report_to_dict(r)["transitions"] != []
+    assert surface_report_to_dict(r)["notes"] == list(r.notes)

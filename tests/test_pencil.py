@@ -463,7 +463,7 @@ class TestAnalyzeWork:
     ])
     def test_compute_symbol_interpolates_once(self, monkeypatch, pencil):
         # compute_symbol takes analyze_pencil's route: no member selection
-        # of its own, and det V read off the one interpolation
+        # of its own, and det V read off the one determinant expansion
         full = counting(
             monkeypatch, segre.pencil, "_poly_minor",
             keep=lambda iu, iv, rows, cols: len(rows) == len(iu),
@@ -474,13 +474,26 @@ class TestAnalyzeWork:
         assert dets == []
 
     def test_det_v_computed_once(self, monkeypatch):
-        # det V is the leading coefficient of the interpolated determinant,
+        # det V is the leading coefficient of the expanded determinant,
         # so analyze_pencil computes it once and never by rational_det
         calls = counting(monkeypatch, segre.pencil, "rational_det")
         monkeypatch.setattr(segre.reporting, "rational_det", segre.pencil.rational_det, raising=False)
         for seed in range(3):
             analyze_pencil(random_instance("[(21)2]", seed))
             assert len(calls) == 0
+
+    def test_det_v_once_per_pencil(self, monkeypatch):
+        # select_nonsingular_member and the numeric oracle's det V check
+        # share the pencil's one det V
+        from segre.numeric import numeric_exponent_partitions
+
+        p = random_instance("[(21)2]", 1)
+        calls = counting(monkeypatch, segre.pencil, "_bareiss")
+        numeric_exponent_partitions(select_nonsingular_member(p))
+        assert len(calls) == 1
+        assert p == random_instance("[(21)2]", 1)
+        assert hash(p) == hash(random_instance("[(21)2]", 1))
+        assert "det_v" not in repr(p)
 
     @pytest.mark.parametrize("u, t", [
         # det(U + tV) = t (t - 1) (t + 2) (t + 3), and so on: det V = 0 and the
