@@ -101,7 +101,7 @@ def _parse_symbol(text: str) -> SegreSymbol:
     return sym
 
 
-def _parse_roots(text: str) -> list[Fraction]:
+def _parse_roots(text: str) -> list[int | Fraction]:
     """Comma-separated roots, each read and size-checked like a JSON matrix entry."""
     limit = sys.get_int_max_str_digits()
     try:

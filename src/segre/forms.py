@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegreeError, ParseError, ZeroFormError
-from .pencil import Matrix, QuadricPencil, as_matrix
+from .pencil import Matrix, QuadricPencil, _check_square, as_matrix
 from .polynomial import _rational_str
 
 __all__ = [
@@ -222,8 +222,9 @@ def _fraction(text: str) -> Fraction:
         raise ZeroDivisionError(f"zero denominator in {text.strip()[:40]!r}") from None
 
 
-def _entry(text: str, limit: int) -> Fraction:
-    """One matrix entry, read like ``Fraction(text)``.
+def _entry(text: str, limit: int) -> int | Fraction:
+    """One matrix entry, read like ``Fraction(text)``; plain integer text
+    gives an ``int`` of the same value.
 
     As with integers in the form grammar, a numerator or denominator with
     more digits than ``limit``, Python's int<->str limit, is refused (no
@@ -236,7 +237,7 @@ def _entry(text: str, limit: int) -> Fraction:
     """
     if "_" not in text:
         try:
-            return Fraction(int(text))
+            return int(text)
         except ValueError:  # not an integer, or past the limit: Fraction says which
             pass
     if not limit or ("." not in text and "e" not in text and "E" not in text):
@@ -251,26 +252,38 @@ def _entry(text: str, limit: int) -> Fraction:
     return q
 
 
-def matrix_from_strings(rows: list[list[str]]) -> Matrix:
+def _entry_rows(rows: list[list[str]]) -> list[list[int | Fraction]]:
+    """The entries of a square matrix document, each read by ``_entry``."""
     if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
         raise ParseError("a matrix must be a list of rows, each a list of entries")
     limit = sys.get_int_max_str_digits()
     try:
-        return as_matrix([[_entry(str(c), limit) for c in row] for row in rows])
+        out = [[_entry(str(c), limit) for c in row] for row in rows]
+        _check_square(out)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational entry in matrix: {exc}") from exc
+    return out
+
+
+def matrix_from_strings(rows: list[list[str]]) -> Matrix:
+    return as_matrix(_entry_rows(rows))
 
 
 def pencil_from_json(text: str) -> QuadricPencil:
-    """Load a pencil from a JSON document with 5x5 string matrices U and V."""
+    """Load a pencil from a JSON document with 5x5 string matrices U and V.
+
+    Plain integer entries stay ``int``s, so an integer document becomes the
+    pencil's integer pair with no ``Fraction`` made; any other entry is
+    read by ``Fraction`` and the pair is cleared once.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "U" not in doc or "V" not in doc:
         raise ParseError('pencil file must be a JSON object with keys "U" and "V"')
-    u = matrix_from_strings(doc["U"])
-    v = matrix_from_strings(doc["V"])
+    u = _entry_rows(doc["U"])
+    v = _entry_rows(doc["V"])
     if len(u) != _NVARS or len(v) != _NVARS:
         raise ParseError(f"matrices must be {_NVARS}x{_NVARS}")
     try:

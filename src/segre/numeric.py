@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IllConditionedError
-from .pencil import QuadricPencil
+from .pencil import QuadricPencil, _cleared_int_pair
 from .symbol import Group, SegreSymbol
 
 __all__ = ["Cluster", "NumericPartition", "numeric_exponent_partitions"]
@@ -68,9 +68,10 @@ def numeric_exponent_partitions(
     if p.det_v == 0:
         raise ValueError("numeric oracle needs det V != 0; select a member first")
     size = p.size
-    try:
-        u = np.array([[float(c) for c in row] for row in p.u])
-        v = np.array([[float(c) for c in row] for row in p.v])
+    iu, iv, mult = _cleared_int_pair(p)
+    try:  # int / int rounds correctly, as float(Fraction) does
+        u = np.array([[c / mult for c in row] for row in iu])
+        v = np.array([[c / mult for c in row] for row in iv])
     except OverflowError as exc:
         raise IllConditionedError(f"pencil entries exceed double precision: {exc}") from exc
     m = np.linalg.solve(v, u)

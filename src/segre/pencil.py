@@ -18,6 +18,9 @@ partition the two ranks leave open, which needs size six or more, falls
 back to gcds of minors.  Only the finished invariant factors become monic
 ``Polynomial`` values, which makes the integer scaling invisible.
 
+A pencil holds its cleared pair from construction on, with the least common
+denominator, and builds its rational matrices only when they are read.
+
 Pencils are at most ``MAX_SIZE`` x ``MAX_SIZE``: the expansion does
 k * 2^(k-1) entry products on a k x k minor, so its cost doubles with
 each row, and a larger pencil raises ``SizeLimitError``.
@@ -27,9 +30,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -54,6 +57,11 @@ from .polynomial import (
 )
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+IntMatrix = tuple[tuple[int, ...], ...]
+IntRows = Sequence[Sequence[int]]
+
+_INT = {int}
+_EXACT = {int, Fraction}
 
 # the largest pencil, P^6; the catalog's pencils are 5 x 5 (P^4)
 MAX_SIZE = 7
@@ -83,9 +91,25 @@ __all__ = [
 
 def as_matrix(rows: Iterable[Iterable[Rational | int | str]]) -> Matrix:
     out = tuple(tuple(c if type(c) is Fraction else Fraction(c) for c in row) for row in rows)
-    if any(len(row) != len(out) for row in out):
-        raise ValueError("matrix must be square")
+    _check_square(out)
     return out
+
+
+def _exact(rows: Iterable[Iterable[Rational | int | str]]) -> tuple[tuple[int | Fraction, ...], ...]:
+    """``as_matrix`` without building a ``Fraction`` for an ``int`` entry."""
+    out = []
+    for row in rows:
+        row = tuple(row)
+        if not set(map(type, row)) <= _EXACT:
+            row = tuple(c if type(c) in _EXACT else Fraction(c) for c in row)
+        out.append(row)
+    _check_square(out)
+    return tuple(out)
+
+
+def _check_square(m: Sequence[Sequence[object]]) -> None:
+    if any(len(row) != len(m) for row in m):
+        raise ValueError("matrix must be square")
 
 
 def identity(size: int) -> Matrix:
@@ -146,10 +170,12 @@ def _bareiss(m: Sequence[Sequence[int]]) -> tuple[int, int]:
     return rank, det
 
 
-def _cleared(m: Matrix) -> tuple[list[list[int]], int]:
+def _cleared(m: Sequence[Sequence[int | Fraction]]) -> tuple[IntMatrix, int]:
     """The integer matrix mult * m and the least such ``mult``."""
+    if set(map(type, chain.from_iterable(m))) == _INT:
+        return tuple(map(tuple, m)), 1
     mult = math.lcm(*(c.denominator for row in m for c in row))
-    return [[c.numerator * (mult // c.denominator) for c in row] for row in m], mult
+    return tuple(tuple(c.numerator * (mult // c.denominator) for c in row) for row in m), mult
 
 
 def rational_det(m: Matrix) -> Fraction:
@@ -166,7 +192,6 @@ def _check_size(size: int) -> None:
         raise SizeLimitError(f"pencils are at most {MAX_SIZE} x {MAX_SIZE}, got {size} x {size}")
 
 
-@dataclass(frozen=True)
 class QuadricPencil:
     """Pair of symmetric rational matrices spanning a pencil of quadrics.
 
@@ -174,40 +199,79 @@ class QuadricPencil:
     (n+1) x (n+1), with n + 1 at most ``MAX_SIZE``; a larger pair raises
     ``SizeLimitError``.  Values are immutable; every operation on pencils
     is a pure function, so concurrent use needs no coordination.
+
+    The pencil holds the denominator-cleared integer pair (mult * U,
+    mult * V) with ``mult`` the least common denominator of the entries, so
+    equal pencils hold equal pairs.  The rational matrices ``u`` and ``v``
+    are built from it on their first read, and det V on its first read.
     """
 
-    u: Matrix
-    v: Matrix
+    __slots__ = ("_iu", "_iv", "_mult", "_u", "_v", "_det_v")
+    __match_args__ = ("u", "v")
 
-    def __post_init__(self):
-        u = as_matrix(self.u)
-        v = as_matrix(self.v)
-        if len(u) != len(v):
+    def __init__(
+        self,
+        u: Iterable[Iterable[Rational | int | str]],
+        v: Iterable[Iterable[Rational | int | str]],
+    ):
+        u = _exact(u)
+        v = _exact(v)
+        size = len(u)
+        if size != len(v):
             raise ValueError("U and V must have the same size")
-        _check_size(len(u))
-        for name, m in (("U", u), ("V", v)):
-            for i in range(len(m)):
-                for j in range(i):
-                    if m[i][j] != m[j][i]:
-                        raise ValueError(f"{name} is not symmetric")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
+        _check_size(size)
+        both, mult = _cleared(u + v)
+        iu, iv = both[:size], both[size:]
+        for name, m in (("U", iu), ("V", iv)):
+            if tuple(zip(*m)) != m:
+                raise ValueError(f"{name} is not symmetric")
+        _store(self, iu, iv, mult)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _reduced, (self._iu, self._iv, self._mult)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._mult, self._iu, self._iv) == (other._mult, other._iu, other._iv)
+
+    def __hash__(self) -> int:  # the hash of the rational matrices
+        return hash((self.u, self.v))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(u={self.u!r}, v={self.v!r})"
+
+    @property
+    def u(self) -> Matrix:
+        if self._u is None:
+            object.__setattr__(self, "_u", _rational(self._iu, self._mult))
+        return self._u
+
+    @property
+    def v(self) -> Matrix:
+        if self._v is None:
+            object.__setattr__(self, "_v", _rational(self._iv, self._mult))
+        return self._v
 
     @property
     def size(self) -> int:
-        return len(self.u)
+        return len(self._iu)
 
     @property
     def det_v(self) -> Fraction:
-        """det V, computed once per pencil.  The value is kept in the
-        instance ``__dict__``, which the frozen dataclass leaves writable;
-        equality, hashing and ``repr`` still use only ``u`` and ``v``.  Two
-        threads may both compute it on a first read; both store the same
-        value."""
-        d = self.__dict__.get("det_v")
-        if d is None:
-            d = self.__dict__["det_v"] = rational_det(self.v)
-        return d
+        """det V, computed once per pencil, by one Bareiss elimination of
+        the integer V.  Two threads may both compute it on a first read;
+        both store the same value."""
+        if self._det_v is None:
+            d = Fraction(_bareiss(self._iv)[1], self._mult ** self.size)
+            object.__setattr__(self, "_det_v", d)
+        return self._det_v
 
     @property
     def n(self) -> int:
@@ -218,25 +282,51 @@ class QuadricPencil:
         return _mat_add(_mat_scale(self.u, Fraction(x)), _mat_scale(self.v, Fraction(y)))
 
 
-def congruent(p: QuadricPencil, a: Matrix) -> QuadricPencil:
+def _store(p: QuadricPencil, iu: IntMatrix, iv: IntMatrix, mult: int) -> None:
+    for name, value in (("_iu", iu), ("_iv", iv), ("_mult", mult)):
+        object.__setattr__(p, name, value)
+    for name in ("_u", "_v", "_det_v"):
+        object.__setattr__(p, name, None)
+
+
+def _reduced(iu: IntRows, iv: IntRows, den: int) -> QuadricPencil:
+    """The pencil (iu / den, iv / den), for symmetric integer matrices of
+    one size and ``den`` > 0, reduced to its least common denominator.
+
+    The least common denominator of the entries c / den is den over the
+    gcd of den and every c.
+    """
+    _check_size(len(iu))
+    g = math.gcd(den, *(c for m in (iu, iv) for row in m for c in row))
+    p = object.__new__(QuadricPencil)
+    _store(
+        p,
+        tuple(tuple(c // g for c in row) for row in iu),
+        tuple(tuple(c // g for c in row) for row in iv),
+        den // g,
+    )
+    return p
+
+
+def _rational(im: IntMatrix, mult: int) -> Matrix:
+    return tuple(tuple(Fraction(c, mult) for c in row) for row in im)
+
+
+def congruent(p: QuadricPencil, a: Iterable[Iterable[Rational | int | str]]) -> QuadricPencil:
     """Apply the congruence (U, V) -> (A^T U A, A^T V A).
 
     The products run on the denominator-cleared integer matrices; the
-    ``Fraction`` entries are built once, for the result.
+    result is the integer pair over one denominator.
     """
-    ia, ma = _cleared(as_matrix(a))
+    ia, ma = _cleared(_exact(a))
     iu, iv, mult = _cleared_int_pair(p)
-    den = mult * ma * ma
     a_cols = list(zip(*ia))
 
-    def conj(m: list[list[int]]) -> Matrix:
+    def conj(m: IntMatrix) -> list[list[int]]:
         at_m = [[sum(x * y for x, y in zip(ac, mc)) for mc in zip(*m)] for ac in a_cols]
-        return tuple(
-            tuple(Fraction(sum(x * y for x, y in zip(row, ac)), den) for ac in a_cols)
-            for row in at_m
-        )
+        return [[sum(x * y for x, y in zip(row, ac)) for ac in a_cols] for row in at_m]
 
-    return QuadricPencil(conj(iu), conj(iv))
+    return _reduced(conj(iu), conj(iv), mult * ma * ma)
 
 
 def change_basis(
@@ -247,18 +337,26 @@ def change_basis(
     d: Rational | int,
 ) -> QuadricPencil:
     """Replace (U, V) by (a*U + b*V, c*U + d*V); requires ad - bc != 0."""
-    if Fraction(a) * Fraction(d) - Fraction(b) * Fraction(c) == 0:
+    a, b, c, d = (Fraction(x) for x in (a, b, c, d))
+    if a * d - b * c == 0:
         raise ValueError("pencil basis change must be invertible")
-    return QuadricPencil(p.member(a, b), p.member(c, d))
+    den = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
+    a, b, c, d = (x.numerator * (den // x.denominator) for x in (a, b, c, d))
+    iu, iv, mult = _cleared_int_pair(p)
+
+    def combine(x: int, y: int) -> list[list[int]]:
+        return [[x * s + y * t for s, t in zip(ru, rv)] for ru, rv in zip(iu, iv)]
+
+    return _reduced(combine(a, b), combine(c, d), den * mult)
 
 
 # ---------------------------------------------------------------------------
 # polynomial minors by division-free Laplace expansion
 # ---------------------------------------------------------------------------
 
-def _cleared_int_pair(p: QuadricPencil) -> tuple[list[list[int]], list[list[int]], int]:
-    both, mult = _cleared(p.u + p.v)
-    return both[: p.size], both[p.size :], mult
+def _cleared_int_pair(p: QuadricPencil) -> tuple[IntMatrix, IntMatrix, int]:
+    """The integer pair (mult * U, mult * V) the pencil holds, and ``mult``."""
+    return p._iu, p._iv, p._mult
 
 
 @functools.lru_cache(maxsize=MAX_SIZE)
@@ -276,8 +374,8 @@ def _laplace_table(k: int) -> tuple[tuple[int, int, tuple[tuple[int, int, int], 
 
 
 def _poly_minor(
-    iu: list[list[int]],
-    iv: list[list[int]],
+    iu: IntRows,
+    iv: IntRows,
     rows: Sequence[int],
     cols: Sequence[int],
 ) -> list[int]:
@@ -311,7 +409,7 @@ def _poly_minor(
 # operations
 # ---------------------------------------------------------------------------
 
-def _det_coeffs(iu: list[list[int]], iv: list[list[int]]) -> list[int]:
+def _det_coeffs(iu: IntRows, iv: IntRows) -> list[int]:
     idx = list(range(len(iu)))
     return _poly_minor(iu, iv, idx, idx)
 
@@ -422,7 +520,7 @@ def _partition(m: int, at_least: Sequence[int]) -> tuple[int, ...] | None:
     return tuple(big + sizes)
 
 
-def _minor_gcd(iu: list[list[int]], iv: list[list[int]], k: int, start: list[int]) -> list[int]:
+def _minor_gcd(iu: IntRows, iv: IntRows, k: int, start: list[int]) -> list[int]:
     """Primitive gcd of ``start`` and the k x k minors of U - t*V.
 
     U and V are symmetric, so minor(rows, cols) = minor(cols, rows) and
@@ -448,7 +546,7 @@ def _valuation(base: list[int], target: list[int]) -> int:
     return v
 
 
-def _minor_classes(iu: list[list[int]], iv: list[list[int]], f: list[int]) -> list[RootClass]:
+def _minor_classes(iu: IntRows, iv: IntRows, f: list[int]) -> list[RootClass]:
     """``_root_classes`` by gcds of minors, for what ranks leave open.
 
     D_k, the gcd of the k x k minors, divides gcd(D_{k+1}, D_{k+1}') (a
@@ -472,7 +570,7 @@ def _minor_classes(iu: list[list[int]], iv: list[list[int]], f: list[int]) -> li
     ]
 
 
-def _root_classes(iu: list[list[int]], iv: list[list[int]], f: list[int]) -> list[RootClass]:
+def _root_classes(iu: IntRows, iv: IntRows, f: list[int]) -> list[RootClass]:
     """The roots of f = det(U - t*V) (nonzero, up to a constant) as classes
     (primitive integer factor, partition): every root of the factor has
     elementary divisors of U - t*V with those exponents, descending.
@@ -619,9 +717,9 @@ def select_nonsingular_member(p: QuadricPencil) -> QuadricPencil:
     """
     if p.det_v != 0:
         return p
-    iu, iv, _ = _cleared_int_pair(p)
+    iu, iv, mult = _cleared_int_pair(p)
     t = _sweep_value(_det_coeffs(iu, iv), p.size)
-    return QuadricPencil(p.v, p.member(1, t))
+    return _reduced(iv, [[a + t * b for a, b in zip(ru, rv)] for ru, rv in zip(iu, iv)], mult)
 
 
 @dataclass(frozen=True)

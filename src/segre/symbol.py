@@ -104,13 +104,17 @@ class SegreSymbol:
 
     Equality and hashing ignore root descriptors: two symbols are equal
     exactly when their canonicalized exponent structures coincide, which
-    is what congruence and pencil-basis invariance preserve.
+    is what congruence and pencil-basis invariance preserve.  The rendered
+    text and the exponent structure are computed once per symbol, on their
+    first use.
     """
 
-    __slots__ = ("groups",)
+    __slots__ = ("groups", "_text", "_structure")
 
     def __init__(self, groups: Sequence[Group]):
         object.__setattr__(self, "groups", tuple(groups))
+        object.__setattr__(self, "_text", None)
+        object.__setattr__(self, "_structure", None)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("SegreSymbol is immutable")
@@ -144,13 +148,18 @@ class SegreSymbol:
 
     def exponent_structure(self) -> tuple[tuple[int, ...], ...]:
         """The multiset of group exponent multisets, canonically ordered."""
-        return tuple(g.exponents for g in self.canonical().groups)
+        if self._structure is None:
+            structure = tuple(g.exponents for g in sorted(self.groups, key=Group.sort_key))
+            object.__setattr__(self, "_structure", structure)
+        return self._structure
 
     def unbracketed_ones(self) -> int:
         return sum(1 for g in self.groups if g.exponents == (1,))
 
     def render(self) -> str:
-        return "[" + "".join(g.render() for g in self.groups) + "]"
+        if self._text is None:
+            object.__setattr__(self, "_text", "[" + "".join(g.render() for g in self.groups) + "]")
+        return self._text
 
     def root_descriptions(self) -> list[str]:
         return [g.root.describe() if g.root is not None else "unspecified" for g in self.groups]
@@ -304,4 +313,4 @@ def random_instance(s: SegreSymbol | str, seed: int) -> QuadricPencil:
         a = [[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)]
         if _bareiss(a)[1] != 0:
             break
-    return congruent(normal, as_matrix(a))
+    return congruent(normal, a)

@@ -13,6 +13,7 @@ from dataclasses import replace
 from segre.acceptance import _degenerate_pairs
 from segre.catalog import CATALOG_ORDER
 from segre.classify import classify_symbol
+from segre.forms import pencil_from_json, pencil_to_json
 from segre.pencil import QuadricPencil, diagonal
 from segre.reporting import analyze_pencil, outcome_to_dict, surface_report_to_dict
 from segre.symbol import random_instance
@@ -28,9 +29,9 @@ def golden_pencils():
     yield QuadricPencil(diagonal([1, 2, 3, 4, 5]), diagonal([1, 1, 1, 1, 0]))
 
 
-def golden_digest() -> str:
+def golden_digest(pencils=None) -> str:
     h = hashlib.sha256()
-    for p in golden_pencils():
+    for p in golden_pencils() if pencils is None else pencils:
         h.update(json.dumps(outcome_to_dict(analyze_pencil(p)), indent=2).encode())
         h.update(b"\n")
     return h.hexdigest()
@@ -38,6 +39,13 @@ def golden_digest() -> str:
 
 def test_reports_match_pinned_digest():
     assert golden_digest() == GOLDEN_SHA256
+
+
+def test_pencils_read_back_from_json_match_pinned_digest():
+    # the same digest through the JSON writer and reader
+    pencils = [pencil_from_json(pencil_to_json(p)) for p in golden_pencils()]
+    assert pencils == list(golden_pencils())
+    assert golden_digest(pencils) == GOLDEN_SHA256
 
 
 def test_mutating_a_report_leaves_the_next_one_alone():

@@ -82,6 +82,36 @@ class TestCanonicalize:
         assert canonicalize("[(13)1]").render() == "[(31)1]"
         assert SegreSymbol.parse("[(13)1]") == SegreSymbol.parse("[1(13)]")
 
+    @pytest.mark.parametrize("symbol", ["[11111]", "[(11)111]", "[2111]", "[(21)2]", "[(111)11]"])
+    def test_one_report_canonicalizes_twice(self, monkeypatch, symbol):
+        # compute_symbol orders the groups and classify_symbol canonicalizes
+        # its argument; the text and the exponent structure are kept per
+        # symbol, so the report reuses them.  Before they were kept, the
+        # count was 4 (3 off the catalog).
+        from segre.reporting import outcome_to_dict
+
+        p = random_instance(symbol, 0)
+        outcome_to_dict(analyze_pencil(p))  # fill the per-structure caches
+        calls = []
+        real = SegreSymbol.canonical
+
+        def counted(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(SegreSymbol, "canonical", counted)
+        doc = outcome_to_dict(analyze_pencil(p))
+        assert len(calls) == 2
+        assert doc["symbol"] == canonicalize(symbol).render()
+
+    def test_text_and_structure_are_kept(self):
+        s = SegreSymbol.parse("[1(11)2]")
+        assert s.render() is s.render() == "[1(11)2]"
+        assert s.exponent_structure() is s.exponent_structure() == ((2,), (1, 1), (1,))
+        assert s.exponent_structure() == s.canonical().exponent_structure()
+        with pytest.raises(AttributeError):
+            s._text = "[5]"
+
 
 class TestComputeSymbol:
     def test_symbolic_roots_share_one_rendering(self, monkeypatch):
