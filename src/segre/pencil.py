@@ -32,7 +32,7 @@ import functools
 import math
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -60,7 +60,6 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 IntMatrix = tuple[tuple[int, ...], ...]
 IntRows = Sequence[Sequence[int]]
 
-_INT = {int}
 _EXACT = {int, Fraction}
 
 # the largest pencil, P^6; the catalog's pencils are 5 x 5 (P^4)
@@ -97,14 +96,9 @@ def as_matrix(rows: Iterable[Iterable[Rational | int | str]]) -> Matrix:
 
 def _exact(rows: Iterable[Iterable[Rational | int | str]]) -> tuple[tuple[int | Fraction, ...], ...]:
     """``as_matrix`` without building a ``Fraction`` for an ``int`` entry."""
-    out = []
-    for row in rows:
-        row = tuple(row)
-        if not set(map(type, row)) <= _EXACT:
-            row = tuple(c if type(c) in _EXACT else Fraction(c) for c in row)
-        out.append(row)
+    out = tuple(tuple(c if type(c) in _EXACT else Fraction(c) for c in row) for row in rows)
     _check_square(out)
-    return tuple(out)
+    return out
 
 
 def _check_square(m: Sequence[Sequence[object]]) -> None:
@@ -172,8 +166,6 @@ def _bareiss(m: Sequence[Sequence[int]]) -> tuple[int, int]:
 
 def _cleared(m: Sequence[Sequence[int | Fraction]]) -> tuple[IntMatrix, int]:
     """The integer matrix mult * m and the least such ``mult``."""
-    if set(map(type, chain.from_iterable(m))) == _INT:
-        return tuple(map(tuple, m)), 1
     mult = math.lcm(*(c.denominator for row in m for c in row))
     return tuple(tuple(c.numerator * (mult // c.denominator) for c in row) for row in m), mult
 
@@ -206,7 +198,7 @@ class QuadricPencil:
     are built from it on their first read, and det V on its first read.
     """
 
-    __slots__ = ("_iu", "_iv", "_mult", "_u", "_v", "_det_v")
+    __slots__ = ("_iu", "_iv", "_mult", "_u", "_v", "_det_v", "__weakref__")
     __match_args__ = ("u", "v")
 
     def __init__(
@@ -337,17 +329,9 @@ def change_basis(
     d: Rational | int,
 ) -> QuadricPencil:
     """Replace (U, V) by (a*U + b*V, c*U + d*V); requires ad - bc != 0."""
-    a, b, c, d = (Fraction(x) for x in (a, b, c, d))
-    if a * d - b * c == 0:
+    if Fraction(a) * Fraction(d) - Fraction(b) * Fraction(c) == 0:
         raise ValueError("pencil basis change must be invertible")
-    den = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
-    a, b, c, d = (x.numerator * (den // x.denominator) for x in (a, b, c, d))
-    iu, iv, mult = _cleared_int_pair(p)
-
-    def combine(x: int, y: int) -> list[list[int]]:
-        return [[x * s + y * t for s, t in zip(ru, rv)] for ru, rv in zip(iu, iv)]
-
-    return _reduced(combine(a, b), combine(c, d), den * mult)
+    return QuadricPencil(p.member(a, b), p.member(c, d))
 
 
 # ---------------------------------------------------------------------------

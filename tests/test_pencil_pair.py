@@ -13,6 +13,7 @@ import dataclasses
 import json
 import pickle
 import random
+import weakref
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -182,6 +183,7 @@ def test_pencils_stay_immutable_and_copy_whole():
         del p.u
     for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
         _same_pencil(q, p)
+    assert weakref.ref(p)() is p
     assert p != (p.u, p.v)
     match p:
         case QuadricPencil(u, v):
