@@ -39,7 +39,6 @@ from .errors import (
     ZeroFormError,
 )
 from .forms import ParsedForm, parse_quadratic_form, render_form
-from .numeric import NumericPartition, numeric_exponent_partitions
 from .pencil import (
     MAX_SIZE,
     DegeneracyReport,
@@ -61,6 +60,17 @@ from .symbol import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # the numeric oracle is imported on first use: segre analyze never needs it
+    if name in ("NumericPartition", "numeric_exponent_partitions"):
+        from . import numeric
+
+        value = globals()[name] = getattr(numeric, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AutE",

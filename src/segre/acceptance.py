@@ -9,10 +9,10 @@ the command line ``verify`` subcommand and the test suite both run these.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
+from ._record import Record
 from .catalog import (
     CATALOG,
     CATALOG_ORDER,
@@ -45,8 +45,7 @@ from .symbol import (
 __all__ = ["CriterionResult", "run_all", "CRITERIA"]
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(Record):
     number: int
     name: str
     passed: bool

@@ -17,9 +17,9 @@ flagged discrepancy and the catalog stores 10.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
+from ._record import Record
 from .symbol import SegreSymbol, canonicalize
 
 __all__ = [
@@ -41,8 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SingularityType:
+class SingularityType(Record):
     """A rational double point of type A_n (n >= 1) or D_n (n in {4, 5})."""
 
     family: str
@@ -96,8 +95,7 @@ def class_degree(singularities: tuple[SingularityType, ...] | list[SingularityTy
     return 12 - total
 
 
-@dataclass(frozen=True)
-class CatalogRow:
+class CatalogRow(Record):
     symbol: str
     singularities: tuple[SingularityType, ...]
     lines_total: int
@@ -177,8 +175,7 @@ class VertexPosition(Enum):
     IS_SINGULAR_LOCUS = "the singular point of branch"
 
 
-@dataclass(frozen=True)
-class Table2Row:
+class Table2Row(Record):
     """One cone-cover row: the bracketed group supplying the removed 1
     identifies the projection when a symbol admits more than one."""
 

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cache
 
+from ._record import Record
 from .catalog import (
     AutE,
     SingularityType,
@@ -18,8 +18,7 @@ from .symbol import Group, SegreSymbol, canonicalize
 __all__ = ["SurfaceReport", "classify_symbol"]
 
 
-@dataclass(frozen=True)
-class SurfaceReport:
+class SurfaceReport(Record):
     """Everything the catalog knows about one symbol.
 
     ``genus`` and ``embedding_degree`` record the surface's life as a
@@ -66,7 +65,7 @@ def classify_symbol(s: SegreSymbol | str) -> SurfaceReport:
     sym = canonicalize(s)
     if sym.weight != 5:
         raise ValueError(f"classification needs a weight-5 symbol, got {sym.render()}")
-    return replace(_structure_report(sym.exponent_structure()), symbol=sym)
+    return _structure_report(sym.exponent_structure()).replace(symbol=sym)
 
 
 @cache

@@ -8,15 +8,17 @@ Subcommands::
     random       emit a seeded random pencil with a prescribed symbol
     verify       run the full acceptance suite
 
-Exit codes: 0 success, 2 input or parse error, 3 not-a-Segre verdict
-(degenerate pencils always; other non-catalog symbols only under
---strict), 4 internal consistency violation.
+Exit codes: 0 success, 1 a failed ``verify`` criterion or standard output
+closed or full, 2 input or parse error, 3 not-a-Segre verdict (degenerate
+pencils always; other non-catalog symbols only under --strict), 4
+internal consistency violation.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -37,6 +39,7 @@ from .reporting import analyze_pencil, outcome_to_dict, render_pretty, surface_r
 from .symbol import SegreSymbol, build_normal_form, compute_symbol, random_instance
 
 EXIT_OK = 0
+EXIT_FAILURE = 1  # a verify criterion failed, or the output could not be written
 EXIT_INPUT = 2
 EXIT_NOT_SEGRE = 3
 EXIT_INCONSISTENT = 4
@@ -154,10 +157,40 @@ def _cmd_verify(args) -> int:
         print(f"{status} criterion {r.number:2d} ({r.name}): {r.detail}")
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
-    return EXIT_OK if not failed else 1
+    return EXIT_OK if not failed else EXIT_FAILURE
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand and return its exit code.
+
+    Standard output is flushed before returning, so that a closed pipe
+    (``segre catalog | head -c 10``) or a full device shows here, not at
+    interpreter exit: it ends the run with ``EXIT_FAILURE`` and no
+    traceback, silently for a closed pipe.
+    """
+    try:
+        try:
+            return _run(argv)
+        finally:
+            sys.stdout.flush()
+    except OSError as exc:
+        _discard_stdout()
+        if not isinstance(exc, BrokenPipeError):
+            print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
+
+
+def _discard_stdout() -> None:
+    """Point standard output at the null device, so that the output still
+    buffered does not fail again when the interpreter flushes it at exit."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, sys.stdout.fileno())
+    finally:
+        os.close(devnull)
+
+
+def _run(argv: list[str] | None) -> int:
     parser = argparse.ArgumentParser(
         prog="segre",
         description="Exact classification of quadric pencils in CP4 and their dual-variety reports.",

@@ -12,9 +12,9 @@ formula into exact identities that this module asserts rather than trusts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 
+from ._record import Record
 from .catalog import VertexPosition, catalog_row
 from .errors import InternalConsistencyError
 from .symbol import Group, SegreSymbol, canonicalize
@@ -61,8 +61,7 @@ class ComponentKind(Enum):
         self.dual_degree = dual_degree
 
 
-@dataclass(frozen=True)
-class BranchComponent:
+class BranchComponent(Record):
     kind: ComponentKind
 
     @property
@@ -70,8 +69,7 @@ class BranchComponent:
         return self.kind.dual_degree
 
 
-@dataclass(frozen=True)
-class BranchStructure:
+class BranchStructure(Record):
     """Component list plus how the components meet.
 
     ``dual_double_conics`` counts the conics along which the dual of an
@@ -129,15 +127,13 @@ class SectionComponent(Enum):
     V_STAR = "v*"  # dual 2-plane of the cone vertex
 
 
-@dataclass(frozen=True)
-class SectionTerm:
+class SectionTerm(Record):
     component: SectionComponent
     multiplicity: int
     degree: int
 
 
-@dataclass(frozen=True)
-class SectionDivisor:
+class SectionDivisor(Record):
     """The hyperplane section of the dual variety cut by the projection
     center's dual hyperplane, as a divisor."""
 
@@ -155,8 +151,7 @@ class SectionDivisor:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class CoverReport:
+class CoverReport(Record):
     """One double-cover structure of a catalog surface."""
 
     base: BaseKind
@@ -222,7 +217,7 @@ def covers_of(s: SegreSymbol | str) -> list[CoverReport]:
                     branch_structure=structure,
                     vertex_on_branch=vertex,
                 )
-                reports.append(replace(report, section=dual_section(sym, report)))
+                reports.append(report.replace(section=dual_section(sym, report)))
             entry += 1
     return reports
 

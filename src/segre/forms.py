@@ -19,9 +19,9 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import DegreeError, ParseError, ZeroFormError
 from .pencil import Matrix, QuadricPencil, _check_square, as_matrix
 from .polynomial import _rational_str
@@ -38,8 +38,7 @@ __all__ = [
 _NVARS = 5  # X0..X4
 
 
-@dataclass(frozen=True)
-class ParsedForm:
+class ParsedForm(Record):
     matrix: Matrix
     source: str
 

@@ -11,8 +11,7 @@ staircase is ambiguous at the given tolerances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import IllConditionedError
 from .pencil import QuadricPencil, _cleared_int_pair
 from .symbol import Group, SegreSymbol
@@ -23,14 +22,17 @@ DEFAULT_CLUSTER_TOL = 1e-6
 DEFAULT_RANK_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class Cluster:
+class Cluster(Record):
     eigenvalue: complex
     partition: tuple[int, ...]  # block sizes, descending
 
+    def __init__(self, eigenvalue: complex, partition: tuple[int, ...]):
+        d = self.__dict__  # one per eigenvalue cluster: bind without the generic code
+        d["eigenvalue"] = eigenvalue
+        d["partition"] = partition
 
-@dataclass(frozen=True)
-class NumericPartition:
+
+class NumericPartition(Record):
     clusters: tuple[Cluster, ...]
 
     def exponent_structure(self) -> tuple[tuple[int, ...], ...]:

@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
 
+from ._record import Record
 from .errors import (
     DegeneratePencilError,
     InternalConsistencyError,
@@ -219,11 +219,8 @@ class QuadricPencil:
                 raise ValueError(f"{name} is not symmetric")
         _store(self, iu, iv, mult)
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __setattr__ = Record.__setattr__  # raise FrozenInstanceError, as records do
+    __delattr__ = Record.__delattr__
 
     def __reduce__(self):
         return _reduced, (self._iu, self._iv, self._mult)
@@ -410,8 +407,7 @@ def det_poly(p: QuadricPencil) -> Polynomial:
     return Polynomial([Fraction(c, den) for c in _det_coeffs(iu, iv)])
 
 
-@dataclass(frozen=True)
-class InvariantFactors:
+class InvariantFactors(Record):
     """Divisibility chain d_1 | d_2 | ... | d_{n+1} of U - lambda*V.
 
     Each d_i is monic (constants allowed); d_i = D_i / D_{i-1} where D_i
@@ -706,8 +702,7 @@ def select_nonsingular_member(p: QuadricPencil) -> QuadricPencil:
     return _reduced(iv, [[a + t * b for a, b in zip(ru, rv)] for ru, rv in zip(iu, iv)], mult)
 
 
-@dataclass(frozen=True)
-class DegeneracyReport:
+class DegeneracyReport(Record):
     """What can be said once no nonsingular member exists.
 
     ``common_kernel_dim`` is dim(ker U intersect ker V); a positive value

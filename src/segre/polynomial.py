@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import decimal
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 Rational = Fraction
 
@@ -280,6 +280,11 @@ class Polynomial:
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Polynomial is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), (self.coeffs,)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs

@@ -7,9 +7,9 @@ always serialize to byte-identical JSON.
 from __future__ import annotations
 
 import marshal
-from dataclasses import dataclass
 from functools import cache
 
+from ._record import Record
 from .classify import SurfaceReport, _structure_report, classify_symbol
 from .covers import CoverReport
 from .errors import NoSmoothMemberError
@@ -26,8 +26,7 @@ from .symbol import SegreSymbol, _symbol_from_classes
 __all__ = ["AnalysisOutcome", "analyze_pencil", "outcome_to_dict", "render_pretty"]
 
 
-@dataclass(frozen=True)
-class AnalysisOutcome:
+class AnalysisOutcome(Record):
     """Either a surface report or a degeneracy report, never both."""
 
     surface: SurfaceReport | None = None

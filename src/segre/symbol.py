@@ -12,12 +12,11 @@ irrational or complex) root.
 
 from __future__ import annotations
 
-import random
 import re
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence, Union
 
+from ._record import Record
 from .pencil import (
     Matrix,
     QuadricPencil,
@@ -43,41 +42,53 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ExplicitRoot:
+# A few of these records are made for every analysis, so each binds its
+# own arguments rather than through ``Record``'s generic constructor.
+
+
+class ExplicitRoot(Record):
     value: Rational
+
+    def __init__(self, value: Rational):
+        self.__dict__["value"] = value
 
     def describe(self) -> str:
         return _rational_str(self.value)
 
 
-@dataclass(frozen=True)
-class SymbolicRoot:
+class SymbolicRoot(Record):
     """Root number ``index`` of a coprime-basis polynomial, never evaluated."""
 
     poly: Polynomial
     index: int
 
+    def __init__(self, poly: Polynomial, index: int):
+        d = self.__dict__
+        d["poly"] = poly
+        d["index"] = index
+
     def describe(self) -> str:
         return f"root #{self.index + 1} of {self.poly}"
 
 
-RootDescriptor = Union[ExplicitRoot, SymbolicRoot, None]
+RootDescriptor = ExplicitRoot | SymbolicRoot | None
 
 
-@dataclass(frozen=True)
-class Group:
+class Group(Record):
     """One root group: exponent multiset plus an optional root descriptor."""
 
     exponents: tuple[int, ...]
     root: RootDescriptor = None
 
-    def __post_init__(self):
-        if not self.exponents:
+    def __init__(self, exponents: tuple[int, ...], root: RootDescriptor = None):
+        if not exponents:
             raise ValueError("a group needs at least one exponent")
-        if any(not isinstance(e, int) or e < 1 for e in self.exponents):
-            raise ValueError(f"exponents must be positive integers: {self.exponents}")
-        object.__setattr__(self, "exponents", tuple(sorted(self.exponents, reverse=True)))
+        for e in exponents:
+            if not isinstance(e, int) or e < 1:
+                raise ValueError(f"exponents must be positive integers: {exponents}")
+        d = self.__dict__
+        d["exponents"] = tuple(sorted(exponents, reverse=True))
+        d["root"] = root
 
     @property
     def weight(self) -> int:
@@ -118,6 +129,11 @@ class SegreSymbol:
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("SegreSymbol is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), (self.groups,)
 
     @classmethod
     def parse(cls, text: str) -> "SegreSymbol":
@@ -303,6 +319,8 @@ def random_instance(s: SegreSymbol | str, seed: int) -> QuadricPencil:
     determinant is nonzero).  Bit-identical output for a fixed seed.  A
     symbol of weight above ``pencil.MAX_SIZE`` raises ``SizeLimitError``.
     """
+    import random  # here, not at the top: segre analyze never loads it
+
     s = canonicalize(s)
     _check_size(s.weight)  # before the roots: at most 19 groups can have one
     rng = random.Random(seed)

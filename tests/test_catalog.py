@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -172,7 +171,7 @@ class TestClassify:
         for roots in (range(1, 6), (Fraction(-1, 2), 7, Fraction(3, 4), -2, 0)):
             sym = with_roots(structure, [Fraction(r) for r in roots])
             got = classify_symbol(sym)
-            assert got == replace(_structure_report.__wrapped__(structure), symbol=sym)
+            assert got == _structure_report.__wrapped__(structure).replace(symbol=sym)
             assert got.symbol.root_descriptions() == sym.root_descriptions()
 
     def test_covers_built_once_per_structure(self, monkeypatch):

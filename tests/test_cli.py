@@ -298,6 +298,66 @@ def test_cli_import_leaves_acceptance_unloaded():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True)
 
 
+def _src_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    return env
+
+
+# Without site (-S) nothing is preloaded, so the check sees segre's own
+# import closure; a site hook may import typing or random before segre does.
+CLOSURE_CODE = f"""
+import sys
+import segre.cli
+COLD = ("dataclasses", "inspect", "typing", "random", "numpy", "segre.numeric", "segre.acceptance")
+assert not [m for m in COLD if m in sys.modules], [m for m in COLD if m in sys.modules]
+assert segre.cli.main(["analyze", "--poly", {DIAG_FORMS!r}]) == 0
+assert not [m for m in COLD if m in sys.modules], [m for m in COLD if m in sys.modules]
+import segre
+from segre import *
+assert numeric_exponent_partitions is segre.numeric_exponent_partitions
+assert NumericPartition is sys.modules["segre.numeric"].NumericPartition
+assert "numpy" not in sys.modules
+"""
+
+
+def test_analyze_import_closure_stays_lean():
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", CLOSURE_CODE], env=_src_env(), capture_output=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout)["symbol"] == "[11111]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog"],  # 23 kB: a write inside print fails
+    ["analyze", "--poly", DIAG_FORMS],  # 3 kB: the final flush fails
+])
+def test_closed_stdout_exits_1_without_traceback(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "segre.cli", *argv],
+            env=_src_env(), stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == segre.cli.EXIT_FAILURE == 1
+    assert proc.stderr == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_exits_1_with_one_line():
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "segre.cli", "analyze", "--poly", DIAG_FORMS],
+            env=_src_env(), stdout=full, stderr=subprocess.PIPE, timeout=60,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr.decode().splitlines() == ["output error: [Errno 28] No space left on device"]
+
+
 # JSON values of any shape: the leaves a pencil file may hold, nested in lists
 LEAVES = (
     st.none()

@@ -6,9 +6,10 @@ analysis has to re-select a member.  Any change to a report's text, key
 order or values changes the digest.
 """
 
+import copy
 import hashlib
 import json
-from dataclasses import replace
+import pickle
 
 from segre.acceptance import _degenerate_pairs
 from segre.catalog import CATALOG_ORDER
@@ -64,7 +65,19 @@ def test_mutating_a_report_leaves_the_next_one_alone():
 def test_a_report_changed_past_its_symbol_is_rendered_as_it_is():
     # only reports as classify_symbol hands them out share a rendering
     r = classify_symbol("[2111]")
-    doc = surface_report_to_dict(replace(r, notes=("changed",), transitions=()))
+    doc = surface_report_to_dict(r.replace(notes=("changed",), transitions=()))
     assert doc["notes"] == ["changed"] and doc["transitions"] == []
     assert surface_report_to_dict(r)["transitions"] != []
     assert surface_report_to_dict(r)["notes"] == list(r.notes)
+
+
+def test_outcomes_pickle_and_copy_to_the_same_report():
+    # outcomes can be sent to worker processes and copied whole
+    for p in golden_pencils():
+        outcome = analyze_pencil(p)
+        want = json.dumps(outcome_to_dict(outcome), indent=2)
+        for copied in (pickle.loads(pickle.dumps(outcome)), copy.deepcopy(outcome)):
+            assert copied == outcome
+            assert json.dumps(outcome_to_dict(copied), indent=2) == want
+            if copied.symbol is not None:
+                assert copied.symbol.root_descriptions() == outcome.symbol.root_descriptions()
