@@ -3,17 +3,21 @@
 Independently of the exact path, the elementary-divisor exponents can be
 recovered numerically: form M = V^-1 U, cluster its eigenvalues, and read
 the block-size partition of each cluster off the rank staircase of powers
-of M - alpha*I.  numpy is imported on the first call, so the exact path
-never loads it.  The oracle exists to cross-validate, so it refuses with
-``IllConditionedError`` instead of guessing whenever clustering or the
-staircase is ambiguous at the given tolerances.
+of M - alpha*I: one SVD call over the stack of every shifted matrix and
+its powers, with clustering and rank counts on Python numbers.  numpy is
+imported on the first call, so the exact path never loads it.  The oracle
+exists to cross-validate, so it refuses with ``IllConditionedError``
+instead of guessing whenever clustering or the staircase is ambiguous at
+the given tolerances, or double precision cannot hold the pencil.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, combinations
+
 from ._record import Record
-from .errors import IllConditionedError
-from .pencil import QuadricPencil, _cleared_int_pair
+from .errors import IllConditionedError, InternalConsistencyError
+from .pencil import QuadricPencil, _cleared_int_pair, _partition
 from .symbol import Group, SegreSymbol
 
 __all__ = ["Cluster", "NumericPartition", "numeric_exponent_partitions"]
@@ -57,13 +61,12 @@ def numeric_exponent_partitions(
     representatives closer than 10 * tol_cluster * scale are ambiguous and
     refused.  Ranks of (M - alpha*I)^k use singular values thresholded
     relative to the largest one; the number of blocks of size >= k is
-    r_{k-1} - r_k, and any staircase that fails to reach the cluster's
-    multiplicity is refused as well.  The threshold for the k-th power is
-    tol_rank * sigma_1(M - alpha*I)**k: the k-th power of a matrix with a
-    defective eigenvalue is numerically the zero matrix once k reaches the
-    block size, so the comparison scale has to come from the unpowered
-    matrix.  The first power's rank is read off the singular values that
-    give sigma_1.
+    r_{k-1} - r_k, and a staircase that fails to reach the cluster's
+    multiplicity or is not monotone is refused as well.  The threshold
+    for the k-th power is tol_rank * sigma_1(M - alpha*I)**k: the k-th
+    power of a matrix with a defective eigenvalue is numerically the zero
+    matrix once k reaches the block size, so the comparison scale has to
+    come from the unpowered matrix.
     """
     import numpy as np
 
@@ -76,67 +79,64 @@ def numeric_exponent_partitions(
         v = np.array([[c / mult for c in row] for row in iv])
     except OverflowError as exc:
         raise IllConditionedError(f"pencil entries exceed double precision: {exc}") from exc
-    m = np.linalg.solve(v, u)
+    try:
+        m = np.linalg.solve(v, u)
+        if not np.isfinite(m).all():
+            raise IllConditionedError("V^-1 U overflows double precision")
+        values = np.linalg.eigvals(m)
+        eigs = values.tolist()
+        scale = max(1.0, max(abs(z) for z in eigs))
+        link_radius = scale * tol_cluster ** (1.0 / 3.0)
 
-    eigs = sorted(np.linalg.eigvals(m), key=lambda z: (z.real, z.imag))
-    scale = max(1.0, max(abs(z) for z in eigs))
-    link_radius = scale * tol_cluster ** (1.0 / 3.0)
-
-    groups: list[list[complex]] = []
-    for z in eigs:
-        linked = [g for g in groups if any(abs(z - w) <= link_radius for w in g)]
-        if linked:
-            merged = linked[0]
-            merged.append(z)
+        groups: list[list[int]] = []  # indices into eigs, linked in (real, imag) order
+        for i in sorted(range(size), key=lambda j: (eigs[j].real, eigs[j].imag)):
+            linked = [g for g in groups if any(abs(eigs[i] - eigs[j]) <= link_radius for j in g)]
             for g in linked[1:]:
-                merged.extend(g)
                 groups.remove(g)
-        else:
-            groups.append([z])
+            if linked:
+                linked[0] += [i] + [j for g in linked[1:] for j in g]
+            else:
+                groups.append([i])
 
-    centers = [sum(g) / len(g) for g in groups]
-    for i in range(len(centers)):
-        for j in range(i + 1, len(centers)):
-            if abs(centers[i] - centers[j]) < 10 * tol_cluster * scale:
+        # numpy scalars: numpy's complex / int rounds unlike Python's
+        centers = [sum(values[i] for i in g) / len(g) for g in groups]
+        near = [c.item() for c in centers]
+        for i, j in combinations(range(len(near)), 2):
+            if abs(near[i] - near[j]) < 10 * tol_cluster * scale:
                 raise IllConditionedError(
                     f"eigenvalue clusters {centers[i]:.6g} and {centers[j]:.6g} "
                     f"are closer than 10x the clustering tolerance"
                 )
 
-    clusters: list[Cluster] = []
-    for g, center in zip(groups, centers):
-        mult = len(g)
-        shifted = m - center * np.eye(size)
-        sv = np.linalg.svd(shifted, compute_uv=False)
-        sigma1 = float(sv[0])
-        ranks = [size]
-        power = shifted
-        for k in range(1, mult + 1):
-            if k > 1:
-                power = power @ shifted
-                sv = np.linalg.svd(power, compute_uv=False)
-            ranks.append(int(np.count_nonzero(sv > tol_rank * sigma1**k)))
-        if ranks[-1] != size - mult:
-            raise IllConditionedError(
-                f"rank staircase of cluster {center:.6g} does not reach "
-                f"corank {mult}: ranks {ranks}"
-            )
-        blocks_ge = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
-        partition: list[int] = []
-        for k, count in enumerate(blocks_ge, start=1):
-            exactly = count - (blocks_ge[k] if k < len(blocks_ge) else 0)
-            if exactly < 0:
+        # one SVD call: every shifted matrix, then the powers 2..mult of each
+        shifted = m - np.array(centers)[:, None, None] * np.eye(size)
+        powers = []
+        for s, g in zip(shifted, groups):
+            powers += list(accumulate([s] * len(g), np.matmul))[1:]
+        stack = np.concatenate((shifted, powers)) if powers else shifted
+        sv = np.linalg.svd(stack, compute_uv=False).tolist()
+
+        clusters: list[Cluster] = []
+        at = len(groups)
+        for g, center, first in zip(groups, centers, sv):
+            mult = len(g)
+            ranks = [size]
+            for k, row in enumerate([first] + sv[at : at + mult - 1], start=1):
+                threshold = tol_rank * first[0] ** k  # first[0] = sigma_1
+                ranks.append(sum(s > threshold for s in row))
+            at += mult - 1
+            if ranks[-1] != size - mult:
+                raise IllConditionedError(
+                    f"rank staircase of cluster {center:.6g} does not reach "
+                    f"corank {mult}: ranks {ranks}"
+                )
+            try:  # the corank check makes the staircase sum to mult
+                partition = _partition(mult, [a - b for a, b in zip(ranks, ranks[1:])])
+            except InternalConsistencyError:
                 raise IllConditionedError(
                     f"non-monotone rank staircase for cluster {center:.6g}"
-                )
-            partition.extend([k] * exactly)
-        if sum(partition) != mult:
-            raise IllConditionedError(
-                f"partition {partition} of cluster {center:.6g} does not sum "
-                f"to its multiplicity {mult}"
-            )
-        clusters.append(Cluster(complex(center), tuple(sorted(partition, reverse=True))))
-
-    if sum(sum(c.partition) for c in clusters) != size:
-        raise IllConditionedError("cluster partitions do not cover the spectrum")
+                ) from None
+            clusters.append(Cluster(complex(center), partition))
+    except (np.linalg.LinAlgError, OverflowError) as exc:
+        raise IllConditionedError(f"double precision fails on V^-1 U: {exc}") from exc
     return NumericPartition(tuple(clusters))

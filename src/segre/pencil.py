@@ -254,9 +254,10 @@ class QuadricPencil:
 
     @property
     def det_v(self) -> Fraction:
-        """det V, computed once per pencil, by one Bareiss elimination of
-        the integer V.  Two threads may both compute it on a first read;
-        both store the same value."""
+        """det V, computed once per pencil: read off the determinant
+        expansion when the pencil has been analysed, else by one Bareiss
+        elimination of the integer V.  Two threads may both compute it on
+        a first read; both store the same value."""
         if self._det_v is None:
             d = Fraction(_bareiss(self._iv)[1], self._mult ** self.size)
             object.__setattr__(self, "_det_v", d)
@@ -476,8 +477,8 @@ def _partition(m: int, at_least: Sequence[int]) -> tuple[int, ...] | None:
     Exactly at_least[j - 1] - at_least[j] blocks have size j < J, and the
     at_least[J - 1] blocks of size J or more take the rest of m.  The rest
     fixes them when there is one such block, or when it leaves room for at
-    most one block above J.  A staircase that is not decreasing, that
-    overshoots m or that cannot reach it raises
+    most one block above J.  A staircase that is not decreasing, that ends
+    below zero, that overshoots m or that cannot reach it raises
     ``InternalConsistencyError``.
     """
     counts = list(at_least)
@@ -485,9 +486,8 @@ def _partition(m: int, at_least: Sequence[int]) -> tuple[int, ...] | None:
     sizes = [j for j in range(depth - 1, 0, -1) for _ in range(counts[j - 1] - counts[j])]
     rest = m - sum(sizes)
     last = counts[-1]
-    if counts[0] < 1 or any(a < b for a, b in zip(counts, counts[1:])) or rest < depth * last or (
-        rest and not last
-    ):
+    falls = all(a >= b for a, b in zip(counts, counts[1:] + [0]))
+    if counts[0] < 1 or not falls or rest < depth * last or (rest and not last):
         raise InternalConsistencyError(
             f"rank staircase {counts} does not fit a root of multiplicity {m}"
         )
@@ -668,13 +668,20 @@ def _selected_classes(p: QuadricPencil) -> tuple[list[int], int, list[RootClass]
     det(V - s*(U + t0*V)) = (-1)^size F(s, 1 - t0*s) with F(x, y) =
     det(x*U - y*V), f homogenised to degree size.  Raises
     ``NoSmoothMemberError`` when no member is nonsingular.
+
+    f leads with det(-iv) t^size, so det V = (-1)^size f[size] /
+    mult^size, or 0 when deg f < size.  It is stored as the pencil's det V,
+    which ``select_nonsingular_member`` and the numeric oracle then read
+    without an elimination of their own.
     """
     iu, iv, mult = _cleared_int_pair(p)
     size = p.size
+    sign, den = (-1) ** size, mult ** size
     f = _det_coeffs(iu, iv)
+    if p._det_v is None:
+        object.__setattr__(p, "_det_v", Fraction(sign * f[size] if len(f) > size else 0, den))
     if len(f) <= size:  # det V = 0
         t0 = _sweep_value(f, size)
-        sign = (-1) ** size
         g = [0] * (size + 1)
         power = [sign]  # (-1)^size (1 - t0*s)^i
         for i, c in enumerate(f):
@@ -683,7 +690,7 @@ def _selected_classes(p: QuadricPencil) -> tuple[list[int], int, list[RootClass]
             power = _int_mul(power, [1, -t0])
         f = _int_trim(g)
         iu, iv = iv, [[a + t0 * b for a, b in zip(ru, rv)] for ru, rv in zip(iu, iv)]
-    return f, mult ** size, _root_classes(iu, iv, f)
+    return f, den, _root_classes(iu, iv, f)
 
 
 def select_nonsingular_member(p: QuadricPencil) -> QuadricPencil:

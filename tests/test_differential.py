@@ -1,6 +1,6 @@
 """Differential tests: the exact path against sympy and against the minor
-gcds of ``brute_invariant_factors``, on pencils built outside the normal
-forms the other suites use.
+gcds of ``brute_invariant_factors``, and the floating-point oracle against
+sympy, on pencils built outside the normal forms the other suites use.
 
 The sympy oracle works on M = V'^-1 U' of the selected member over QQ.  For
 each irreducible factor h of its characteristic polynomial (sympy's
@@ -15,6 +15,8 @@ from fractions import Fraction
 import pytest
 
 import segre.pencil
+from segre.errors import IllConditionedError
+from segre.numeric import numeric_exponent_partitions
 from segre.pencil import (
     QuadricPencil,
     _bareiss,
@@ -219,3 +221,16 @@ def test_sympy_oracle_singular_v(name):
     assert invariant_factors(selected).factors == oracle_factors(classes, q.size)
     if q.size <= 5:
         assert invariant_factors(q).factors == brute_invariant_factors(q)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_sympy_oracle_numeric_leg(name):
+    """The floating-point oracle on the selected member either refuses or
+    gives sympy's exponent structure."""
+    p = case(name)
+    expected = oracle_structure(sympy_partitions(p))
+    try:
+        numeric = numeric_exponent_partitions(select_nonsingular_member(p))
+    except IllConditionedError:
+        return
+    assert numeric.exponent_structure() == expected

@@ -5,14 +5,30 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
 
-from segre.errors import IllConditionedError
-from segre.numeric import numeric_exponent_partitions
+from segre.errors import IllConditionedError, InternalConsistencyError
+from segre.numeric import (
+    DEFAULT_CLUSTER_TOL,
+    DEFAULT_RANK_TOL,
+    Cluster,
+    NumericPartition,
+    numeric_exponent_partitions,
+)
 from segre.catalog import CATALOG_ORDER
-from segre.pencil import QuadricPencil, as_matrix, diagonal, identity, select_nonsingular_member
+from segre.pencil import (
+    MAX_SIZE,
+    QuadricPencil,
+    _cleared_int_pair,
+    _partition,
+    as_matrix,
+    diagonal,
+    identity,
+    select_nonsingular_member,
+)
 from segre.symbol import build_normal_form, compute_symbol, random_instance
 
 
@@ -67,6 +83,29 @@ class TestRefusal:
         with pytest.raises(IllConditionedError):
             numeric_exponent_partitions(p, tol_cluster=1e-14, tol_rank=1e-14)
 
+    def test_v_singular_in_double_precision_refused(self):
+        # det V = 10^-400 exactly, but V's last entry rounds to 0.0
+        p = QuadricPencil(diagonal([1, 2, 3, 4, 5]), diagonal([1, 1, 1, 1, Fraction(1, 10**400)]))
+        assert p.det_v != 0
+        with pytest.raises(IllConditionedError, match="Singular matrix"):
+            numeric_exponent_partitions(p)
+
+    def test_overflowing_v_inverse_u_refused(self):
+        # every entry is a double, but 10^300 / 10^-10 is not
+        p = QuadricPencil(diagonal([10**300, 2, 3, 4, 5]), diagonal([Fraction(1, 10**10), 1, 1, 1, 1]))
+        with pytest.raises(IllConditionedError, match="overflows double precision"):
+            numeric_exponent_partitions(p)
+
+    def test_overflowing_rank_threshold_refused(self):
+        # a 2-block at 0 whose M - 0*I has sigma_1 = 10^200: its square is
+        # the zero matrix, but the threshold's sigma_1^2 overflows a float
+        e = Fraction(1, 10**200)
+        v = [[0, e, 0, 0, 0], [e, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]
+        p = QuadricPencil(diagonal([0, 1, 1, 2, 3]), v)
+        assert compute_symbol(p).exponent_structure() == ((2,), (1,), (1,), (1,))
+        with pytest.raises(IllConditionedError, match="double precision fails"):
+            numeric_exponent_partitions(p)
+
 
 class TestAgreement:
     @pytest.mark.parametrize("symbol", ["[11111]", "[2111]", "[(11)(11)1]", "[5]", "[(41)]"])
@@ -111,6 +150,11 @@ def _symmetric_pencil(seed: int) -> QuadricPencil:
     return select_nonsingular_member(QuadricPencil(*mats))
 
 
+def _oracle_pencils() -> list[QuadricPencil]:
+    pencils = [random_instance(s, seed) for s in WEIGHT_FIVE_SYMBOLS for seed in range(3)]
+    return pencils + [_symmetric_pencil(seed) for seed in range(50)]
+
+
 def _oracle_text(p: QuadricPencil) -> str:
     """The oracle's partitions, or its refusal with the cluster centres left
     out: the last bits of an eigenvalue depend on the LAPACK build, the
@@ -123,9 +167,145 @@ def _oracle_text(p: QuadricPencil) -> str:
 
 
 def test_oracle_digest_is_pinned():
-    pencils = [random_instance(s, seed) for s in WEIGHT_FIVE_SYMBOLS for seed in range(3)]
-    pencils += [_symmetric_pencil(seed) for seed in range(50)]
-    texts = [_oracle_text(p) for p in pencils]
+    texts = [_oracle_text(p) for p in _oracle_pencils()]
     digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
     refused = sum(t.startswith("refused") for t in texts)
     assert (len(texts), refused, digest) == (131, 3, ORACLE_SHA256)
+
+
+def _reference_oracle(p, tol_cluster=DEFAULT_CLUSTER_TOL, tol_rank=DEFAULT_RANK_TOL):
+    """The oracle as a loop over clusters, with one SVD per cluster and
+    power and its own staircase-to-partition loop, kept to check the
+    stacked version against."""
+    import numpy as np
+
+    if p.det_v == 0:
+        raise ValueError("numeric oracle needs det V != 0; select a member first")
+    size = p.size
+    iu, iv, mult = _cleared_int_pair(p)
+    try:
+        u = np.array([[c / mult for c in row] for row in iu])
+        v = np.array([[c / mult for c in row] for row in iv])
+    except OverflowError as exc:
+        raise IllConditionedError(f"pencil entries exceed double precision: {exc}") from exc
+    m = np.linalg.solve(v, u)
+
+    eigs = sorted(np.linalg.eigvals(m), key=lambda z: (z.real, z.imag))
+    scale = max(1.0, max(abs(z) for z in eigs))
+    link_radius = scale * tol_cluster ** (1.0 / 3.0)
+
+    groups = []
+    for z in eigs:
+        linked = [g for g in groups if any(abs(z - w) <= link_radius for w in g)]
+        if linked:
+            merged = linked[0]
+            merged.append(z)
+            for g in linked[1:]:
+                merged.extend(g)
+                groups.remove(g)
+        else:
+            groups.append([z])
+
+    centers = [sum(g) / len(g) for g in groups]
+    for i in range(len(centers)):
+        for j in range(i + 1, len(centers)):
+            if abs(centers[i] - centers[j]) < 10 * tol_cluster * scale:
+                raise IllConditionedError(
+                    f"eigenvalue clusters {centers[i]:.6g} and {centers[j]:.6g} "
+                    f"are closer than 10x the clustering tolerance"
+                )
+
+    clusters = []
+    for g, center in zip(groups, centers):
+        mult = len(g)
+        shifted = m - center * np.eye(size)
+        sv = np.linalg.svd(shifted, compute_uv=False)
+        sigma1 = float(sv[0])
+        ranks = [size]
+        power = shifted
+        for k in range(1, mult + 1):
+            if k > 1:
+                power = power @ shifted
+                sv = np.linalg.svd(power, compute_uv=False)
+            ranks.append(int(np.count_nonzero(sv > tol_rank * sigma1**k)))
+        if ranks[-1] != size - mult:
+            raise IllConditionedError(
+                f"rank staircase of cluster {center:.6g} does not reach "
+                f"corank {mult}: ranks {ranks}"
+            )
+        partition = _reference_partition(mult, [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))])
+        if partition is None:
+            raise IllConditionedError(f"non-monotone rank staircase for cluster {center:.6g}")
+        clusters.append(Cluster(complex(center), partition))
+    return NumericPartition(tuple(clusters))
+
+
+def _reference_partition(mult: int, blocks_ge: list[int]) -> tuple[int, ...] | None:
+    """The partition with blocks_ge[k - 1] blocks of size k or more, by the
+    oracle's old loop, or None for a staircase it refused as non-monotone."""
+    partition = []
+    for k, count in enumerate(blocks_ge, start=1):
+        exactly = count - (blocks_ge[k] if k < len(blocks_ge) else 0)
+        if exactly < 0:
+            return None
+        partition.extend([k] * exactly)
+    # the loop's other refusal: after the corank check it cannot fire
+    assert sum(partition) == mult
+    return tuple(sorted(partition, reverse=True))
+
+
+def _outcome(oracle, p: QuadricPencil, tol: dict):
+    """Each cluster's eigenvalue, to the bit, and partition; or the refusal."""
+    try:
+        result = oracle(p, **tol)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(repr(c.eigenvalue), c.partition) for c in result.clusters]
+
+
+@pytest.mark.parametrize("tol", [
+    {},
+    {"tol_cluster": 1e-14, "tol_rank": 1e-14},
+    {"tol_cluster": 1e-3},
+], ids=["default", "tight", "loose"])
+def test_stacked_svd_matches_the_reference_loop(tol):
+    pencils = _oracle_pencils()
+    got = [_outcome(numeric_exponent_partitions, p, tol) for p in pencils]
+    assert got == [_outcome(_reference_oracle, p, tol) for p in pencils]
+    # refusals are compared too: 3, 5 and 15 of the 131 with numpy 2.4's LAPACK
+    assert any(isinstance(g, tuple) for g in got)
+
+
+def test_one_lapack_call_of_each_kind(monkeypatch):
+    import numpy as np
+
+    calls = []
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("solve", "eigvals", "svd"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    for symbol in ("[11111]", "[(41)]", "[(11)(11)1]"):  # powers up to the fifth, two blocks
+        calls.clear()
+        numeric_exponent_partitions(random_instance(symbol, 1))
+        assert sorted(calls) == ["eigvals", "solve", "svd"]
+
+
+@pytest.mark.parametrize("mult", range(1, MAX_SIZE + 1))
+def test_partition_matches_the_reference_loop(mult):
+    """Every rank staircase that passes the corank check for a cluster of
+    multiplicity ``mult`` in a MAX_SIZE pencil: r_0 = MAX_SIZE, r_mult =
+    MAX_SIZE - mult, and each r_k between them anything in 0..MAX_SIZE.  A
+    smaller pencil's staircases are among these."""
+    for inner in product(range(MAX_SIZE + 1), repeat=mult - 1):
+        ranks = (MAX_SIZE, *inner, MAX_SIZE - mult)
+        blocks_ge = [a - b for a, b in zip(ranks, ranks[1:])]
+        try:
+            got = _partition(mult, blocks_ge)
+        except InternalConsistencyError:
+            got = None
+        assert got == _reference_partition(mult, blocks_ge), ranks

@@ -495,6 +495,28 @@ class TestAnalyzeWork:
         assert hash(p) == hash(random_instance("[(21)2]", 1))
         assert "det_v" not in repr(p)
 
+    @pytest.mark.parametrize("pencil", [
+        random_instance("[(21)2]", 0),  # det V != 0
+        congruent(random_instance("[113]", 1), diagonal([Fraction(1, 3), 1, Fraction(2, 5), 1, 7])),
+        QuadricPencil(diagonal([1, 2, 3, 4, 5]), diagonal([1, 1, 1, 1, 0])),  # det V = 0
+        QuadricPencil(diagonal([1, Fraction(1, 2), 3, 4, 5]), diagonal([Fraction(1, 2), 1, 0, 1, Fraction(2, 3)])),
+        *_degenerate_pairs().values(),
+    ])
+    def test_analysis_stores_det_v(self, monkeypatch, pencil):
+        # det V is read off the expanded determinant, so neither det V nor
+        # the generic benchmark op's member selection and oracle run a
+        # Bareiss elimination after the analysis
+        from segre.numeric import numeric_exponent_partitions
+
+        iu, iv, mult = _cleared_int_pair(pencil)
+        want = Fraction(_bareiss(iv)[1], mult ** pencil.size)
+        analyze_pencil(pencil)
+        calls = counting(monkeypatch, segre.pencil, "_bareiss")
+        assert pencil.det_v == want
+        if want:
+            numeric_exponent_partitions(select_nonsingular_member(pencil))
+        assert calls == []
+
     @pytest.mark.parametrize("u, t", [
         # det(U + tV) = t (t - 1) (t + 2) (t + 3), and so on: det V = 0 and the
         # sweep 0, 1, -1, 2, -2 stops at t
