@@ -13,6 +13,7 @@ from .catalog import (
     transitions,
 )
 from .covers import BaseKind, CoverReport, covers_of
+from .errors import SizeLimitError
 from .symbol import Group, SegreSymbol, canonicalize
 
 __all__ = ["SurfaceReport", "classify_symbol"]
@@ -64,7 +65,7 @@ def classify_symbol(s: SegreSymbol | str) -> SurfaceReport:
     """
     sym = canonicalize(s)
     if sym.weight != 5:
-        raise ValueError(f"classification needs a weight-5 symbol, got {sym.render()}")
+        raise SizeLimitError(f"classification needs a weight-5 symbol, got {sym.render()}")
     return _structure_report(sym.exponent_structure()).replace(symbol=sym)
 
 

@@ -111,8 +111,9 @@ def numeric_exponent_partitions(
         # one SVD call: every shifted matrix, then the powers 2..mult of each
         shifted = m - np.array(centers)[:, None, None] * np.eye(size)
         powers = []
-        for s, g in zip(shifted, groups):
-            powers += list(accumulate([s] * len(g), np.matmul))[1:]
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail the SVD
+            for s, g in zip(shifted, groups):
+                powers += list(accumulate([s] * len(g), np.matmul))[1:]
         stack = np.concatenate((shifted, powers)) if powers else shifted
         sv = np.linalg.svd(stack, compute_uv=False).tolist()
 

@@ -9,14 +9,14 @@ Everything runs on the denominator-cleared integer pair.  The determinant
 comes from a division-free Laplace expansion, memoised over column
 subsets, on the linear entries u - t*v (``_poly_minor``); for a full
 analysis it is expanded once, and det V, the member sweep and the
-selected pencil's determinant are all read off it.  The invariant
-factors come from root classes (``_root_classes``): the Yun parts of the
-determinant, each with the partition of its elementary-divisor exponents,
-read off one or two exact ranks at each repeated root.  For a 5 x 5
-pencil that is all; a repeated part of degree three or more, or a
-partition the two ranks leave open, which needs size six or more, falls
-back to gcds of minors.  Only the finished invariant factors become monic
-``Polynomial`` values, which makes the integer scaling invisible.
+selected pencil's determinant are all read off it.  No smaller minor is
+ever expanded.  The invariant factors come from root classes
+(``_root_classes``): the Yun parts of the determinant, each with the
+partition of its elementary-divisor exponents, read off one rank
+staircase per repeated part (``_part_classes``), at every size.  For a
+5 x 5 pencil one or two exact ranks at each repeated root are all it
+takes.  Only the finished invariant factors become monic ``Polynomial``
+values, which makes the integer scaling invisible.
 
 A pencil holds its cleared pair from construction on, with the least common
 denominator, and builds its rational matrices only when they are read.
@@ -32,7 +32,6 @@ import functools
 import math
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from itertools import combinations
 
 from ._record import Record
 from .errors import (
@@ -44,11 +43,6 @@ from .errors import (
 from .polynomial import (
     Polynomial,
     Rational,
-    _int_coprime_basis,
-    _int_derivative,
-    _int_divide,
-    _int_exact_div,
-    _int_gcd,
     _int_mul,
     _int_primitive,
     _int_squarefree_decomposition,
@@ -333,7 +327,7 @@ def change_basis(
 
 
 # ---------------------------------------------------------------------------
-# polynomial minors by division-free Laplace expansion
+# the determinant by division-free Laplace expansion
 # ---------------------------------------------------------------------------
 
 def _cleared_int_pair(p: QuadricPencil) -> tuple[IntMatrix, IntMatrix, int]:
@@ -355,13 +349,8 @@ def _laplace_table(k: int) -> tuple[tuple[int, int, tuple[tuple[int, int, int], 
     return tuple(table)
 
 
-def _poly_minor(
-    iu: IntRows,
-    iv: IntRows,
-    rows: Sequence[int],
-    cols: Sequence[int],
-) -> list[int]:
-    """Integer coefficients of det(U - t*V) restricted to rows x cols.
+def _poly_minor(iu: IntRows, iv: IntRows) -> list[int]:
+    """Integer coefficients of det(U - t*V), for square integer U and V.
 
     Laplace expansion along the rows in order, memoised over column
     subsets: the minor on the first j rows and the j columns of a mask is
@@ -370,14 +359,12 @@ def _poly_minor(
     entries are skipped.  Only integer products and sums: no evaluation
     points and no division, over 2^k column subsets, k <= MAX_SIZE.
     """
-    k = len(rows)
-    ru = [[iu[r][c] for c in cols] for r in rows]
-    rv = [[iv[r][c] for c in cols] for r in rows]
-    minors = [[1]] * (1 << k)
-    for mask, r, terms in _laplace_table(k):
+    minors = [[1]] * (1 << len(iu))
+    for mask, r, terms in _laplace_table(len(iu)):
+        ru, rv = iu[r], iv[r]
         acc = [0] * (r + 2)
         for c, sign, sub in terms:
-            a, b = ru[r][c], rv[r][c]
+            a, b = ru[c], rv[c]
             if a or b:
                 a, b = sign * a, sign * b
                 for i, x in enumerate(minors[sub]):
@@ -391,11 +378,6 @@ def _poly_minor(
 # operations
 # ---------------------------------------------------------------------------
 
-def _det_coeffs(iu: IntRows, iv: IntRows) -> list[int]:
-    idx = list(range(len(iu)))
-    return _poly_minor(iu, iv, idx, idx)
-
-
 def det_poly(p: QuadricPencil) -> Polynomial:
     """The determinant |U - lambda*V|, exact and unnormalized.
 
@@ -405,7 +387,7 @@ def det_poly(p: QuadricPencil) -> Polynomial:
     """
     iu, iv, mult = _cleared_int_pair(p)
     den = mult ** p.size
-    return Polynomial([Fraction(c, den) for c in _det_coeffs(iu, iv)])
+    return Polynomial([Fraction(c, den) for c in _poly_minor(iu, iv)])
 
 
 class InvariantFactors(Record):
@@ -500,113 +482,105 @@ def _partition(m: int, at_least: Sequence[int]) -> tuple[int, ...] | None:
     return tuple(big + sizes)
 
 
-def _minor_gcd(iu: IntRows, iv: IntRows, k: int, start: list[int]) -> list[int]:
-    """Primitive gcd of ``start`` and the k x k minors of U - t*V.
-
-    U and V are symmetric, so minor(rows, cols) = minor(cols, rows) and
-    only pairs with cols at or after rows are evaluated.  The sweep stops
-    once the gcd is constant.
-    """
-    subsets = list(combinations(range(len(iu)), k))
-    g = start
-    for i, rows in enumerate(subsets):
-        for cols in subsets[i:]:
-            if len(g) == 1:
-                return g
-            g = _int_gcd(g, _poly_minor(iu, iv, rows, cols))
-    return g
-
-
-def _valuation(base: list[int], target: list[int]) -> int:
-    """Largest v with base**v dividing target; base primitive, nonconstant."""
-    v = 0
-    while (q := _int_divide(target, base)) is not None:
-        v += 1
-        target = q
-    return v
-
-
-def _minor_classes(iu: IntRows, iv: IntRows, f: list[int]) -> list[RootClass]:
-    """``_root_classes`` by gcds of minors, for what ranks leave open.
-
-    D_k, the gcd of the k x k minors, divides gcd(D_{k+1}, D_{k+1}') (a
-    root of D_k is a root of d_k | d_{k+1}, so it has a larger
-    multiplicity in D_{k+1}); the sweep starts there.  The invariant
-    factors d_k = D_k / D_{k-1} are refined into a coprime basis of their
-    squarefree pieces; the exponents of a basis element in the d_k, found
-    by exact division, are the partition of each of its roots.
-    """
-    upper = _int_primitive(f)  # D_{k+1}
-    chain: list[list[int]] = []
-    for k in range(len(iu) - 1, 0, -1):
-        lower = _minor_gcd(iu, iv, k, _int_gcd(upper, _int_derivative(upper)))
-        chain.append(_int_exact_div(upper, lower))
-        upper = lower
-    chain.append(upper)
-    pieces = [h for d in chain for _, h in _int_squarefree_decomposition(d)]
-    return [
-        (b, tuple(v for d in chain if (v := _valuation(b, d)) > 0))
-        for b in _int_coprime_basis(pieces)
-    ]
-
-
 def _root_classes(iu: IntRows, iv: IntRows, f: list[int]) -> list[RootClass]:
     """The roots of f = det(U - t*V) (nonzero, up to a constant) as classes
     (primitive integer factor, partition): every root of the factor has
-    elementary divisors of U - t*V with those exponents, descending.
+    elementary divisors of U - t*V with those exponents, descending.  Each
+    Yun part of f gives its classes by ``_part_classes``."""
+    return [c for m, h in _int_squarefree_decomposition(f) for c in _part_classes(iu, iv, m, h)]
 
-    The Yun parts of f give the classes.  Its simple roots form one class
-    with partition (1,).  At a rational root p/q of multiplicity m, with
-    A = q*U - p*V, there are nu = size - rank(A) blocks, and those of size
-    two or more number nu - rank(K^T V K), K an integer kernel basis of A:
-    a kernel vector x starts a chain of length two or more when V*x lies
-    in the image of A, which for symmetric A is orthogonal to its kernel.
-    An irreducible quadratic part c0 + c1*t + c2*t^2 has conjugate roots
-    of one structure; with X = 2*c2*U + c1*V and D its discriminant,
-    (X - sqrt(D)*V) is 2*c2*(U - alpha*V) at a root alpha, and its nullity
-    is half that of the rational matrix [[X, -D*V], [-V, X]].  The Yun
-    parts of a 5 x 5 pencil are only of these kinds, and for them nu and
-    that count fix the partition; anything else, a part of degree three or
-    more and multiplicity two or more, or a partition left open, goes to
-    the minor chain (``_minor_classes``), which needs size six or more.
+
+def _part_classes(iu: IntRows, iv: IntRows, m: int, h: list[int]) -> list[RootClass]:
+    """The root classes of h, a primitive squarefree factor of the
+    determinant whose roots have multiplicity m, by a rank staircase
+    (after Van Dooren 1979).
+
+    Simple roots have partition (1,), and a quadratic h with rational
+    roots is split into its two linear factors.  Otherwise, with d the
+    degree of h, c its leading coefficient and C its companion matrix,
+    A = c*(U x I_d) - V x (c*C) is the direct sum of c*(U - r*V) over the
+    roots r of h, and T_j, the j x j block matrix with A on the diagonal
+    and V x I_d below it (the scale of that block changes no rank), has
+    nullity N_j = sum over the roots of sum_i min(lambda_i, j).  When the
+    roots share one partition, N_j - N_(j-1) is d times the number of
+    blocks of size j or more; T_j is taken for j = 1, 2, ... until
+    ``_partition`` closes the partition.  For a linear h = c1*t + c0,
+    A = c1*U + c0*V, and the Gram matrix K^T V K of an integer kernel
+    basis K of A stands in for T_2: a kernel vector x starts a chain of
+    length two or more when V*x lies in the image of A, which for
+    symmetric A is orthogonal to its kernel.  Up to size 5 every part
+    closes within one step, or two for a linear part.
+
+    A step not divisible by d means the roots of h carry different
+    partitions, and h is split on demand (dynamic evaluation, Della
+    Dora-Dicrescenzo-Duval 1985): ker T_j is invariant under I x (c*C),
+    the characteristic polynomial of I x C on it is the product of
+    (t - r)^(N_j(r)) over the roots r, and its Yun parts, each a factor of
+    h, go back through this routine.  Up to a constant that polynomial is
+    det(K^T (I x c*C) K - t*c*K^T K), K an integer kernel basis of T_j.
+    An irreducible h never splits: its roots are conjugate.  Up to
+    ``MAX_SIZE`` = 7 the only part that can mix partitions is a reducible
+    cubic of multiplicity 2, and its first step always shows it: (2) has
+    one block and (11) two, so three roots that mix them have 4 or 5
+    blocks, not a multiple of 3.
     """
-    size = len(iu)
-    classes: list[RootClass] = []
-    for m, h in _int_squarefree_decomposition(f):
-        if m == 1:
-            classes.append((h, (1,)))
-            continue
-        if len(h) == 3:
-            c0, c1, c2 = h
-            disc = c1 * c1 - 4 * c2 * c0  # nonzero: the part is squarefree
-            s = math.isqrt(disc) if disc > 0 else 0
-            if s * s != disc:  # conjugate roots
-                x = [[2 * c2 * a + c1 * b for a, b in zip(ru, rv)] for ru, rv in zip(iu, iv)]
-                big = [rx + [-disc * b for b in rv] for rx, rv in zip(x, iv)]
-                big += [[-b for b in rv] + rx for rx, rv in zip(x, iv)]
-                lam = _partition(m, [size - _bareiss(big)[0] // 2])
-                if lam is None:
-                    return _minor_classes(iu, iv, f)
-                classes.append((h, lam))
-                continue
-            lins = [_int_primitive([c1 - s, 2 * c2]), _int_primitive([c1 + s, 2 * c2])]
-        elif len(h) == 2:
-            lins = [h]
+    if m == 1:
+        return [(h, (1,))]
+    d = len(h) - 1
+    if d == 2:
+        c0, c1, c2 = h
+        disc = c1 * c1 - 4 * c2 * c0  # nonzero: the part is squarefree
+        s = math.isqrt(disc) if disc > 0 else 0
+        if s * s == disc:  # rational roots
+            lins = (_int_primitive([c1 - s, 2 * c2]), _int_primitive([c1 + s, 2 * c2]))
+            return [c for lin in lins for c in _part_classes(iu, iv, m, lin)]
+    c = h[-1]
+    if d == 1:  # c*U + h[0]*V: the form below, built directly on the hot path
+        a = [[c * x + h[0] * y for x, y in zip(ru, rv)] for ru, rv in zip(iu, iv)]
+    else:
+        cc = [[c * (k == l + 1) - h[k] * (l == d - 1) for l in range(d)] for k in range(d)]
+        a = [
+            [c * x * (k == l) - y * cc[k][l] for x, y in zip(ru, rv) for l in range(d)]
+            for ru, rv in zip(iu, iv) for k in range(d)
+        ]
+    counts: list[int] = []
+    nullity = 0  # of T_(j-1)
+    while True:
+        j = len(counts) + 1
+        if d == 1 and j == 2:
+            k = _kernel(a)
+            vk = [[sum(x * y for x, y in zip(rv, kb)) for rv in iv] for kb in k]
+            gram = [[sum(x * y for x, y in zip(ka, vb)) for vb in vk] for ka in k]
+            step = counts[0] - _bareiss(gram)[0]
         else:
-            return _minor_classes(iu, iv, f)
-        for lin in lins:
-            a = [[lin[1] * x + lin[0] * y for x, y in zip(ru, rv)] for ru, rv in zip(iu, iv)]
-            nu = size - _bareiss(a)[0]
-            lam = _partition(m, [nu])
-            if lam is None:
-                k = _kernel(a)
-                vk = [[sum(x * y for x, y in zip(rv, kb)) for rv in iv] for kb in k]
-                gram = [[sum(x * y for x, y in zip(ka, vb)) for vb in vk] for ka in k]
-                lam = _partition(m, [nu, nu - _bareiss(gram)[0]])
-                if lam is None:
-                    return _minor_classes(iu, iv, f)
-            classes.append((lin, lam))
-    return classes
+            t = a if j == 1 else _staircase_matrix(a, iv, d, j)
+            step = len(t) - _bareiss(t)[0] - nullity
+        if step % d:
+            ker = _kernel(t)
+            ck = [  # (I x c*C) v, for each kernel vector v
+                [sum(x * y for x, y in zip(row, v[at : at + d])) for at in range(0, len(v), d)
+                 for row in cc]
+                for v in ker
+            ]
+            w = [[sum(x * y for x, y in zip(ka, cb)) for cb in ck] for ka in ker]
+            g = [[c * sum(x * y for x, y in zip(ka, kb)) for kb in ker] for ka in ker]
+            pieces = _int_squarefree_decomposition(_poly_minor(w, g))
+            return [cls for _, piece in pieces for cls in _part_classes(iu, iv, m, piece)]
+        nullity += step
+        counts.append(step // d)
+        lam = _partition(m, counts)
+        if lam is not None:
+            return [(h, lam)]
+
+
+def _staircase_matrix(a: list[list[int]], iv: IntRows, d: int, j: int) -> list[list[int]]:
+    """T_j: j x j blocks, A on the diagonal and V x I_d just below it."""
+    w = len(a)
+    b = [[y * (k == l) for y in rv for l in range(d)] for rv in iv for k in range(d)]
+    return [
+        ([0] * (w * (r - 1)) + b[i] if r else []) + a[i] + [0] * (w * (j - 1 - r))
+        for r in range(j) for i in range(w)
+    ]
 
 
 def _chain(classes: list[RootClass], size: int) -> list[list[int]]:
@@ -631,7 +605,7 @@ def invariant_factors(p: QuadricPencil) -> InvariantFactors:
     identically; callers route that case to degeneracy classification.
     """
     iu, iv, _ = _cleared_int_pair(p)
-    full = _det_coeffs(iu, iv)
+    full = _poly_minor(iu, iv)
     if not full:
         raise DegeneratePencilError("determinant of the pencil vanishes identically")
     chain = _chain(_root_classes(iu, iv, full), p.size)
@@ -677,7 +651,7 @@ def _selected_classes(p: QuadricPencil) -> tuple[list[int], int, list[RootClass]
     iu, iv, mult = _cleared_int_pair(p)
     size = p.size
     sign, den = (-1) ** size, mult ** size
-    f = _det_coeffs(iu, iv)
+    f = _poly_minor(iu, iv)
     if p._det_v is None:
         object.__setattr__(p, "_det_v", Fraction(sign * f[size] if len(f) > size else 0, den))
     if len(f) <= size:  # det V = 0
@@ -705,7 +679,7 @@ def select_nonsingular_member(p: QuadricPencil) -> QuadricPencil:
     if p.det_v != 0:
         return p
     iu, iv, mult = _cleared_int_pair(p)
-    t = _sweep_value(_det_coeffs(iu, iv), p.size)
+    t = _sweep_value(_poly_minor(iu, iv), p.size)
     return _reduced(iv, [[a + t * b for a, b in zip(ru, rv)] for ru, rv in zip(iu, iv)], mult)
 
 

@@ -16,8 +16,9 @@ from segre.catalog import (
     transitions,
 )
 from segre.classify import _structure_report, classify_symbol
-from segre.errors import InternalConsistencyError
-from segre.symbol import ExplicitRoot, Group, SegreSymbol, canonicalize
+from segre.errors import InternalConsistencyError, SizeLimitError
+from segre.reporting import analyze_pencil
+from segre.symbol import ExplicitRoot, Group, SegreSymbol, canonicalize, random_instance
 
 
 def sings(text):
@@ -161,6 +162,14 @@ class TestClassify:
     def test_rejects_wrong_weight(self):
         with pytest.raises(ValueError):
             classify_symbol("[1111]")
+
+    @pytest.mark.parametrize("size", [4, 6])
+    def test_analyze_refuses_a_pencil_not_five_by_five(self, size):
+        # a SegreError, still a ValueError, with classify_symbol's message
+        p = random_instance("[" + "1" * size + "]", 0)
+        with pytest.raises(SizeLimitError, match="^classification needs a weight-5 symbol, got "):
+            analyze_pencil(p)
+        assert issubclass(SizeLimitError, ValueError)
 
     def test_discrepancy_note_present(self):
         r = classify_symbol("[2111]")

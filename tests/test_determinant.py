@@ -1,6 +1,6 @@
-"""The determinant polynomial det(U - t*V) on rows x cols against three
-oracles: cofactor expansion over ``Polynomial``, sympy's ``Matrix.det``,
-and the six-point Bareiss evaluation with Newton interpolation that the
+"""The determinant polynomial det(U - t*V) against three oracles:
+cofactor expansion over ``Polynomial``, sympy's ``Matrix.det``, and the
+six-point Bareiss evaluation with Newton interpolation that the
 division-free expansion replaced.
 """
 
@@ -15,7 +15,6 @@ from segre.pencil import (
     QuadricPencil,
     _bareiss,
     _cleared_int_pair,
-    _det_coeffs,
     _laplace_table,
     _poly_minor,
     det_poly,
@@ -99,7 +98,7 @@ def square_cases(size, digits):
 def check_square(oracle, size, digits):
     idx = list(range(size))
     for name, iu, iv in square_cases(size, digits):
-        got = _poly_minor(iu, iv, idx, idx)
+        got = _poly_minor(iu, iv)
         assert got == oracle(iu, iv, idx, idx), name
         assert len(got) <= size + 1 and (not got or got[-1] != 0), name
         if name in ("zero pencil", "zero row"):
@@ -144,8 +143,10 @@ def subsets(size, k, rng, count):
 
 @pytest.mark.parametrize("digits", DIGITS)
 def test_non_contiguous_minors_sympy(digits):
-    """rows != cols, both non-contiguous, on symmetric pencils, as the
-    minor chain of a pencil of size six or more passes them."""
+    """Square submatrices rows x cols of symmetric pencils, rows != cols
+    and both non-contiguous: the expansion takes any square integer pair,
+    symmetric or not, as the kernel restrictions of ``_part_classes``
+    are."""
     rng = random.Random(digits)
     bound = 10**digits
     size = 7
@@ -159,7 +160,7 @@ def test_non_contiguous_minors_sympy(digits):
     iu, iv = pair
     for k in range(1, 6):
         for rows, cols in zip(subsets(size, k, rng, 3), reversed(subsets(size, k, rng, 3))):
-            got = _poly_minor(iu, iv, rows, cols)
+            got = _poly_minor(*([[m[r][c] for c in cols] for r in rows] for m in (iu, iv)))
             assert got == interpolated_minor(iu, iv, rows, cols), (rows, cols)
             assert got == cofactor_minor(iu, iv, rows, cols), (rows, cols)
             if digits < 1000 or k <= 3:
@@ -177,7 +178,7 @@ def test_determinant_makes_no_bareiss_call(monkeypatch):
     monkeypatch.setattr(segre.pencil, "_bareiss", counted)
     p = random_instance("[(21)2]", 0)
     iu, iv, _ = _cleared_int_pair(p)
-    assert len(_det_coeffs(iu, iv)) == p.size + 1
+    assert len(_poly_minor(iu, iv)) == p.size + 1
     det_poly(p)
     assert calls == []
 

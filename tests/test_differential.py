@@ -11,18 +11,24 @@ powers h(M)^j give the partition, with (M - alpha)^j as the linear case.
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 import segre.pencil
+from segre.acceptance import _degenerate_pairs
 from segre.errors import IllConditionedError
 from segre.numeric import numeric_exponent_partitions
 from segre.pencil import (
+    MAX_SIZE,
     QuadricPencil,
     _bareiss,
+    _partition,
     as_matrix,
     change_basis,
     congruent,
+    degeneracy_report,
+    diagonal,
     invariant_factors,
     rational_det,
     select_nonsingular_member,
@@ -54,7 +60,7 @@ def sympy_partitions(p: QuadricPencil) -> list[tuple[Polynomial, list[int]]]:
         h = h.monic()
         hm = eye * qq(0)
         for c in h.all_coeffs():  # Horner
-            hm = hm * m + eye * c
+            hm = hm * m + eye * qq.from_sympy(c)
         power, nullity = eye, [0]
         while nullity[-1] < h.degree() * mult:
             power = power * hm
@@ -171,10 +177,29 @@ CASES = {
         f"{sym} at {', '.join(map(str, roots))}": (build_normal_form(sym, roots), roots[0])
         for sym, roots in RATIONAL.items()
     },
-    # a Yun part of degree 3 and multiplicity 2: the size-6 minor chain
+    # an irreducible Yun part of degree 3 and multiplicity 2
     "(11)(11)(11) cubic": (block_diag(CUBIC, CUBIC), None),
     "(2)(2)(2) cubic": (block_diag(jordan_two(*CUBIC)), None),
 }
+# a reducible cubic Yun part of multiplicity 2 whose roots carry different
+# partitions, (2) at some and (11) at the others: the staircase splits it
+TWO_AT_3 = ([[0, 3], [3, 1]], [[0, 1], [1, 0]])
+MIXED = {
+    **{
+        f"{sym} at {', '.join(map(str, roots))} mixed cubic": (build_normal_form(sym, roots), roots[0])
+        for sym, roots in {
+            "[2(11)(11)]": [Fraction(1, 2), -3, Fraction(7, 4)],
+            "[22(11)]": [Fraction(-2, 3), 5, Fraction(1, 4)],
+            "[22(11)1]": [Fraction(3, 2), -1, Fraction(2, 5), 4],
+        }.items()
+    },
+    "(2)(2)(11) x^2-2 at 3 mixed cubic": (block_diag(jordan_two(*QUADRATIC[2]), ONE, ONE), 3),
+    "(11)(11)(2) x^2-5 at 3 mixed cubic": (block_diag(QUADRATIC[5], QUADRATIC[5], TWO_AT_3), 3),
+    "(2)(2)(11)1 x^2-7 at 3, -1 mixed cubic": (
+        block_diag(jordan_two(*QUADRATIC[7]), ONE, ONE, ([[-1]], [[1]])), 3
+    ),
+}
+CASES.update(MIXED)
 # no root of any case: s in (U - s*V, U - r*V)
 NON_ROOT = 11
 
@@ -183,28 +208,24 @@ def case(name: str) -> QuadricPencil:
     return wide_congruence(CASES[name][0], seed=list(CASES).index(name))
 
 
-# the cases whose classes come from the minor chain
-MINOR_CHAIN = {
-    "(11)(11)(11) cubic", "(2)(2)(2) cubic", "[(33)] at 1/2", "[(42)] at -4/3", "[(331)] at 5/3",
-}
-
-
 @pytest.mark.parametrize("name", list(CASES))
 def test_sympy_oracle(name, monkeypatch):
     p = case(name)
     classes = sympy_partitions(p)
-    minors = []
+    sizes = []
     real = segre.pencil._poly_minor
 
-    def counted(iu, iv, rows, cols):
-        minors.append(len(rows))
-        return real(iu, iv, rows, cols)
+    def counted(iu, iv):
+        sizes.append(len(iu))
+        return real(iu, iv)
 
     monkeypatch.setattr(segre.pencil, "_poly_minor", counted)
     assert compute_symbol(p).exponent_structure() == oracle_structure(classes)
     assert invariant_factors(p).factors == oracle_factors(classes, p.size)
-    # ranks alone at size 5 or less; the minor chain only where they leave it open
-    assert (min(minors) < p.size) == (name in MINOR_CHAIN)
+    # one determinant per route and ranks for the rest, at every size; a
+    # split part adds the smaller determinant of its kernel restriction
+    assert sizes.count(p.size) == 2 and max(sizes) == p.size
+    assert (len(sizes) > 2) == (name in MIXED)
     if p.size <= 5 or "cubic" in name:
         assert invariant_factors(p).factors == brute_invariant_factors(p)
 
@@ -234,3 +255,75 @@ def test_sympy_oracle_numeric_leg(name):
     except IllConditionedError:
         return
     assert numeric.exponent_structure() == expected
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_sympy_oracle_deep_staircase(name, monkeypatch):
+    """With ``_partition`` held open until the staircase is one step past
+    the largest block, every Yun part takes T_j at each j up to there, for
+    parts of any degree, and the counts still give sympy's partitions."""
+    p = case(name)
+    classes = sympy_partitions(p)
+    depth = max(lam[0] for _, lam in classes) + 1
+    real = segre.pencil._partition
+    monkeypatch.setattr(
+        segre.pencil, "_partition", lambda m, counts: real(m, counts) if len(counts) >= depth else None
+    )
+    assert invariant_factors(p).factors == oracle_factors(classes, p.size)
+
+
+def partitions(m: int, top: int | None = None):
+    """The partitions of m, descending, with parts at most ``top``."""
+    if m == 0:
+        yield ()
+    for first in range(min(m, top or m), 0, -1):
+        for rest in partitions(m - first, first):
+            yield (first, *rest)
+
+
+def test_every_mixture_splits_before_the_partition_closes():
+    """A Yun part of degree d >= 3 (d = 2 is split by isqrt or irreducible)
+    whose roots carry different partitions shows a staircase step that d
+    does not divide before ``_partition`` closes on the steps divided by d;
+    otherwise ``_part_classes`` would give every root one wrong partition.
+    Only d * m <= MAX_SIZE occurs.  The count pins MAX_SIZE = 7, so raising
+    it trips this test; at 9 the assignment (3), (21), (111) of a cubic of
+    multiplicity 3 gets through."""
+    mixtures = 0
+    for d in range(3, MAX_SIZE + 1):
+        for m in range(2, MAX_SIZE // d + 1):
+            for lams in product(list(partitions(m)), repeat=d):
+                if len(set(lams)) == 1:
+                    continue
+                mixtures += 1
+                counts: list[int] = []
+                nullity = 0
+                while True:
+                    j = len(counts) + 1
+                    step = sum(min(x, j) for lam in lams for x in lam) - nullity
+                    if step % d:
+                        break
+                    counts.append(step // d)
+                    nullity += step
+                    assert _partition(m, counts) is None, (d, m, lams)
+    assert mixtures == 6  # the (2) and (11) mixtures of a cubic, m = 2
+
+
+# pencils with no nonsingular member: the four normal pairs, with a trivial
+# common kernel, and two cones
+DEGENERATE = {
+    **_degenerate_pairs(),
+    "cone, kernel 1": QuadricPencil(diagonal([1, 2, 3, 4, 0]), diagonal([5, 1, 2, 7, 0])),
+    "cone, kernel 2": QuadricPencil(diagonal([1, 2, 3, 0, 0]), diagonal([1, 1, 1, 0, 0])),
+}
+
+
+@pytest.mark.parametrize("name", list(DEGENERATE))
+@pytest.mark.parametrize("seed", range(3))
+def test_common_kernel_sympy(name, seed):
+    """``degeneracy_report``'s common kernel of U and V against the
+    dimension of sympy's nullspace of [U; V]."""
+    sympy = pytest.importorskip("sympy")
+    p = wide_congruence(DEGENERATE[name], seed)
+    stacked = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in row] for row in p.u + p.v])
+    assert degeneracy_report(p).common_kernel_dim == len(stacked.nullspace())

@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -105,6 +106,15 @@ class TestRefusal:
         assert compute_symbol(p).exponent_structure() == ((2,), (1,), (1,), (1,))
         with pytest.raises(IllConditionedError, match="double precision fails"):
             numeric_exponent_partitions(p)
+
+    def test_overflowing_powers_refused_with_warnings_as_errors(self):
+        # the square of M - 10^300*I overflows; no RuntimeWarning escapes
+        # where warnings are errors, and the refusal is the default run's
+        p = QuadricPencil(diagonal([10**300, 10**300, 2, 3, 4]), identity(5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IllConditionedError, match="SVD did not converge"):
+                numeric_exponent_partitions(p)
 
 
 class TestAgreement:

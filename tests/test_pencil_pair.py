@@ -27,7 +27,7 @@ from segre.pencil import (
     QuadricPencil,
     _cleared,
     _cleared_int_pair,
-    _det_coeffs,
+    _poly_minor,
     _sweep_value,
     as_matrix,
     change_basis,
@@ -152,7 +152,7 @@ def test_change_basis_gives_the_fraction_pencil():
 ])
 def test_member_selection_with_singular_v_gives_the_fraction_pencil(p):
     assert p.det_v == 0
-    t = _sweep_value(_det_coeffs(*_cleared_int_pair(p)[:2]), p.size)
+    t = _sweep_value(_poly_minor(*_cleared_int_pair(p)[:2]), p.size)
     _same_pencil(select_nonsingular_member(p), QuadricPencil(p.v, p.member(1, t)))
 
 
