@@ -49,7 +49,7 @@ from .pencil import (
     invariant_factors,
     select_nonsingular_member,
 )
-from .polynomial import Polynomial, Rational, coprime_basis, poly_gcd, squarefree_part
+from .polynomial import Polynomial, Rational, coprime_basis
 from .reporting import analyze_pencil
 from .symbol import (
     SegreSymbol,
@@ -116,10 +116,8 @@ __all__ = [
     "invariant_factors",
     "numeric_exponent_partitions",
     "parse_quadratic_form",
-    "poly_gcd",
     "random_instance",
     "render_form",
     "select_nonsingular_member",
-    "squarefree_part",
     "transitions",
 ]

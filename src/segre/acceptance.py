@@ -32,7 +32,7 @@ from .pencil import (
     invariant_factors,
     select_nonsingular_member,
 )
-from .polynomial import Polynomial
+from .polynomial import _int_coeffs, _int_divide
 from .symbol import (
     SegreSymbol,
     build_normal_form,
@@ -240,13 +240,11 @@ def criterion_7_block_divisors() -> CriterionResult:
                 u[e + k][e + k] = c
                 v[e + k][e + k] = Fraction(1)
             pencil = QuadricPencil(as_matrix(u), as_matrix(v))
-            inv = invariant_factors(pencil)
-            linear = Polynomial([-alpha, 1])
+            linear = [-alpha.numerator, alpha.denominator]
             exps = []
-            for d in inv.factors:
-                ct = 0
-                while linear.divides(d):
-                    d = d.exact_div(linear)
+            for f in invariant_factors(pencil).factors:
+                d, ct = _int_coeffs(f), 0
+                while (d := _int_divide(d, linear)) is not None:
                     ct += 1
                 exps.append(ct)
             if exps != [0, 0, 0, 0, e]:

@@ -30,7 +30,6 @@ __all__ = [
     "ParsedForm",
     "parse_quadratic_form",
     "render_form",
-    "matrix_from_strings",
     "pencil_from_json",
     "pencil_to_json",
 ]
@@ -264,20 +263,18 @@ def _entry_rows(rows: list[list[str]]) -> list[list[int | Fraction]]:
     return out
 
 
-def matrix_from_strings(rows: list[list[str]]) -> Matrix:
-    return as_matrix(_entry_rows(rows))
-
-
 def pencil_from_json(text: str) -> QuadricPencil:
     """Load a pencil from a JSON document with 5x5 string matrices U and V.
 
     Plain integer entries stay ``int``s, so an integer document becomes the
     pencil's integer pair with no ``Fraction`` made; any other entry is
-    read by ``Fraction`` and the pair is cleared once.
+    read by ``Fraction`` and the pair is cleared once.  A document the
+    JSON reader refuses, also for nesting too deep to recurse into or an
+    integer past Python's int<->str digit limit, raises ``ParseError``.
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "U" not in doc or "V" not in doc:
         raise ParseError('pencil file must be a JSON object with keys "U" and "V"')

@@ -17,7 +17,7 @@ from itertools import accumulate, combinations
 
 from ._record import Record
 from .errors import IllConditionedError, InternalConsistencyError
-from .pencil import QuadricPencil, _cleared_int_pair, _partition
+from .pencil import QuadricPencil, _partition
 from .symbol import Group, SegreSymbol
 
 __all__ = ["Cluster", "NumericPartition", "numeric_exponent_partitions"]
@@ -73,7 +73,7 @@ def numeric_exponent_partitions(
     if p.det_v == 0:
         raise ValueError("numeric oracle needs det V != 0; select a member first")
     size = p.size
-    iu, iv, mult = _cleared_int_pair(p)
+    iu, iv, mult = p._iu, p._iv, p._mult
     try:  # int / int rounds correctly, as float(Fraction) does
         u = np.array([[c / mult for c in row] for row in iu])
         v = np.array([[c / mult for c in row] for row in iv])

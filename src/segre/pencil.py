@@ -70,7 +70,6 @@ __all__ = [
     "diagonal",
     "congruent",
     "change_basis",
-    "rational_det",
     "det_poly",
     "invariant_factors",
     "select_nonsingular_member",
@@ -162,11 +161,6 @@ def _cleared(m: Sequence[Sequence[int | Fraction]]) -> tuple[IntMatrix, int]:
     """The integer matrix mult * m and the least such ``mult``."""
     mult = math.lcm(*(c.denominator for row in m for c in row))
     return tuple(tuple(c.numerator * (mult // c.denominator) for c in row) for row in m), mult
-
-
-def rational_det(m: Matrix) -> Fraction:
-    im, mult = _cleared(m)
-    return Fraction(_bareiss(im)[1], mult ** len(m))
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +297,13 @@ def congruent(p: QuadricPencil, a: Iterable[Iterable[Rational | int | str]]) -> 
     result is the integer pair over one denominator.
     """
     ia, ma = _cleared(_exact(a))
-    iu, iv, mult = _cleared_int_pair(p)
     a_cols = list(zip(*ia))
 
     def conj(m: IntMatrix) -> list[list[int]]:
         at_m = [[sum(x * y for x, y in zip(ac, mc)) for mc in zip(*m)] for ac in a_cols]
         return [[sum(x * y for x, y in zip(row, ac)) for ac in a_cols] for row in at_m]
 
-    return _reduced(conj(iu), conj(iv), mult * ma * ma)
+    return _reduced(conj(p._iu), conj(p._iv), p._mult * ma * ma)
 
 
 def change_basis(
@@ -329,11 +322,6 @@ def change_basis(
 # ---------------------------------------------------------------------------
 # the determinant by division-free Laplace expansion
 # ---------------------------------------------------------------------------
-
-def _cleared_int_pair(p: QuadricPencil) -> tuple[IntMatrix, IntMatrix, int]:
-    """The integer pair (mult * U, mult * V) the pencil holds, and ``mult``."""
-    return p._iu, p._iv, p._mult
-
 
 @functools.lru_cache(maxsize=MAX_SIZE)
 def _laplace_table(k: int) -> tuple[tuple[int, int, tuple[tuple[int, int, int], ...]], ...]:
@@ -385,9 +373,8 @@ def det_poly(p: QuadricPencil) -> Polynomial:
     Computed on the denominator-cleared integer pair by ``_poly_minor``'s
     division-free Laplace expansion.
     """
-    iu, iv, mult = _cleared_int_pair(p)
-    den = mult ** p.size
-    return Polynomial([Fraction(c, den) for c in _poly_minor(iu, iv)])
+    den = p._mult ** p.size
+    return Polynomial([Fraction(c, den) for c in _poly_minor(p._iu, p._iv)])
 
 
 class InvariantFactors(Record):
@@ -604,7 +591,7 @@ def invariant_factors(p: QuadricPencil) -> InvariantFactors:
     Raises ``DegeneratePencilError`` when |U - lambda*V| vanishes
     identically; callers route that case to degeneracy classification.
     """
-    iu, iv, _ = _cleared_int_pair(p)
+    iu, iv = p._iu, p._iv
     full = _poly_minor(iu, iv)
     if not full:
         raise DegeneratePencilError("determinant of the pencil vanishes identically")
@@ -648,7 +635,7 @@ def _selected_classes(p: QuadricPencil) -> tuple[list[int], int, list[RootClass]
     which ``select_nonsingular_member`` and the numeric oracle then read
     without an elimination of their own.
     """
-    iu, iv, mult = _cleared_int_pair(p)
+    iu, iv, mult = p._iu, p._iv, p._mult
     size = p.size
     sign, den = (-1) ** size, mult ** size
     f = _poly_minor(iu, iv)
@@ -678,7 +665,7 @@ def select_nonsingular_member(p: QuadricPencil) -> QuadricPencil:
     """
     if p.det_v != 0:
         return p
-    iu, iv, mult = _cleared_int_pair(p)
+    iu, iv, mult = p._iu, p._iv, p._mult
     t = _sweep_value(_poly_minor(iu, iv), p.size)
     return _reduced(iv, [[a + t * b for a, b in zip(ru, rv)] for ru, rv in zip(iu, iv)], mult)
 
@@ -709,6 +696,5 @@ def degeneracy_report(p: QuadricPencil) -> DegeneracyReport:
 def _common_kernel_report(p: QuadricPencil) -> DegeneracyReport:
     """``degeneracy_report`` for a pencil already known to have no
     nonsingular member."""
-    iu, iv, _ = _cleared_int_pair(p)
-    r0 = p.size - _bareiss(iu + iv)[0]
+    r0 = p.size - _bareiss(p._iu + p._iv)[0]
     return DegeneracyReport(common_kernel_dim=r0, is_cone=r0 > 0)

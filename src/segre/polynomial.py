@@ -1,13 +1,12 @@
-"""Exact univariate polynomial arithmetic over the rationals.
+"""Exact univariate polynomials over the rationals.
 
-The scalar field is ``fractions.Fraction`` (re-exported as ``Rational``),
-so every operation here is exact: no rounding, ever.  Polynomials are
-dense, stored lowest degree first.  Greatest common divisors, exact
-division, Yun decomposition and the coprime basis run on one engine of
-primitive integer coefficient lists (a primitive pseudo-remainder
-sequence keeps coefficients small at the degrees, at most five, this
-package cares about); ``Fraction`` coefficients appear only at the
-``Polynomial`` boundary.  Text comes from one renderer on an integer
+All arithmetic runs on one engine of integer coefficient lists, lowest
+degree first: greatest common divisors (a primitive pseudo-remainder
+sequence keeps coefficients small at the degrees, at most seven, this
+package cares about), exact division, Yun decomposition and the coprime
+basis.  ``Polynomial`` is the value that leaves the engine: an immutable
+tuple of ``fractions.Fraction`` coefficients (``Rational``) with no
+arithmetic of its own.  Text comes from one renderer on an integer
 coefficient list and a denominator, ``_poly_str``: reports render the
 exact chain's lists with it directly, and ``Polynomial.__str__`` renders
 through it once and keeps the string.
@@ -25,8 +24,6 @@ Rational = Fraction
 __all__ = [
     "Rational",
     "Polynomial",
-    "poly_gcd",
-    "squarefree_part",
     "squarefree_decomposition",
     "coprime_basis",
 ]
@@ -243,10 +240,11 @@ def _poly_str(c: Sequence[int], den: int = 1) -> str:
 # ---------------------------------------------------------------------------
 
 class Polynomial:
-    """Dense univariate polynomial with ``Fraction`` coefficients.
+    """Dense univariate polynomial with ``Fraction`` coefficients, as the
+    engine hands it out: a value to compare, hash, pickle and print.
 
     Immutable; the zero polynomial has an empty coefficient tuple and
-    degree -1.  All arithmetic is exact.
+    degree -1.
     """
 
     __slots__ = ("coeffs", "_text")
@@ -295,97 +293,6 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    # -- arithmetic -----------------------------------------------------------
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "Polynomial | Rational | int") -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return Polynomial([c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Polynomial()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return Polynomial(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Polynomial":
-        out = Polynomial([1])
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
-        r = list(self.coeffs)
-        d, lead = other.degree, other.leading
-        while len(r) - 1 >= d and any(r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) - 1 < d:
-                break
-            c = r[-1] / lead
-            k = len(r) - 1 - d
-            q[k] = c
-            for i, oc in enumerate(other.coeffs):
-                r[k + i] -= c * oc
-        return Polynomial(q), Polynomial(r)
-
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[1]
-
-    def exact_div(self, other: "Polynomial") -> "Polynomial":
-        """Quotient self/other, raising if the division is not exact."""
-        q, r = divmod(self, other)
-        if not r.is_zero:
-            raise ValueError(f"{other} does not divide {self}")
-        return q
-
-    def divides(self, other: "Polynomial") -> bool:
-        if self.is_zero:
-            return other.is_zero
-        return (other % self).is_zero
-
-    def __call__(self, x: Rational | int) -> Rational:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            return self
-        lead = self.leading
-        if lead == 1:
-            return self
-        return Polynomial([c / lead for c in self.coeffs])
-
     # -- rendering ------------------------------------------------------------
 
     def __repr__(self) -> str:
@@ -400,7 +307,7 @@ class Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# gcd, squarefree part, coprime basis: Fraction wrappers over the engine
+# Yun decomposition and coprime basis: Polynomial wrappers over the engine
 # ---------------------------------------------------------------------------
 
 def _int_coeffs(p: Polynomial) -> list[int]:
@@ -412,22 +319,6 @@ def _int_coeffs(p: Polynomial) -> list[int]:
 def _monic_poly(c: Sequence[int]) -> Polynomial:
     """The monic Polynomial of an integer coefficient list."""
     return Polynomial([Fraction(a, c[-1]) for a in c]) if c else Polynomial()
-
-
-def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Monic greatest common divisor; gcd(p, 0) is monic(p)."""
-    return _monic_poly(_int_gcd(_int_coeffs(p), _int_coeffs(q)))
-
-
-def squarefree_part(p: Polynomial) -> Polynomial:
-    """Monic polynomial with the same roots as p, each root simple.
-
-    Equals monic(p / gcd(p, p')); no factorization takes place.
-    """
-    if p.is_zero:
-        raise ValueError("squarefree part of the zero polynomial is undefined")
-    c = _int_coeffs(p)
-    return _monic_poly(_int_exact_div(c, _int_gcd(c, _int_derivative(c))))
 
 
 def squarefree_decomposition(p: Polynomial) -> list[tuple[int, Polynomial]]:

@@ -144,6 +144,22 @@ class TestAnalyze:
         assert "Traceback" not in capsys.readouterr().err
         assert code == 2
 
+    @pytest.mark.parametrize("text", [
+        "[" * 200_000,  # deeper than the JSON reader recurses
+        '{"U": ' + "1" * 5001 + ', "V": 1}',  # past the int<->str digit limit
+    ], ids=["deep", "long-integer"])
+    def test_json_reader_errors_exit_2(self, tmp_path, text):
+        path = tmp_path / "pencil.json"
+        path.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "segre.cli", "analyze", "--file", str(path)],
+            env=_src_env(), capture_output=True, timeout=60,
+        )
+        err = proc.stderr.decode()
+        assert proc.returncode == 2
+        assert err.startswith("input error: invalid JSON: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_variable_past_x4_exits_2(self, capsys):
         code = main(["analyze", "--poly", "X5^2 + X0^2 ; X1^2"])
         capsys.readouterr()

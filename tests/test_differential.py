@@ -30,12 +30,11 @@ from segre.pencil import (
     degeneracy_report,
     diagonal,
     invariant_factors,
-    rational_det,
     select_nonsingular_member,
 )
 from segre.polynomial import Polynomial
 from segre.symbol import Group, SegreSymbol, build_normal_form, compute_symbol
-from test_pencil import brute_invariant_factors
+from test_pencil import brute_invariant_factors, product as poly_product
 
 
 def sympy_partitions(p: QuadricPencil) -> list[tuple[Polynomial, list[int]]]:
@@ -82,14 +81,10 @@ def oracle_structure(classes) -> tuple:
 
 def oracle_factors(classes, size: int) -> tuple[Polynomial, ...]:
     """d_(size + 1 - i) = product of h^(lambda_i)."""
-    out = []
-    for i in range(size, 0, -1):
-        d = Polynomial([1])
-        for h, lam in classes:
-            if i <= len(lam):
-                d = d * h ** lam[i - 1]
-        out.append(d)
-    return tuple(out)
+    return tuple(
+        poly_product([h for h, lam in classes if i <= len(lam) for _ in range(lam[i - 1])])
+        for i in range(size, 0, -1)
+    )
 
 
 def wide_congruence(p: QuadricPencil, seed: int) -> QuadricPencil:
@@ -235,7 +230,7 @@ def test_sympy_oracle_singular_v(name):
     """(U - s*V, U - r*V) at a root r spans the same pencil with det V = 0."""
     r = CASES[name][1]
     q = change_basis(case(name), 1, -NON_ROOT, 1, -r)
-    assert rational_det(q.v) == 0
+    assert q.det_v == 0
     classes = sympy_partitions(q)
     assert compute_symbol(q).exponent_structure() == oracle_structure(classes)
     selected = select_nonsingular_member(q)

@@ -1,7 +1,7 @@
 """Pencil entries that look like integers parse exactly as ``Fraction(text)`` does.
 
 ``forms._entry`` reads plain integer text with ``int`` and leaves every
-other text to ``Fraction``.  For each text below, ``matrix_from_strings``
+other text to ``Fraction``.  For each text below, ``forms._entry_rows``
 must give the value ``Fraction(text)`` gives, or, where ``Fraction``
 raises, the ``ParseError`` that wraps its message.  ``int`` and
 ``Fraction`` differ between Python versions (``Fraction("1_000")`` raises
@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from segre.errors import ParseError
-from segre.forms import matrix_from_strings
+from segre.forms import _entry_rows
 
 _LIMIT = sys.get_int_max_str_digits()
 
@@ -51,7 +51,7 @@ def _expected(text: str):
 
 def _got(text: str):
     try:
-        return matrix_from_strings([[text]])[0][0]
+        return Fraction(_entry_rows([[text]])[0][0])
     except ParseError as exc:
         return str(exc)
 

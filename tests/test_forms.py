@@ -5,7 +5,7 @@ import pytest
 
 from segre.errors import DegreeError, ParseError, ZeroFormError
 from segre.forms import (
-    matrix_from_strings,
+    _entry_rows,
     parse_quadratic_form,
     pencil_from_json,
     pencil_to_json,
@@ -128,6 +128,14 @@ class TestPencilJson:
         with pytest.raises(ParseError):
             pencil_from_json('{"U": [["1"]], "V": [["1"]]}')
 
+    @pytest.mark.parametrize("text", [
+        "[" * 200_000,  # deeper than the JSON reader recurses
+        '{"U": ' + "1" * 5001 + ', "V": 1}',  # past the int<->str digit limit
+    ], ids=["deep", "long-integer"])
+    def test_json_reader_errors_are_parse_errors(self, text):
+        with pytest.raises(ParseError, match="^invalid JSON: "):
+            pencil_from_json(text)
+
     @pytest.mark.parametrize("doc", [
         '{"U": 5, "V": 5}',
         '{"U": [1, 2, 3, 4, 5], "V": [1, 2, 3, 4, 5]}',
@@ -141,7 +149,7 @@ class TestPencilJson:
     @pytest.mark.parametrize("entry", ["1e5000", "1e-5000", "1e4300", "3/1e4300", "0e999999999"])
     def test_entry_past_int_str_limit_is_parse_error(self, entry):
         with pytest.raises(ParseError):
-            matrix_from_strings([[entry]])
+            _entry_rows([[entry]])
 
     @pytest.mark.parametrize(
         "entry",
@@ -150,17 +158,17 @@ class TestPencilJson:
     )
     def test_long_bad_entry_quotes_40_characters(self, entry):
         with pytest.raises(ParseError) as info:
-            matrix_from_strings([[entry]])
+            _entry_rows([[entry]])
         assert len(str(info.value)) < 200
         assert entry[:40] in str(info.value) and entry[:41] not in str(info.value)
 
     def test_decimal_past_int_str_limit_is_parse_error(self):
         # each side of the point is within the limit, the value's numerator is not
         with pytest.raises(ParseError):
-            matrix_from_strings([["1" * 3000 + "." + "1" * 3000]])
+            _entry_rows([["1" * 3000 + "." + "1" * 3000]])
 
     def test_exponent_entries_within_limit(self):
-        assert matrix_from_strings([["1e3", "-2.5E-2"], ["1e4299", "0e5"]]) == (
-            (Fraction(1000), Fraction(-1, 40)),
-            (Fraction(10**4299), Fraction(0)),
-        )
+        assert _entry_rows([["1e3", "-2.5E-2"], ["1e4299", "0e5"]]) == [
+            [Fraction(1000), Fraction(-1, 40)],
+            [Fraction(10**4299), Fraction(0)],
+        ]

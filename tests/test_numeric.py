@@ -23,7 +23,6 @@ from segre.catalog import CATALOG_ORDER
 from segre.pencil import (
     MAX_SIZE,
     QuadricPencil,
-    _cleared_int_pair,
     _partition,
     as_matrix,
     diagonal,
@@ -192,7 +191,7 @@ def _reference_oracle(p, tol_cluster=DEFAULT_CLUSTER_TOL, tol_rank=DEFAULT_RANK_
     if p.det_v == 0:
         raise ValueError("numeric oracle needs det V != 0; select a member first")
     size = p.size
-    iu, iv, mult = _cleared_int_pair(p)
+    iu, iv, mult = p._iu, p._iv, p._mult
     try:
         u = np.array([[c / mult for c in row] for row in iu])
         v = np.array([[c / mult for c in row] for row in iv])

@@ -6,6 +6,12 @@ from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from sympy import QQ, ZZ, Matrix
+from sympy.polys.densearith import dup_add, dup_exquo, dup_mul, dup_sub
+from sympy.polys.densebasic import dup_convert, dup_strip
+from sympy.polys.densetools import dup_eval, dup_monic
+from sympy.polys.euclidtools import dup_gcd
+from sympy.polys.sqfreetools import dup_sqf_p
 
 import segre.pencil
 import segre.reporting
@@ -16,7 +22,6 @@ from segre.errors import DegeneratePencilError, InternalConsistencyError, NoSmoo
 from segre.pencil import (
     QuadricPencil,
     _bareiss,
-    _cleared_int_pair,
     _poly_minor,
     as_matrix,
     change_basis,
@@ -26,10 +31,9 @@ from segre.pencil import (
     diagonal,
     identity,
     invariant_factors,
-    rational_det,
     select_nonsingular_member,
 )
-from segre.polynomial import Polynomial, poly_gcd, squarefree_part
+from segre.polynomial import Polynomial
 from segre.reporting import analyze_pencil
 from segre.symbol import build_normal_form, canonicalize, compute_symbol, random_instance
 
@@ -38,26 +42,50 @@ def linear(root):
     return Polynomial([-Fraction(root), 1])
 
 
-def product(factors):
-    out = Polynomial([1])
+# Reference arithmetic runs on sympy's dense lists over QQ, highest degree
+# first; ``Polynomial`` (lowest degree first) is only compared with.
+
+def to_dup(coeffs):
+    """sympy's dense list over QQ of coefficients given lowest degree first."""
+    return dup_strip([QQ(c.numerator, c.denominator) for c in reversed(coeffs)])
+
+
+def from_dup(f) -> Polynomial:
+    return Polynomial([Fraction(int(c.numerator), int(c.denominator)) for c in reversed(f)])
+
+
+def product(factors) -> Polynomial:
+    out = [QQ(1)]
     for f in factors:
-        out = out * f
-    return out
+        out = dup_mul(out, to_dup(f.coeffs), QQ)
+    return from_dup(out)
+
+
+def monic(p: Polynomial) -> Polynomial:
+    return from_dup(dup_monic(to_dup(p.coeffs), QQ))
 
 
 def cofactor_det(mat):
-    """Independent determinant oracle: recursive cofactor expansion."""
+    """Independent determinant oracle: recursive cofactor expansion of a
+    matrix of dense sympy lists over QQ."""
     n = len(mat)
     if n == 1:
         return mat[0][0]
-    total = Polynomial()
+    total = []
     for j in range(n):
-        if mat[0][j].is_zero:
+        if not mat[0][j]:
             continue
         minor = [[row[k] for k in range(n) if k != j] for row in mat[1:]]
-        term = mat[0][j] * cofactor_det(minor)
-        total = total + (term if j % 2 == 0 else -term)
+        term = dup_mul(mat[0][j], cofactor_det(minor), QQ)
+        total = (dup_add if j % 2 == 0 else dup_sub)(total, term, QQ)
     return total
+
+
+def poly_matrix(p: QuadricPencil):
+    """U - t*V as dense sympy lists over QQ."""
+    return [
+        [to_dup([u, -v]) for u, v in zip(urow, vrow)] for urow, vrow in zip(p.u, p.v)
+    ]
 
 
 def brute_invariant_factors(p: QuadricPencil):
@@ -66,7 +94,8 @@ def brute_invariant_factors(p: QuadricPencil):
     Minors of U - t*V come from cofactor expansion along the first row, on
     integer coefficient lists of the denominator-cleared pencil (which
     scales D_k but not its monic form), shared between sizes so that all
-    C(n, k)^2 of them stay cheap.
+    C(n, k)^2 of them stay cheap.  sympy takes the gcds over ZZ, and the
+    exact quotients d_k = D_k / D_(k-1) of their monic forms over QQ.
     """
     mult = math.lcm(*(c.denominator for m in (p.u, p.v) for row in m for c in row))
     u = [[int(c * mult) for c in row] for row in p.u]
@@ -86,14 +115,14 @@ def brute_invariant_factors(p: QuadricPencil):
                 out[d + 1] -= sign * v[r][c] * x
         return tuple(out)
 
-    big = [Polynomial([1])]
+    big = [[QQ(1)]]
     for k in idx:
-        g = Polynomial()
+        g = []
         for rows in combinations(idx, k + 1):
             for cols in combinations(idx, k + 1):
-                g = poly_gcd(g, Polynomial(minor(rows, cols)))
-        big.append(g)
-    return tuple(big[k].exact_div(big[k - 1]) for k in range(1, len(big)))
+                g = dup_gcd(g, dup_strip([ZZ(c) for c in reversed(minor(rows, cols))]), ZZ)
+        big.append(dup_monic(dup_convert(g, ZZ, QQ), QQ))
+    return tuple(from_dup(dup_exquo(big[k], big[k - 1], QQ)) for k in range(1, len(big)))
 
 
 # the eleven weight-5 symbols outside the catalog
@@ -131,14 +160,6 @@ BOUND_CASES = {
 }
 
 
-def poly_matrix(p: QuadricPencil):
-    lam = Polynomial([0, 1])
-    return [
-        [Polynomial([u]) - lam * Polynomial([v]) for u, v in zip(urow, vrow)]
-        for urow, vrow in zip(p.u, p.v)
-    ]
-
-
 class TestDetPoly:
     def test_diagonal(self):
         p = QuadricPencil(diagonal([1, 2, 3, 4, 5]), identity(5))
@@ -148,8 +169,8 @@ class TestDetPoly:
     def test_2111_normal_pair(self):
         # block determinant -(a1-t)^2 times the three diagonal factors
         p = build_normal_form("[2111]", [2, 3, 4, 5])
-        expected = -1 * product(
-            [Polynomial([2, -1]), Polynomial([2, -1])]
+        expected = product(
+            [Polynomial([-1]), Polynomial([2, -1]), Polynomial([2, -1])]
             + [Polynomial([a, -1]) for a in (3, 4, 5)]
         )
         assert det_poly(p) == expected
@@ -172,7 +193,7 @@ class TestDetPoly:
             n = [[rng.randint(-4, 4) for _ in range(5)] for _ in range(5)]
             v = as_matrix([[n[i][j] + n[j][i] for j in range(5)] for i in range(5)])
             p = QuadricPencil(u, v)
-            assert det_poly(p) == cofactor_det(poly_matrix(p))
+            assert det_poly(p) == from_dup(cofactor_det(poly_matrix(p)))
 
     def test_degree_full_iff_v_nonsingular(self):
         rng = random.Random(17)
@@ -185,7 +206,7 @@ class TestDetPoly:
                 for k in range(5):
                     vr[0][k] = vr[k][0] = 0
             p = QuadricPencil(u, as_matrix(vr))
-            assert (det_poly(p).degree == 5) == (rational_det(as_matrix(vr)) != 0)
+            assert (det_poly(p).degree == 5) == (Matrix(vr).det() != 0)
 
 
 def low_rank_matrix(rng, rows, cols, rank, zero_rows=()):
@@ -238,15 +259,15 @@ class TestBareiss:
         ),
     ])
     def test_every_minor_against_cofactor_oracle(self, pencil):
-        iu, iv, mult = _cleared_int_pair(pencil)
+        iu, iv, mult = pencil._iu, pencil._iv, pencil._mult
         mat = poly_matrix(pencil)
         for k in range(1, 6):
             for rows in combinations(range(5), k):
                 for cols in combinations(range(5), k):
                     sub = [[mat[r][c] for c in cols] for r in rows]
-                    want = cofactor_det(sub) * Fraction(mult) ** k
+                    want = dup_mul(cofactor_det(sub), [QQ(mult**k)], QQ)
                     got = _poly_minor(*([[m[r][c] for c in cols] for r in rows] for m in (iu, iv)))
-                    assert Polynomial(got) == want
+                    assert to_dup(got) == want
 
 
 class TestInvariantFactors:
@@ -273,7 +294,7 @@ class TestInvariantFactors:
     def test_product_is_monic_determinant(self):
         p = build_normal_form("[(21)2]", [2, 5])
         inv = invariant_factors(p)
-        assert product(inv.factors) == det_poly(p).monic()
+        assert product(inv.factors) == monic(det_poly(p))
 
     def test_congruence_invariance(self):
         rng = random.Random(11)
@@ -282,7 +303,7 @@ class TestInvariantFactors:
         for _ in range(5):
             while True:
                 a = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(5)]
-                if rational_det(as_matrix(a)) != 0:
+                if _bareiss(a)[1] != 0:
                     break
             moved = congruent(base, as_matrix(a))
             assert invariant_factors(moved).factors == want
@@ -343,8 +364,9 @@ class TestAgainstBruteForce:
         st.lists(st.integers(-3, 3), min_size=25, max_size=25),
     )
     def test_random_congruence(self, symbol, roots, entries):
-        a = as_matrix([entries[5 * i : 5 * i + 5] for i in range(5)])
-        assume(rational_det(a) != 0)
+        rows = [entries[5 * i : 5 * i + 5] for i in range(5)]
+        assume(_bareiss(rows)[1] != 0)
+        a = as_matrix(rows)
         normal = build_normal_form(symbol, roots[: len(canonicalize(symbol).groups)])
         p = congruent(normal, a)
         assert invariant_factors(p).factors == brute_invariant_factors(p)
@@ -363,7 +385,7 @@ class TestAgainstBruteForce:
             as_matrix([[m[i][j] + m[j][i] for j in range(5)] for i in range(5)]),
             as_matrix([[n[i][j] + n[j][i] for j in range(5)] for i in range(5)]),
         )
-        assert squarefree_part(det_poly(p)).degree == 5
+        assert dup_sqf_p(to_dup(det_poly(p).coeffs), QQ)
         assert len(count_minors(monkeypatch, p)) == 1
 
     def test_weight_five_minor_total(self, monkeypatch):
@@ -390,7 +412,7 @@ class TestSelectNonsingularMember:
         sel = select_nonsingular_member(p)
         assert sel.u == v
         assert sel.v == p.member(1, 1)
-        assert rational_det(sel.v) != 0
+        assert sel.det_v != 0
 
     def test_no_smooth_member(self):
         # both forms miss X4 entirely: common kernel vector e4
@@ -449,7 +471,7 @@ class TestAnalyzeWork:
     ])
     def test_full_minor_interpolated_once(self, monkeypatch, pencil):
         full = counting(monkeypatch, segre.pencil, "_poly_minor")
-        dets = counting(monkeypatch, segre.pencil, "rational_det")
+        dets = counting(monkeypatch, segre.pencil, "_bareiss", keep=lambda m: m is pencil._iv)
         analyze_pencil(pencil)
         assert len(full) == 1
         assert dets == []
@@ -462,19 +484,23 @@ class TestAnalyzeWork:
         # compute_symbol takes analyze_pencil's route: no member selection
         # of its own, and det V read off the one determinant expansion
         full = counting(monkeypatch, segre.pencil, "_poly_minor")
-        dets = counting(monkeypatch, segre.pencil, "rational_det")
+        dets = counting(monkeypatch, segre.pencil, "_bareiss", keep=lambda m: m is pencil._iv)
         compute_symbol(pencil)
         assert len(full) == 1
         assert dets == []
 
     def test_det_v_computed_once(self, monkeypatch):
         # det V is the leading coefficient of the expanded determinant,
-        # so analyze_pencil computes it once and never by rational_det
-        calls = counting(monkeypatch, segre.pencil, "rational_det")
-        monkeypatch.setattr(segre.reporting, "rational_det", segre.pencil.rational_det, raising=False)
-        for seed in range(3):
-            analyze_pencil(random_instance("[(21)2]", seed))
-            assert len(calls) == 0
+        # so analyze_pencil computes it once and never by eliminating V
+        pencils = [random_instance("[(21)2]", seed) for seed in range(3)]
+        want = [Fraction(_bareiss(p._iv)[1], p._mult ** p.size) for p in pencils]
+        calls = counting(
+            monkeypatch, segre.pencil, "_bareiss", keep=lambda m: any(m is p._iv for p in pencils)
+        )
+        for p, det_v in zip(pencils, want):
+            analyze_pencil(p)
+            assert p.det_v == det_v
+        assert calls == []
 
     def test_det_v_once_per_pencil(self, monkeypatch):
         # select_nonsingular_member and the numeric oracle's det V check
@@ -502,7 +528,7 @@ class TestAnalyzeWork:
         # Bareiss elimination after the analysis
         from segre.numeric import numeric_exponent_partitions
 
-        iu, iv, mult = _cleared_int_pair(pencil)
+        iu, iv, mult = pencil._iu, pencil._iv, pencil._mult
         want = Fraction(_bareiss(iv)[1], mult ** pencil.size)
         analyze_pencil(pencil)
         calls = counting(monkeypatch, segre.pencil, "_bareiss")
@@ -539,12 +565,12 @@ class TestAnalyzeWork:
         the member that select_nonsingular_member picks."""
         p = random_instance(symbol, seed)
         d = det_poly(p)
-        roots = [t for t in range(-9, 10) if d(t) == 0]  # the normal form's roots
+        roots = [t for t in range(-9, 10) if not dup_eval(to_dup(d.coeffs), QQ(t), QQ)]
         r = roots[pick % len(roots)]
         assume(s != r)
         # V' = scale * (U - r*V) is singular; U' = U - s*V is singular when s is a root
         q = change_basis(p, 1, -s, scale, -scale * r)
-        assert rational_det(q.v) == 0
+        assert q.det_v == 0
         selected = select_nonsingular_member(q)
         outcome = analyze_pencil(q)
         assert outcome.invariant_factors == tuple(str(f) for f in invariant_factors(selected).factors)

@@ -26,7 +26,6 @@ from segre.numeric import numeric_exponent_partitions
 from segre.pencil import (
     QuadricPencil,
     _cleared,
-    _cleared_int_pair,
     _poly_minor,
     _sweep_value,
     as_matrix,
@@ -79,7 +78,7 @@ def _same_pencil(got: QuadricPencil, want: QuadricPencil) -> None:
     assert got.det_v == want.det_v
     # the held pair is the canonical one: the rational matrices cleared
     both, mult = _cleared(got.u + got.v)
-    assert _cleared_int_pair(got) == (both[: got.size], both[got.size :], mult)
+    assert (got._iu, got._iv, got._mult) == (both[: got.size], both[got.size :], mult)
 
 
 _ENTRIES = {
@@ -116,7 +115,7 @@ def test_public_constructor_takes_any_rational_entries():
         got = QuadricPencil(u, [[1, 0], [0, 1]])
         assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
     half = QuadricPencil([["1/2", 0], [0, 1]], [[0.25, 0], [0, 1]])
-    assert _cleared_int_pair(half) == (((2, 0), (0, 4)), ((1, 0), (0, 4)), 4)
+    assert (half._iu, half._iv, half._mult) == (((2, 0), (0, 4)), ((1, 0), (0, 4)), 4)
 
 
 def test_congruent_gives_the_fraction_pencil():
@@ -152,7 +151,7 @@ def test_change_basis_gives_the_fraction_pencil():
 ])
 def test_member_selection_with_singular_v_gives_the_fraction_pencil(p):
     assert p.det_v == 0
-    t = _sweep_value(_poly_minor(*_cleared_int_pair(p)[:2]), p.size)
+    t = _sweep_value(_poly_minor(p._iu, p._iv), p.size)
     _same_pencil(select_nonsingular_member(p), QuadricPencil(p.v, p.member(1, t)))
 
 

@@ -1,17 +1,29 @@
-import math
+"""The integer polynomial engine and the ``Polynomial`` wrappers over it,
+checked against sympy's dense routines over QQ."""
+
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import QQ
+from sympy.polys.densetools import dup_monic
+from sympy.polys.euclidtools import dup_gcd
+from sympy.polys.sqfreetools import dup_sqf_part
 
 from segre.polynomial import (
     Polynomial,
+    _int_coeffs,
+    _int_derivative,
+    _int_divide,
+    _int_exact_div,
+    _int_gcd,
+    _int_mul,
+    _monic_poly,
     coprime_basis,
-    poly_gcd,
     squarefree_decomposition,
-    squarefree_part,
 )
+from test_pencil import from_dup, monic, product, to_dup
 
 
 def P(*coeffs):
@@ -22,6 +34,18 @@ def linear(root):
     return Polynomial([-Fraction(root), 1])
 
 
+def power(p, k):
+    return product([p] * k)
+
+
+def divides(b: Polynomial, p: Polynomial) -> bool:
+    return dup_gcd(to_dup(b.coeffs), to_dup(p.coeffs), QQ) == to_dup(monic(b).coeffs)
+
+
+def coprime(a: Polynomial, b: Polynomial) -> bool:
+    return dup_gcd(to_dup(a.coeffs), to_dup(b.coeffs), QQ) == [QQ(1)]
+
+
 class TestArithmetic:
     def test_degree_and_zero(self):
         assert Polynomial().is_zero
@@ -30,101 +54,117 @@ class TestArithmetic:
         assert P(1, 2).degree == 1
 
     def test_mul_and_call(self):
-        p = linear(2) * linear(3)
-        assert p == P(6, -5, 1)
-        assert p(2) == 0 and p(3) == 0 and p(0) == 6
+        assert _int_mul([-2, 1], [-3, 1]) == [6, -5, 1]
+        assert _int_mul([0, 2], [3]) == [0, 6]
 
     def test_divmod_exact(self):
-        p = linear(1) * linear(2) * linear(2)
-        q, r = divmod(p, linear(2))
-        assert r.is_zero
-        assert q == linear(1) * linear(2)
+        p = [-4, 8, -5, 1]  # (t - 1)(t - 2)^2
+        assert _int_divide(p, [-2, 1]) == [2, -3, 1]
+        assert _int_divide(p, [-5, 1]) is None
+        assert _int_divide(p, [-1, 2]) is None  # not in Z[t]: t - 1/2 is no factor
+        assert _int_divide([], [-2, 1]) == []
+        assert _int_divide([3], [-2, 1]) is None
         with pytest.raises(ValueError):
-            p.exact_div(linear(5))
-
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            divmod(P(1, 1), Polynomial())
+            _int_exact_div(p, [-5, 1])
 
     def test_monic(self):
-        p = P(2, 4, 2)
-        assert p.monic() == P(1, 2, 1)
-        assert p.monic().monic() == p.monic()
+        assert _monic_poly([2, 4, 2]) == P(1, 2, 1)
+        assert _monic_poly([1, -2]) == P(Fraction(-1, 2), 1)
+        assert _monic_poly([]) == Polynomial()
 
     def test_derivative(self):
-        assert P(5, 3, 2).derivative() == P(3, 4)
+        assert _int_derivative([5, 3, 2]) == [3, 4]
+        assert _int_derivative([7]) == []
 
     def test_str(self):
         assert str(P(-2, 0, 1)) == "t^2 - 2"
         assert str(Polynomial()) == "0"
         assert str(P(Fraction(1, 2))) == "1/2"
 
+    def test_no_arithmetic_on_the_value(self):
+        p = P(1, 1)
+        for op in (lambda: p + p, lambda: p * 2, lambda: divmod(p, p), lambda: p(1)):
+            with pytest.raises(TypeError):
+                op()
+
 
 class TestGcd:
     def test_gcd_with_zero(self):
-        p = P(2, 2)
-        assert poly_gcd(p, Polynomial()) == p.monic()
-        assert poly_gcd(Polynomial(), p) == p.monic()
+        assert _int_gcd([2, 2], []) == [1, 1]
+        assert _int_gcd([], [2, 2]) == [1, 1]
+        assert _int_gcd([], [-3, -6]) == [1, 2]
 
     def test_common_factor(self):
-        a = linear(1) * linear(2)
-        b = linear(1) * linear(3)
-        assert poly_gcd(a, b) == linear(1)
+        a = [2, -3, 1]  # (t - 1)(t - 2)
+        b = [3, -4, 1]  # (t - 1)(t - 3)
+        assert _int_gcd(a, b) == [-1, 1]
 
     def test_coprime(self):
-        assert poly_gcd(linear(1), linear(2)) == P(1)
+        assert _int_gcd([-1, 1], [-2, 1]) == [1]
 
     def test_fractional_coefficients(self):
-        a = (linear(Fraction(1, 2)) * linear(3)) * Fraction(2, 7)
-        b = linear(Fraction(1, 2)) * Fraction(5, 3)
-        assert poly_gcd(a, b) == linear(Fraction(1, 2))
+        # 2/7 (t - 1/2)(t - 3) and 5/3 (t - 1/2): content and rational
+        # coefficients clear to the primitive 2t - 1
+        a = P(Fraction(3, 7), Fraction(-1), Fraction(2, 7))
+        b = P(Fraction(-5, 6), Fraction(5, 3))
+        assert _int_coeffs(a) == [3, -7, 2] and _int_coeffs(b) == [-1, 2]
+        assert _int_gcd(_int_coeffs(a), _int_coeffs(b)) == [-1, 2]
+
+    def test_content_and_negative_leading_coefficient(self):
+        # the gcd is primitive with a positive leading coefficient
+        assert _int_gcd([6, 6], [-4, -4]) == [1, 1]
+        assert _int_gcd([-12, 18, -6], [8, -4]) == [-2, 1]
+        assert _int_gcd([4], [6, 9]) == [1]
+
+
+def sqf_part(p: Polynomial) -> Polynomial:
+    """The monic squarefree part as the product of the Yun parts."""
+    return product([f for _, f in squarefree_decomposition(p)])
 
 
 class TestSquarefree:
     def test_repeated_factor_collapses(self):
-        p = linear(1) * linear(1) * linear(2)
-        assert squarefree_part(p) == linear(1) * linear(2)
+        p = product([linear(1), linear(1), linear(2)])
+        assert squarefree_decomposition(p) == [(1, linear(2)), (2, linear(1))]
 
     def test_pure_power(self):
-        assert squarefree_part(P(0, 0, 0, 1)) == P(0, 1)
+        assert squarefree_decomposition(P(0, 0, 0, 1)) == [(3, P(0, 1))]
 
     def test_already_squarefree(self):
-        p = P(1, 0, 1) * linear(3)  # (t^2+1)(t-3), gcd with derivative is 1
-        assert squarefree_part(p) == p.monic()
+        p = product([P(1, 0, 1), linear(3), P(-2)])  # -2 (t^2+1)(t-3)
+        assert squarefree_decomposition(p) == [(1, monic(p))]
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            squarefree_part(Polynomial())
+            squarefree_decomposition(Polynomial())
 
     def test_idempotent(self):
-        p = linear(2) * linear(2) * linear(5)
-        once = squarefree_part(p)
-        assert squarefree_part(once) == once
+        p = product([linear(2), linear(2), linear(5), P(Fraction(-3, 4))])
+        once = sqf_part(p)
+        assert once == product([linear(2), linear(5)])
+        assert squarefree_decomposition(once) == [(1, once)]
 
     def test_decomposition(self):
-        p = linear(1) ** 3 * linear(2) ** 2 * linear(4)
+        p = product([power(linear(1), 3), power(linear(2), 2), linear(4)])
         dec = squarefree_decomposition(p)
         assert dec == [(1, linear(4)), (2, linear(2)), (3, linear(1))]
-        rebuilt = Polynomial([1])
-        for k, f in dec:
-            rebuilt = rebuilt * f**k
-        assert rebuilt == p.monic()
+        assert product([power(f, k) for k, f in dec]) == monic(p)
 
 
 class TestCoprimeBasis:
     def test_splits_shared_factor(self):
-        a = linear(1) * linear(2)
+        a = product([linear(1), linear(2)])
         b = linear(1)
         # sorted by (degree, coefficients from the leading term down)
         assert coprime_basis([a, b]) == [linear(2), linear(1)]
 
     def test_singleton(self):
-        p = linear(1) * linear(7)
+        p = product([linear(1), linear(7)])
         assert coprime_basis([p]) == [p]
 
     def test_never_factors_irreducible_piece(self):
         quad = P(1, 0, 1)  # t^2 + 1
-        a = quad * linear(3)
+        a = product([quad, linear(3)])
         assert coprime_basis([a, quad]) == [linear(3), quad]
 
     def test_rejects_constant(self):
@@ -137,24 +177,25 @@ class TestCoprimeBasis:
 
     def test_rejects_non_squarefree(self):
         with pytest.raises(ValueError):
-            coprime_basis([linear(1) * linear(1)])
+            coprime_basis([product([linear(1), linear(1)])])
 
     def test_reconstruction(self):
         inputs = [
-            linear(1) * linear(2) * linear(3),
-            linear(2) * linear(4),
-            linear(3) * linear(4),
+            product([linear(1), linear(2), linear(3)]),
+            product([linear(2), linear(4)]),
+            product([linear(3), linear(4)]),
         ]
-        basis = coprime_basis(inputs)
-        for i, b1 in enumerate(basis):
-            for b2 in basis[i + 1 :]:
-                assert poly_gcd(b1, b2) == P(1)
-        for p in inputs:
-            rebuilt = Polynomial([1])
-            for b in basis:
-                if b.divides(p):
-                    rebuilt = rebuilt * b
-            assert rebuilt == p.monic()
+        check_coprime_basis(inputs, coprime_basis(inputs))
+
+
+def check_coprime_basis(inputs, basis):
+    """The basis is pairwise coprime and each input is the product of the
+    basis elements dividing it."""
+    for i, b1 in enumerate(basis):
+        for b2 in basis[i + 1 :]:
+            assert coprime(b1, b2)
+    for p in inputs:
+        assert product([b for b in basis if divides(b, p)]) == p
 
 
 small_polys = st.lists(st.integers(-6, 6), min_size=1, max_size=6).map(Polynomial)
@@ -164,34 +205,24 @@ nonzero_polys = small_polys.filter(lambda p: not p.is_zero)
 @settings(max_examples=60, deadline=None)
 @given(nonzero_polys, nonzero_polys)
 def test_gcd_divides_both_and_is_monic(p, q):
-    g = poly_gcd(p, q)
-    assert g.divides(p) and g.divides(q)
-    assert g.leading == 1
+    g = _int_gcd(_int_coeffs(p), _int_coeffs(q))
+    assert g[-1] > 0
+    assert _monic_poly(g) == from_dup(dup_gcd(to_dup(p.coeffs), to_dup(q.coeffs), QQ))
 
 
 @settings(max_examples=60, deadline=None)
 @given(nonzero_polys)
 def test_squarefree_idempotent(p):
-    once = squarefree_part(p)
-    assert squarefree_part(once) == once
-    # same roots: the squarefree part divides a power of p
-    assert poly_gcd(once, p.monic()) == once
+    once = sqf_part(p)
+    assert once == from_dup(dup_monic(dup_sqf_part(to_dup(p.coeffs), QQ), QQ))
+    assert once.is_constant or squarefree_decomposition(once) == [(1, once)]
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.sets(st.integers(-5, 5), min_size=1, max_size=3), min_size=1, max_size=4))
 def test_coprime_basis_reconstructs_products_of_linears(root_sets):
-    inputs = [math.prod(map(linear, sorted(s)), start=Polynomial([1])) for s in root_sets]
-    basis = coprime_basis(inputs)
-    for i, b1 in enumerate(basis):
-        for b2 in basis[i + 1 :]:
-            assert poly_gcd(b1, b2).degree == 0
-    for p in inputs:
-        rebuilt = Polynomial([1])
-        for b in basis:
-            if b.divides(p):
-                rebuilt = rebuilt * b
-        assert rebuilt == p
+    inputs = [product(map(linear, sorted(s))) for s in root_sets]
+    check_coprime_basis(inputs, coprime_basis(inputs))
 
 
 # irreducible factors over Q: linear t - r/d, and quadratics with negative discriminant
@@ -211,17 +242,13 @@ irreducible_factors = st.lists(
 def test_squarefree_decomposition_recovers_multiplicities(factors, data):
     mults = data.draw(st.lists(st.integers(1, 3), min_size=len(factors), max_size=len(factors)))
     scale = data.draw(st.fractions(min_value=-5, max_value=5).filter(bool))
-    p = Polynomial([scale])
-    want: dict[int, Polynomial] = {}
-    for f, m in zip(factors, mults):
-        p = p * f**m
-        want[m] = want.get(m, Polynomial([1])) * f
+    p = product([P(scale)] + [power(f, m) for f, m in zip(factors, mults)])
+    want = {
+        m: product([f for f, k in zip(factors, mults) if k == m]) for m in set(mults)
+    }
     dec = squarefree_decomposition(p)
     assert dict(dec) == want
-    rebuilt = Polynomial([1])
-    for k, f in dec:
-        rebuilt = rebuilt * f**k
-    assert rebuilt == p.monic()
+    assert product([power(f, k) for k, f in dec]) == monic(p)
 
 
 @settings(max_examples=60, deadline=None)
@@ -230,22 +257,8 @@ def test_coprime_basis_of_products_of_irreducibles(factors, data):
     subsets = data.draw(st.lists(
         st.sets(st.sampled_from(range(len(factors))), min_size=1), min_size=1, max_size=4
     ))
-    inputs = []
-    for subset in subsets:
-        p = Polynomial([1])
-        for i in sorted(subset):
-            p = p * factors[i]
-        inputs.append(p)
-    basis = coprime_basis(inputs)
-    for i, b1 in enumerate(basis):
-        for b2 in basis[i + 1 :]:
-            assert poly_gcd(b1, b2) == P(1)
-    for p in inputs:
-        rebuilt = Polynomial([1])
-        for b in basis:
-            if b.divides(p):
-                rebuilt = rebuilt * b
-        assert rebuilt == p
+    inputs = [product([factors[i] for i in sorted(subset)]) for subset in subsets]
+    check_coprime_basis(inputs, coprime_basis(inputs))
 
 
 # ---------------------------------------------------------------------------
