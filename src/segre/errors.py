@@ -18,9 +18,9 @@ class NoSmoothMemberError(DegeneratePencilError):
 
 
 class SizeLimitError(SegreError, ValueError):
-    """An input outside the sizes handled: a pencil larger than
-    ``pencil.MAX_SIZE`` x ``pencil.MAX_SIZE``, or a symbol to classify
-    whose weight is not 5 (a pencil that is not 5 x 5)."""
+    """An input outside the sizes handled: an empty (0 x 0) pencil or one
+    larger than ``pencil.MAX_SIZE`` x ``pencil.MAX_SIZE``, or a symbol to
+    classify whose weight is not 5 (a pencil that is not 5 x 5)."""
 
 
 class IllConditionedError(SegreError):

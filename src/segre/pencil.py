@@ -43,6 +43,7 @@ from .errors import (
 from .polynomial import (
     Polynomial,
     Rational,
+    _int_eval,
     _int_mul,
     _int_primitive,
     _int_squarefree_decomposition,
@@ -168,6 +169,8 @@ def _cleared(m: Sequence[Sequence[int | Fraction]]) -> tuple[IntMatrix, int]:
 # ---------------------------------------------------------------------------
 
 def _check_size(size: int) -> None:
+    if size < 1:
+        raise SizeLimitError("pencils are at least 1 x 1")
     if size > MAX_SIZE:
         raise SizeLimitError(f"pencils are at most {MAX_SIZE} x {MAX_SIZE}, got {size} x {size}")
 
@@ -176,9 +179,9 @@ class QuadricPencil:
     """Pair of symmetric rational matrices spanning a pencil of quadrics.
 
     ``n`` is the ambient projective dimension: the matrices are
-    (n+1) x (n+1), with n + 1 at most ``MAX_SIZE``; a larger pair raises
-    ``SizeLimitError``.  Values are immutable; every operation on pencils
-    is a pure function, so concurrent use needs no coordination.
+    (n+1) x (n+1), with 1 <= n + 1 <= ``MAX_SIZE``; an empty or a larger
+    pair raises ``SizeLimitError``.  Values are immutable; every operation
+    on pencils is a pure function, so concurrent use needs no coordination.
 
     The pencil holds the denominator-cleared integer pair (mult * U,
     mult * V) with ``mult`` the least common denominator of the entries, so
@@ -609,10 +612,7 @@ def _sweep_value(f: list[int], size: int) -> int:
     """
     for i in range(size):
         t = (i + 1) // 2 if i % 2 else -(i // 2)
-        value = 0
-        for c in reversed(f):  # f(-t) by Horner
-            value = value * -t + c
-        if value:
+        if _int_eval(f, -t):
             return t
     raise NoSmoothMemberError("no member of the pencil is nonsingular")
 

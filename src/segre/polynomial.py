@@ -4,7 +4,12 @@ All arithmetic runs on one engine of integer coefficient lists, lowest
 degree first: greatest common divisors (a primitive pseudo-remainder
 sequence keeps coefficients small at the degrees, at most seven, this
 package cares about), exact division, Yun decomposition and the coprime
-basis.  ``Polynomial`` is the value that leaves the engine: an immutable
+basis.  Yun runs on the primitive part, and a squarefree one, such as
+the determinant of a generic pencil, is proved so by one integer gcd
+instead of a polynomial gcd chain: the evaluation step of the heuristic
+gcd (Char, Geddes and Gonnet 1989) at a point past Mignotte's bound
+(1974) on the coefficients of factors (``_int_coprime_to_derivative``).
+``Polynomial`` is the value that leaves the engine: an immutable
 tuple of ``fractions.Fraction`` coefficients (``Rational``) with no
 arithmetic of its own.  Text comes from one renderer on an integer
 coefficient list and a denominator, ``_poly_str``: reports render the
@@ -134,18 +139,50 @@ def _int_exact_div(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return q
 
 
+def _int_eval(c: Sequence[int], x: int) -> int:
+    v = 0
+    for a in reversed(c):
+        v = v * x + a
+    return v
+
+
+def _int_coprime_to_derivative(a: Sequence[int]) -> bool:
+    """True only if the primitive nonconstant a is coprime to a', proved
+    with one integer gcd: the evaluation step of the heuristic gcd (Char,
+    Geddes and Gonnet 1989) at a point past Mignotte's bound (1974).
+
+    With n = deg a and m = (n + 1) * max|a_i| * 2**n, at least
+    2**n * ||a||_2, Mignotte's bound on every coefficient of every factor
+    of a in Z[t], take xi = 2*m + 2.  A common factor d of a and a' of
+    positive degree then has |d(xi)| > xi**deg(d) / 2 >= xi / 2, since
+    its lower coefficients sum to at most m * (xi**deg(d) - 1) / (xi - 1)
+    at xi; and d(xi) divides gcd(a(xi), a'(xi)), which is nonzero because
+    xi exceeds Cauchy's root bound of a.  So 2 * gcd(a(xi), a'(xi)) <= xi
+    rules d out.  False means only that the test did not decide.
+    """
+    xi = 2 * ((len(a) * max(map(abs, a))) << (len(a) - 1)) + 2
+    return 2 * math.gcd(_int_eval(a, xi), _int_eval(_int_derivative(a), xi)) <= xi
+
+
 def _int_squarefree_decomposition(f: Sequence[int]) -> list[tuple[int, list[int]]]:
     """Yun decomposition of a nonzero integer polynomial.
 
     Pairs (k, h) with h primitive, squarefree and pairwise coprime, and f
-    a rational multiple of the product of the h**k.  v and w carry the
-    same integer scale throughout, so w - v' is the Yun difference up to
-    that scale and every division below is exact in Z[t].
+    a rational multiple of the product of the h**k.  Everything runs on
+    the primitive part a of f.  A nonconstant a that
+    ``_int_coprime_to_derivative`` certifies is squarefree gives [(1, a)],
+    Yun's answer for it, with no polynomial gcd; otherwise Yun runs.  v
+    and w carry the same integer scale throughout, so w - v' is the Yun
+    difference up to that scale and every division below is exact in
+    Z[t].
     """
-    df = _int_derivative(f)
-    u = _int_gcd(f, df)
-    v = _int_exact_div(f, u)
-    w = _int_exact_div(df, u)
+    a = _int_primitive(f)
+    if len(a) > 1 and _int_coprime_to_derivative(a):
+        return [(1, a)]
+    da = _int_derivative(a)
+    u = _int_gcd(a, da)
+    v = _int_exact_div(a, u)
+    w = _int_exact_div(da, u)
     out: list[tuple[int, list[int]]] = []
     k = 1
     while len(v) > 1:

@@ -17,6 +17,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from ._record import Record
+from .errors import ParseError
 from .pencil import (
     Matrix,
     QuadricPencil,
@@ -117,15 +118,18 @@ class SegreSymbol:
     exactly when their canonicalized exponent structures coincide, which
     is what congruence and pencil-basis invariance preserve.  The rendered
     text and the exponent structure are computed once per symbol, on their
-    first use.
+    first use.  A symbol made by ``canonical()`` knows its groups are in
+    canonical order: it is its own canonical form, and its structure is
+    read in group order.
     """
 
-    __slots__ = ("groups", "_text", "_structure")
+    __slots__ = ("groups", "_text", "_structure", "_canonical")
 
     def __init__(self, groups: Sequence[Group]):
         object.__setattr__(self, "groups", tuple(groups))
         object.__setattr__(self, "_text", None)
         object.__setattr__(self, "_structure", None)
+        object.__setattr__(self, "_canonical", False)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("SegreSymbol is immutable")
@@ -138,21 +142,22 @@ class SegreSymbol:
     @classmethod
     def parse(cls, text: str) -> "SegreSymbol":
         """Parse ``[..]`` notation: bare digits are singleton groups,
-        parenthesized digit runs are bracketed groups."""
+        parenthesized digit runs are bracketed groups.  Malformed text
+        raises ``ParseError``."""
         s = text.strip()
         if not (s.startswith("[") and s.endswith("]")):
-            raise ValueError(f"symbol must be enclosed in square brackets: {text[:40]!r}")
+            raise ParseError(f"symbol must be enclosed in square brackets: {text[:40]!r}")
         groups: list[Group] = []
         for m in _SYMBOL_TOKEN.finditer(s[1:-1]):
             run, digit, bad = m.groups()
             if bad is not None:
-                raise ValueError(f"unexpected character {bad!r} in symbol {text[:40]!r}")
+                raise ParseError(f"unexpected character {bad!r} in symbol {text[:40]!r}")
             if run is not None:
                 groups.append(Group(tuple(int(ch) for ch in run)))
             else:
                 groups.append(Group((int(digit),)))
         if not groups:
-            raise ValueError(f"empty symbol: {text[:40]!r}")
+            raise ParseError(f"empty symbol: {text[:40]!r}")
         return cls(groups)
 
     @property
@@ -160,13 +165,17 @@ class SegreSymbol:
         return sum(g.weight for g in self.groups)
 
     def canonical(self) -> "SegreSymbol":
-        return SegreSymbol(sorted(self.groups, key=Group.sort_key))
+        if self._canonical:
+            return self
+        s = SegreSymbol(sorted(self.groups, key=Group.sort_key))
+        object.__setattr__(s, "_canonical", True)
+        return s
 
     def exponent_structure(self) -> tuple[tuple[int, ...], ...]:
         """The multiset of group exponent multisets, canonically ordered."""
         if self._structure is None:
-            structure = tuple(g.exponents for g in sorted(self.groups, key=Group.sort_key))
-            object.__setattr__(self, "_structure", structure)
+            groups = self.groups if self._canonical else sorted(self.groups, key=Group.sort_key)
+            object.__setattr__(self, "_structure", tuple(g.exponents for g in groups))
         return self._structure
 
     def unbracketed_ones(self) -> int:
@@ -239,7 +248,10 @@ def _symbol_from_classes(
         by_partition[lam] = h if b is None else _int_mul(b, h)
     groups: list[Group] = []
     top_poly = None
-    for lam, b in sorted(by_partition.items(), key=lambda item: _basis_key(item[1])):
+    parts = by_partition.items()
+    if len(by_partition) > 1:
+        parts = sorted(parts, key=lambda item: _basis_key(item[1]))
+    for lam, b in parts:
         if len(b) == 2:
             groups.append(Group(lam, ExplicitRoot(Fraction(-b[0], b[1]))))
         else:

@@ -4,6 +4,7 @@ removed here is an API change and belongs in README and CHANGES.md."""
 import pytest
 
 import segre
+from segre.errors import ParseError, SegreError
 
 PUBLIC = [
     "AutE",
@@ -69,3 +70,26 @@ def test_every_public_name_resolves():
 def test_removed_names_are_gone(name):
     with pytest.raises(AttributeError):
         getattr(segre, name)
+
+
+# every public callable that takes symbol text, and malformed texts for it
+SYMBOL_CALLABLES = {
+    "classify_symbol": segre.classify_symbol,
+    "canonicalize": segre.canonicalize,
+    "transitions": segre.transitions,
+    "covers_of": segre.covers_of,
+    "random_instance": lambda s: segre.random_instance(s, 0),
+    "build_normal_form": lambda s: segre.build_normal_form(s, [1]),
+}
+MALFORMED_SYMBOLS = ["", "[", "[]", "[0]", "[x1]", "11"]
+
+
+@pytest.mark.parametrize("text", MALFORMED_SYMBOLS)
+@pytest.mark.parametrize("name", sorted(SYMBOL_CALLABLES))
+def test_malformed_symbol_text_raises_parse_error(name, text):
+    with pytest.raises(ParseError) as direct:
+        segre.SegreSymbol.parse(text)
+    with pytest.raises(SegreError) as info:
+        SYMBOL_CALLABLES[name](text)
+    assert type(info.value) is ParseError and isinstance(info.value, ValueError)
+    assert str(info.value) == str(direct.value)

@@ -286,6 +286,15 @@ class TestRandom:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("symbol", ["", "[", "[]", "[0]", "[x1]", "11"])
+    @pytest.mark.parametrize("command", [
+        ["random", "--seed", "1", "--symbol"], ["normal-form", "--roots", "1", "--"],
+    ], ids=["random", "normal-form"])
+    def test_malformed_symbol_exits_2(self, capsys, command, symbol):
+        code = main(command + [symbol])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("input error: ")
+
     def test_weights_up_to_five(self, capsys):
         for symbol in ("[1]", "[(11)]", "[21]", "[(11)11]", "[(11111)]"):
             code, out = run(capsys, "random", "--symbol", symbol, "--seed", "3")

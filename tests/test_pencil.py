@@ -489,6 +489,16 @@ class TestAnalyzeWork:
         assert len(full) == 1
         assert dets == []
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_squarefree_determinant_takes_no_polynomial_gcd(self, monkeypatch, seed):
+        # a [11111] determinant is certified squarefree by one integer gcd;
+        # a repeated root still runs Yun's gcd chain
+        gcds = counting(monkeypatch, segre.polynomial, "_int_gcd")
+        analyze_pencil(random_instance("[11111]", seed))
+        assert gcds == []
+        analyze_pencil(random_instance("[2111]", seed))
+        assert gcds != []
+
     def test_det_v_computed_once(self, monkeypatch):
         # det V is the leading coefficient of the expanded determinant,
         # so analyze_pencil computes it once and never by eliminating V

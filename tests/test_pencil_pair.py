@@ -287,6 +287,26 @@ def test_constructor_errors_are_unchanged(call, kind, message):
     assert type(info.value) is kind and str(info.value) == message
 
 
+class _EmptyPair:
+    """Pickles as the state of a 0 x 0 pencil."""
+
+    def __reduce__(self):
+        return segre.pencil._reduced, ((), (), 1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: QuadricPencil([], []),
+    lambda: congruent(QuadricPencil(_I5, _I5), []),
+    lambda: pickle.loads(pickle.dumps(_EmptyPair())),
+], ids=["constructor", "congruent", "unpickle"])
+def test_empty_pencil_is_refused(make):
+    # a 0 x 0 pair has no member to analyse: analyze_pencil indexed its
+    # empty chain, and compute_symbol returned the empty symbol
+    with pytest.raises(SizeLimitError) as info:
+        make()
+    assert str(info.value) == "pencils are at least 1 x 1"
+
+
 def test_integer_documents_never_build_the_rational_matrices(monkeypatch):
     """An integer pencil goes from its JSON text through the analysis, the
     report, member selection and the numeric oracle on its integer pair."""

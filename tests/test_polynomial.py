@@ -6,19 +6,22 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import QQ
-from sympy.polys.densetools import dup_monic
+from sympy import QQ, ZZ
+from sympy.polys.densetools import dup_diff, dup_monic
 from sympy.polys.euclidtools import dup_gcd
-from sympy.polys.sqfreetools import dup_sqf_part
+from sympy.polys.sqfreetools import dup_sqf_list, dup_sqf_part
 
 from segre.polynomial import (
     Polynomial,
     _int_coeffs,
+    _int_coprime_to_derivative,
     _int_derivative,
     _int_divide,
     _int_exact_div,
     _int_gcd,
     _int_mul,
+    _int_primitive,
+    _int_squarefree_decomposition,
     _monic_poly,
     coprime_basis,
     squarefree_decomposition,
@@ -259,6 +262,107 @@ def test_coprime_basis_of_products_of_irreducibles(factors, data):
     ))
     inputs = [product([factors[i] for i in sorted(subset)]) for subset in subsets]
     check_coprime_basis(inputs, coprime_basis(inputs))
+
+
+# ---------------------------------------------------------------------------
+# the integer engine's Yun decomposition and its squarefree certificate
+# ---------------------------------------------------------------------------
+
+def sympy_sqf(f: list[int]) -> list[tuple[int, list[int]]]:
+    """sympy's squarefree decomposition of f over ZZ, in the engine's form:
+    (k, primitive factor with a positive leading coefficient), lowest
+    degree first, by increasing k."""
+    _, parts = dup_sqf_list([ZZ(c) for c in reversed(f)], ZZ)
+    out = []
+    for g, k in parts:
+        g = [int(c) for c in reversed(g)]
+        out.append((k, g if g[-1] > 0 else [-c for c in g]))
+    return sorted(out)
+
+
+def has_repeated_factor(a: list[int]) -> bool:
+    da = dup_diff([ZZ(c) for c in reversed(a)], 1, ZZ)
+    return len(dup_gcd([ZZ(c) for c in reversed(a)], da, ZZ)) > 1
+
+
+def int_product(factors, content: int = 1) -> list[int]:
+    f = [content]
+    for g, k in factors:
+        for _ in range(k):
+            f = _int_mul(f, g)
+    return f
+
+
+# integer factors of degree 1 to 3 with small, large and huge coefficients,
+# each with a multiplicity, and a content of up to 40 digits
+int_factors = st.lists(
+    st.tuples(
+        st.sampled_from([9, 10**6, 10**12]).flatmap(
+            lambda b: st.lists(st.integers(-b, b), min_size=2, max_size=4).filter(lambda c: c[-1])
+        ),
+        st.integers(1, 3),
+    ),
+    min_size=1,
+    max_size=3,
+)
+contents = st.integers(-(10**40), 10**40).filter(bool)
+
+# repeated factors whose coefficients sit near the bound of the certificate
+N = 10**30
+NEAR_BOUND = {
+    "(t - N)^2 (t + 1)": [([-N, 1], 2), ([1, 1], 1)],
+    "(t - N)^2 (t^2 + 1)": [([-N, 1], 2), ([1, 0, 1], 1)],
+    "(t - N)^2 (t^3 - 2)": [([-N, 1], 2), ([-2, 0, 0, 1], 1)],
+    "(t - N)^2 (N t - 1)": [([-N, 1], 2), ([-1, N], 1)],
+    "(t^2 - N t + 1)^2": [([1, -N, 1], 2)],
+    "(t^2 - N t + 1)^2 (t - 1)": [([1, -N, 1], 2), ([-1, 1], 1)],
+    "(t^2 - N t + 1)^3 (t^2 + N t + 1)": [([1, -N, 1], 3), ([1, N, 1], 1)],
+    "(t + 1)^7": [([1, 1], 7)],
+    "(t^2 + t + 1)^2 (t - 1)^2": [([1, 1, 1], 2), ([-1, 1], 2)],
+    "(2 t - 1)^2 (3 t + 1)": [([-1, 2], 2), ([1, 3], 1)],
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_factors, contents)
+def test_int_squarefree_decomposition_matches_sympy(factors, content):
+    f = int_product(factors, content)
+    assert _int_squarefree_decomposition(f) == sympy_sqf(f)
+    # and the certificate never answers "coprime" for a repeated factor
+    a = _int_primitive(f)
+    if len(a) > 1 and _int_coprime_to_derivative(a):
+        assert not has_repeated_factor(a)
+
+
+@pytest.mark.parametrize("factors", NEAR_BOUND.values(), ids=NEAR_BOUND)
+@pytest.mark.parametrize("content", [1, -(10**25)])
+def test_repeated_factors_near_the_bound(factors, content):
+    f = int_product(factors, content)
+    a = _int_primitive(f)
+    assert has_repeated_factor(a)
+    assert not _int_coprime_to_derivative(a)
+    assert _int_squarefree_decomposition(f) == sympy_sqf(f)
+
+
+@pytest.mark.parametrize("factors", [
+    [([-N, 1], 1), ([-N - 1, 1], 1), ([1, 1], 1)],
+    [([1, -N, 1], 1), ([1, N, 1], 1)],
+    [([-3, 1], 1), ([-5, 0, 2], 1), ([7, 1, 0, 4], 1)],
+], ids=["near roots", "quadratics", "mixed degrees"])
+def test_squarefree_polynomials_are_certified(factors):
+    f = int_product(factors, -(10**25))
+    assert _int_coprime_to_derivative(_int_primitive(f))
+    assert _int_squarefree_decomposition(f) == [(1, _int_primitive(f))] == sympy_sqf(f)
+
+
+def test_constant_and_zero_inputs_keep_their_results():
+    for c in ([1], [-7], [10**40], [5, 0, 0]):
+        assert _int_squarefree_decomposition(c) == []
+    assert squarefree_decomposition(P(Fraction(-3, 4))) == []
+    with pytest.raises(IndexError):  # callers never pass the zero list
+        _int_squarefree_decomposition([])
+    with pytest.raises(ValueError, match="zero polynomial"):
+        squarefree_decomposition(Polynomial())
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from segre.catalog import CATALOG_ORDER
-from segre.errors import NoSmoothMemberError
+from segre.errors import NoSmoothMemberError, ParseError
 from segre.reporting import analyze_pencil
 from segre.pencil import QuadricPencil, _bareiss, as_matrix, congruent, diagonal, identity, select_nonsingular_member
 from segre.symbol import (
@@ -45,7 +45,7 @@ class TestParseRender:
     def test_parse_error_quotes_at_most_40_characters(self, bad):
         with pytest.raises(ValueError) as info:
             SegreSymbol.parse(bad)
-        assert type(info.value) is ValueError
+        assert type(info.value) is ParseError
         assert len(str(info.value)) < 100
 
     def test_round_trip_through_parser(self):
