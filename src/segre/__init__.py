@@ -33,6 +33,7 @@ from .errors import (
     IllConditionedError,
     InternalConsistencyError,
     NoSmoothMemberError,
+    NotInCatalogError,
     ParseError,
     SegreError,
     SizeLimitError,
@@ -88,6 +89,7 @@ __all__ = [
     "InvariantFactors",
     "MAX_SIZE",
     "NoSmoothMemberError",
+    "NotInCatalogError",
     "NumericPartition",
     "ParseError",
     "ParsedForm",

@@ -20,6 +20,7 @@ from __future__ import annotations
 from enum import Enum
 
 from ._record import Record
+from .errors import NotInCatalogError
 from .symbol import SegreSymbol, canonicalize
 
 __all__ = [
@@ -216,7 +217,7 @@ def catalog_row(s: SegreSymbol | str) -> CatalogRow:
     key = _canonical_key(s)
     row = CATALOG.get(key)
     if row is None:
-        raise ValueError(f"{key} is not one of the 16 catalog symbols")
+        raise NotInCatalogError(f"{key} is not one of the 16 catalog symbols")
     return row
 
 
@@ -234,8 +235,6 @@ TRANSITIONS: dict[str, tuple[str, ...]] = {
 
 
 def transitions(s: SegreSymbol | str) -> list[SegreSymbol]:
-    """Adjacent degenerations of a catalog symbol (may be empty)."""
-    key = _canonical_key(s)
-    if key not in CATALOG:
-        raise ValueError(f"{key} is not one of the 16 catalog symbols")
-    return [SegreSymbol.parse(t) for t in TRANSITIONS.get(key, ())]
+    """Adjacent degenerations of a catalog symbol (may be empty); a symbol
+    off the catalog raises ``NotInCatalogError``, as in ``catalog_row``."""
+    return [SegreSymbol.parse(t) for t in TRANSITIONS.get(catalog_row(s).symbol, ())]

@@ -186,7 +186,7 @@ def covers_of(s: SegreSymbol | str) -> list[CoverReport]:
     1s give symbol-identical covers and are still listed once per entry.
     [32] and [5] contain no 1 and admit no cover.
     """
-    row = catalog_row(s)  # raises for non-catalog symbols
+    row = catalog_row(s)  # NotInCatalogError for non-catalog symbols
     sym = canonicalize(s)
     reports: list[CoverReport] = []
     entry = 0

@@ -35,6 +35,10 @@ class InternalConsistencyError(SegreError):
     """
 
 
+class NotInCatalogError(SegreError, ValueError):
+    """A well-formed symbol off the 16-symbol catalog, given where a row is needed."""
+
+
 class ParseError(SegreError, ValueError):
     """Malformed quadratic-form expression or matrix file."""
 

@@ -12,18 +12,17 @@ analysis it is expanded once, and det V, the member sweep and the
 selected pencil's determinant are all read off it.  No smaller minor is
 ever expanded.  The invariant factors come from root classes
 (``_root_classes``): the Yun parts of the determinant, each with the
-partition of its elementary-divisor exponents, read off one rank
-staircase per repeated part (``_part_classes``), at every size.  For a
-5 x 5 pencil one or two exact ranks at each repeated root are all it
-takes.  Only the finished invariant factors become monic ``Polynomial``
-values, which makes the integer scaling invisible.
+partition of its elementary-divisor exponents, read off one or two exact
+ranks at each repeated part (``_part_classes``).  Only the finished
+invariant factors become monic ``Polynomial`` values, which makes the
+integer scaling invisible.
 
 A pencil holds its cleared pair from construction on, with the least common
 denominator, and builds its rational matrices only when they are read.
 
-Pencils are at most ``MAX_SIZE`` x ``MAX_SIZE``: the expansion does
-k * 2^(k-1) entry products on a k x k minor, so its cost doubles with
-each row, and a larger pencil raises ``SizeLimitError``.
+Pencils are at most ``MAX_SIZE`` x ``MAX_SIZE`` = 5 x 5, quadrics in P^4,
+where Segre quartic surfaces live; a larger or an empty pair raises
+``SizeLimitError``.
 """
 
 from __future__ import annotations
@@ -57,8 +56,8 @@ IntRows = Sequence[Sequence[int]]
 
 _EXACT = {int, Fraction}
 
-# the largest pencil, P^6; the catalog's pencils are 5 x 5 (P^4)
-MAX_SIZE = 7
+# the largest pencil: a Segre quartic surface lives in P^4
+MAX_SIZE = 5
 
 __all__ = [
     "MAX_SIZE",
@@ -112,14 +111,6 @@ def diagonal(entries: Sequence[Rational | int]) -> Matrix:
         tuple(es[i] if i == j else Fraction(0) for j in range(len(es)))
         for i in range(len(es))
     )
-
-
-def _mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _mat_scale(a: Matrix, c: Fraction) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def _bareiss(m: Sequence[Sequence[int]]) -> tuple[int, int]:
@@ -260,7 +251,8 @@ class QuadricPencil:
 
     def member(self, x: Rational | int, y: Rational | int) -> Matrix:
         """The matrix x*U + y*V."""
-        return _mat_add(_mat_scale(self.u, Fraction(x)), _mat_scale(self.v, Fraction(y)))
+        x, y = Fraction(x), Fraction(y)
+        return tuple(tuple(x * a + y * b for a, b in zip(ru, rv)) for ru, rv in zip(self.u, self.v))
 
 
 def _store(p: QuadricPencil, iu: IntMatrix, iv: IntMatrix, mult: int) -> None:
@@ -482,37 +474,23 @@ def _root_classes(iu: IntRows, iv: IntRows, f: list[int]) -> list[RootClass]:
 
 def _part_classes(iu: IntRows, iv: IntRows, m: int, h: list[int]) -> list[RootClass]:
     """The root classes of h, a primitive squarefree factor of the
-    determinant whose roots have multiplicity m, by a rank staircase
-    (after Van Dooren 1979).
+    determinant whose roots have multiplicity m, from one or two exact
+    ranks (after Van Dooren 1979).
 
     Simple roots have partition (1,), and a quadratic h with rational
     roots is split into its two linear factors.  Otherwise, with d the
     degree of h, c its leading coefficient and C its companion matrix,
     A = c*(U x I_d) - V x (c*C) is the direct sum of c*(U - r*V) over the
-    roots r of h, and T_j, the j x j block matrix with A on the diagonal
-    and V x I_d below it (the scale of that block changes no rank), has
-    nullity N_j = sum over the roots of sum_i min(lambda_i, j).  When the
-    roots share one partition, N_j - N_(j-1) is d times the number of
-    blocks of size j or more; T_j is taken for j = 1, 2, ... until
-    ``_partition`` closes the partition.  For a linear h = c1*t + c0,
-    A = c1*U + c0*V, and the Gram matrix K^T V K of an integer kernel
-    basis K of A stands in for T_2: a kernel vector x starts a chain of
-    length two or more when V*x lies in the image of A, which for
-    symmetric A is orthogonal to its kernel.  Up to size 5 every part
-    closes within one step, or two for a linear part.
-
-    A step not divisible by d means the roots of h carry different
-    partitions, and h is split on demand (dynamic evaluation, Della
-    Dora-Dicrescenzo-Duval 1985): ker T_j is invariant under I x (c*C),
-    the characteristic polynomial of I x C on it is the product of
-    (t - r)^(N_j(r)) over the roots r, and its Yun parts, each a factor of
-    h, go back through this routine.  Up to a constant that polynomial is
-    det(K^T (I x c*C) K - t*c*K^T K), K an integer kernel basis of T_j.
-    An irreducible h never splits: its roots are conjugate.  Up to
-    ``MAX_SIZE`` = 7 the only part that can mix partitions is a reducible
-    cubic of multiplicity 2, and its first step always shows it: (2) has
-    one block and (11) two, so three roots that mix them have 4 or 5
-    blocks, not a multiple of 3.
+    roots r of h, so its nullity over d counts the blocks at each root.
+    As d*m <= ``MAX_SIZE`` = 5, a part of degree 3 or more is simple, and
+    one of degree 2 left unsplit is irreducible with m = 2: its conjugate
+    roots share (2) or (11), one block or two.  Where that count leaves a
+    linear root's partition open, nullity(A) - rank(K^T V K), K an integer
+    kernel basis of A = c*U + h(0)*V, counts the blocks of size two or more
+    (x in ker A starts a chain of length two or more when V*x lies in the
+    image of A, orthogonal to ker A as A is symmetric); at m <= 5 those
+    are one block, (2, 2) or (3, 2).  Counts that leave it open raise
+    ``InternalConsistencyError``.
     """
     if m == 1:
         return [(h, (1,))]
@@ -533,44 +511,17 @@ def _part_classes(iu: IntRows, iv: IntRows, m: int, h: list[int]) -> list[RootCl
             [c * x * (k == l) - y * cc[k][l] for x, y in zip(ru, rv) for l in range(d)]
             for ru, rv in zip(iu, iv) for k in range(d)
         ]
-    counts: list[int] = []
-    nullity = 0  # of T_(j-1)
-    while True:
-        j = len(counts) + 1
-        if d == 1 and j == 2:
-            k = _kernel(a)
-            vk = [[sum(x * y for x, y in zip(rv, kb)) for rv in iv] for kb in k]
-            gram = [[sum(x * y for x, y in zip(ka, vb)) for vb in vk] for ka in k]
-            step = counts[0] - _bareiss(gram)[0]
-        else:
-            t = a if j == 1 else _staircase_matrix(a, iv, d, j)
-            step = len(t) - _bareiss(t)[0] - nullity
-        if step % d:
-            ker = _kernel(t)
-            ck = [  # (I x c*C) v, for each kernel vector v
-                [sum(x * y for x, y in zip(row, v[at : at + d])) for at in range(0, len(v), d)
-                 for row in cc]
-                for v in ker
-            ]
-            w = [[sum(x * y for x, y in zip(ka, cb)) for cb in ck] for ka in ker]
-            g = [[c * sum(x * y for x, y in zip(ka, kb)) for kb in ker] for ka in ker]
-            pieces = _int_squarefree_decomposition(_poly_minor(w, g))
-            return [cls for _, piece in pieces for cls in _part_classes(iu, iv, m, piece)]
-        nullity += step
-        counts.append(step // d)
+    counts = [(len(a) - _bareiss(a)[0]) // d]
+    lam = _partition(m, counts)
+    if lam is None and d == 1:
+        k = _kernel(a)
+        vk = [[sum(x * y for x, y in zip(rv, kb)) for rv in iv] for kb in k]
+        gram = [[sum(x * y for x, y in zip(ka, vb)) for vb in vk] for ka in k]
+        counts.append(counts[0] - _bareiss(gram)[0])
         lam = _partition(m, counts)
-        if lam is not None:
-            return [(h, lam)]
-
-
-def _staircase_matrix(a: list[list[int]], iv: IntRows, d: int, j: int) -> list[list[int]]:
-    """T_j: j x j blocks, A on the diagonal and V x I_d just below it."""
-    w = len(a)
-    b = [[y * (k == l) for y in rv for l in range(d)] for rv in iv for k in range(d)]
-    return [
-        ([0] * (w * (r - 1)) + b[i] if r else []) + a[i] + [0] * (w * (j - 1 - r))
-        for r in range(j) for i in range(w)
-    ]
+    if lam is None:
+        raise InternalConsistencyError(f"rank counts {counts} leave a partition of {m} open")
+    return [(h, lam)]
 
 
 def _chain(classes: list[RootClass], size: int) -> list[list[int]]:

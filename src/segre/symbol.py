@@ -191,7 +191,10 @@ class SegreSymbol:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, str):
-            other = SegreSymbol.parse(other)
+            try:
+                other = SegreSymbol.parse(other)
+            except ParseError:  # malformed text equals no symbol
+                return False
         if not isinstance(other, SegreSymbol):
             return NotImplemented
         return self.exponent_structure() == other.exponent_structure()

@@ -4,7 +4,8 @@ removed here is an API change and belongs in README and CHANGES.md."""
 import pytest
 
 import segre
-from segre.errors import ParseError, SegreError
+from segre.catalog import catalog_row
+from segre.errors import NotInCatalogError, ParseError, SegreError
 
 PUBLIC = [
     "AutE",
@@ -22,6 +23,7 @@ PUBLIC = [
     "InvariantFactors",
     "MAX_SIZE",
     "NoSmoothMemberError",
+    "NotInCatalogError",
     "NumericPartition",
     "ParseError",
     "ParsedForm",
@@ -93,3 +95,28 @@ def test_malformed_symbol_text_raises_parse_error(name, text):
         SYMBOL_CALLABLES[name](text)
     assert type(info.value) is ParseError and isinstance(info.value, ValueError)
     assert str(info.value) == str(direct.value)
+
+
+# every public lookup that needs a catalog row, and well-formed symbols off it
+CATALOG_CALLABLES = {
+    "transitions": segre.transitions,
+    "covers_of": segre.covers_of,
+    "catalog.catalog_row": catalog_row,
+}
+
+
+@pytest.mark.parametrize("text", ["[(111)11]", "[11]"])
+@pytest.mark.parametrize("name", sorted(CATALOG_CALLABLES))
+def test_symbol_off_the_catalog_raises_not_in_catalog_error(name, text):
+    with pytest.raises(SegreError) as info:
+        CATALOG_CALLABLES[name](text)
+    assert type(info.value) is NotInCatalogError and isinstance(info.value, ValueError)
+    assert str(info.value) == f"{text} is not one of the 16 catalog symbols"
+
+
+def test_symbol_compares_unequal_to_malformed_text():
+    sym = segre.SegreSymbol.parse("[1]")
+    assert (sym == "abc") is False
+    assert ("abc" in [sym]) is False
+    assert (sym != "abc") is True
+    assert sym == "[1]"

@@ -165,10 +165,15 @@ class TestClassify:
 
     @pytest.mark.parametrize("size", [4, 6])
     def test_analyze_refuses_a_pencil_not_five_by_five(self, size):
-        # a SegreError, still a ValueError, with classify_symbol's message
-        p = random_instance("[" + "1" * size + "]", 0)
-        with pytest.raises(SizeLimitError, match="^classification needs a weight-5 symbol, got "):
-            analyze_pencil(p)
+        # a SegreError, still a ValueError: a 4 x 4 pencil with
+        # classify_symbol's message, and a 6 x 6 one before it is built
+        symbol = "[" + "1" * size + "]"
+        if size > 5:
+            with pytest.raises(SizeLimitError, match="^pencils are at most 5 x 5, got 6 x 6$"):
+                random_instance(symbol, 0)
+        else:
+            with pytest.raises(SizeLimitError, match="^classification needs a weight-5 symbol, got "):
+                analyze_pencil(random_instance(symbol, 0))
         assert issubclass(SizeLimitError, ValueError)
 
     def test_discrepancy_note_present(self):

@@ -121,7 +121,7 @@ def check_square(oracle, size, digits):
             assert len(got) <= size, name
 
 
-SIZES = range(1, 8)
+SIZES = range(1, MAX_SIZE + 1)
 DIGITS = (1, 10, 1000)
 
 
@@ -132,15 +132,13 @@ def test_against_interpolation(size, digits):
 
 
 @pytest.mark.parametrize("digits", DIGITS)
-@pytest.mark.parametrize("size", range(1, 6))
+@pytest.mark.parametrize("size", SIZES)
 def test_against_cofactor(size, digits):
     check_square(cofactor_minor, size, digits)
 
 
-# sympy takes about a second per 1000-digit matrix past size 5
-@pytest.mark.parametrize(
-    "size, digits", [(k, d) for k in SIZES for d in DIGITS if d < 1000 or k <= 5]
-)
+@pytest.mark.parametrize("digits", DIGITS)
+@pytest.mark.parametrize("size", SIZES)
 def test_against_sympy(size, digits):
     check_square(sympy_minor, size, digits)
 
@@ -159,8 +157,7 @@ def subsets(size, k, rng, count):
 def test_non_contiguous_minors_sympy(digits):
     """Square submatrices rows x cols of symmetric pencils, rows != cols
     and both non-contiguous: the expansion takes any square integer pair,
-    symmetric or not, as the kernel restrictions of ``_part_classes``
-    are."""
+    symmetric or not."""
     rng = random.Random(digits)
     bound = 10**digits
     size = 7
@@ -197,7 +194,7 @@ def test_determinant_makes_no_bareiss_call(monkeypatch):
 
 
 def test_pencils_past_the_size_limit_are_refused():
-    # the expansion's cost doubles with each row, so pencil size is capped
+    # pencils are capped at the 5 x 5 of quadrics in P^4
     with pytest.raises(SizeLimitError, match=f"at most {MAX_SIZE} x {MAX_SIZE}"):
         QuadricPencil(identity(MAX_SIZE + 1), identity(MAX_SIZE + 1))
     with pytest.raises(SizeLimitError):

@@ -11,7 +11,6 @@ powers h(M)^j give the partition, with (M - alpha)^j as the linear case.
 
 import random
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
@@ -20,10 +19,8 @@ from segre.acceptance import _degenerate_pairs
 from segre.errors import IllConditionedError
 from segre.numeric import numeric_exponent_partitions
 from segre.pencil import (
-    MAX_SIZE,
     QuadricPencil,
     _bareiss,
-    _partition,
     as_matrix,
     change_basis,
     congruent,
@@ -122,13 +119,12 @@ def jordan_two(su, sv):
 
 
 # symmetric pairs (Su, Sv) whose Sv^-1 Su has an irreducible characteristic
-# polynomial: x^2 - d for d = 2, 5, 7, and the cubic x^3 - x^2 - 2x + 1
+# polynomial x^2 - d, for d = 2, 5, 7
 QUADRATIC = {
     2: ([[1, 1], [1, -1]], [[1, 0], [0, 1]]),
     5: ([[1, 2], [2, -1]], [[1, 0], [0, 1]]),
     7: ([[0, 7], [7, 0]], [[1, 0], [0, 7]]),
 }
-CUBIC = ([[0, 1, 0], [1, 0, 1], [0, 1, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 ONE = ([[3]], [[1]])
 
 
@@ -143,9 +139,7 @@ def conjugate_cases():
     return out
 
 
-# normal forms on non-integer rational roots, sizes 2 to 7; at size 6 and
-# 7, (33), (42) and (331) are partitions that the number of blocks and the
-# number of blocks of size two or more leave open
+# normal forms on non-integer rational roots, sizes 2 to 5
 RATIONAL = {
     "[2]": [Fraction(1, 3)],
     "[(11)]": [Fraction(-5, 2)],
@@ -160,11 +154,6 @@ RATIONAL = {
     "[(221)]": [Fraction(3, 8)],
     "[(41)]": [Fraction(3, 5)],
     "[(11)(11)1]": [Fraction(1, 2), Fraction(-3, 4), Fraction(2, 3)],
-    "[(33)]": [Fraction(1, 2)],
-    "[(42)]": [Fraction(-4, 3)],
-    "[(222)]": [Fraction(2, 5)],
-    "[(321)]": [Fraction(-1, 6)],
-    "[(331)]": [Fraction(5, 3)],
 }
 CASES = {
     **conjugate_cases(),
@@ -172,29 +161,7 @@ CASES = {
         f"{sym} at {', '.join(map(str, roots))}": (build_normal_form(sym, roots), roots[0])
         for sym, roots in RATIONAL.items()
     },
-    # an irreducible Yun part of degree 3 and multiplicity 2
-    "(11)(11)(11) cubic": (block_diag(CUBIC, CUBIC), None),
-    "(2)(2)(2) cubic": (block_diag(jordan_two(*CUBIC)), None),
 }
-# a reducible cubic Yun part of multiplicity 2 whose roots carry different
-# partitions, (2) at some and (11) at the others: the staircase splits it
-TWO_AT_3 = ([[0, 3], [3, 1]], [[0, 1], [1, 0]])
-MIXED = {
-    **{
-        f"{sym} at {', '.join(map(str, roots))} mixed cubic": (build_normal_form(sym, roots), roots[0])
-        for sym, roots in {
-            "[2(11)(11)]": [Fraction(1, 2), -3, Fraction(7, 4)],
-            "[22(11)]": [Fraction(-2, 3), 5, Fraction(1, 4)],
-            "[22(11)1]": [Fraction(3, 2), -1, Fraction(2, 5), 4],
-        }.items()
-    },
-    "(2)(2)(11) x^2-2 at 3 mixed cubic": (block_diag(jordan_two(*QUADRATIC[2]), ONE, ONE), 3),
-    "(11)(11)(2) x^2-5 at 3 mixed cubic": (block_diag(QUADRATIC[5], QUADRATIC[5], TWO_AT_3), 3),
-    "(2)(2)(11)1 x^2-7 at 3, -1 mixed cubic": (
-        block_diag(jordan_two(*QUADRATIC[7]), ONE, ONE, ([[-1]], [[1]])), 3
-    ),
-}
-CASES.update(MIXED)
 # no root of any case: s in (U - s*V, U - r*V)
 NON_ROOT = 11
 
@@ -217,12 +184,9 @@ def test_sympy_oracle(name, monkeypatch):
     monkeypatch.setattr(segre.pencil, "_poly_minor", counted)
     assert compute_symbol(p).exponent_structure() == oracle_structure(classes)
     assert invariant_factors(p).factors == oracle_factors(classes, p.size)
-    # one determinant per route and ranks for the rest, at every size; a
-    # split part adds the smaller determinant of its kernel restriction
-    assert sizes.count(p.size) == 2 and max(sizes) == p.size
-    assert (len(sizes) > 2) == (name in MIXED)
-    if p.size <= 5 or "cubic" in name:
-        assert invariant_factors(p).factors == brute_invariant_factors(p)
+    # one determinant per route and ranks for the rest
+    assert sizes == [p.size, p.size]
+    assert invariant_factors(p).factors == brute_invariant_factors(p)
 
 
 @pytest.mark.parametrize("name", [name for name, (_, root) in CASES.items() if root is not None])
@@ -235,8 +199,7 @@ def test_sympy_oracle_singular_v(name):
     assert compute_symbol(q).exponent_structure() == oracle_structure(classes)
     selected = select_nonsingular_member(q)
     assert invariant_factors(selected).factors == oracle_factors(classes, q.size)
-    if q.size <= 5:
-        assert invariant_factors(q).factors == brute_invariant_factors(q)
+    assert invariant_factors(q).factors == brute_invariant_factors(q)
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -250,58 +213,6 @@ def test_sympy_oracle_numeric_leg(name):
     except IllConditionedError:
         return
     assert numeric.exponent_structure() == expected
-
-
-@pytest.mark.parametrize("name", list(CASES))
-def test_sympy_oracle_deep_staircase(name, monkeypatch):
-    """With ``_partition`` held open until the staircase is one step past
-    the largest block, every Yun part takes T_j at each j up to there, for
-    parts of any degree, and the counts still give sympy's partitions."""
-    p = case(name)
-    classes = sympy_partitions(p)
-    depth = max(lam[0] for _, lam in classes) + 1
-    real = segre.pencil._partition
-    monkeypatch.setattr(
-        segre.pencil, "_partition", lambda m, counts: real(m, counts) if len(counts) >= depth else None
-    )
-    assert invariant_factors(p).factors == oracle_factors(classes, p.size)
-
-
-def partitions(m: int, top: int | None = None):
-    """The partitions of m, descending, with parts at most ``top``."""
-    if m == 0:
-        yield ()
-    for first in range(min(m, top or m), 0, -1):
-        for rest in partitions(m - first, first):
-            yield (first, *rest)
-
-
-def test_every_mixture_splits_before_the_partition_closes():
-    """A Yun part of degree d >= 3 (d = 2 is split by isqrt or irreducible)
-    whose roots carry different partitions shows a staircase step that d
-    does not divide before ``_partition`` closes on the steps divided by d;
-    otherwise ``_part_classes`` would give every root one wrong partition.
-    Only d * m <= MAX_SIZE occurs.  The count pins MAX_SIZE = 7, so raising
-    it trips this test; at 9 the assignment (3), (21), (111) of a cubic of
-    multiplicity 3 gets through."""
-    mixtures = 0
-    for d in range(3, MAX_SIZE + 1):
-        for m in range(2, MAX_SIZE // d + 1):
-            for lams in product(list(partitions(m)), repeat=d):
-                if len(set(lams)) == 1:
-                    continue
-                mixtures += 1
-                counts: list[int] = []
-                nullity = 0
-                while True:
-                    j = len(counts) + 1
-                    step = sum(min(x, j) for lam in lams for x in lam) - nullity
-                    if step % d:
-                        break
-                    counts.append(step // d)
-                    nullity += step
-                    assert _partition(m, counts) is None, (d, m, lams)
-    assert mixtures == 6  # the (2) and (11) mixtures of a cubic, m = 2
 
 
 # pencils with no nonsingular member: the four normal pairs, with a trivial

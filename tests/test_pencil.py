@@ -20,8 +20,10 @@ from segre.acceptance import _degenerate_pairs
 from segre.catalog import CATALOG_ORDER
 from segre.errors import DegeneratePencilError, InternalConsistencyError, NoSmoothMemberError
 from segre.pencil import (
+    MAX_SIZE,
     QuadricPencil,
     _bareiss,
+    _partition,
     _poly_minor,
     as_matrix,
     change_basis,
@@ -599,6 +601,40 @@ class TestChainCheck:
             match=r"rank staircase \[3, 3\] does not fit a root of multiplicity 5$",
         ):
             route(build_normal_form("[(221)]", [Fraction(7, 2)]))
+
+    @pytest.mark.parametrize("route", [invariant_factors, compute_symbol, analyze_pencil])
+    def test_open_partition_raises(self, monkeypatch, route):
+        # with every partition held open, the root of [(221)] takes both ranks
+        monkeypatch.setattr(segre.pencil, "_partition", lambda m, counts: None)
+        with pytest.raises(
+            InternalConsistencyError,
+            match=r"rank counts \[3, 2\] leave a partition of 5 open$",
+        ):
+            route(build_normal_form("[(221)]", [Fraction(7, 2)]))
+
+    def test_two_counts_fix_every_partition_up_to_max_size(self):
+        """What ``_part_classes`` relies on: at a linear root of
+        multiplicity m <= MAX_SIZE the number of blocks, or that and the
+        number of blocks of size two or more, give the partition; for an
+        irreducible quadratic part (m = 2) the number of blocks does."""
+        checked = 0
+        for m in range(1, MAX_SIZE + 1):
+            for lam in partitions(m):
+                first = _partition(m, [len(lam)])
+                got = first or _partition(m, [len(lam), sum(x >= 2 for x in lam)])
+                assert got == lam, (m, lam, first)
+                checked += 1
+        assert checked == 18  # 1 + 2 + 3 + 5 + 7 partitions
+        assert _partition(2, [1]) == (2,) and _partition(2, [2]) == (1, 1)
+
+
+def partitions(m: int, top: int | None = None):
+    """The partitions of m, descending, with parts at most ``top``."""
+    if m == 0:
+        yield ()
+    for first in range(min(m, top or m), 0, -1):
+        for rest in partitions(m - first, first):
+            yield (first, *rest)
 
 
 def fraction_congruent(p: QuadricPencil, a):

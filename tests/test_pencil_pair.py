@@ -262,7 +262,7 @@ _I5 = identity(5)
 API_ERRORS = [
     (lambda: QuadricPencil(identity(4), identity(5)), ValueError, "U and V must have the same size"),
     (lambda: QuadricPencil(identity(8), identity(8)), SizeLimitError,
-     "pencils are at most 7 x 7, got 8 x 8"),
+     "pencils are at most 5 x 5, got 8 x 8"),
     (lambda: QuadricPencil([[1, 2], [2]], identity(2)), ValueError, "matrix must be square"),
     (lambda: QuadricPencil(identity(2), [[1, 2, 3], [2, 1, 0]]), ValueError,
      "matrix must be square"),
@@ -272,7 +272,7 @@ API_ERRORS = [
     (lambda: congruent(QuadricPencil(_I5, _I5), [[1, 2], [3]]), ValueError,
      "matrix must be square"),
     (lambda: congruent(QuadricPencil(_I5, _I5), identity(8)), SizeLimitError,
-     "pencils are at most 7 x 7, got 8 x 8"),
+     "pencils are at most 5 x 5, got 8 x 8"),
     (lambda: change_basis(QuadricPencil(_I5, _I5), 1, 2, 2, 4), ValueError,
      "pencil basis change must be invertible"),
     (lambda: change_basis(QuadricPencil(_I5, _I5), "1/2", 1, 1, 2), ValueError,
