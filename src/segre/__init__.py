@@ -35,6 +35,7 @@ from .errors import (
     NoSmoothMemberError,
     NotInCatalogError,
     ParseError,
+    PencilError,
     SegreError,
     SizeLimitError,
     ZeroFormError,
@@ -93,6 +94,7 @@ __all__ = [
     "NumericPartition",
     "ParseError",
     "ParsedForm",
+    "PencilError",
     "Polynomial",
     "QuadricPencil",
     "Rational",

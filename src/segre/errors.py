@@ -23,6 +23,12 @@ class SizeLimitError(SegreError, ValueError):
     classify whose weight is not 5 (a pencil that is not 5 x 5)."""
 
 
+class PencilError(SegreError, ValueError):
+    """A refused pencil input: a bad entry, a pair not square, symmetric
+    and of one size, a congruence of the wrong size, a singular basis
+    change, or ``degeneracy_report`` of a pencil with a smooth member."""
+
+
 class IllConditionedError(SegreError):
     """The floating-point oracle refuses to answer rather than guess."""
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .errors import DegreeError, ParseError, ZeroFormError
-from .pencil import Matrix, QuadricPencil, _check_square, as_matrix
+from .pencil import Matrix, QuadricPencil, _check_square, _fraction, as_matrix
 from .polynomial import _rational_str
 
 __all__ = [
@@ -205,21 +205,6 @@ def render_form(matrix: Matrix) -> str:
 _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*$")
 
 
-def _fraction(text: str) -> Fraction:
-    """``Fraction(text)``, whose error quotes at most 40 characters of a
-    longer text (``Fraction`` itself quotes all of it)."""
-    try:
-        return Fraction(text)
-    except ValueError as exc:
-        if len(text) <= 40 or repr(text) not in str(exc):
-            raise
-        raise ValueError(str(exc).replace(repr(text), repr(text[:40]))) from None
-    except ZeroDivisionError:  # its message holds the numerator's digits
-        if len(text) <= 40:
-            raise
-        raise ZeroDivisionError(f"zero denominator in {text.strip()[:40]!r}") from None
-
-
 def _entry(text: str, limit: int) -> int | Fraction:
     """One matrix entry, read like ``Fraction(text)``; plain integer text
     gives an ``int`` of the same value.
@@ -258,7 +243,7 @@ def _entry_rows(rows: list[list[str]]) -> list[list[int | Fraction]]:
     try:
         out = [[_entry(str(c), limit) for c in row] for row in rows]
         _check_square(out)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ParseError(f"bad rational entry in matrix: {exc}") from exc
     return out
 

@@ -8,14 +8,16 @@ nonsingular member, and reports degeneracy when no member is nonsingular.
 Everything runs on the denominator-cleared integer pair.  The determinant
 comes from a division-free Laplace expansion, memoised over column
 subsets, on the linear entries u - t*v (``_poly_minor``); for a full
-analysis it is expanded once, and det V, the member sweep and the
-selected pencil's determinant are all read off it.  No smaller minor is
-ever expanded.  The invariant factors come from root classes
-(``_root_classes``): the Yun parts of the determinant, each with the
-partition of its elementary-divisor exponents, read off one or two exact
-ranks at each repeated part (``_part_classes``).  Only the finished
-invariant factors become monic ``Polynomial`` values, which makes the
-integer scaling invisible.
+analysis it is expanded once, and det V and the member sweep are read
+off it; with det V = 0 the selected pair (``_selected_pair``) is expanded
+too.  No smaller minor is ever expanded.  The invariant factors come
+from root classes (``_root_classes``): the Yun parts of the determinant,
+each with the partition of its elementary-divisor exponents, read off
+one or two exact ranks at each repeated part (``_part_classes``).  One
+fraction-free elimination (``_bareiss``) gives every rank and det V, and
+its echelon rows a kernel basis (``_kernel``); one product (``_conj``)
+gives every A^T M A.  Only the finished invariant factors become monic
+``Polynomial`` values, which makes the integer scaling invisible.
 
 A pencil holds its cleared pair from construction on, with the least common
 denominator, and builds its rational matrices only when they are read.
@@ -37,6 +39,7 @@ from .errors import (
     DegeneratePencilError,
     InternalConsistencyError,
     NoSmoothMemberError,
+    PencilError,
     SizeLimitError,
 )
 from .polynomial import (
@@ -81,22 +84,37 @@ __all__ = [
 # small exact matrix helpers
 # ---------------------------------------------------------------------------
 
-def as_matrix(rows: Iterable[Iterable[Rational | int | str]]) -> Matrix:
-    out = tuple(tuple(c if type(c) is Fraction else Fraction(c) for c in row) for row in rows)
-    _check_square(out)
-    return out
+def _fraction(c: object) -> Fraction:
+    """``Fraction(c)``; an entry it refuses raises ``PencilError`` with its
+    message, quoting at most 40 characters of a longer text (``Fraction``
+    quotes all of it, and its zero-denominator message all the digits)."""
+    try:
+        return Fraction(c)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        msg = str(exc)
+        if isinstance(c, str) and len(c) > 40:
+            if isinstance(exc, ZeroDivisionError):
+                msg = f"zero denominator in {c.strip()[:40]!r}"
+            else:
+                msg = msg.replace(repr(c), repr(c[:40]))
+        raise PencilError(msg) from None
 
 
 def _exact(rows: Iterable[Iterable[Rational | int | str]]) -> tuple[tuple[int | Fraction, ...], ...]:
     """``as_matrix`` without building a ``Fraction`` for an ``int`` entry."""
-    out = tuple(tuple(c if type(c) in _EXACT else Fraction(c) for c in row) for row in rows)
+    out = tuple(tuple(c if type(c) in _EXACT else _fraction(c) for c in row) for row in rows)
     _check_square(out)
     return out
 
 
+def as_matrix(rows: Iterable[Iterable[Rational | int | str]]) -> Matrix:
+    exact = _exact(rows)
+    return tuple(tuple(c if type(c) is Fraction else Fraction(c) for c in row) for row in exact)
+
+
 def _check_square(m: Sequence[Sequence[object]]) -> None:
     if any(len(row) != len(m) for row in m):
-        raise ValueError("matrix must be square")
+        raise PencilError("matrix must be square")
 
 
 def identity(size: int) -> Matrix:
@@ -113,21 +131,24 @@ def diagonal(entries: Sequence[Rational | int]) -> Matrix:
     )
 
 
-def _bareiss(m: Sequence[Sequence[int]]) -> tuple[int, int]:
+def _bareiss(m: Sequence[Sequence[int]]) -> tuple[list[int], int, list[list[int]]]:
     """Fraction-free (Bareiss) elimination of an integer matrix of any shape.
 
-    Returns ``(rank, det)``; ``det`` is 0 unless the matrix is square and
-    nonsingular.  A column with no nonzero entry at or below the current
-    row is skipped, so every division stays exact (Sylvester's identity)
-    and the rank is the rank over the rationals.
+    Returns ``(pivots, det, rows)``: the pivot column of each pivot row,
+    so the rank over the rationals is ``len(pivots)``; det, 0 unless the
+    matrix is square and nonsingular; and the echelon rows, of which only
+    pivot row i's entries from column pivots[i] on are current.  A column
+    with no nonzero entry at or below the current row is skipped, so every
+    division stays exact (Sylvester's identity).
     """
     a = [list(row) for row in m]
     rows = len(a)
     cols = len(a[0]) if a else 0
     sign = 1
     prev = 1
-    rank = 0
+    pivots: list[int] = []
     for c in range(cols):
+        rank = len(pivots)
         if rank == rows:
             break
         pivot = next((i for i in range(rank, rows) if a[i][c] != 0), None)
@@ -144,9 +165,9 @@ def _bareiss(m: Sequence[Sequence[int]]) -> tuple[int, int]:
             for j in range(c + 1, cols):
                 row[j] = (row[j] * pc - f * pr[j]) // prev
         prev = pc
-        rank += 1
-    det = sign * prev if rank == rows == cols else 0
-    return rank, det
+        pivots.append(c)
+    det = sign * prev if len(pivots) == rows == cols else 0
+    return pivots, det, a
 
 
 def _cleared(m: Sequence[Sequence[int | Fraction]]) -> tuple[IntMatrix, int]:
@@ -192,13 +213,13 @@ class QuadricPencil:
         v = _exact(v)
         size = len(u)
         if size != len(v):
-            raise ValueError("U and V must have the same size")
+            raise PencilError("U and V must have the same size")
         _check_size(size)
         both, mult = _cleared(u + v)
         iu, iv = both[:size], both[size:]
         for name, m in (("U", iu), ("V", iv)):
             if tuple(zip(*m)) != m:
-                raise ValueError(f"{name} is not symmetric")
+                raise PencilError(f"{name} is not symmetric")
         _store(self, iu, iv, mult)
 
     __setattr__ = Record.__setattr__  # raise FrozenInstanceError, as records do
@@ -251,7 +272,7 @@ class QuadricPencil:
 
     def member(self, x: Rational | int, y: Rational | int) -> Matrix:
         """The matrix x*U + y*V."""
-        x, y = Fraction(x), Fraction(y)
+        x, y = _fraction(x), _fraction(y)
         return tuple(tuple(x * a + y * b for a, b in zip(ru, rv)) for ru, rv in zip(self.u, self.v))
 
 
@@ -285,20 +306,25 @@ def _rational(im: IntMatrix, mult: int) -> Matrix:
     return tuple(tuple(Fraction(c, mult) for c in row) for row in im)
 
 
+def _conj(m: IntRows, cols: Sequence[Sequence[int]]) -> list[list[int]]:
+    """A^T M A for a symmetric integer M and the integer A with columns ``cols``."""
+    at_m = [[sum(x * y for x, y in zip(ac, row)) for row in m] for ac in cols]
+    return [[sum(x * y for x, y in zip(row, ac)) for ac in cols] for row in at_m]
+
+
 def congruent(p: QuadricPencil, a: Iterable[Iterable[Rational | int | str]]) -> QuadricPencil:
-    """Apply the congruence (U, V) -> (A^T U A, A^T V A).
-
-    The products run on the denominator-cleared integer matrices; the
-    result is the integer pair over one denominator.
+    """Apply the congruence (U, V) -> (A^T U A, A^T V A); an A of another
+    size than ``p.size`` raises ``PencilError`` (``SizeLimitError`` if no
+    pencil has that size).  The products run on the denominator-cleared
+    integer matrices; the result is the integer pair over one denominator.
     """
-    ia, ma = _cleared(_exact(a))
-    a_cols = list(zip(*ia))
-
-    def conj(m: IntMatrix) -> list[list[int]]:
-        at_m = [[sum(x * y for x, y in zip(ac, mc)) for mc in zip(*m)] for ac in a_cols]
-        return [[sum(x * y for x, y in zip(row, ac)) for ac in a_cols] for row in at_m]
-
-    return _reduced(conj(p._iu), conj(p._iv), p._mult * ma * ma)
+    ea = _exact(a)
+    if len(ea) != p.size:
+        _check_size(len(ea))
+        raise PencilError(f"congruence must be {p.size} x {p.size}, got {len(ea)} x {len(ea)}")
+    ia, ma = _cleared(ea)
+    cols = list(zip(*ia))
+    return _reduced(_conj(p._iu, cols), _conj(p._iv, cols), p._mult * ma * ma)
 
 
 def change_basis(
@@ -309,8 +335,8 @@ def change_basis(
     d: Rational | int,
 ) -> QuadricPencil:
     """Replace (U, V) by (a*U + b*V, c*U + d*V); requires ad - bc != 0."""
-    if Fraction(a) * Fraction(d) - Fraction(b) * Fraction(c) == 0:
-        raise ValueError("pencil basis change must be invertible")
+    if _fraction(a) * _fraction(d) - _fraction(b) * _fraction(c) == 0:
+        raise PencilError("pencil basis change must be invertible")
     return QuadricPencil(p.member(a, b), p.member(c, d))
 
 
@@ -391,44 +417,26 @@ class InvariantFactors(Record):
 RootClass = tuple[list[int], tuple[int, ...]]
 
 
-def _kernel(m: list[list[int]]) -> list[list[int]]:
-    """Integer basis of the kernel of an integer matrix, by fraction-free
-    Gauss-Jordan elimination.
+def _kernel(rows: list[list[int]], pivots: list[int]) -> list[list[int]]:
+    """Integer basis of the kernel of an integer matrix, by back-substitution
+    in the echelon ``rows`` and ``pivots`` that ``_bareiss`` returns for it.
 
-    After elimination every pivot row holds the last pivot d in its pivot
-    column and zero in the other pivot columns; each entry is a minor of
-    ``m`` (Cramer's rule), so every division is exact.  A free column f
-    gives the kernel vector with d at f and -row[f] at each row's pivot
-    column.
+    A free column f gives the vector x with x_f = d, the last pivot, and
+    zero at the other free columns; from the bottom pivot row up,
+    x_p = -sum(row[j] * x_j for j > p) / row[p] at the row's pivot column
+    p.  d is the minor on the pivot rows and columns, so each x_p is a
+    minor (Cramer's rule) and every division is exact.
     """
-    a = [list(row) for row in m]
-    rows, cols = len(a), len(a[0])
-    pivots: list[int] = []
-    prev = 1
-    for c in range(cols):
-        r = len(pivots)
-        if r == rows:
-            break
-        pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        pr = a[r]
-        pc = pr[c]
-        for i, row in enumerate(a):
-            if i != r:
-                f = row[c]
-                for j in range(cols):
-                    row[j] = (row[j] * pc - f * pr[j]) // prev
-        prev = pc
-        pivots.append(c)
+    cols = len(rows[0])
+    top = rows[:len(pivots)]
+    d = top[-1][pivots[-1]] if pivots else 1
     out = []
     for f in range(cols):
         if f not in pivots:
             x = [0] * cols
-            x[f] = prev
-            for row, c in zip(a, pivots):
-                x[c] = -row[f]
+            x[f] = d
+            for row, p in zip(reversed(top), reversed(pivots)):
+                x[p] = -sum(row[j] * x[j] for j in range(p + 1, cols)) // row[p]
             out.append(x)
     return out
 
@@ -486,7 +494,8 @@ def _part_classes(iu: IntRows, iv: IntRows, m: int, h: list[int]) -> list[RootCl
     one of degree 2 left unsplit is irreducible with m = 2: its conjugate
     roots share (2) or (11), one block or two.  Where that count leaves a
     linear root's partition open, nullity(A) - rank(K^T V K), K an integer
-    kernel basis of A = c*U + h(0)*V, counts the blocks of size two or more
+    kernel basis of A = c*U + h(0)*V read off the echelon rows of A's one
+    elimination (``_kernel``), counts the blocks of size two or more
     (x in ker A starts a chain of length two or more when V*x lies in the
     image of A, orthogonal to ker A as A is symmetric); at m <= 5 those
     are one block, (2, 2) or (3, 2).  Counts that leave it open raise
@@ -511,13 +520,12 @@ def _part_classes(iu: IntRows, iv: IntRows, m: int, h: list[int]) -> list[RootCl
             [c * x * (k == l) - y * cc[k][l] for x, y in zip(ru, rv) for l in range(d)]
             for ru, rv in zip(iu, iv) for k in range(d)
         ]
-    counts = [(len(a) - _bareiss(a)[0]) // d]
+    pivots, _, rows = _bareiss(a)
+    counts = [(len(a) - len(pivots)) // d]
     lam = _partition(m, counts)
     if lam is None and d == 1:
-        k = _kernel(a)
-        vk = [[sum(x * y for x, y in zip(rv, kb)) for rv in iv] for kb in k]
-        gram = [[sum(x * y for x, y in zip(ka, vb)) for vb in vk] for ka in k]
-        counts.append(counts[0] - _bareiss(gram)[0])
+        gram = _conj(iv, _kernel(rows, pivots))
+        counts.append(counts[0] - len(_bareiss(gram)[0]))
         lam = _partition(m, counts)
     if lam is None:
         raise InternalConsistencyError(f"rank counts {counts} leave a partition of {m} open")
@@ -568,41 +576,41 @@ def _sweep_value(f: list[int], size: int) -> int:
     raise NoSmoothMemberError("no member of the pencil is nonsingular")
 
 
+def _selected_pair(iu: IntRows, iv: IntRows, f: list[int]) -> tuple[IntRows, IntRows]:
+    """The cleared pair, at the scale of (iu, iv), of the pencil that
+    ``select_nonsingular_member`` returns, from f = det(iu - t*iv): (iu, iv)
+    when det V != 0 (deg f = size), else (iv, iu + t0*iv), t0 = ``_sweep_value``."""
+    size = len(iu)
+    if len(f) > size:
+        return iu, iv
+    t0 = _sweep_value(f, size)
+    return iv, [[a + t0 * b for a, b in zip(ru, rv)] for ru, rv in zip(iu, iv)]
+
+
 def _selected_classes(p: QuadricPencil) -> tuple[list[int], int, list[RootClass]]:
     """det(U' - t*V'), as integer coefficients and their common
     denominator, and the root classes (``_root_classes``) of the pencil
     (U', V') that ``select_nonsingular_member`` returns.
 
-    det(U - t*V) is expanded once, on the cleared pair (iu, iv) with
+    det(U - t*V) is expanded on the cleared pair (iu, iv), as
     f = mult^size * det(U - t*V).  When det V = 0 (deg f < size) the
-    selected pencil is (V, U + t0*V), whose cleared pair at the same scale
-    is (iv, iu + t0*iv), and whose determinant is
-    det(V - s*(U + t0*V)) = (-1)^size F(s, 1 - t0*s) with F(x, y) =
-    det(x*U - y*V), f homogenised to degree size.  Raises
-    ``NoSmoothMemberError`` when no member is nonsingular.
+    selected pair (``_selected_pair``) is expanded too, at the same scale.
+    Raises ``NoSmoothMemberError`` when no member is nonsingular.
 
     f leads with det(-iv) t^size, so det V = (-1)^size f[size] /
     mult^size, or 0 when deg f < size.  It is stored as the pencil's det V,
     which ``select_nonsingular_member`` and the numeric oracle then read
     without an elimination of their own.
     """
-    iu, iv, mult = p._iu, p._iv, p._mult
-    size = p.size
-    sign, den = (-1) ** size, mult ** size
+    iu, iv, size = p._iu, p._iv, p.size
+    sign, den = (-1) ** size, p._mult ** size
     f = _poly_minor(iu, iv)
     if p._det_v is None:
         object.__setattr__(p, "_det_v", Fraction(sign * f[size] if len(f) > size else 0, den))
+    su, sv = _selected_pair(iu, iv, f)
     if len(f) <= size:  # det V = 0
-        t0 = _sweep_value(f, size)
-        g = [0] * (size + 1)
-        power = [sign]  # (-1)^size (1 - t0*s)^i
-        for i, c in enumerate(f):
-            for j, b in enumerate(power):
-                g[size - i + j] += c * b
-            power = _int_mul(power, [1, -t0])
-        f = _int_trim(g)
-        iu, iv = iv, [[a + t0 * b for a, b in zip(ru, rv)] for ru, rv in zip(iu, iv)]
-    return f, den, _root_classes(iu, iv, f)
+        f = _poly_minor(su, sv)
+    return f, den, _root_classes(su, sv, f)
 
 
 def select_nonsingular_member(p: QuadricPencil) -> QuadricPencil:
@@ -616,9 +624,7 @@ def select_nonsingular_member(p: QuadricPencil) -> QuadricPencil:
     """
     if p.det_v != 0:
         return p
-    iu, iv, mult = p._iu, p._iv, p._mult
-    t = _sweep_value(_poly_minor(iu, iv), p.size)
-    return _reduced(iv, [[a + t * b for a, b in zip(ru, rv)] for ru, rv in zip(iu, iv)], mult)
+    return _reduced(*_selected_pair(p._iu, p._iv, _poly_minor(p._iu, p._iv)), p._mult)
 
 
 class DegeneracyReport(Record):
@@ -640,12 +646,12 @@ def degeneracy_report(p: QuadricPencil) -> DegeneracyReport:
     except NoSmoothMemberError:
         pass
     else:
-        raise ValueError("pencil has a nonsingular member; nothing to report")
+        raise PencilError("pencil has a nonsingular member; nothing to report")
     return _common_kernel_report(p)
 
 
 def _common_kernel_report(p: QuadricPencil) -> DegeneracyReport:
     """``degeneracy_report`` for a pencil already known to have no
     nonsingular member."""
-    r0 = p.size - _bareiss(p._iu + p._iv)[0]
+    r0 = p.size - len(_bareiss(p._iu + p._iv)[0])
     return DegeneracyReport(common_kernel_dim=r0, is_cone=r0 > 0)

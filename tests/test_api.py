@@ -5,7 +5,7 @@ import pytest
 
 import segre
 from segre.catalog import catalog_row
-from segre.errors import NotInCatalogError, ParseError, SegreError
+from segre.errors import NotInCatalogError, ParseError, PencilError, SegreError
 
 PUBLIC = [
     "AutE",
@@ -27,6 +27,7 @@ PUBLIC = [
     "NumericPartition",
     "ParseError",
     "ParsedForm",
+    "PencilError",
     "Polynomial",
     "QuadricPencil",
     "Rational",
@@ -120,3 +121,68 @@ def test_symbol_compares_unequal_to_malformed_text():
     assert ("abc" in [sym]) is False
     assert (sym != "abc") is True
     assert sym == "[1]"
+
+
+# every pencil input the library refuses, and the message it gives
+_P2 = segre.QuadricPencil([[1, 0], [0, 1]], [[1, 0], [0, 2]])
+PENCIL_ERRORS = {
+    "zero denominator": (lambda: segre.QuadricPencil([["1/0"]], [["1"]]), "Fraction(1, 0)"),
+    "long zero denominator": (
+        lambda: segre.QuadricPencil([["1/" + "0" * 60]], [["1"]]),
+        "zero denominator in '1/" + "0" * 38 + "'",
+    ),
+    "infinite entry": (
+        lambda: segre.QuadricPencil([[float("inf")]], [[1]]),
+        "cannot convert Infinity to integer ratio",
+    ),
+    "nan entry": (
+        lambda: segre.QuadricPencil([[float("nan")]], [[1]]),
+        "cannot convert NaN to integer ratio",
+    ),
+    "bad literal": (lambda: segre.QuadricPencil([["x"]], [[1]]), "Invalid literal for Fraction: 'x'"),
+    "long bad literal": (
+        lambda: segre.QuadricPencil([["y" * 100]], [[1]]),
+        f"Invalid literal for Fraction: {'y' * 40!r}",
+    ),
+    "non-square": (lambda: segre.QuadricPencil([[1, 2]], [[1, 2]]), "matrix must be square"),
+    "ragged": (lambda: segre.QuadricPencil([[1, 2], [2]], [[1, 0], [0, 1]]), "matrix must be square"),
+    "sizes differ": (
+        lambda: segre.QuadricPencil([[1]], [[1, 0], [0, 1]]),
+        "U and V must have the same size",
+    ),
+    "non-symmetric": (
+        lambda: segre.QuadricPencil([[1, 2], [3, 4]], [[1, 0], [0, 1]]),
+        "U is not symmetric",
+    ),
+    "singular basis change": (
+        lambda: segre.pencil.change_basis(_P2, 1, 2, 2, 4),
+        "pencil basis change must be invertible",
+    ),
+    "bad basis change scalar": (
+        lambda: segre.pencil.change_basis(_P2, "x", 0, 0, 1),
+        "Invalid literal for Fraction: 'x'",
+    ),
+    "smooth member to degeneracy_report": (
+        lambda: segre.degeneracy_report(_P2),
+        "pencil has a nonsingular member; nothing to report",
+    ),
+    # congruent zipped to the shorter size: a 4 x 4 pencil of symbol [1111]
+    "congruence too small": (
+        lambda: segre.pencil.congruent(segre.random_instance("[2111]", 1), segre.pencil.identity(4)),
+        "congruence must be 5 x 5, got 4 x 4",
+    ),
+    # and a 3 x 3 pencil with a zero row
+    "congruence too large": (
+        lambda: segre.pencil.congruent(_P2, segre.pencil.identity(3)),
+        "congruence must be 2 x 2, got 3 x 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PENCIL_ERRORS))
+def test_pencil_input_raises_pencil_error(case):
+    call, message = PENCIL_ERRORS[case]
+    with pytest.raises(SegreError) as info:
+        call()
+    assert type(info.value) is PencilError and isinstance(info.value, ValueError)
+    assert str(info.value) == message

@@ -144,6 +144,16 @@ class TestAnalyze:
         assert "Traceback" not in capsys.readouterr().err
         assert code == 2
 
+    def test_non_symmetric_file_exits_2(self, capsys, tmp_path):
+        # the pencil's PencilError reaches the CLI as the reader's ParseError
+        u = [["1" if i == j else "0" for j in range(5)] for i in range(5)]
+        u[0][1] = "2"
+        path = tmp_path / "pencil.json"
+        path.write_text(json.dumps({"U": u, "V": u}))
+        code = main(["analyze", "--file", str(path)])
+        assert capsys.readouterr().err == "input error: U is not symmetric\n"
+        assert code == 2
+
     @pytest.mark.parametrize("text", [
         "[" * 200_000,  # deeper than the JSON reader recurses
         '{"U": ' + "1" * 5001 + ', "V": 1}',  # past the int<->str digit limit

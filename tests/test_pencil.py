@@ -223,6 +223,20 @@ def low_rank_matrix(rng, rows, cols, rank, zero_rows=()):
     return m
 
 
+def check_kernel(m):
+    """``_kernel`` off ``_bareiss``'s echelon form of m is an integer basis
+    of ker m: cols - rank independent integer vectors that m annihilates,
+    with the ranks from sympy."""
+    pivots, _, rows = _bareiss(m)
+    k = segre.pencil._kernel(rows, pivots)
+    rank = Matrix(m).rank()
+    assert len(pivots) == rank
+    assert len(k) == len(m[0]) - rank
+    assert all(type(e) is int for x in k for e in x)
+    assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in m for x in k)
+    assert not k or Matrix(k).rank() == len(k)
+
+
 class TestBareiss:
     @pytest.mark.parametrize("shape", [(5, 5), (10, 5)])
     def test_rank_and_det_match_sympy(self, shape):
@@ -233,25 +247,30 @@ class TestBareiss:
             rank = trial % (cols + 1)
             zero_rows = rng.sample(range(rows), trial % 3)
             m = low_rank_matrix(rng, rows, cols, rank, zero_rows)
-            got_rank, got_det = _bareiss(m)
+            pivots, got_det, _ = _bareiss(m)
             ref = sympy.Matrix(m)
-            assert got_rank == ref.rank()
+            assert len(pivots) == ref.rank()
             assert got_det == (ref.det() if rows == cols else 0)
 
     def test_empty_matrix(self):
-        assert _bareiss([]) == (0, 1)
+        assert _bareiss([]) == ([], 1, [])
 
-    @pytest.mark.parametrize("shape", [(5, 5), (10, 5), (3, 6)])
+    # (10, 10) is the size of A for an irreducible quadratic part
+    @pytest.mark.parametrize("shape", [(5, 5), (10, 5), (3, 6), (10, 10)])
     def test_kernel_is_an_integer_basis(self, shape):
         rows, cols = shape
         rng = random.Random(29)
         for trial in range(40):
             rank = trial % (min(shape) + 1)
-            m = low_rank_matrix(rng, rows, cols, rank, rng.sample(range(rows), trial % 3))
-            k = segre.pencil._kernel(m)
-            assert len(k) == cols - _bareiss(m)[0]
-            assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in m for x in k)
-            assert not k or _bareiss(k)[0] == len(k)
+            check_kernel(low_rank_matrix(rng, rows, cols, rank, rng.sample(range(rows), trial % 3)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 10), st.integers(1, 10), st.integers(0, 10), st.randoms(use_true_random=False))
+    def test_kernel_of_bigcoeff_entries(self, rows, cols, rank, rng):
+        # entries near 10^300, the bigcoeff benchmark's largest
+        big = [[rng.randint(-10**300, 10**300) for _ in range(cols)] for _ in range(min(rank, rows))]
+        mix = [[rng.randint(-3, 3) for _ in big] for _ in range(rows)]
+        check_kernel([[sum(c * b[j] for c, b in zip(mr, big)) for j in range(cols)] for mr in mix])
 
     @pytest.mark.parametrize("pencil", [
         random_instance("[(21)2]", 0),
@@ -472,10 +491,13 @@ class TestAnalyzeWork:
         _degenerate_pairs()["[2;1]"],
     ])
     def test_full_minor_interpolated_once(self, monkeypatch, pencil):
+        # the given pair, and with det V = 0 the selected pair (V, U + t0*V)
         full = counting(monkeypatch, segre.pencil, "_poly_minor")
         dets = counting(monkeypatch, segre.pencil, "_bareiss", keep=lambda m: m is pencil._iv)
-        analyze_pencil(pencil)
-        assert len(full) == 1
+        outcome = analyze_pencil(pencil)
+        assert full[0] == (pencil._iu, pencil._iv)
+        assert len(full) == (2 if pencil.det_v == 0 and not outcome.is_degenerate else 1)
+        assert all(args[0] is pencil._iv for args in full[1:])
         assert dets == []
 
     @pytest.mark.parametrize("pencil", [
@@ -484,11 +506,13 @@ class TestAnalyzeWork:
     ])
     def test_compute_symbol_interpolates_once(self, monkeypatch, pencil):
         # compute_symbol takes analyze_pencil's route: no member selection
-        # of its own, and det V read off the one determinant expansion
+        # of its own, and det V read off the determinant expansion; with
+        # det V = 0 the selected pair (V, U + t0*V) is expanded too
         full = counting(monkeypatch, segre.pencil, "_poly_minor")
         dets = counting(monkeypatch, segre.pencil, "_bareiss", keep=lambda m: m is pencil._iv)
         compute_symbol(pencil)
-        assert len(full) == 1
+        assert full[0] == (pencil._iu, pencil._iv)
+        assert len(full) == (2 if pencil.det_v == 0 else 1)
         assert dets == []
 
     @pytest.mark.parametrize("seed", range(3))
@@ -595,7 +619,7 @@ class TestChainCheck:
         # [(221)] has three blocks at its root, so the staircase needs the
         # kernel's Gram matrix; three zero kernel vectors make all three
         # blocks of size two or more, 6 > 5 = the root's multiplicity
-        monkeypatch.setattr(segre.pencil, "_kernel", lambda a: [[0] * len(a)] * 3)
+        monkeypatch.setattr(segre.pencil, "_kernel", lambda rows, pivots: [[0] * len(rows[0])] * 3)
         with pytest.raises(
             InternalConsistencyError,
             match=r"rank staircase \[3, 3\] does not fit a root of multiplicity 5$",
