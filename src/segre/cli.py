@@ -26,14 +26,13 @@ from .catalog import CATALOG_ORDER
 from .classify import classify_symbol
 from .errors import InternalConsistencyError, ParseError
 from .forms import (
-    _NVARS,
     _entry,
     parse_quadratic_form,
     pencil_from_json,
     pencil_to_json,
     render_form,
 )
-from .pencil import QuadricPencil
+from .pencil import MAX_SIZE, QuadricPencil
 from .polynomial import _rational_str
 from .reporting import analyze_pencil, outcome_to_dict, render_pretty, surface_report_to_dict
 from .symbol import SegreSymbol, build_normal_form, compute_symbol, random_instance
@@ -99,8 +98,8 @@ def _parse_symbol(text: str) -> SegreSymbol:
     """A symbol of weight at most 5: the command line writes pencils in
     X0..X4 only, and the work grows without bound with the weight."""
     sym = SegreSymbol.parse(text)
-    if sym.weight > _NVARS:
-        raise ParseError(f"symbol has weight {sym.weight}; at most {_NVARS} is supported")
+    if sym.weight > MAX_SIZE:
+        raise ParseError(f"symbol has weight {sym.weight}; at most {MAX_SIZE} is supported")
     return sym
 
 

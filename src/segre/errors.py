@@ -24,9 +24,12 @@ class SizeLimitError(SegreError, ValueError):
 
 
 class PencilError(SegreError, ValueError):
-    """A refused pencil input: a bad entry, a pair not square, symmetric
-    and of one size, a congruence of the wrong size, a singular basis
-    change, or ``degeneracy_report`` of a pencil with a smooth member."""
+    """A refused pencil input: a bad entry or a matrix that is not a
+    sequence of rows, a pair not square, symmetric and of one size, a
+    congruence of the wrong size, a singular basis change,
+    ``degeneracy_report`` of a pencil with a smooth member, roots that do
+    not fit a normal form, the numeric oracle at det V = 0, or a matrix
+    ``render_form`` cannot render."""
 
 
 class IllConditionedError(SegreError):

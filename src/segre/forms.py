@@ -1,17 +1,20 @@
 """Quadratic-form expression parsing and rendering.
 
-Grammar (whitespace insignificant)::
+Grammar::
 
-    form  := term (('+'|'-') term)*
+    form  := ('+'|'-')? term (('+'|'-') term)*
     term  := coeff ('*'? monom)? | monom
     monom := var ('^' exp)? ('*'? var)?
-    var   := 'X' digit
+    var   := 'X' digit            (one digit, 0..4)
     coeff := int | int '/' int
-    exp   := '1' | '2'
+    int   := digit+
+    exp   := int                  (of value 1 or 2)
 
-Every term must be of degree exactly two.  A form is stored as the
-symmetric matrix M with q(X) = X^T M X, so a cross term c*Xi*Xj lands as
-M[i][j] = M[j][i] = c/2 while a square term c*Xi^2 lands as M[i][i] = c.
+A digit is a decimal digit, as ``int`` reads it (``²`` is not one), and
+whitespace may sit only between tokens.  Every term must be of degree
+exactly two.  A form is stored as the symmetric matrix M with
+q(X) = X^T M X, so a cross term c*Xi*Xj lands as M[i][j] = M[j][i] = c/2
+while a square term c*Xi^2 lands as M[i][i] = c.
 """
 
 from __future__ import annotations
@@ -23,7 +26,9 @@ from fractions import Fraction
 
 from ._record import Record
 from .errors import DegreeError, ParseError, ZeroFormError
-from .pencil import Matrix, QuadricPencil, _check_square, _fraction, as_matrix
+from .pencil import (
+    MAX_SIZE, Matrix, QuadricPencil, _check_square, _check_symmetric, _fraction, as_matrix,
+)
 from .polynomial import _rational_str
 
 __all__ = [
@@ -34,8 +39,6 @@ __all__ = [
     "pencil_to_json",
 ]
 
-_NVARS = 5  # X0..X4
-
 
 class ParsedForm(Record):
     matrix: Matrix
@@ -45,122 +48,69 @@ class ParsedForm(Record):
         return render_form(self.matrix)
 
 
-# -- lexer ------------------------------------------------------------------
-
-def _tokenize(text: str) -> list[tuple[str, object]]:
-    tokens: list[tuple[str, object]] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            try:
-                tokens.append(("int", int(text[i:j])))
-            except ValueError as exc:  # past Python's int->str digit limit
-                raise ParseError(f"integer at position {i} has too many digits ({j - i})") from exc
-            i = j
-        elif ch == "X":
-            if i + 1 >= len(text) or not text[i + 1].isdigit():
-                raise ParseError(f"variable name expected after 'X' at position {i}")
-            idx = int(text[i + 1])
-            if idx >= _NVARS:
-                raise ParseError(f"unknown variable X{idx}; only X0..X4 are allowed")
-            tokens.append(("var", idx))
-            i += 2
-        elif ch in "+-*/^":
-            tokens.append((ch, ch))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r} at position {i}")
-    return tokens
+# one token: an integer, a variable, an operator, or any other character
+_TOKEN = re.compile(r"\s*(?:(\d+)|X(\d?)|([-+*/^])|(\S))")
+# one signed term of the grammar in the module docstring, matched on the
+# token kinds: 'n' an integer, 'x' a variable, an operator itself; each
+# group starts at the index of its token
+_TERM = re.compile(r"([-+]?)(?:(n)(?:/(n))?(?:\*(?=x))?)?(?:(x)(?:\^(n))?(?:\*?(x))?)?")
 
 
-# -- parser -----------------------------------------------------------------
+def _tokens(text: str) -> tuple[str, list[object]]:
+    """The token kinds of ``text``, one character per token, and their
+    values; the whole text is scanned before any term is read."""
+    kinds, values = [], []
+    for m in _TOKEN.finditer(text):
+        num, var, op, bad = m.groups()
+        if bad is not None:
+            raise ParseError(f"unexpected character {bad!r} at position {m.start(4)}")
+        if var == "":
+            raise ParseError(f"variable name expected after 'X' at position {m.start(2) - 1}")
+        if var and int(var) >= MAX_SIZE:
+            raise ParseError(f"unknown variable X{int(var)}; only X0..X4 are allowed")
+        try:
+            values.append(op or int(num or var))
+        except ValueError as exc:  # past Python's int->str digit limit
+            at = m.start(1)
+            raise ParseError(f"integer at position {at} has too many digits ({len(num)})") from exc
+        kinds.append(op or ("n" if num else "x"))
+    return "".join(kinds), values
 
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, object]], source: str):
-        self.tokens = tokens
-        self.pos = 0
-        self.source = source
 
-    def peek(self) -> str | None:
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def take(self, kind: str) -> object:
-        if self.peek() != kind:
-            raise ParseError(f"expected {kind!r} at token {self.pos} in {self.source[:40]!r}")
-        val = self.tokens[self.pos][1]
-        self.pos += 1
-        return val
-
-    def parse_coeff(self) -> Fraction:
-        num = self.take("int")
-        if self.peek() == "/":
-            self.take("/")
-            den = self.take("int")
-            if den == 0:
-                raise ParseError("zero denominator in coefficient")
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def parse_monom(self) -> list[int]:
-        """Variable indices with multiplicity (one entry per degree)."""
-        vs = [self.take("var")]
-        if self.peek() == "^":
-            self.take("^")
-            exp = self.take("int")
-            if exp not in (1, 2):
-                shown = str(exp) if exp < 10**40 else f"{str(exp)[:40]}..."
+def _terms(text: str) -> list[tuple[Fraction, list[int]]]:
+    """(coefficient, variable indices with multiplicity) for each term."""
+    kinds, values = _tokens(text)
+    terms, pos = [], 0
+    while True:
+        m = _TERM.match(kinds, pos)
+        sign, num, den, var, exp, var2 = m.groups()
+        if pos and not sign:
+            raise ParseError(f"expected '+' or '-' at token {pos} in {text[:40]!r}")
+        if not (num or var):
+            raise ParseError(f"term expected at token {m.end()} in {text[:40]!r}")
+        q = values[m.start(3)] if den else 1
+        if q == 0:
+            raise ParseError("zero denominator in coefficient")
+        c = Fraction(values[m.start(2)] if num else 1, q)
+        vs = []
+        if var:
+            e = values[m.start(5)] if exp else 1
+            if e not in (1, 2):
+                shown = str(e) if e < 10**40 else f"{str(e)[:40]}..."
                 raise DegreeError(f"exponent must be 1 or 2, got {shown}")
-            vs *= exp
-        if self.peek() == "*":
-            nxt = self.tokens[self.pos + 1][0] if self.pos + 1 < len(self.tokens) else None
-            if nxt == "var":
-                self.take("*")
-                vs.append(self.take("var"))
-        elif self.peek() == "var":
-            vs.append(self.take("var"))
-        return vs
-
-    def parse_term(self) -> tuple[Fraction, list[int]]:
-        if self.peek() == "int":
-            c = self.parse_coeff()
-            if self.peek() == "*":
-                self.take("*")
-                return c, self.parse_monom()
-            if self.peek() == "var":
-                return c, self.parse_monom()
-            return c, []
-        if self.peek() == "var":
-            return Fraction(1), self.parse_monom()
-        raise ParseError(f"term expected at token {self.pos} in {self.source[:40]!r}")
-
-    def parse_form(self) -> list[tuple[Fraction, list[int]]]:
-        terms = []
-        sign = Fraction(1)
-        if self.peek() in ("+", "-"):  # tolerated leading sign
-            sign = Fraction(-1) if self.take(self.peek()) == "-" else Fraction(1)
-        c, vs = self.parse_term()
-        terms.append((sign * c, vs))
-        while self.peek() is not None:
-            op = self.peek()
-            if op not in ("+", "-"):
-                raise ParseError(f"expected '+' or '-' at token {self.pos} in {self.source[:40]!r}")
-            self.take(op)
-            c, vs = self.parse_term()
-            terms.append((c if op == "+" else -c, vs))
-        return terms
+            vs = [values[m.start(4)]] * e + ([values[m.start(6)]] if var2 else [])
+        terms.append((-c if sign == "-" else c, vs))
+        pos = m.end()
+        if pos == len(kinds):
+            return terms
 
 
 def parse_quadratic_form(text: str) -> ParsedForm:
     """Parse, expand and validate a homogeneous quadratic in X0..X4."""
-    terms = _Parser(_tokenize(text), text).parse_form()
-    m = [[Fraction(0)] * _NVARS for _ in range(_NVARS)]
-    for coeff, vs in terms:
+    if not isinstance(text, str):
+        raise ParseError(f"form must be text, got {type(text).__name__}")
+    m = [[Fraction(0)] * MAX_SIZE for _ in range(MAX_SIZE)]
+    for coeff, vs in _terms(text):
         if len(vs) != 2:
             raise DegreeError(
                 f"term of degree {len(vs)} in {text[:40]!r}; every term must be quadratic"
@@ -177,7 +127,9 @@ def parse_quadratic_form(text: str) -> ParsedForm:
 
 
 def render_form(matrix: Matrix) -> str:
-    """Canonical text for X^T M X; reparsing returns the identical matrix."""
+    """Canonical text for X^T M X; reparsing returns the identical matrix.
+    A matrix that is not square and symmetric raises ``PencilError``."""
+    _check_symmetric(matrix)
     parts: list[tuple[Fraction, str]] = []
     for i in range(len(matrix)):
         c = matrix[i][i]
@@ -265,8 +217,8 @@ def pencil_from_json(text: str) -> QuadricPencil:
         raise ParseError('pencil file must be a JSON object with keys "U" and "V"')
     u = _entry_rows(doc["U"])
     v = _entry_rows(doc["V"])
-    if len(u) != _NVARS or len(v) != _NVARS:
-        raise ParseError(f"matrices must be {_NVARS}x{_NVARS}")
+    if len(u) != MAX_SIZE or len(v) != MAX_SIZE:
+        raise ParseError(f"matrices must be {MAX_SIZE}x{MAX_SIZE}")
     try:
         return QuadricPencil(u, v)
     except ValueError as exc:

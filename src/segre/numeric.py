@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import accumulate, combinations
 
 from ._record import Record
-from .errors import IllConditionedError, InternalConsistencyError
+from .errors import IllConditionedError, InternalConsistencyError, PencilError
 from .pencil import QuadricPencil, _partition
 from .symbol import Group, SegreSymbol
 
@@ -51,12 +51,13 @@ def numeric_exponent_partitions(
 ) -> NumericPartition:
     """Cluster eigenvalues of V^-1 U and rank-staircase each cluster.
 
-    Requires det V != 0 (run member selection first).  A computed multiple
-    eigenvalue of defect k splits into a cloud of radius roughly
-    (backward error)^(1/k), so a literal linking radius of ``tol_cluster``
-    would shatter every cluster of a Jordan block of size three or more at
-    double precision.  Clusters are therefore formed by single linkage at
-    the perturbation-aware radius scale * tol_cluster**(1/3), with the
+    Requires det V != 0 (run member selection first), else raises
+    ``PencilError``.  A computed multiple eigenvalue of defect k splits
+    into a cloud of radius roughly (backward error)^(1/k), so a literal
+    linking radius of ``tol_cluster`` would shatter every cluster of a
+    Jordan block of size three or more at double precision.  Clusters
+    are therefore formed by single linkage at the perturbation-aware
+    radius scale * tol_cluster**(1/3), with the
     cluster mean (accurate to first order) as representative; two
     representatives closer than 10 * tol_cluster * scale are ambiguous and
     refused.  Ranks of (M - alpha*I)^k use singular values thresholded
@@ -71,7 +72,7 @@ def numeric_exponent_partitions(
     import numpy as np
 
     if p.det_v == 0:
-        raise ValueError("numeric oracle needs det V != 0; select a member first")
+        raise PencilError("numeric oracle needs det V != 0; select a member first")
     size = p.size
     iu, iv, mult = p._iu, p._iv, p._mult
     try:  # int / int rounds correctly, as float(Fraction) does

@@ -90,7 +90,7 @@ def _fraction(c: object) -> Fraction:
     quotes all of it, and its zero-denominator message all the digits)."""
     try:
         return Fraction(c)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
         msg = str(exc)
         if isinstance(c, str) and len(c) > 40:
             if isinstance(exc, ZeroDivisionError):
@@ -102,7 +102,10 @@ def _fraction(c: object) -> Fraction:
 
 def _exact(rows: Iterable[Iterable[Rational | int | str]]) -> tuple[tuple[int | Fraction, ...], ...]:
     """``as_matrix`` without building a ``Fraction`` for an ``int`` entry."""
-    out = tuple(tuple(c if type(c) in _EXACT else _fraction(c) for c in row) for row in rows)
+    try:
+        out = tuple(tuple(c if type(c) in _EXACT else _fraction(c) for c in row) for row in rows)
+    except TypeError:  # rows, or a row, that cannot be iterated
+        raise PencilError("matrix must be a sequence of rows") from None
     _check_square(out)
     return out
 
@@ -115,6 +118,12 @@ def as_matrix(rows: Iterable[Iterable[Rational | int | str]]) -> Matrix:
 def _check_square(m: Sequence[Sequence[object]]) -> None:
     if any(len(row) != len(m) for row in m):
         raise PencilError("matrix must be square")
+
+
+def _check_symmetric(m: Sequence[Sequence[object]], name: str = "matrix") -> None:
+    _check_square(m)
+    if any(m[i][j] != m[j][i] for i in range(len(m)) for j in range(i)):
+        raise PencilError(f"{name} is not symmetric")
 
 
 def identity(size: int) -> Matrix:
@@ -217,9 +226,8 @@ class QuadricPencil:
         _check_size(size)
         both, mult = _cleared(u + v)
         iu, iv = both[:size], both[size:]
-        for name, m in (("U", iu), ("V", iv)):
-            if tuple(zip(*m)) != m:
-                raise PencilError(f"{name} is not symmetric")
+        _check_symmetric(iu, "U")
+        _check_symmetric(iv, "V")
         _store(self, iu, iv, mult)
 
     __setattr__ = Record.__setattr__  # raise FrozenInstanceError, as records do

@@ -17,13 +17,14 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from ._record import Record
-from .errors import ParseError
+from .errors import ParseError, PencilError
 from .pencil import (
     Matrix,
     QuadricPencil,
     RootClass,
     _bareiss,
     _check_size,
+    _fraction,
     _selected_classes,
     as_matrix,
     congruent,
@@ -143,7 +144,9 @@ class SegreSymbol:
     def parse(cls, text: str) -> "SegreSymbol":
         """Parse ``[..]`` notation: bare digits are singleton groups,
         parenthesized digit runs are bracketed groups.  Malformed text
-        raises ``ParseError``."""
+        raises ``ParseError``, as does an argument that is not a ``str``."""
+        if not isinstance(text, str):
+            raise ParseError(f"symbol must be text, got {type(text).__name__}")
         s = text.strip()
         if not (s.startswith("[") and s.endswith("]")):
             raise ParseError(f"symbol must be enclosed in square brackets: {text[:40]!r}")
@@ -212,7 +215,7 @@ class SegreSymbol:
 def canonicalize(s: SegreSymbol | str) -> SegreSymbol:
     """Canonical ordering: exponents descending inside each group, groups
     descending by (weight, exponent sequence, size).  Idempotent."""
-    if isinstance(s, str):
+    if not isinstance(s, SegreSymbol):
         s = SegreSymbol.parse(s)
     return s.canonical()
 
@@ -307,15 +310,16 @@ def build_normal_form(
     contributes its root to one block per exponent.  Roots of distinct
     groups must be pairwise distinct, otherwise the groups would merge.
     A symbol of weight above ``pencil.MAX_SIZE`` raises ``SizeLimitError``
-    before any block is built.
+    before any block is built; a root ``Fraction`` refuses, a wrong number
+    of roots or two equal roots raise ``PencilError``.
     """
     s = canonicalize(s)
     _check_size(s.weight)
-    rs = [Fraction(r) for r in roots]
+    rs = [_fraction(r) for r in roots]
     if len(rs) != len(s.groups):
-        raise ValueError(f"{s.render()} needs {len(s.groups)} roots, got {len(rs)}")
+        raise PencilError(f"{s.render()} needs {len(s.groups)} roots, got {len(rs)}")
     if len(set(rs)) != len(rs):
-        raise ValueError("roots of distinct groups must be pairwise distinct")
+        raise PencilError("roots of distinct groups must be pairwise distinct")
     ublocks: list[Matrix] = []
     vblocks: list[Matrix] = []
     for g, r in zip(s.groups, rs):

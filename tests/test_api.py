@@ -4,7 +4,7 @@ removed here is an API change and belongs in README and CHANGES.md."""
 import pytest
 
 import segre
-from segre.catalog import catalog_row
+from segre.catalog import catalog_row, in_catalog
 from segre.errors import NotInCatalogError, ParseError, PencilError, SegreError
 
 PUBLIC = [
@@ -83,8 +83,10 @@ SYMBOL_CALLABLES = {
     "covers_of": segre.covers_of,
     "random_instance": lambda s: segre.random_instance(s, 0),
     "build_normal_form": lambda s: segre.build_normal_form(s, [1]),
+    "catalog.catalog_row": catalog_row,
+    "catalog.in_catalog": in_catalog,
 }
-MALFORMED_SYMBOLS = ["", "[", "[]", "[0]", "[x1]", "11"]
+MALFORMED_SYMBOLS = ["", "[", "[]", "[0]", "[x1]", "11", 5, None]
 
 
 @pytest.mark.parametrize("text", MALFORMED_SYMBOLS)
@@ -123,8 +125,17 @@ def test_symbol_compares_unequal_to_malformed_text():
     assert sym == "[1]"
 
 
+def test_form_that_is_not_text_raises_parse_error():
+    with pytest.raises(SegreError) as info:
+        segre.parse_quadratic_form(None)
+    assert type(info.value) is ParseError
+    assert str(info.value) == "form must be text, got NoneType"
+
+
 # every pencil input the library refuses, and the message it gives
 _P2 = segre.QuadricPencil([[1, 0], [0, 1]], [[1, 0], [0, 2]])
+_NOT_RATIONAL = "argument should be a string or a Rational instance"
+_NOT_ROWS = "matrix must be a sequence of rows"
 PENCIL_ERRORS = {
     "zero denominator": (lambda: segre.QuadricPencil([["1/0"]], [["1"]]), "Fraction(1, 0)"),
     "long zero denominator": (
@@ -176,6 +187,34 @@ PENCIL_ERRORS = {
         lambda: segre.pencil.congruent(_P2, segre.pencil.identity(3)),
         "congruence must be 2 x 2, got 3 x 3",
     ),
+    # entries and rows of the wrong type raised TypeError
+    "no matrices": (lambda: segre.QuadricPencil(None, None), _NOT_ROWS),
+    "integer matrices": (lambda: segre.QuadricPencil(5, 5), _NOT_ROWS),
+    "integer rows": (lambda: segre.QuadricPencil([5], [5]), _NOT_ROWS),
+    "None entry": (lambda: segre.QuadricPencil([[None]], [[1]]), _NOT_RATIONAL),
+    "list entry": (lambda: segre.QuadricPencil([[[1]]], [[1]]), _NOT_RATIONAL),
+    "complex entry": (lambda: segre.QuadricPencil([[1j]], [[1]]), _NOT_RATIONAL),
+    "as_matrix of None": (lambda: segre.pencil.as_matrix(None), _NOT_ROWS),
+    "congruence None": (lambda: segre.pencil.congruent(_P2, None), _NOT_ROWS),
+    "member scalar None": (lambda: _P2.member(None, 1), _NOT_RATIONAL),
+    # plain ValueErrors
+    "too few roots": (
+        lambda: segre.build_normal_form("[2111]", [1, 2]),
+        "[2111] needs 4 roots, got 2",
+    ),
+    "equal roots": (
+        lambda: segre.build_normal_form("[2111]", [1, 1, 2, 3]),
+        "roots of distinct groups must be pairwise distinct",
+    ),
+    "root None": (lambda: segre.build_normal_form("[1]", [None]), _NOT_RATIONAL),
+    "numeric oracle with det V = 0": (
+        lambda: segre.numeric_exponent_partitions(segre.QuadricPencil([[1, 0], [0, 1]], [[1, 0], [0, 0]])),
+        "numeric oracle needs det V != 0; select a member first",
+    ),
+    # render_form rendered the upper triangle of any matrix
+    "render non-symmetric": (lambda: segre.render_form([[1, 2], [3, 4]]), "matrix is not symmetric"),
+    "render non-square": (lambda: segre.render_form([[1, 2]]), "matrix must be square"),
+    "render ragged": (lambda: segre.render_form([[1, 2], [2]]), "matrix must be square"),
 }
 
 

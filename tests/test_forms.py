@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from segre.errors import DegreeError, ParseError, ZeroFormError
 from segre.forms import (
@@ -82,6 +83,88 @@ class TestParse:
         assert len(str(info.value)) < 100
         if error is not DegreeError or "^9" not in form:
             assert form[:40] in str(info.value) and form[:41] not in str(info.value)
+
+
+# the grammar's accept/refuse set at its edges: the exception class, or the
+# diagonal and the (0, 1) entry of the parsed matrix
+GRAMMAR_EDGES = [
+    ("2*", ParseError),  # a '*' after a coefficient needs a variable
+    ("X0^", ParseError),
+    ("2/", ParseError),
+    ("2/X0^", ParseError),
+    ("--X0^2", ParseError),  # one leading sign at most
+    ("+X0^2", ([1, 0, 0, 0, 0], 0)),
+    ("X0^2X1", DegreeError),  # a square times a variable is cubic
+    ("X0X1X2", ParseError),  # a monomial has at most two variables
+    ("2 3X0^2", ParseError),
+    ("X0^02", ([1, 0, 0, 0, 0], 0)),
+    ("X0^0", DegreeError),
+    ("X 0^2", ParseError),  # whitespace only between tokens
+    ("X12", ParseError),  # X takes one digit: X1 times 2 is not a term
+    ("X0^2 +", ParseError),
+    ("1/0*X0^2", ParseError),
+    ("2X0X1", ([0, 0, 0, 0, 0], 1)),
+    ("X0*X1*X2", ParseError),
+    ("X0^2 - X0^2", ZeroFormError),
+    ("X0^1X1", ([0, 0, 0, 0, 0], Fraction(1, 2))),
+    ("X0X1^2", ParseError),  # the second variable takes no exponent
+    ("٣*X3^2", ([0, 0, 0, 3, 0], 0)),  # a decimal digit, as int reads it
+    ("X²^2", ParseError),  # a superscript digit is no digit
+    ("²*X0^2", ParseError),
+    ("X①^2", ParseError),
+]
+
+
+@pytest.mark.parametrize("text, expected", GRAMMAR_EDGES)
+def test_grammar_edges(text, expected):
+    if isinstance(expected, tuple):
+        m = parse_quadratic_form(text).matrix
+        assert ([m[i][i] for i in range(5)], m[0][1]) == expected
+    else:
+        with pytest.raises(ParseError) as info:
+            parse_quadratic_form(text)
+        assert type(info.value) is expected
+
+
+PIECES = [
+    "X0", "X1", "X2", "X3", "X4", "X5", "X9", "X", "0", "1", "2", "3", "12", "007",
+    "+", "-", "*", "/", "^", " ", "\t", "Y", "X0^2", "X1*X2", "2*", "3/2", "²", "٣", "X٣", "X²",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(PIECES), min_size=1, max_size=12).map("".join))
+@example("X²^2")
+@example("²*X0^2")
+@example("X①^2")
+def test_any_text_parses_and_round_trips_or_raises_parse_error(text):
+    try:
+        m = parse_quadratic_form(text).matrix
+    except ParseError:
+        return
+    assert parse_quadratic_form(render_form(m)).matrix == m
+
+
+ENTRIES = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-9, 9).map(Fraction),
+    st.fractions(max_denominator=50),
+    st.integers(2**64, 2**200).map(lambda n: Fraction(-n, 3)),
+    st.integers(2**64, 2**200).map(Fraction),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(ENTRIES, min_size=15, max_size=15))
+def test_symmetric_rational_matrices_round_trip(upper):
+    assume(any(upper))
+    entries = iter(upper)
+    m = [[Fraction(0)] * 5 for _ in range(5)]
+    for i in range(5):
+        for j in range(i, 5):
+            m[i][j] = m[j][i] = next(entries)
+    rendered = render_form(m)
+    assert parse_quadratic_form(rendered).matrix == tuple(map(tuple, m))
 
 
 class TestRenderRoundTrip:
