@@ -20,7 +20,7 @@ from __future__ import annotations
 from enum import Enum
 
 from ._record import Record
-from .errors import NotInCatalogError
+from .errors import NotInCatalogError, ParseError
 from .symbol import SegreSymbol, canonicalize
 
 __all__ = [
@@ -89,7 +89,11 @@ class AutE(Enum):
 
 
 def class_degree(singularities: tuple[SingularityType, ...] | list[SingularityType]) -> int:
-    """Degree of the dual variety: 12 minus the fiber Euler numbers."""
+    """Degree of the dual variety: 12 minus the fiber Euler numbers.  An
+    item that is not a ``SingularityType`` raises ``ParseError``."""
+    for s in singularities if isinstance(singularities, (tuple, list)) else (singularities,):
+        if type(s) is not SingularityType:
+            raise ParseError(f"singularities must be SingularityType values, got {type(s).__name__}")
     total = sum(s.euler for s in singularities)
     if total > 12:
         raise ValueError(f"euler numbers sum to {total} > 12")
@@ -109,25 +113,6 @@ class CatalogRow(Record):
     def class_degree(self) -> int:
         return class_degree(self.singularities)
 
-
-CATALOG_ORDER: tuple[str, ...] = (
-    "[11111]",
-    "[2111]",
-    "[(11)111]",
-    "[311]",
-    "[221]",
-    "[2(11)1]",
-    "[(21)11]",
-    "[(11)(11)1]",
-    "[41]",
-    "[(31)1]",
-    "[3(11)]",
-    "[32]",
-    "[(21)2]",
-    "[(21)(11)]",
-    "[5]",
-    "[(41)]",
-)
 
 CATALOG: dict[str, CatalogRow] = {
     row.symbol: row
@@ -150,6 +135,8 @@ CATALOG: dict[str, CatalogRow] = {
         CatalogRow("[(41)]", (_D(5),), 1, 0, AutE.C_STAR_OR_TRIVIAL),
     )
 }
+
+CATALOG_ORDER: tuple[str, ...] = tuple(CATALOG)
 
 # Rows realizable as a double cover over a smooth quadric, in table order.
 TABLE1_ORDER: tuple[str, ...] = (

@@ -25,14 +25,8 @@ from fractions import Fraction
 from .catalog import CATALOG_ORDER
 from .classify import classify_symbol
 from .errors import InternalConsistencyError, ParseError
-from .forms import (
-    _entry,
-    parse_quadratic_form,
-    pencil_from_json,
-    pencil_to_json,
-    render_form,
-)
-from .pencil import MAX_SIZE, QuadricPencil
+from .forms import parse_quadratic_form, pencil_from_json, pencil_to_json, render_form
+from .pencil import MAX_SIZE, QuadricPencil, _entry
 from .polynomial import _rational_str
 from .reporting import analyze_pencil, outcome_to_dict, render_pretty, surface_report_to_dict
 from .symbol import SegreSymbol, build_normal_form, compute_symbol, random_instance
@@ -104,11 +98,10 @@ def _parse_symbol(text: str) -> SegreSymbol:
 
 
 def _parse_roots(text: str) -> list[int | Fraction]:
-    """Comma-separated roots, each read and size-checked like a JSON matrix entry."""
-    limit = sys.get_int_max_str_digits()
+    """Comma-separated roots, each read like a JSON matrix entry."""
     try:
-        return [_entry(piece.strip(), limit) for piece in text.split(",") if piece.strip()]
-    except (ValueError, ZeroDivisionError) as exc:
+        return [_entry(piece.strip()) for piece in text.split(",") if piece.strip()]
+    except ValueError as exc:
         raise ParseError(f"bad root list {text[:40]!r}: {exc}") from exc
 
 

@@ -24,8 +24,9 @@ class SizeLimitError(SegreError, ValueError):
 
 
 class PencilError(SegreError, ValueError):
-    """A refused pencil input: a bad entry or a matrix that is not a
-    sequence of rows, a pair not square, symmetric and of one size, a
+    """A refused pencil input: a bad entry, scalar or root (one that is not
+    a finite rational or that passes the input limits), a matrix that is
+    not a sequence of rows, a pair not square, symmetric and of one size, a
     congruence of the wrong size, a singular basis change,
     ``degeneracy_report`` of a pencil with a smooth member, roots that do
     not fit a normal form, the numeric oracle at det V = 0, or a matrix
@@ -49,7 +50,8 @@ class NotInCatalogError(SegreError, ValueError):
 
 
 class ParseError(SegreError, ValueError):
-    """Malformed quadratic-form expression or matrix file."""
+    """Malformed quadratic-form expression, matrix file or symbol, or a
+    symbol group or singularity list item of the wrong type."""
 
 
 class DegreeError(ParseError):

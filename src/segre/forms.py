@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import json
 import re
-import sys
 from fractions import Fraction
 
 from ._record import Record
 from .errors import DegreeError, ParseError, ZeroFormError
 from .pencil import (
-    MAX_SIZE, Matrix, QuadricPencil, _check_square, _check_symmetric, _fraction, as_matrix,
+    MAX_SIZE, Matrix, QuadricPencil, _check_square, _check_symmetric, _entry, _exact, as_matrix,
 )
 from .polynomial import _rational_str
 
@@ -128,7 +127,9 @@ def parse_quadratic_form(text: str) -> ParsedForm:
 
 def render_form(matrix: Matrix) -> str:
     """Canonical text for X^T M X; reparsing returns the identical matrix.
-    A matrix that is not square and symmetric raises ``PencilError``."""
+    The matrix is read as ``QuadricPencil`` reads one, and one that is not
+    square and symmetric raises ``PencilError``."""
+    matrix = _exact(matrix)
     _check_symmetric(matrix)
     parts: list[tuple[Fraction, str]] = []
     for i in range(len(matrix)):
@@ -154,60 +155,15 @@ def render_form(matrix: Matrix) -> str:
 
 # -- pencil file format -------------------------------------------------------
 
-_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*$")
-
-
-def _entry(text: str, limit: int) -> int | Fraction:
-    """One matrix entry, read like ``Fraction(text)``; plain integer text
-    gives an ``int`` of the same value.
-
-    As with integers in the form grammar, a numerator or denominator with
-    more digits than ``limit``, Python's int<->str limit, is refused (no
-    check when the limit is switched off).  Without a decimal point or an
-    exponent, ``Fraction`` parses both with ``int``, which applies the
-    limit itself.  An exponent past limit + len(text) is refused before
-    the power of ten is built: with any nonzero mantissa it gives more
-    digits than the limit.  Plain integer text is read with ``int`` alone;
-    text with ``_`` is not, as ``Fraction`` refuses it on Python 3.10.
-    """
-    if "_" not in text:
-        try:
-            return int(text)
-        except ValueError:  # not an integer, or past the limit: Fraction says which
-            pass
-    if not limit or ("." not in text and "e" not in text and "E" not in text):
-        return _fraction(text)
-    exp = _EXPONENT.search(text)
-    if exp and abs(int(exp.group(1).replace("_", ""))) > limit + len(text):
-        raise ParseError(f"exponent of {text[:40]!r} is out of range")
-    q = _fraction(text)
-    for n in (q.numerator, q.denominator):
-        if n.bit_length() > 3 * limit and abs(n) >= 10**limit:  # 2^(3 limit) < 10^limit
-            raise ParseError(f"entry {text[:40]!r} has more than {limit} digits")
-    return q
-
-
-def _entry_rows(rows: list[list[str]]) -> list[list[int | Fraction]]:
-    """The entries of a square matrix document, each read by ``_entry``."""
-    if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
-        raise ParseError("a matrix must be a list of rows, each a list of entries")
-    limit = sys.get_int_max_str_digits()
-    try:
-        out = [[_entry(str(c), limit) for c in row] for row in rows]
-        _check_square(out)
-    except ValueError as exc:
-        raise ParseError(f"bad rational entry in matrix: {exc}") from exc
-    return out
-
-
 def pencil_from_json(text: str) -> QuadricPencil:
     """Load a pencil from a JSON document with 5x5 string matrices U and V.
 
-    Plain integer entries stay ``int``s, so an integer document becomes the
-    pencil's integer pair with no ``Fraction`` made; any other entry is
-    read by ``Fraction`` and the pair is cleared once.  A document the
-    JSON reader refuses, also for nesting too deep to recurse into or an
-    integer past Python's int<->str digit limit, raises ``ParseError``.
+    Each entry is read once, from its text (a JSON number from ``str`` of
+    it), by ``pencil._entry``: plain integer entries stay ``int``s, so an
+    integer document becomes the pencil's integer pair with no ``Fraction``
+    made, and the pair is cleared once.  A document the JSON reader
+    refuses, also for nesting too deep to recurse into or an integer past
+    Python's int<->str digit limit, raises ``ParseError``.
     """
     try:
         doc = json.loads(text)
@@ -215,8 +171,16 @@ def pencil_from_json(text: str) -> QuadricPencil:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "U" not in doc or "V" not in doc:
         raise ParseError('pencil file must be a JSON object with keys "U" and "V"')
-    u = _entry_rows(doc["U"])
-    v = _entry_rows(doc["V"])
+    mats = []
+    for rows in (doc["U"], doc["V"]):
+        if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
+            raise ParseError("a matrix must be a list of rows, each a list of entries")
+        try:
+            mats.append([[_entry(str(c)) for c in row] for row in rows])
+            _check_square(mats[-1])
+        except ValueError as exc:
+            raise ParseError(f"bad rational entry in matrix: {exc}") from exc
+    u, v = mats
     if len(u) != MAX_SIZE or len(v) != MAX_SIZE:
         raise ParseError(f"matrices must be {MAX_SIZE}x{MAX_SIZE}")
     try:

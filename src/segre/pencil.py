@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import functools
 import math
+import re
+import sys
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
@@ -84,26 +86,65 @@ __all__ = [
 # small exact matrix helpers
 # ---------------------------------------------------------------------------
 
-def _fraction(c: object) -> Fraction:
-    """``Fraction(c)``; an entry it refuses raises ``PencilError`` with its
-    message, quoting at most 40 characters of a longer text (``Fraction``
-    quotes all of it, and its zero-denominator message all the digits)."""
+# an exponent at the end of decimal text, as ``Fraction`` reads it
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*$")
+
+
+def _entry(c: object) -> int | Fraction:
+    """One rational read from outside: every matrix entry, scalar and root.
+
+    An ``int`` or a ``Fraction`` passes through unchanged, and plain
+    integer text is read by ``int`` (text with ``_`` is not, as
+    ``Fraction`` refuses it on Python 3.10).  Anything else is read as
+    ``Fraction(c)`` reads it, so a float gives its exact binary value
+    (0.1 is 3602879701896397/2^55); ``pencil_from_json`` hands every JSON
+    number over as its text, so 0.1 in a file is 1/10.
+
+    Text keeps within Python's int<->str limit, read at the call (no check
+    when it is switched off): a numerator or denominator with more digits
+    is refused.  Without a decimal point or an exponent, ``int`` and
+    ``Fraction`` apply the limit themselves.  An exponent past limit +
+    len(c) is refused before its power of ten is built: with any nonzero
+    mantissa it gives more digits than the limit.  A refused entry raises
+    ``PencilError`` with ``Fraction``'s message, quoting at most 40
+    characters of a longer text (``Fraction`` quotes all of it, and its
+    zero-denominator message all the digits).
+    """
+    text = type(c) is str
+    if text:
+        if "_" not in c:
+            try:
+                return int(c)
+            except ValueError:  # not an integer, or past the limit: Fraction says which
+                pass
+    elif type(c) in _EXACT:
+        return c
+    limit = sys.get_int_max_str_digits() if text and ("." in c or "e" in c or "E" in c) else 0
     try:
-        return Fraction(c)
+        exp = _EXPONENT.search(c) if limit else None
+        # in the try: int refuses an exponent that has more digits than the
+        # limit, as Fraction would, and the refusal below gets its message too
+        if exp and abs(int(exp.group(1).replace("_", ""))) > limit + len(c):
+            raise OverflowError(f"exponent of {c[:40]!r} is out of range")
+        q = Fraction(c)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
         msg = str(exc)
-        if isinstance(c, str) and len(c) > 40:
+        if text and len(c) > 40:
             if isinstance(exc, ZeroDivisionError):
                 msg = f"zero denominator in {c.strip()[:40]!r}"
             else:
                 msg = msg.replace(repr(c), repr(c[:40]))
         raise PencilError(msg) from None
+    # 2^(3 limit) < 10^limit, so the power of ten is built only when needed
+    if limit and any(n.bit_length() > 3 * limit and abs(n) >= 10**limit for n in q.as_integer_ratio()):
+        raise PencilError(f"entry {c[:40]!r} has more than {limit} digits")
+    return q
 
 
-def _exact(rows: Iterable[Iterable[Rational | int | str]]) -> tuple[tuple[int | Fraction, ...], ...]:
+def _exact(rows: Iterable[Iterable[Rational | int | str]]) -> list[list[int | Fraction]]:
     """``as_matrix`` without building a ``Fraction`` for an ``int`` entry."""
     try:
-        out = tuple(tuple(c if type(c) in _EXACT else _fraction(c) for c in row) for row in rows)
+        out = [[c if type(c) in _EXACT else _entry(c) for c in row] for row in rows]
     except TypeError:  # rows, or a row, that cannot be iterated
         raise PencilError("matrix must be a sequence of rows") from None
     _check_square(out)
@@ -133,11 +174,8 @@ def identity(size: int) -> Matrix:
 
 
 def diagonal(entries: Sequence[Rational | int]) -> Matrix:
-    es = [Fraction(e) for e in entries]
-    return tuple(
-        tuple(es[i] if i == j else Fraction(0) for j in range(len(es)))
-        for i in range(len(es))
-    )
+    es = list(entries)
+    return as_matrix([[es[i] if i == j else 0 for j in range(len(es))] for i in range(len(es))])
 
 
 def _bareiss(m: Sequence[Sequence[int]]) -> tuple[list[int], int, list[list[int]]]:
@@ -241,8 +279,8 @@ class QuadricPencil:
             return NotImplemented
         return (self._mult, self._iu, self._iv) == (other._mult, other._iu, other._iv)
 
-    def __hash__(self) -> int:  # the hash of the rational matrices
-        return hash((self.u, self.v))
+    def __hash__(self) -> int:  # equal pencils hold equal pairs
+        return hash((self._mult, self._iu, self._iv))
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(u={self.u!r}, v={self.v!r})"
@@ -280,7 +318,7 @@ class QuadricPencil:
 
     def member(self, x: Rational | int, y: Rational | int) -> Matrix:
         """The matrix x*U + y*V."""
-        x, y = _fraction(x), _fraction(y)
+        x, y = _entry(x), _entry(y)
         return tuple(tuple(x * a + y * b for a, b in zip(ru, rv)) for ru, rv in zip(self.u, self.v))
 
 
@@ -343,7 +381,8 @@ def change_basis(
     d: Rational | int,
 ) -> QuadricPencil:
     """Replace (U, V) by (a*U + b*V, c*U + d*V); requires ad - bc != 0."""
-    if _fraction(a) * _fraction(d) - _fraction(b) * _fraction(c) == 0:
+    a, b, c, d = map(_entry, (a, b, c, d))
+    if a * d - b * c == 0:
         raise PencilError("pencil basis change must be invertible")
     return QuadricPencil(p.member(a, b), p.member(c, d))
 

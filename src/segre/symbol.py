@@ -24,7 +24,7 @@ from .pencil import (
     RootClass,
     _bareiss,
     _check_size,
-    _fraction,
+    _entry,
     _selected_classes,
     as_matrix,
     congruent,
@@ -121,13 +121,18 @@ class SegreSymbol:
     text and the exponent structure are computed once per symbol, on their
     first use.  A symbol made by ``canonical()`` knows its groups are in
     canonical order: it is its own canonical form, and its structure is
-    read in group order.
+    read in group order.  A group that is not a ``Group`` raises
+    ``ParseError``.
     """
 
     __slots__ = ("groups", "_text", "_structure", "_canonical")
 
     def __init__(self, groups: Sequence[Group]):
-        object.__setattr__(self, "groups", tuple(groups))
+        groups = tuple(groups)
+        for g in groups:
+            if type(g) is not Group:
+                raise ParseError(f"symbol groups must be Group values, got {type(g).__name__}")
+        object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "_text", None)
         object.__setattr__(self, "_structure", None)
         object.__setattr__(self, "_canonical", False)
@@ -275,17 +280,17 @@ def _symbol_from_classes(
 def elementary_block(e: int, alpha: Rational | int) -> tuple[Matrix, Matrix]:
     """The e x e symmetric pair whose pencil has the single elementary
     divisor (lambda - alpha)^e: alpha on the antidiagonal with a run of
-    ones just below it, paired with the exchange matrix."""
-    a = Fraction(alpha)
-    u = [[Fraction(0)] * e for _ in range(e)]
-    v = [[Fraction(0)] * e for _ in range(e)]
+    ones just below it, paired with the exchange matrix.  alpha is read
+    as every matrix entry is (``pencil._entry``)."""
+    u = [[0] * e for _ in range(e)]
+    v = [[0] * e for _ in range(e)]
     for i in range(e):
         for j in range(e):
             if i + j == e - 1:
-                u[i][j] = a
-                v[i][j] = Fraction(1)
+                u[i][j] = alpha
+                v[i][j] = 1
             elif i + j == e:
-                u[i][j] = Fraction(1)
+                u[i][j] = 1
     return as_matrix(u), as_matrix(v)
 
 
@@ -310,12 +315,12 @@ def build_normal_form(
     contributes its root to one block per exponent.  Roots of distinct
     groups must be pairwise distinct, otherwise the groups would merge.
     A symbol of weight above ``pencil.MAX_SIZE`` raises ``SizeLimitError``
-    before any block is built; a root ``Fraction`` refuses, a wrong number
-    of roots or two equal roots raise ``PencilError``.
+    before any block is built; a root ``pencil._entry`` refuses, a wrong
+    number of roots or two equal roots raise ``PencilError``.
     """
     s = canonicalize(s)
     _check_size(s.weight)
-    rs = [_fraction(r) for r in roots]
+    rs = [_entry(r) for r in roots]
     if len(rs) != len(s.groups):
         raise PencilError(f"{s.render()} needs {len(s.groups)} roots, got {len(rs)}")
     if len(set(rs)) != len(rs):

@@ -136,6 +136,7 @@ def test_form_that_is_not_text_raises_parse_error():
 _P2 = segre.QuadricPencil([[1, 0], [0, 1]], [[1, 0], [0, 2]])
 _NOT_RATIONAL = "argument should be a string or a Rational instance"
 _NOT_ROWS = "matrix must be a sequence of rows"
+_HUGE_EXPONENT = "exponent of '1e100000' is out of range"
 PENCIL_ERRORS = {
     "zero denominator": (lambda: segre.QuadricPencil([["1/0"]], [["1"]]), "Fraction(1, 0)"),
     "long zero denominator": (
@@ -215,6 +216,20 @@ PENCIL_ERRORS = {
     "render non-symmetric": (lambda: segre.render_form([[1, 2], [3, 4]]), "matrix is not symmetric"),
     "render non-square": (lambda: segre.render_form([[1, 2]]), "matrix must be square"),
     "render ragged": (lambda: segre.render_form([[1, 2], [2]]), "matrix must be square"),
+    # render_form read its matrix with no check of the entries: TypeError
+    "render None": (lambda: segre.render_form(None), _NOT_ROWS),
+    "render None entry": (lambda: segre.render_form([[None]]), _NOT_RATIONAL),
+    # the library took an exponent that the JSON reader refuses
+    "huge exponent entry": (lambda: segre.QuadricPencil([["1e100000"]], [[1]]), _HUGE_EXPONENT),
+    "huge exponent root": (
+        lambda: segre.build_normal_form("[2111]", ["1e100000", 3, 4, 5]),
+        _HUGE_EXPONENT,
+    ),
+    "huge exponent basis change": (
+        lambda: segre.pencil.change_basis(_P2, "1e100000", 0, 0, 1),
+        _HUGE_EXPONENT,
+    ),
+    "huge exponent member": (lambda: _P2.member("1e100000", 1), _HUGE_EXPONENT),
 }
 
 
@@ -224,4 +239,37 @@ def test_pencil_input_raises_pencil_error(case):
     with pytest.raises(SegreError) as info:
         call()
     assert type(info.value) is PencilError and isinstance(info.value, ValueError)
+    assert str(info.value) == message
+
+
+def test_render_form_reads_entries_as_the_pencil_does():
+    assert segre.render_form([["1/2"]]) == "1/2*X0^2"
+    # a float is read at its exact binary value, 0.1 = 3602879701896397 / 2^55
+    assert segre.render_form([[0.1]]) == "3602879701896397/36028797018963968*X0^2"
+    assert segre.render_form([[0.1]]) == segre.render_form(segre.QuadricPencil([[0.1]], [[1]]).u)
+
+
+# constructors and lookups that take typed items, and items of the wrong type
+WRONG_ITEMS = {
+    "SegreSymbol of an int": (
+        lambda: segre.SegreSymbol([5]),
+        "symbol groups must be Group values, got int",
+    ),
+    "class_degree of text": (
+        lambda: segre.class_degree("zz"),
+        "singularities must be SingularityType values, got str",
+    ),
+    "class_degree of an int item": (
+        lambda: segre.class_degree([5]),
+        "singularities must be SingularityType values, got int",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_ITEMS))
+def test_wrong_typed_items_raise_parse_error(case):
+    call, message = WRONG_ITEMS[case]
+    with pytest.raises(SegreError) as info:
+        call()
+    assert type(info.value) is ParseError and isinstance(info.value, ValueError)
     assert str(info.value) == message

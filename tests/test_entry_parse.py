@@ -1,23 +1,29 @@
-"""Pencil entries that look like integers parse exactly as ``Fraction(text)`` does.
+"""Every entry text reads alike as a JSON entry and as a library entry,
+and as ``Fraction(text)`` reads it.
 
-``forms._entry`` reads plain integer text with ``int`` and leaves every
-other text to ``Fraction``.  For each text below, ``forms._entry_rows``
-must give the value ``Fraction(text)`` gives, or, where ``Fraction``
-raises, the ``ParseError`` that wraps its message.  ``int`` and
-``Fraction`` differ between Python versions (``Fraction("1_000")`` raises
-on 3.10 only), so the file needs neither pytest nor numpy and runs as a
-plain script too::
+``pencil._entry`` is the one reader of an outside rational: it reads
+plain integer text with ``int`` and leaves every other text to
+``Fraction``.  For each text below, ``pencil_from_json`` (the text as an
+entry of a 5 x 5 document) and ``QuadricPencil([[text]], [[1]])`` must
+give the value ``Fraction(text)`` gives, or, where ``Fraction`` raises,
+the ``ParseError`` that wraps its message and the ``PencilError`` with
+that message.  ``int`` and ``Fraction`` differ between Python versions
+(``Fraction("1_000")`` raises on 3.10 only), so the file needs neither
+pytest nor numpy and runs as a plain script too::
 
     PYTHONPATH=src python tests/test_entry_parse.py
 """
 
+import json
 import sys
 from fractions import Fraction
 
-from segre.errors import ParseError
-from segre.forms import _entry_rows
+from segre.errors import ParseError, PencilError
+from segre.forms import pencil_from_json
+from segre.pencil import QuadricPencil
 
 _LIMIT = sys.get_int_max_str_digits()
+_BAD = "bad rational entry in matrix: "
 
 INTEGER_LIKE = [
     # signs
@@ -46,19 +52,31 @@ def _expected(text: str):
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        return f"bad rational entry in matrix: {exc}"
+        return f"{_BAD}{exc}"
 
 
-def _got(text: str):
+def read_both(text: str):
+    """The value of ``text`` read as U[0][0] of a JSON document and as the
+    entry of a 1 x 1 library pencil, or the JSON reader's message; the two
+    readings must agree."""
+    u = [[text if i == j == 0 else str(int(i == j)) for j in range(5)] for i in range(5)]
     try:
-        return Fraction(_entry_rows([[text]])[0][0])
+        from_json = pencil_from_json(json.dumps({"U": u, "V": u})).u[0][0]
     except ParseError as exc:
-        return str(exc)
+        from_json = str(exc)
+    try:
+        from_library = QuadricPencil([[text]], [[1]]).u[0][0]
+    except PencilError as exc:
+        from_library = f"{_BAD}{exc}"
+    assert type(from_json) is type(from_library) and from_json == from_library, (
+        text[:40], from_json, from_library
+    )
+    return from_json
 
 
 def test_integer_like_entries_parse_like_fraction():
     for text in INTEGER_LIKE + OTHER:
-        want, got = _expected(text), _got(text)
+        want, got = _expected(text), read_both(text)
         assert type(got) is type(want) and got == want, (text[:40], want, got)
 
 

@@ -6,7 +6,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from segre.errors import DegreeError, ParseError, ZeroFormError
 from segre.forms import (
-    _entry_rows,
     parse_quadratic_form,
     pencil_from_json,
     pencil_to_json,
@@ -14,6 +13,7 @@ from segre.forms import (
 )
 from segre.pencil import QuadricPencil, diagonal, identity
 from segre.symbol import build_normal_form
+from test_entry_parse import read_both
 
 
 class TestParse:
@@ -229,10 +229,10 @@ class TestPencilJson:
         with pytest.raises(ParseError):
             pencil_from_json(doc)
 
+    # each entry is read as a JSON entry and as a library entry, which agree
     @pytest.mark.parametrize("entry", ["1e5000", "1e-5000", "1e4300", "3/1e4300", "0e999999999"])
     def test_entry_past_int_str_limit_is_parse_error(self, entry):
-        with pytest.raises(ParseError):
-            _entry_rows([[entry]])
+        assert read_both(entry).startswith("bad rational entry in matrix: ")
 
     @pytest.mark.parametrize(
         "entry",
@@ -240,18 +240,15 @@ class TestPencilJson:
         ids=["slash", "letters", "zero-denominator"],
     )
     def test_long_bad_entry_quotes_40_characters(self, entry):
-        with pytest.raises(ParseError) as info:
-            _entry_rows([[entry]])
-        assert len(str(info.value)) < 200
-        assert entry[:40] in str(info.value) and entry[:41] not in str(info.value)
+        message = read_both(entry)
+        assert isinstance(message, str) and len(message) < 200
+        assert entry[:40] in message and entry[:41] not in message
 
     def test_decimal_past_int_str_limit_is_parse_error(self):
         # each side of the point is within the limit, the value's numerator is not
-        with pytest.raises(ParseError):
-            _entry_rows([["1" * 3000 + "." + "1" * 3000]])
+        assert read_both("1" * 3000 + "." + "1" * 3000).startswith("bad rational entry in matrix: ")
 
     def test_exponent_entries_within_limit(self):
-        assert _entry_rows([["1e3", "-2.5E-2"], ["1e4299", "0e5"]]) == [
-            [Fraction(1000), Fraction(-1, 40)],
-            [Fraction(10**4299), Fraction(0)],
+        assert [read_both(t) for t in ("1e3", "-2.5E-2", "1e4299", "0e5")] == [
+            Fraction(1000), Fraction(-1, 40), Fraction(10**4299), Fraction(0),
         ]
