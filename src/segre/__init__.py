@@ -66,7 +66,7 @@ __version__ = "0.1.0"
 
 def __getattr__(name: str):
     # the numeric oracle is imported on first use: segre analyze never needs it
-    if name in ("NumericPartition", "numeric_exponent_partitions"):
+    if name == "numeric_exponent_partitions":
         from . import numeric
 
         value = globals()[name] = getattr(numeric, name)
@@ -91,7 +91,6 @@ __all__ = [
     "MAX_SIZE",
     "NoSmoothMemberError",
     "NotInCatalogError",
-    "NumericPartition",
     "ParseError",
     "ParsedForm",
     "PencilError",

@@ -23,7 +23,6 @@ __all__ = [
     "BaseKind",
     "VertexPosition",
     "ComponentKind",
-    "BranchComponent",
     "BranchStructure",
     "BRANCH_STRUCTURES",
     "SectionComponent",
@@ -61,14 +60,6 @@ class ComponentKind(Enum):
         self.dual_degree = dual_degree
 
 
-class BranchComponent(Record):
-    kind: ComponentKind
-
-    @property
-    def dual_degree(self) -> int:
-        return self.kind.dual_degree
-
-
 class BranchStructure(Record):
     """Component list plus how the components meet.
 
@@ -77,7 +68,7 @@ class BranchStructure(Record):
     elliptic, nodal and cuspidal curves); None for reducible branches.
     """
 
-    components: tuple[BranchComponent, ...]
+    components: tuple[ComponentKind, ...]
     configuration: str
     dual_double_conics: int | None = None
 
@@ -87,7 +78,7 @@ class BranchStructure(Record):
 
 
 def _structure(kinds: list[ComponentKind], configuration: str, conics: int | None = None):
-    return BranchStructure(tuple(BranchComponent(k) for k in kinds), configuration, conics)
+    return BranchStructure(tuple(kinds), configuration, conics)
 
 
 _K = ComponentKind

@@ -24,12 +24,13 @@ class SizeLimitError(SegreError, ValueError):
 
 
 class PencilError(SegreError, ValueError):
-    """A refused pencil input: a bad entry, scalar or root (one that is not
-    a finite rational or that passes the input limits), a matrix that is
-    not a sequence of rows, a pair not square, symmetric and of one size, a
-    congruence of the wrong size, a singular basis change,
-    ``degeneracy_report`` of a pencil with a smooth member, roots that do
-    not fit a normal form, the numeric oracle at det V = 0, or a matrix
+    """A refused pencil input: a pencil argument that is not a
+    ``QuadricPencil``, a bad entry, scalar, root or polynomial coefficient
+    (one that is not a finite rational or that passes the input limits), a
+    matrix that is not a sequence of rows or a diagonal not a sequence, a
+    pair not square, symmetric and of one size, a congruence of the wrong
+    size, a singular basis change, ``degeneracy_report`` of a pencil with a
+    smooth member, roots that do not fit a normal form, or a matrix
     ``render_form`` cannot render."""
 
 

@@ -26,7 +26,8 @@ from fractions import Fraction
 from ._record import Record
 from .errors import DegreeError, ParseError, ZeroFormError
 from .pencil import (
-    MAX_SIZE, Matrix, QuadricPencil, _check_square, _check_symmetric, _entry, _exact, as_matrix,
+    MAX_SIZE, Matrix, QuadricPencil, _check_pencil, _check_square, _check_symmetric, _entry, _exact,
+    as_matrix,
 )
 from .polynomial import _rational_str
 
@@ -190,6 +191,7 @@ def pencil_from_json(text: str) -> QuadricPencil:
 
 
 def pencil_to_json(p: QuadricPencil, extra: dict | None = None) -> str:
+    _check_pencil(p)
     doc: dict = {
         "U": [[_rational_str(c) for c in row] for row in p.u],
         "V": [[_rational_str(c) for c in row] for row in p.v],

@@ -1,4 +1,4 @@
-"""Floating-point oracle for the exponent structure of a pencil.
+"""Floating-point oracle for the Segre symbol of a pencil.
 
 Independently of the exact path, the elementary-divisor exponents can be
 recovered numerically: form M = V^-1 U, cluster its eigenvalues, and read
@@ -8,7 +8,7 @@ its powers, with clustering and rank counts on Python numbers.  numpy is
 imported on the first call, so the exact path never loads it.  The oracle
 exists to cross-validate, so it refuses with ``IllConditionedError``
 instead of guessing whenever clustering or the staircase is ambiguous at
-the given tolerances, or double precision cannot hold the pencil.
+its fixed tolerances, or double precision cannot hold the pencil.
 """
 
 from __future__ import annotations
@@ -16,63 +16,52 @@ from __future__ import annotations
 from itertools import accumulate, combinations
 
 from ._record import Record
-from .errors import IllConditionedError, InternalConsistencyError, PencilError
-from .pencil import QuadricPencil, _partition
+from .errors import IllConditionedError, InternalConsistencyError
+from .pencil import QuadricPencil, _partition, select_nonsingular_member
 from .symbol import Group, SegreSymbol
 
-__all__ = ["Cluster", "NumericPartition", "numeric_exponent_partitions"]
+__all__ = ["NumericRoot", "numeric_exponent_partitions"]
 
-DEFAULT_CLUSTER_TOL = 1e-6
-DEFAULT_RANK_TOL = 1e-8
-
-
-class Cluster(Record):
-    eigenvalue: complex
-    partition: tuple[int, ...]  # block sizes, descending
-
-    def __init__(self, eigenvalue: complex, partition: tuple[int, ...]):
-        d = self.__dict__  # one per eigenvalue cluster: bind without the generic code
-        d["eigenvalue"] = eigenvalue
-        d["partition"] = partition
+_CLUSTER_TOL = 1e-6
+_RANK_TOL = 1e-8
 
 
-class NumericPartition(Record):
-    clusters: tuple[Cluster, ...]
+class NumericRoot(Record):
+    value: complex  # the mean of an eigenvalue cluster
 
-    def exponent_structure(self) -> tuple[tuple[int, ...], ...]:
-        """Multiset of cluster partitions, ordered like the exact symbol."""
-        return SegreSymbol([Group(c.partition) for c in self.clusters]).exponent_structure()
+    def __init__(self, value: complex):
+        self.__dict__["value"] = value
+
+    def describe(self) -> str:
+        return f"{self.value:.6g}"
 
 
-def numeric_exponent_partitions(
-    p: QuadricPencil,
-    tol_cluster: float = DEFAULT_CLUSTER_TOL,
-    tol_rank: float = DEFAULT_RANK_TOL,
-) -> NumericPartition:
-    """Cluster eigenvalues of V^-1 U and rank-staircase each cluster.
+def numeric_exponent_partitions(p: QuadricPencil) -> SegreSymbol:
+    """The Segre symbol of ``select_nonsingular_member(p)``, read off the
+    eigenvalues of V^-1 U: one group per eigenvalue cluster, in cluster
+    order (not canonicalized), with a ``NumericRoot`` at the cluster mean.
 
-    Requires det V != 0 (run member selection first), else raises
-    ``PencilError``.  A computed multiple eigenvalue of defect k splits
-    into a cloud of radius roughly (backward error)^(1/k), so a literal
-    linking radius of ``tol_cluster`` would shatter every cluster of a
-    Jordan block of size three or more at double precision.  Clusters
-    are therefore formed by single linkage at the perturbation-aware
-    radius scale * tol_cluster**(1/3), with the
-    cluster mean (accurate to first order) as representative; two
-    representatives closer than 10 * tol_cluster * scale are ambiguous and
-    refused.  Ranks of (M - alpha*I)^k use singular values thresholded
-    relative to the largest one; the number of blocks of size >= k is
-    r_{k-1} - r_k, and a staircase that fails to reach the cluster's
-    multiplicity or is not monotone is refused as well.  The threshold
-    for the k-th power is tol_rank * sigma_1(M - alpha*I)**k: the k-th
-    power of a matrix with a defective eigenvalue is numerically the zero
-    matrix once k reaches the block size, so the comparison scale has to
-    come from the unpowered matrix.
+    Raises ``NoSmoothMemberError`` when every member is singular.  A
+    computed multiple eigenvalue of defect k splits into a cloud of radius
+    roughly (backward error)^(1/k), so a literal linking radius of
+    ``_CLUSTER_TOL`` would shatter every cluster of a Jordan block of size
+    three or more at double precision.  Clusters are therefore formed by
+    single linkage at the perturbation-aware radius
+    scale * _CLUSTER_TOL**(1/3), with the cluster mean (accurate to first
+    order) as representative; two representatives closer than
+    10 * _CLUSTER_TOL * scale are ambiguous and refused.  Ranks of
+    (M - alpha*I)^k use singular values thresholded relative to the
+    largest one; the number of blocks of size >= k is r_{k-1} - r_k, and a
+    staircase that fails to reach the cluster's multiplicity or is not
+    monotone is refused as well.  The threshold for the k-th power is
+    _RANK_TOL * sigma_1(M - alpha*I)**k: the k-th power of a matrix with a
+    defective eigenvalue is numerically the zero matrix once k reaches the
+    block size, so the comparison scale has to come from the unpowered
+    matrix.
     """
     import numpy as np
 
-    if p.det_v == 0:
-        raise PencilError("numeric oracle needs det V != 0; select a member first")
+    p = select_nonsingular_member(p)
     size = p.size
     iu, iv, mult = p._iu, p._iv, p._mult
     try:  # int / int rounds correctly, as float(Fraction) does
@@ -87,7 +76,7 @@ def numeric_exponent_partitions(
         values = np.linalg.eigvals(m)
         eigs = values.tolist()
         scale = max(1.0, max(abs(z) for z in eigs))
-        link_radius = scale * tol_cluster ** (1.0 / 3.0)
+        link_radius = scale * _CLUSTER_TOL ** (1.0 / 3.0)
 
         groups: list[list[int]] = []  # indices into eigs, linked in (real, imag) order
         for i in sorted(range(size), key=lambda j: (eigs[j].real, eigs[j].imag)):
@@ -103,7 +92,7 @@ def numeric_exponent_partitions(
         centers = [sum(values[i] for i in g) / len(g) for g in groups]
         near = [c.item() for c in centers]
         for i, j in combinations(range(len(near)), 2):
-            if abs(near[i] - near[j]) < 10 * tol_cluster * scale:
+            if abs(near[i] - near[j]) < 10 * _CLUSTER_TOL * scale:
                 raise IllConditionedError(
                     f"eigenvalue clusters {centers[i]:.6g} and {centers[j]:.6g} "
                     f"are closer than 10x the clustering tolerance"
@@ -118,13 +107,13 @@ def numeric_exponent_partitions(
         stack = np.concatenate((shifted, powers)) if powers else shifted
         sv = np.linalg.svd(stack, compute_uv=False).tolist()
 
-        clusters: list[Cluster] = []
+        out: list[Group] = []
         at = len(groups)
         for g, center, first in zip(groups, centers, sv):
             mult = len(g)
             ranks = [size]
             for k, row in enumerate([first] + sv[at : at + mult - 1], start=1):
-                threshold = tol_rank * first[0] ** k  # first[0] = sigma_1
+                threshold = _RANK_TOL * first[0] ** k  # first[0] = sigma_1
                 ranks.append(sum(s > threshold for s in row))
             at += mult - 1
             if ranks[-1] != size - mult:
@@ -138,7 +127,7 @@ def numeric_exponent_partitions(
                 raise IllConditionedError(
                     f"non-monotone rank staircase for cluster {center:.6g}"
                 ) from None
-            clusters.append(Cluster(complex(center), partition))
+            out.append(Group(partition, NumericRoot(complex(center))))
     except (np.linalg.LinAlgError, OverflowError) as exc:
         raise IllConditionedError(f"double precision fails on V^-1 U: {exc}") from exc
-    return NumericPartition(tuple(clusters))
+    return SegreSymbol(out)

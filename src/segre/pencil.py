@@ -31,8 +31,6 @@ from __future__ import annotations
 
 import functools
 import math
-import re
-import sys
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
@@ -44,9 +42,11 @@ from .errors import (
     PencilError,
     SizeLimitError,
 )
-from .polynomial import (
+from .polynomial import (  # _entry: forms, cli, symbol and the tests import it from here
     Polynomial,
     Rational,
+    _EXACT,
+    _entry,
     _int_eval,
     _int_mul,
     _int_primitive,
@@ -58,8 +58,6 @@ from .polynomial import (
 Matrix = tuple[tuple[Fraction, ...], ...]
 IntMatrix = tuple[tuple[int, ...], ...]
 IntRows = Sequence[Sequence[int]]
-
-_EXACT = {int, Fraction}
 
 # the largest pencil: a Segre quartic surface lives in P^4
 MAX_SIZE = 5
@@ -85,61 +83,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # small exact matrix helpers
 # ---------------------------------------------------------------------------
-
-# an exponent at the end of decimal text, as ``Fraction`` reads it
-_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*$")
-
-
-def _entry(c: object) -> int | Fraction:
-    """One rational read from outside: every matrix entry, scalar and root.
-
-    An ``int`` or a ``Fraction`` passes through unchanged, and plain
-    integer text is read by ``int`` (text with ``_`` is not, as
-    ``Fraction`` refuses it on Python 3.10).  Anything else is read as
-    ``Fraction(c)`` reads it, so a float gives its exact binary value
-    (0.1 is 3602879701896397/2^55); ``pencil_from_json`` hands every JSON
-    number over as its text, so 0.1 in a file is 1/10.
-
-    Text keeps within Python's int<->str limit, read at the call (no check
-    when it is switched off): a numerator or denominator with more digits
-    is refused.  Without a decimal point or an exponent, ``int`` and
-    ``Fraction`` apply the limit themselves.  An exponent past limit +
-    len(c) is refused before its power of ten is built: with any nonzero
-    mantissa it gives more digits than the limit.  A refused entry raises
-    ``PencilError`` with ``Fraction``'s message, quoting at most 40
-    characters of a longer text (``Fraction`` quotes all of it, and its
-    zero-denominator message all the digits).
-    """
-    text = type(c) is str
-    if text:
-        if "_" not in c:
-            try:
-                return int(c)
-            except ValueError:  # not an integer, or past the limit: Fraction says which
-                pass
-    elif type(c) in _EXACT:
-        return c
-    limit = sys.get_int_max_str_digits() if text and ("." in c or "e" in c or "E" in c) else 0
-    try:
-        exp = _EXPONENT.search(c) if limit else None
-        # in the try: int refuses an exponent that has more digits than the
-        # limit, as Fraction would, and the refusal below gets its message too
-        if exp and abs(int(exp.group(1).replace("_", ""))) > limit + len(c):
-            raise OverflowError(f"exponent of {c[:40]!r} is out of range")
-        q = Fraction(c)
-    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
-        msg = str(exc)
-        if text and len(c) > 40:
-            if isinstance(exc, ZeroDivisionError):
-                msg = f"zero denominator in {c.strip()[:40]!r}"
-            else:
-                msg = msg.replace(repr(c), repr(c[:40]))
-        raise PencilError(msg) from None
-    # 2^(3 limit) < 10^limit, so the power of ten is built only when needed
-    if limit and any(n.bit_length() > 3 * limit and abs(n) >= 10**limit for n in q.as_integer_ratio()):
-        raise PencilError(f"entry {c[:40]!r} has more than {limit} digits")
-    return q
-
 
 def _exact(rows: Iterable[Iterable[Rational | int | str]]) -> list[list[int | Fraction]]:
     """``as_matrix`` without building a ``Fraction`` for an ``int`` entry."""
@@ -174,7 +117,10 @@ def identity(size: int) -> Matrix:
 
 
 def diagonal(entries: Sequence[Rational | int]) -> Matrix:
-    es = list(entries)
+    try:
+        es = list(entries)
+    except TypeError:
+        raise PencilError(f"diagonal must be a sequence, got {type(entries).__name__}") from None
     return as_matrix([[es[i] if i == j else 0 for j in range(len(es))] for i in range(len(es))])
 
 
@@ -322,6 +268,12 @@ class QuadricPencil:
         return tuple(tuple(x * a + y * b for a, b in zip(ru, rv)) for ru, rv in zip(self.u, self.v))
 
 
+def _check_pencil(p: object) -> None:
+    """The one check of every public function that takes a pencil."""
+    if not isinstance(p, QuadricPencil):
+        raise PencilError(f"expected a QuadricPencil, got {type(p).__name__}")
+
+
 def _store(p: QuadricPencil, iu: IntMatrix, iv: IntMatrix, mult: int) -> None:
     for name, value in (("_iu", iu), ("_iv", iv), ("_mult", mult)):
         object.__setattr__(p, name, value)
@@ -364,6 +316,7 @@ def congruent(p: QuadricPencil, a: Iterable[Iterable[Rational | int | str]]) -> 
     pencil has that size).  The products run on the denominator-cleared
     integer matrices; the result is the integer pair over one denominator.
     """
+    _check_pencil(p)
     ea = _exact(a)
     if len(ea) != p.size:
         _check_size(len(ea))
@@ -381,6 +334,7 @@ def change_basis(
     d: Rational | int,
 ) -> QuadricPencil:
     """Replace (U, V) by (a*U + b*V, c*U + d*V); requires ad - bc != 0."""
+    _check_pencil(p)
     a, b, c, d = map(_entry, (a, b, c, d))
     if a * d - b * c == 0:
         raise PencilError("pencil basis change must be invertible")
@@ -441,6 +395,7 @@ def det_poly(p: QuadricPencil) -> Polynomial:
     Computed on the denominator-cleared integer pair by ``_poly_minor``'s
     division-free Laplace expansion.
     """
+    _check_pencil(p)
     den = p._mult ** p.size
     return Polynomial([Fraction(c, den) for c in _poly_minor(p._iu, p._iv)])
 
@@ -600,6 +555,7 @@ def invariant_factors(p: QuadricPencil) -> InvariantFactors:
     Raises ``DegeneratePencilError`` when |U - lambda*V| vanishes
     identically; callers route that case to degeneracy classification.
     """
+    _check_pencil(p)
     iu, iv = p._iu, p._iv
     full = _poly_minor(iu, iv)
     if not full:
@@ -649,6 +605,7 @@ def _selected_classes(p: QuadricPencil) -> tuple[list[int], int, list[RootClass]
     which ``select_nonsingular_member`` and the numeric oracle then read
     without an elimination of their own.
     """
+    _check_pencil(p)
     iu, iv, size = p._iu, p._iv, p.size
     sign, den = (-1) ** size, p._mult ** size
     f = _poly_minor(iu, iv)
@@ -669,6 +626,7 @@ def select_nonsingular_member(p: QuadricPencil) -> QuadricPencil:
     determinant form vanishes identically, and ``NoSmoothMemberError`` is
     raised.
     """
+    _check_pencil(p)
     if p.det_v != 0:
         return p
     return _reduced(*_selected_pair(p._iu, p._iv, _poly_minor(p._iu, p._iv)), p._mult)

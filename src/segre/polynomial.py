@@ -14,15 +14,20 @@ tuple of ``fractions.Fraction`` coefficients (``Rational``) with no
 arithmetic of its own.  Text comes from one renderer on an integer
 coefficient list and a denominator, ``_poly_str``: reports render the
 exact chain's lists with it directly, and ``Polynomial.__str__`` renders
-through it once and keeps the string.
+through it once and keeps the string.  ``_entry`` is the one reader of
+a rational from outside the package.
 """
 
 from __future__ import annotations
 
 import decimal
 import math
+import re
+import sys
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+
+from .errors import PencilError
 
 Rational = Fraction
 
@@ -229,8 +234,69 @@ def _basis_key(b: list[int]):
 
 
 # ---------------------------------------------------------------------------
-# rendering of exact numbers
+# reading and rendering of exact numbers
 # ---------------------------------------------------------------------------
+
+_EXACT = {int, Fraction}
+
+# an exponent at the end of decimal text, as ``Fraction`` reads it
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*$")
+
+
+def _entry(c: object) -> int | Fraction:
+    """One rational read from outside: every matrix entry, scalar, root and
+    ``Polynomial`` coefficient.
+
+    An ``int`` or a ``Fraction`` passes through unchanged, and plain
+    integer text is read by ``int`` (text with ``_`` is not, as
+    ``Fraction`` refuses it on Python 3.10).  Anything else is read as
+    ``Fraction(c)`` reads it, so a float gives its exact binary value
+    (0.1 is 3602879701896397/2^55); ``pencil_from_json`` hands every JSON
+    number over as its text, so 0.1 in a file is 1/10, and a
+    ``decimal.Decimal`` is read from its text too.
+
+    Text keeps within Python's int<->str limit, read at the call (no check
+    when it is switched off): a numerator or denominator with more digits
+    is refused.  Without a decimal point or an exponent, ``int`` and
+    ``Fraction`` apply the limit themselves.  An exponent past limit +
+    len(c) is refused before its power of ten is built: with any nonzero
+    mantissa it gives more digits than the limit.  A refused entry raises
+    ``PencilError`` with ``Fraction``'s message, quoting at most 40
+    characters of a longer text (``Fraction`` quotes all of it, and its
+    zero-denominator message all the digits).
+    """
+    text = type(c) is str
+    if not text and isinstance(c, decimal.Decimal):  # its text takes the checks below
+        c, text = str(c), True
+    if text:
+        if "_" not in c:
+            try:
+                return int(c)
+            except ValueError:  # not an integer, or past the limit: Fraction says which
+                pass
+    elif type(c) in _EXACT:
+        return c
+    limit = sys.get_int_max_str_digits() if text and ("." in c or "e" in c or "E" in c) else 0
+    try:
+        exp = _EXPONENT.search(c) if limit else None
+        # in the try: int refuses an exponent that has more digits than the
+        # limit, as Fraction would, and the refusal below gets its message too
+        if exp and abs(int(exp.group(1).replace("_", ""))) > limit + len(c):
+            raise OverflowError(f"exponent of {c[:40]!r} is out of range")
+        q = Fraction(c)
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
+        msg = str(exc)
+        if text and len(c) > 40:
+            if isinstance(exc, ZeroDivisionError):
+                msg = f"zero denominator in {c.strip()[:40]!r}"
+            else:
+                msg = msg.replace(repr(c), repr(c[:40]))
+        raise PencilError(msg) from None
+    # 2^(3 limit) < 10^limit, so the power of ten is built only when needed
+    if limit and any(n.bit_length() > 3 * limit and abs(n) >= 10**limit for n in q.as_integer_ratio()):
+        raise PencilError(f"entry {c[:40]!r} has more than {limit} digits")
+    return q
+
 
 # Python refuses int -> str past a digit limit (4300 by default, 640 at
 # the least); decimal.Decimal converts exactly with no limit.
@@ -281,13 +347,14 @@ class Polynomial:
     engine hands it out: a value to compare, hash, pickle and print.
 
     Immutable; the zero polynomial has an empty coefficient tuple and
-    degree -1.
+    degree -1.  Each coefficient is read by ``_entry``, so one it refuses
+    raises ``PencilError``.
     """
 
     __slots__ = ("coeffs", "_text")
 
     def __init__(self, coeffs: Iterable[Rational | int] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [q if type(q) is Fraction else Fraction(q) for q in map(_entry, coeffs)]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))

@@ -75,7 +75,7 @@ def _cover_to_dict(c: CoverReport) -> dict:
         "base": c.base.value,
         "source_entry": c.source_entry,
         "branch_symbol": c.branch_symbol.render(),
-        "branch_components": [comp.kind.label for comp in c.branch_structure.components],
+        "branch_components": [comp.label for comp in c.branch_structure.components],
         "branch_configuration": c.branch_structure.configuration,
         "branch_dual_degree": c.branch_structure.dual_degree,
         "dual_double_conics": c.branch_structure.dual_double_conics,

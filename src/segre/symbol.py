@@ -121,14 +121,19 @@ class SegreSymbol:
     text and the exponent structure are computed once per symbol, on their
     first use.  A symbol made by ``canonical()`` knows its groups are in
     canonical order: it is its own canonical form, and its structure is
-    read in group order.  A group that is not a ``Group`` raises
-    ``ParseError``.
+    read in group order.  Groups that are not a sequence of ``Group``
+    values raise ``ParseError``.
     """
 
     __slots__ = ("groups", "_text", "_structure", "_canonical")
 
     def __init__(self, groups: Sequence[Group]):
-        groups = tuple(groups)
+        try:
+            groups = tuple(groups)
+        except TypeError:
+            raise ParseError(
+                f"symbol groups must be a sequence, got {type(groups).__name__}"
+            ) from None
         for g in groups:
             if type(g) is not Group:
                 raise ParseError(f"symbol groups must be Group values, got {type(g).__name__}")

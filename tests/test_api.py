@@ -1,9 +1,13 @@
 """The public names of the ``segre`` package, frozen: a name added or
 removed here is an API change and belongs in README and CHANGES.md."""
 
+from decimal import Decimal
+from fractions import Fraction
+
 import pytest
 
 import segre
+import segre.forms
 from segre.catalog import catalog_row, in_catalog
 from segre.errors import NotInCatalogError, ParseError, PencilError, SegreError
 
@@ -24,7 +28,6 @@ PUBLIC = [
     "MAX_SIZE",
     "NoSmoothMemberError",
     "NotInCatalogError",
-    "NumericPartition",
     "ParseError",
     "ParsedForm",
     "PencilError",
@@ -65,11 +68,11 @@ def test_public_names_are_frozen():
 
 
 def test_every_public_name_resolves():
-    # NumericPartition and numeric_exponent_partitions load on first read
+    # numeric_exponent_partitions loads on first read
     assert [name for name in PUBLIC if getattr(segre, name, None) is None] == []
 
 
-@pytest.mark.parametrize("name", ["poly_gcd", "squarefree_part"])
+@pytest.mark.parametrize("name", ["poly_gcd", "squarefree_part", "NumericPartition"])
 def test_removed_names_are_gone(name):
     with pytest.raises(AttributeError):
         getattr(segre, name)
@@ -208,10 +211,6 @@ PENCIL_ERRORS = {
         "roots of distinct groups must be pairwise distinct",
     ),
     "root None": (lambda: segre.build_normal_form("[1]", [None]), _NOT_RATIONAL),
-    "numeric oracle with det V = 0": (
-        lambda: segre.numeric_exponent_partitions(segre.QuadricPencil([[1, 0], [0, 1]], [[1, 0], [0, 0]])),
-        "numeric oracle needs det V != 0; select a member first",
-    ),
     # render_form rendered the upper triangle of any matrix
     "render non-symmetric": (lambda: segre.render_form([[1, 2], [3, 4]]), "matrix is not symmetric"),
     "render non-square": (lambda: segre.render_form([[1, 2]]), "matrix must be square"),
@@ -230,6 +229,31 @@ PENCIL_ERRORS = {
         _HUGE_EXPONENT,
     ),
     "huge exponent member": (lambda: _P2.member("1e100000", 1), _HUGE_EXPONENT),
+    # Polynomial read its coefficients with plain Fraction: a 332,193-bit one
+    "huge exponent polynomial coefficient": (lambda: segre.Polynomial(["1e100000"]), _HUGE_EXPONENT),
+    # a Decimal skipped the text checks, and Fraction built its power of ten
+    "huge exponent Decimal entry": (
+        lambda: segre.QuadricPencil([[Decimal("1e2000000")]], [[1]]),
+        "exponent of '1E+2000000' is out of range",
+    ),
+    # an argument that is not iterable raised TypeError
+    "diagonal of an int": (lambda: segre.pencil.diagonal(5), "diagonal must be a sequence, got int"),
+    # a pencil argument that is not a pencil raised AttributeError
+    **{
+        f"{name} of None": (lambda call=call: call(None), "expected a QuadricPencil, got NoneType")
+        for name, call in {
+            "analyze_pencil": segre.analyze_pencil,
+            "compute_symbol": segre.compute_symbol,
+            "select_nonsingular_member": segre.select_nonsingular_member,
+            "degeneracy_report": segre.degeneracy_report,
+            "numeric_exponent_partitions": segre.numeric_exponent_partitions,
+            "det_poly": segre.det_poly,
+            "invariant_factors": segre.invariant_factors,
+            "congruent": lambda p: segre.pencil.congruent(p, segre.pencil.identity(2)),
+            "change_basis": lambda p: segre.pencil.change_basis(p, 1, 0, 0, 1),
+            "forms.pencil_to_json": segre.forms.pencil_to_json,
+        }.items()
+    },
 }
 
 
@@ -249,11 +273,20 @@ def test_render_form_reads_entries_as_the_pencil_does():
     assert segre.render_form([[0.1]]) == segre.render_form(segre.QuadricPencil([[0.1]], [[1]]).u)
 
 
+def test_decimal_entries_are_read_from_their_text():
+    assert segre.QuadricPencil([[Decimal("0.1")]], [[1]]).u == ((Fraction(1, 10),),)
+    assert segre.Polynomial([Decimal("0.1"), Decimal("2E+3")]).coeffs == (Fraction(1, 10), 2000)
+
+
 # constructors and lookups that take typed items, and items of the wrong type
 WRONG_ITEMS = {
     "SegreSymbol of an int": (
         lambda: segre.SegreSymbol([5]),
         "symbol groups must be Group values, got int",
+    ),
+    "SegreSymbol of a non-sequence": (
+        lambda: segre.SegreSymbol(5),
+        "symbol groups must be a sequence, got int",
     ),
     "class_degree of text": (
         lambda: segre.class_degree("zz"),

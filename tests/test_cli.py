@@ -312,6 +312,26 @@ class TestRandom:
             assert json.loads(out)["symbol"] == canonicalize(symbol).render()
 
 
+class TestVerify:
+    @pytest.mark.parametrize("fails, code", [(False, 0), (True, 1)], ids=["pass", "fail"])
+    def test_lines_and_exit_code(self, capsys, monkeypatch, fails, code):
+        # fast stand-ins for the eleven criteria; run_all reads CRITERIA at the call
+        import segre.acceptance
+        from segre.acceptance import CriterionResult
+
+        monkeypatch.setattr(segre.acceptance, "CRITERIA", (
+            lambda: CriterionResult(1, "first", True, "all agree"),
+            lambda: CriterionResult(10, "second", not fails, "1/2 refused" if fails else "2/2 agree"),
+        ))
+        got, out = run(capsys, "verify")
+        assert got == code
+        assert out.splitlines() == [
+            "PASS criterion  1 (first): all agree",
+            "FAIL criterion 10 (second): 1/2 refused" if fails else "PASS criterion 10 (second): 2/2 agree",
+            f"{1 if fails else 2}/2 criteria passed",
+        ]
+
+
 @pytest.mark.parametrize("argv", [
     ["random", "--symbol", "[5]", "--seed=--"],
     ["random", "--symbol=--", "--seed", "1"],
@@ -351,7 +371,7 @@ assert not [m for m in COLD if m in sys.modules], [m for m in COLD if m in sys.m
 import segre
 from segre import *
 assert numeric_exponent_partitions is segre.numeric_exponent_partitions
-assert NumericPartition is sys.modules["segre.numeric"].NumericPartition
+assert numeric_exponent_partitions is sys.modules["segre.numeric"].numeric_exponent_partitions
 assert "numpy" not in sys.modules
 """
 

@@ -11,14 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from segre.errors import IllConditionedError, InternalConsistencyError
-from segre.numeric import (
-    DEFAULT_CLUSTER_TOL,
-    DEFAULT_RANK_TOL,
-    Cluster,
-    NumericPartition,
-    numeric_exponent_partitions,
-)
+import segre.numeric
+from segre.acceptance import _degenerate_pairs
+from segre.errors import IllConditionedError, InternalConsistencyError, NoSmoothMemberError
+from segre.numeric import NumericRoot, numeric_exponent_partitions
 from segre.catalog import CATALOG_ORDER
 from segre.pencil import (
     MAX_SIZE,
@@ -29,23 +25,24 @@ from segre.pencil import (
     identity,
     select_nonsingular_member,
 )
-from segre.symbol import build_normal_form, compute_symbol, random_instance
+from segre.symbol import Group, SegreSymbol, build_normal_form, compute_symbol, random_instance
 
 
 class TestExamples:
     def test_2111_normal_pair(self):
         p = build_normal_form("[2111]", [2, 3, 4, 5])
         result = numeric_exponent_partitions(p)
-        by_value = {round(c.eigenvalue.real): c.partition for c in result.clusters}
+        by_value = {round(g.root.value.real): g.exponents for g in result.groups}
         assert by_value == {2: (2,), 3: (1,), 4: (1,), 5: (1,)}
-        assert all(abs(c.eigenvalue.imag) < 1e-9 for c in result.clusters)
+        assert all(abs(g.root.value.imag) < 1e-9 for g in result.groups)
 
     def test_scalar_pencil_single_cluster(self):
         p = QuadricPencil(diagonal([2] * 5), identity(5))
         result = numeric_exponent_partitions(p)
-        assert len(result.clusters) == 1
-        assert result.clusters[0].partition == (1, 1, 1, 1, 1)
-        assert abs(result.clusters[0].eigenvalue - 2) < 1e-9
+        assert len(result.groups) == 1
+        assert result.groups[0].exponents == (1, 1, 1, 1, 1)
+        assert abs(result.groups[0].root.value - 2) < 1e-9
+        assert result.root_descriptions() == ["2+0j"]
 
     def test_congruence_of_113_matches_exact(self):
         inst = random_instance("[113]", 42)
@@ -56,14 +53,28 @@ class TestExamples:
         for seed in range(5):
             inst = random_instance("[(21)(11)]", seed)
             result = numeric_exponent_partitions(inst)
-            assert sum(sum(c.partition) for c in result.clusters) == 5
+            assert sum(sum(g.exponents) for g in result.groups) == 5
+
+    def test_returns_a_symbol_of_numeric_groups(self):
+        # one group per cluster, in cluster order: not canonicalized
+        result = numeric_exponent_partitions(build_normal_form("[2111]", [5, 2, 3, 4]))
+        assert type(result) is SegreSymbol
+        assert [type(g.root) for g in result.groups] == [NumericRoot] * 4
+        assert [g.exponents for g in result.groups] == [(1,), (1,), (1,), (2,)]
+        assert result == compute_symbol(build_normal_form("[2111]", [5, 2, 3, 4]))
+
+    def test_singular_v_gets_the_exact_symbol(self):
+        # det V = 0: the oracle selects the member compute_symbol selects
+        p = QuadricPencil(diagonal([1, 2, 3, 4, 5]), diagonal([1, 1, 1, 1, 0]))
+        assert p.det_v == 0
+        assert numeric_exponent_partitions(p) == compute_symbol(p) == "[11111]"
 
 
 class TestRefusal:
-    def test_requires_nonsingular_v(self):
-        p = QuadricPencil(diagonal([1, 2, 3, 4, 5]), diagonal([1, 1, 1, 1, 0]))
-        with pytest.raises(ValueError):
-            numeric_exponent_partitions(p)
+    @pytest.mark.parametrize("name", sorted(_degenerate_pairs()))
+    def test_no_smooth_member_raises(self, name):
+        with pytest.raises(NoSmoothMemberError):
+            numeric_exponent_partitions(_degenerate_pairs()[name])
 
     def test_nearly_coincident_roots_refused(self):
         p = build_normal_form(
@@ -77,11 +88,13 @@ class TestRefusal:
         with pytest.raises(IllConditionedError):
             numeric_exponent_partitions(p)
 
-    def test_tight_tolerance_refuses_rather_than_guesses(self):
+    def test_tight_tolerance_refuses_rather_than_guesses(self, monkeypatch):
         # a 4-block's eigenvalue cloud is far wider than this clustering radius
+        monkeypatch.setattr(segre.numeric, "_CLUSTER_TOL", 1e-14)
+        monkeypatch.setattr(segre.numeric, "_RANK_TOL", 1e-14)
         p = random_instance("[(41)]", 3)
         with pytest.raises(IllConditionedError):
-            numeric_exponent_partitions(p, tol_cluster=1e-14, tol_rank=1e-14)
+            numeric_exponent_partitions(p)
 
     def test_v_singular_in_double_precision_refused(self):
         # det V = 10^-400 exactly, but V's last entry rounds to 0.0
@@ -172,7 +185,7 @@ def _oracle_text(p: QuadricPencil) -> str:
         result = numeric_exponent_partitions(p)
     except IllConditionedError as exc:
         return "refused: " + re.sub(r"clusters? \S+( and \S+)?", "cluster .", str(exc))
-    return repr([c.partition for c in result.clusters])
+    return repr([g.exponents for g in result.groups])
 
 
 def test_oracle_digest_is_pinned():
@@ -182,14 +195,14 @@ def test_oracle_digest_is_pinned():
     assert (len(texts), refused, digest) == (131, 3, ORACLE_SHA256)
 
 
-def _reference_oracle(p, tol_cluster=DEFAULT_CLUSTER_TOL, tol_rank=DEFAULT_RANK_TOL):
+def _reference_oracle(p):
     """The oracle as a loop over clusters, with one SVD per cluster and
     power and its own staircase-to-partition loop, kept to check the
-    stacked version against."""
+    stacked version against, at the module's tolerances."""
     import numpy as np
 
-    if p.det_v == 0:
-        raise ValueError("numeric oracle needs det V != 0; select a member first")
+    tol_cluster, tol_rank = segre.numeric._CLUSTER_TOL, segre.numeric._RANK_TOL
+    p = select_nonsingular_member(p)
     size = p.size
     iu, iv, mult = p._iu, p._iv, p._mult
     try:
@@ -224,7 +237,7 @@ def _reference_oracle(p, tol_cluster=DEFAULT_CLUSTER_TOL, tol_rank=DEFAULT_RANK_
                     f"are closer than 10x the clustering tolerance"
                 )
 
-    clusters = []
+    out = []
     for g, center in zip(groups, centers):
         mult = len(g)
         shifted = m - center * np.eye(size)
@@ -245,8 +258,8 @@ def _reference_oracle(p, tol_cluster=DEFAULT_CLUSTER_TOL, tol_rank=DEFAULT_RANK_
         partition = _reference_partition(mult, [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))])
         if partition is None:
             raise IllConditionedError(f"non-monotone rank staircase for cluster {center:.6g}")
-        clusters.append(Cluster(complex(center), partition))
-    return NumericPartition(tuple(clusters))
+        out.append(Group(partition, NumericRoot(complex(center))))
+    return SegreSymbol(out)
 
 
 def _reference_partition(mult: int, blocks_ge: list[int]) -> tuple[int, ...] | None:
@@ -263,24 +276,26 @@ def _reference_partition(mult: int, blocks_ge: list[int]) -> tuple[int, ...] | N
     return tuple(sorted(partition, reverse=True))
 
 
-def _outcome(oracle, p: QuadricPencil, tol: dict):
+def _outcome(oracle, p: QuadricPencil):
     """Each cluster's eigenvalue, to the bit, and partition; or the refusal."""
     try:
-        result = oracle(p, **tol)
+        result = oracle(p)
     except Exception as exc:
         return type(exc), str(exc)
-    return [(repr(c.eigenvalue), c.partition) for c in result.clusters]
+    return [(repr(g.root.value), g.exponents) for g in result.groups]
 
 
 @pytest.mark.parametrize("tol", [
     {},
-    {"tol_cluster": 1e-14, "tol_rank": 1e-14},
-    {"tol_cluster": 1e-3},
+    {"_CLUSTER_TOL": 1e-14, "_RANK_TOL": 1e-14},
+    {"_CLUSTER_TOL": 1e-3},
 ], ids=["default", "tight", "loose"])
-def test_stacked_svd_matches_the_reference_loop(tol):
+def test_stacked_svd_matches_the_reference_loop(monkeypatch, tol):
+    for name, value in tol.items():
+        monkeypatch.setattr(segre.numeric, name, value)
     pencils = _oracle_pencils()
-    got = [_outcome(numeric_exponent_partitions, p, tol) for p in pencils]
-    assert got == [_outcome(_reference_oracle, p, tol) for p in pencils]
+    got = [_outcome(numeric_exponent_partitions, p) for p in pencils]
+    assert got == [_outcome(_reference_oracle, p) for p in pencils]
     # refusals are compared too: 3, 5 and 15 of the 131 with numpy 2.4's LAPACK
     assert any(isinstance(g, tuple) for g in got)
 

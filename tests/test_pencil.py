@@ -539,8 +539,8 @@ class TestAnalyzeWork:
         assert calls == []
 
     def test_det_v_once_per_pencil(self, monkeypatch):
-        # select_nonsingular_member and the numeric oracle's det V check
-        # share the pencil's one det V
+        # select_nonsingular_member, which the numeric oracle runs again,
+        # reads the pencil's one det V
         from segre.numeric import numeric_exponent_partitions
 
         p = random_instance("[(21)2]", 1)

@@ -23,7 +23,6 @@ def _examples() -> list:
     outcome = analyze_pencil(random_instance("[(21)11]", 0))
     cover = outcome.surface.covers[0]
     pencil = random_instance("[2111]", 1)
-    numeric = segre.numeric.numeric_exponent_partitions(pencil)
     row = CATALOG["[2111]"]
     return [
         outcome,
@@ -33,15 +32,13 @@ def _examples() -> list:
         SymbolicRoot(Polynomial([-2, 0, 1]), 1),
         cover,
         cover.branch_structure,
-        cover.branch_structure.components[0],
         cover.section,
         cover.section.terms[0],
         row,
         row.singularities[0],
         TABLE2_ROWS[0],
         parse_quadratic_form("X0^2 + 1/2*X1*X2"),
-        numeric,
-        numeric.clusters[0],
+        segre.numeric.numeric_exponent_partitions(pencil).groups[0].root,
         invariant_factors(pencil),
         degeneracy_report(QuadricPencil(diagonal([1, 0, 0]), diagonal([0, 1, 0]))),
         segre.acceptance.CriterionResult(1, "name", True, "detail"),
