@@ -5,19 +5,21 @@ the pencil x*U + y*V.  This module computes the determinant polynomial
 |U - lambda*V|, the invariant factors of U - lambda*V, selects a
 nonsingular member, and reports degeneracy when no member is nonsingular.
 
-Everything runs on the denominator-cleared integer pair.  The determinant
-comes from a division-free Laplace expansion, memoised over column
-subsets, on the linear entries u - t*v (``_poly_minor``); for a full
-analysis it is expanded once, and det V and the member sweep are read
-off it; with det V = 0 the selected pair (``_selected_pair``) is expanded
-too.  No smaller minor is ever expanded.  The invariant factors come
-from root classes (``_root_classes``): the Yun parts of the determinant,
-each with the partition of its elementary-divisor exponents, read off
-one or two exact ranks at each repeated part (``_part_classes``).  One
-fraction-free elimination (``_bareiss``) gives every rank and det V, and
-its echelon rows a kernel basis (``_kernel``); one product (``_conj``)
-gives every A^T M A.  Only the finished invariant factors become monic
-``Polynomial`` values, which makes the integer scaling invisible.
+Everything runs on the denominator-cleared integer pair.  A pencil's
+determinant comes from a division-free Laplace expansion, memoised over
+column subsets, on the linear entries u - t*v (``_poly_minor``); each
+pencil expands it once, on first use, and keeps it (``_det``): det V, the
+member sweep, the degeneracy test and the invariant factors are read off
+it.  No smaller minor is ever expanded.  An analysis selects a
+nonsingular member first and then analyses the selected pencil.  The
+invariant factors come from root classes (``_root_classes``): the Yun
+parts of the determinant, each with the partition of its
+elementary-divisor exponents, read off one or two exact ranks at each
+repeated part (``_part_classes``).  One fraction-free elimination
+(``_bareiss``) gives every rank, and its echelon rows a kernel basis
+(``_kernel``); one product (``_conj``) gives every A^T M A.  Only the
+finished invariant factors become monic ``Polynomial`` values, which
+makes the integer scaling invisible.
 
 A pencil holds its cleared pair from construction on, with the least common
 denominator, and builds its rational matrices only when they are read.
@@ -191,10 +193,11 @@ class QuadricPencil:
     The pencil holds the denominator-cleared integer pair (mult * U,
     mult * V) with ``mult`` the least common denominator of the entries, so
     equal pencils hold equal pairs.  The rational matrices ``u`` and ``v``
-    are built from it on their first read, and det V on its first read.
+    are built from it on their first read, and its determinant expansion
+    (``_det``) on its first use.
     """
 
-    __slots__ = ("_iu", "_iv", "_mult", "_u", "_v", "_det_v", "__weakref__")
+    __slots__ = ("_iu", "_iv", "_mult", "_u", "_v", "_det", "__weakref__")
     __match_args__ = ("u", "v")
 
     def __init__(
@@ -249,14 +252,10 @@ class QuadricPencil:
 
     @property
     def det_v(self) -> Fraction:
-        """det V, computed once per pencil: read off the determinant
-        expansion when the pencil has been analysed, else by one Bareiss
-        elimination of the integer V.  Two threads may both compute it on
-        a first read; both store the same value."""
-        if self._det_v is None:
-            d = Fraction(_bareiss(self._iv)[1], self._mult ** self.size)
-            object.__setattr__(self, "_det_v", d)
-        return self._det_v
+        """det V, read off the determinant expansion (``_det``): f leads
+        with det(-mult * V) t^size, or has lower degree when det V = 0."""
+        f, size = _det(self), self.size
+        return Fraction((-1) ** size * f[size] if len(f) > size else 0, self._mult ** size)
 
     @property
     def n(self) -> int:
@@ -277,7 +276,7 @@ def _check_pencil(p: object) -> None:
 def _store(p: QuadricPencil, iu: IntMatrix, iv: IntMatrix, mult: int) -> None:
     for name, value in (("_iu", iu), ("_iv", iv), ("_mult", mult)):
         object.__setattr__(p, name, value)
-    for name in ("_u", "_v", "_det_v"):
+    for name in ("_u", "_v", "_det"):
         object.__setattr__(p, name, None)
 
 
@@ -384,6 +383,18 @@ def _poly_minor(iu: IntRows, iv: IntRows) -> list[int]:
     return _int_trim(minors[-1])
 
 
+def _det(p: QuadricPencil) -> tuple[int, ...]:
+    """mult^size * det(U - t*V) as integer coefficients, lowest degree
+    first: ``_poly_minor`` on the cleared pair, expanded on first use and
+    kept in the pencil.  Two threads may both expand it on a first read;
+    both store the same value."""
+    f = p._det
+    if f is None:
+        f = tuple(_poly_minor(p._iu, p._iv))
+        object.__setattr__(p, "_det", f)
+    return f
+
+
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -391,13 +402,12 @@ def _poly_minor(iu: IntRows, iv: IntRows) -> list[int]:
 def det_poly(p: QuadricPencil) -> Polynomial:
     """The determinant |U - lambda*V|, exact and unnormalized.
 
-    Degree is at most n+1, with equality exactly when det V != 0.
-    Computed on the denominator-cleared integer pair by ``_poly_minor``'s
-    division-free Laplace expansion.
+    Degree is at most n+1, with equality exactly when det V != 0.  Read
+    off the pencil's one expansion (``_det``).
     """
     _check_pencil(p)
     den = p._mult ** p.size
-    return Polynomial([Fraction(c, den) for c in _poly_minor(p._iu, p._iv)])
+    return Polynomial([Fraction(c, den) for c in _det(p)])
 
 
 class InvariantFactors(Record):
@@ -474,7 +484,7 @@ def _partition(m: int, at_least: Sequence[int]) -> tuple[int, ...] | None:
     return tuple(big + sizes)
 
 
-def _root_classes(iu: IntRows, iv: IntRows, f: list[int]) -> list[RootClass]:
+def _root_classes(iu: IntRows, iv: IntRows, f: Sequence[int]) -> list[RootClass]:
     """The roots of f = det(U - t*V) (nonzero, up to a constant) as classes
     (primitive integer factor, partition): every root of the factor has
     elementary divisors of U - t*V with those exponents, descending.  Each
@@ -556,15 +566,14 @@ def invariant_factors(p: QuadricPencil) -> InvariantFactors:
     identically; callers route that case to degeneracy classification.
     """
     _check_pencil(p)
-    iu, iv = p._iu, p._iv
-    full = _poly_minor(iu, iv)
-    if not full:
+    f = _det(p)
+    if not f:
         raise DegeneratePencilError("determinant of the pencil vanishes identically")
-    chain = _chain(_root_classes(iu, iv, full), p.size)
+    chain = _chain(_root_classes(p._iu, p._iv, f), p.size)
     return InvariantFactors(tuple(_monic_poly(d) for d in chain))
 
 
-def _sweep_value(f: list[int], size: int) -> int:
+def _sweep_value(f: Sequence[int], size: int) -> int:
     """The first t of 0, 1, -1, 2, -2, ... (``size`` values) with
     det(U + t*V) != 0, read off f, a nonzero multiple of det(U - t*V).
 
@@ -579,57 +588,33 @@ def _sweep_value(f: list[int], size: int) -> int:
     raise NoSmoothMemberError("no member of the pencil is nonsingular")
 
 
-def _selected_pair(iu: IntRows, iv: IntRows, f: list[int]) -> tuple[IntRows, IntRows]:
-    """The cleared pair, at the scale of (iu, iv), of the pencil that
-    ``select_nonsingular_member`` returns, from f = det(iu - t*iv): (iu, iv)
-    when det V != 0 (deg f = size), else (iv, iu + t0*iv), t0 = ``_sweep_value``."""
-    size = len(iu)
-    if len(f) > size:
-        return iu, iv
-    t0 = _sweep_value(f, size)
-    return iv, [[a + t0 * b for a, b in zip(ru, rv)] for ru, rv in zip(iu, iv)]
-
-
-def _selected_classes(p: QuadricPencil) -> tuple[list[int], int, list[RootClass]]:
-    """det(U' - t*V'), as integer coefficients and their common
-    denominator, and the root classes (``_root_classes``) of the pencil
-    (U', V') that ``select_nonsingular_member`` returns.
-
-    det(U - t*V) is expanded on the cleared pair (iu, iv), as
-    f = mult^size * det(U - t*V).  When det V = 0 (deg f < size) the
-    selected pair (``_selected_pair``) is expanded too, at the same scale.
-    Raises ``NoSmoothMemberError`` when no member is nonsingular.
-
-    f leads with det(-iv) t^size, so det V = (-1)^size f[size] /
-    mult^size, or 0 when deg f < size.  It is stored as the pencil's det V,
-    which ``select_nonsingular_member`` and the numeric oracle then read
-    without an elimination of their own.
-    """
-    _check_pencil(p)
-    iu, iv, size = p._iu, p._iv, p.size
-    sign, den = (-1) ** size, p._mult ** size
-    f = _poly_minor(iu, iv)
-    if p._det_v is None:
-        object.__setattr__(p, "_det_v", Fraction(sign * f[size] if len(f) > size else 0, den))
-    su, sv = _selected_pair(iu, iv, f)
-    if len(f) <= size:  # det V = 0
-        f = _poly_minor(su, sv)
-    return f, den, _root_classes(su, sv, f)
-
-
 def select_nonsingular_member(p: QuadricPencil) -> QuadricPencil:
     """An equivalent pencil (U', V') spanning the same quadrics with det V' != 0.
 
-    Sweeps the candidates V' = U + t*V over t = 0, 1, -1, 2, -2, ... after
-    first trying V itself.  With det V = 0 the polynomial det(U + t*V) has
-    degree at most n, so n+1 singular sweep values certify that the binary
-    determinant form vanishes identically, and ``NoSmoothMemberError`` is
-    raised.
+    ``p`` itself when det V != 0, read off the determinant expansion as
+    its degree; else (V, U + t0*V) with t0 the first sweep value
+    (``_sweep_value``) of t = 0, 1, -1, 2, -2, ...  With det V = 0 the
+    polynomial det(U + t*V) has degree at most n, so n+1 singular sweep
+    values certify that the binary determinant form vanishes
+    identically, and ``NoSmoothMemberError`` is raised.
     """
     _check_pencil(p)
-    if p.det_v != 0:
+    f, size = _det(p), p.size
+    if len(f) > size:
         return p
-    return _reduced(*_selected_pair(p._iu, p._iv, _poly_minor(p._iu, p._iv)), p._mult)
+    t0 = _sweep_value(f, size)
+    iu, iv = p._iu, p._iv
+    return _reduced(iv, [[a + t0 * b for a, b in zip(ru, rv)] for ru, rv in zip(iu, iv)], p._mult)
+
+
+def _selected_classes(p: QuadricPencil) -> tuple[Sequence[int], int, list[RootClass]]:
+    """det(U' - t*V'), as integer coefficients and their common
+    denominator, and the root classes (``_root_classes``) of the pencil
+    (U', V') that ``select_nonsingular_member`` returns; raises
+    ``NoSmoothMemberError`` when no member is nonsingular."""
+    s = select_nonsingular_member(p)
+    f = _det(s)
+    return f, s._mult ** s.size, _root_classes(s._iu, s._iv, f)
 
 
 class DegeneracyReport(Record):
@@ -646,17 +631,11 @@ class DegeneracyReport(Record):
 
 
 def degeneracy_report(p: QuadricPencil) -> DegeneracyReport:
-    try:
-        select_nonsingular_member(p)
-    except NoSmoothMemberError:
-        pass
-    else:
+    """The common kernel of a pencil with no nonsingular member, that is
+    with det(U - t*V) identically zero (see ``_sweep_value``); a pencil
+    with a nonsingular member raises ``PencilError``."""
+    _check_pencil(p)
+    if _det(p):
         raise PencilError("pencil has a nonsingular member; nothing to report")
-    return _common_kernel_report(p)
-
-
-def _common_kernel_report(p: QuadricPencil) -> DegeneracyReport:
-    """``degeneracy_report`` for a pencil already known to have no
-    nonsingular member."""
     r0 = p.size - len(_bareiss(p._iu + p._iv)[0])
     return DegeneracyReport(common_kernel_dim=r0, is_cone=r0 > 0)

@@ -17,8 +17,8 @@ from .pencil import (
     DegeneracyReport,
     QuadricPencil,
     _chain,
-    _common_kernel_report,
     _selected_classes,
+    degeneracy_report,
 )
 from .polynomial import _poly_str
 from .symbol import SegreSymbol, _symbol_from_classes
@@ -48,8 +48,8 @@ def analyze_pencil(p: QuadricPencil) -> AnalysisOutcome:
     """Member selection, invariant factors, symbol, catalog report.
 
     The determinant and the invariant factors are those of the pencil
-    ``select_nonsingular_member(p)`` returns; both come from one
-    division-free expansion of det(U - t*V), and both stay integer lists
+    ``select_nonsingular_member(p)`` returns; both come from that
+    pencil's one expansion of det(U - t*V), and both stay integer lists
     until they are rendered into the report.  When the polynomial of the symbol's one
     group is the last invariant factor, as for an irreducible determinant,
     the factor's text is the root descriptors' text.
@@ -57,7 +57,7 @@ def analyze_pencil(p: QuadricPencil) -> AnalysisOutcome:
     try:
         det, den, classes = _selected_classes(p)
     except NoSmoothMemberError:
-        return AnalysisOutcome(degeneracy=_common_kernel_report(p))
+        return AnalysisOutcome(degeneracy=degeneracy_report(p))
     chain = _chain(classes, p.size)
     sym, top = _symbol_from_classes(classes, chain[-1])
     texts = [_poly_str(d, d[-1]) for d in chain[:-1]]

@@ -173,7 +173,6 @@ def case(name: str) -> QuadricPencil:
 @pytest.mark.parametrize("name", list(CASES))
 def test_sympy_oracle(name, monkeypatch):
     p = case(name)
-    classes = sympy_partitions(p)
     sizes = []
     real = segre.pencil._poly_minor
 
@@ -182,10 +181,12 @@ def test_sympy_oracle(name, monkeypatch):
         return real(iu, iv)
 
     monkeypatch.setattr(segre.pencil, "_poly_minor", counted)
+    classes = sympy_partitions(p)
     assert compute_symbol(p).exponent_structure() == oracle_structure(classes)
     assert invariant_factors(p).factors == oracle_factors(classes, p.size)
-    # one determinant per route and ranks for the rest
-    assert sizes == [p.size, p.size]
+    # one determinant per pencil, which the oracle's member selection and
+    # both routes read, and ranks for the rest
+    assert sizes == [p.size]
     assert invariant_factors(p).factors == brute_invariant_factors(p)
 
 

@@ -336,8 +336,9 @@ class TestInvariantFactors:
             invariant_factors(p)
 
 
-def count_minors(monkeypatch, p):
-    """The sizes of the determinants ``invariant_factors(p)`` expands."""
+def count_minors(monkeypatch, p, *routes):
+    """The sizes of the determinants that the routes, run on p in turn,
+    expand; ``invariant_factors`` alone by default."""
     real = segre.pencil._poly_minor
     calls = []
 
@@ -346,7 +347,8 @@ def count_minors(monkeypatch, p):
         return real(iu, iv)
 
     monkeypatch.setattr(segre.pencil, "_poly_minor", counting)
-    invariant_factors(p)
+    for route in routes or (invariant_factors,):
+        route(p)
     monkeypatch.setattr(segre.pencil, "_poly_minor", real)
     return calls
 
@@ -406,13 +408,16 @@ class TestAgainstBruteForce:
             as_matrix([[m[i][j] + m[j][i] for j in range(5)] for i in range(5)]),
             as_matrix([[n[i][j] + n[j][i] for j in range(5)] for i in range(5)]),
         )
+        # det_poly expands the determinant; invariant_factors reads it
+        assert len(count_minors(monkeypatch, p, det_poly, invariant_factors)) == 1
         assert dup_sqf_p(to_dup(det_poly(p).coeffs), QQ)
-        assert len(count_minors(monkeypatch, p)) == 1
 
     def test_weight_five_minor_total(self, monkeypatch):
-        # ranks at the repeated roots replace every smaller minor
+        # ranks at the repeated roots replace every smaller minor, and the
+        # member selection's expansion is the one invariant_factors reads
         for symbol in CATALOG_ORDER + OFF_CATALOG:
-            calls = count_minors(monkeypatch, select_nonsingular_member(random_instance(symbol, 7)))
+            p = random_instance(symbol, 7)
+            calls = count_minors(monkeypatch, p, select_nonsingular_member, invariant_factors)
             assert calls == [5], symbol
 
 
@@ -491,13 +496,12 @@ class TestAnalyzeWork:
         _degenerate_pairs()["[2;1]"],
     ])
     def test_full_minor_interpolated_once(self, monkeypatch, pencil):
-        # the given pair, and with det V = 0 the selected pair (V, U + t0*V)
+        # the given pair, and with det V = 0 the selected pencil (V, U + t0*V)
         full = counting(monkeypatch, segre.pencil, "_poly_minor")
         dets = counting(monkeypatch, segre.pencil, "_bareiss", keep=lambda m: m is pencil._iv)
         outcome = analyze_pencil(pencil)
-        assert full[0] == (pencil._iu, pencil._iv)
-        assert len(full) == (2 if pencil.det_v == 0 and not outcome.is_degenerate else 1)
-        assert all(args[0] is pencil._iv for args in full[1:])
+        selected = [] if outcome.is_degenerate or pencil.det_v else [select_nonsingular_member(pencil)]
+        assert full == [(pencil._iu, pencil._iv)] + [(s._iu, s._iv) for s in selected]
         assert dets == []
 
     @pytest.mark.parametrize("pencil", [
@@ -527,26 +531,31 @@ class TestAnalyzeWork:
 
     def test_det_v_computed_once(self, monkeypatch):
         # det V is the leading coefficient of the expanded determinant,
-        # so analyze_pencil computes it once and never by eliminating V
-        pencils = [random_instance("[(21)2]", seed) for seed in range(3)]
+        # read before or after an analysis, and never by eliminating V
+        pencils = [random_instance("[(21)2]", seed) for seed in range(4)]
         want = [Fraction(_bareiss(p._iv)[1], p._mult ** p.size) for p in pencils]
         calls = counting(
             monkeypatch, segre.pencil, "_bareiss", keep=lambda m: any(m is p._iv for p in pencils)
         )
-        for p, det_v in zip(pencils, want):
+        for k, (p, det_v) in enumerate(zip(pencils, want)):
+            if k % 2:
+                assert p.det_v == det_v
             analyze_pencil(p)
             assert p.det_v == det_v
         assert calls == []
 
     def test_det_v_once_per_pencil(self, monkeypatch):
         # select_nonsingular_member, which the numeric oracle runs again,
-        # reads the pencil's one det V
+        # and det V read the pencil's one expansion: no elimination at all
         from segre.numeric import numeric_exponent_partitions
 
         p = random_instance("[(21)2]", 1)
+        full = counting(monkeypatch, segre.pencil, "_poly_minor")
         calls = counting(monkeypatch, segre.pencil, "_bareiss")
         numeric_exponent_partitions(select_nonsingular_member(p))
-        assert len(calls) == 1
+        assert p.det_v != 0
+        assert len(full) == 1
+        assert calls == []
         assert p == random_instance("[(21)2]", 1)
         assert hash(p) == hash(random_instance("[(21)2]", 1))
         assert "det_v" not in repr(p)
@@ -559,19 +568,52 @@ class TestAnalyzeWork:
         *_degenerate_pairs().values(),
     ])
     def test_analysis_stores_det_v(self, monkeypatch, pencil):
-        # det V is read off the expanded determinant, so neither det V nor
-        # the generic benchmark op's member selection and oracle run a
-        # Bareiss elimination after the analysis
+        # det V is read off the expanded determinant, so the analysis never
+        # eliminates V, and neither det V nor the generic benchmark op's
+        # member selection and oracle run a Bareiss elimination after it
         from segre.numeric import numeric_exponent_partitions
 
         iu, iv, mult = pencil._iu, pencil._iv, pencil._mult
         want = Fraction(_bareiss(iv)[1], mult ** pencil.size)
+        v_elims = counting(monkeypatch, segre.pencil, "_bareiss", keep=lambda m: m is iv)
         analyze_pencil(pencil)
         calls = counting(monkeypatch, segre.pencil, "_bareiss")
         assert pencil.det_v == want
         if want:
             numeric_exponent_partitions(select_nonsingular_member(pencil))
         assert calls == []
+        assert v_elims == []
+
+    @pytest.mark.parametrize("pencil", [
+        random_instance("[(21)2]", 2),
+        congruent(random_instance("[113]", 1), diagonal([Fraction(1, 3), 1, Fraction(2, 5), 1, 7])),
+        random_instance("[11111]", 3),
+    ])
+    def test_one_expansion_per_pencil(self, monkeypatch, pencil):
+        # every determinant fact of a det V != 0 pencil is read off its one
+        # expansion, whichever route asks first
+        from segre.numeric import numeric_exponent_partitions
+
+        routes = [
+            analyze_pencil, compute_symbol, select_nonsingular_member, lambda p: p.det_v,
+            det_poly, invariant_factors, numeric_exponent_partitions,
+        ]
+        for k in range(len(routes)):
+            p = QuadricPencil(pencil.u, pencil.v)  # fresh: nothing expanded yet
+            full = counting(monkeypatch, segre.pencil, "_poly_minor")
+            v_elims = counting(monkeypatch, segre.pencil, "_bareiss", keep=lambda m: m is p._iv)
+            for route in routes[k:] + routes[:k]:
+                route(p)
+            assert full == [(p._iu, p._iv)]
+            assert v_elims == []
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("name", list(_degenerate_pairs()))
+    def test_degenerate_pair_expands_once(self, monkeypatch, name):
+        p = _degenerate_pairs()[name]
+        full = counting(monkeypatch, segre.pencil, "_poly_minor")
+        assert analyze_pencil(p).degeneracy == degeneracy_report(p)
+        assert full == [(p._iu, p._iv)]
 
     @pytest.mark.parametrize("u, t", [
         # det(U + tV) = t (t - 1) (t + 2) (t + 3), and so on: det V = 0 and the
