@@ -16,7 +16,7 @@ from enum import Enum
 
 from ._record import Record
 from .catalog import VertexPosition, catalog_row
-from .errors import InternalConsistencyError
+from .errors import InternalConsistencyError, ParseError
 from .symbol import Group, SegreSymbol, canonicalize
 
 __all__ = [
@@ -221,8 +221,11 @@ def dual_section(s: SegreSymbol | str, cover: CoverReport) -> SectionDivisor:
     branch, else B* + m*v* where m is forced by the degree bookkeeping and
     must be 1 when the vertex is a cusp or the branch's unique singular
     point, and 2 when it is a node.  Nodes of the branch away from the
-    vertex never contribute a plane.
+    vertex never contribute a plane.  A cover that is not a
+    ``CoverReport`` raises ``ParseError``.
     """
+    if not isinstance(cover, CoverReport):
+        raise ParseError(f"cover must be a CoverReport, got {type(cover).__name__}")
     cls = catalog_row(s).class_degree
     bdd = cover.branch_structure.dual_degree
     if cover.base is BaseKind.SMOOTH_QUADRIC:

@@ -27,11 +27,12 @@ class PencilError(SegreError, ValueError):
     """A refused pencil input: a pencil argument that is not a
     ``QuadricPencil``, a bad entry, scalar, root or polynomial coefficient
     (one that is not a finite rational or that passes the input limits), a
-    matrix that is not a sequence of rows or a diagonal not a sequence, a
-    pair not square, symmetric and of one size, a congruence of the wrong
-    size, a singular basis change, ``degeneracy_report`` of a pencil with a
-    smooth member, roots that do not fit a normal form, or a matrix
-    ``render_form`` cannot render."""
+    matrix that is not a sequence of rows, a diagonal, roots or polynomial
+    coefficients not a sequence, a pair not square, symmetric and of one
+    size, a congruence of the wrong size, a singular basis change,
+    ``degeneracy_report`` of a pencil with a smooth member, roots that do
+    not fit a normal form, a ``random_instance`` seed that is not an
+    ``int``, or a matrix ``render_form`` cannot render."""
 
 
 class IllConditionedError(SegreError):
@@ -51,8 +52,9 @@ class NotInCatalogError(SegreError, ValueError):
 
 
 class ParseError(SegreError, ValueError):
-    """Malformed quadratic-form expression, matrix file or symbol, or a
-    symbol group or singularity list item of the wrong type."""
+    """Malformed quadratic-form expression, matrix file or symbol, a
+    matrix document that is not text or bytes, or a symbol group,
+    singularity list item or cover of the wrong type."""
 
 
 class DegreeError(ParseError):

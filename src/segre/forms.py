@@ -163,12 +163,13 @@ def pencil_from_json(text: str) -> QuadricPencil:
     it), by ``pencil._entry``: plain integer entries stay ``int``s, so an
     integer document becomes the pencil's integer pair with no ``Fraction``
     made, and the pair is cleared once.  A document the JSON reader
-    refuses, also for nesting too deep to recurse into or an integer past
-    Python's int<->str digit limit, raises ``ParseError``.
+    refuses, also for nesting too deep to recurse into, an integer past
+    Python's int<->str digit limit or a document that is not text or bytes,
+    raises ``ParseError``.
     """
     try:
         doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+    except (ValueError, RecursionError, TypeError) as exc:  # JSONDecodeError is a ValueError
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "U" not in doc or "V" not in doc:
         raise ParseError('pencil file must be a JSON object with keys "U" and "V"')

@@ -348,13 +348,17 @@ class Polynomial:
 
     Immutable; the zero polynomial has an empty coefficient tuple and
     degree -1.  Each coefficient is read by ``_entry``, so one it refuses
-    raises ``PencilError``.
+    raises ``PencilError``, as do coefficients that are not a sequence.
     """
 
     __slots__ = ("coeffs", "_text")
 
     def __init__(self, coeffs: Iterable[Rational | int] = ()):
-        cs = [q if type(q) is Fraction else Fraction(q) for q in map(_entry, coeffs)]
+        try:
+            cs = list(coeffs)
+        except TypeError:
+            raise PencilError(f"coefficients must be a sequence, got {type(coeffs).__name__}") from None
+        cs = [q if type(q) is Fraction else Fraction(q) for q in map(_entry, cs)]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))

@@ -320,12 +320,17 @@ def build_normal_form(
     contributes its root to one block per exponent.  Roots of distinct
     groups must be pairwise distinct, otherwise the groups would merge.
     A symbol of weight above ``pencil.MAX_SIZE`` raises ``SizeLimitError``
-    before any block is built; a root ``pencil._entry`` refuses, a wrong
-    number of roots or two equal roots raise ``PencilError``.
+    before any block is built; roots that are not a sequence, a root
+    ``pencil._entry`` refuses, a wrong number of roots or two equal roots
+    raise ``PencilError``.
     """
     s = canonicalize(s)
     _check_size(s.weight)
-    rs = [_entry(r) for r in roots]
+    try:
+        rs = list(roots)
+    except TypeError:
+        raise PencilError(f"roots must be a sequence, got {type(roots).__name__}") from None
+    rs = [_entry(r) for r in rs]
     if len(rs) != len(s.groups):
         raise PencilError(f"{s.render()} needs {len(s.groups)} roots, got {len(rs)}")
     if len(set(rs)) != len(rs):
@@ -345,11 +350,14 @@ def random_instance(s: SegreSymbol | str, seed: int) -> QuadricPencil:
 
     Builds a normal form on distinct small integer roots, then applies a
     random rational congruence with entries in -3..3 (resampled until the
-    determinant is nonzero).  Bit-identical output for a fixed seed.  A
-    symbol of weight above ``pencil.MAX_SIZE`` raises ``SizeLimitError``.
+    determinant is nonzero).  Bit-identical output for a fixed seed, so a
+    seed that is not an ``int`` raises ``PencilError``.  A symbol of weight
+    above ``pencil.MAX_SIZE`` raises ``SizeLimitError``.
     """
     import random  # here, not at the top: segre analyze never loads it
 
+    if not isinstance(seed, int):
+        raise PencilError(f"seed must be an int, got {type(seed).__name__}")
     s = canonicalize(s)
     _check_size(s.weight)  # before the roots: at most 19 groups can have one
     rng = random.Random(seed)

@@ -238,6 +238,16 @@ PENCIL_ERRORS = {
     ),
     # an argument that is not iterable raised TypeError
     "diagonal of an int": (lambda: segre.pencil.diagonal(5), "diagonal must be a sequence, got int"),
+    "normal form roots an int": (
+        lambda: segre.build_normal_form("[2111]", 5),
+        "roots must be a sequence, got int",
+    ),
+    "Polynomial of an int": (lambda: segre.Polynomial(5), "coefficients must be a sequence, got int"),
+    # random_instance seeded from the operating system on None, and took
+    # a float or text seed silently
+    "seed None": (lambda: segre.random_instance("[2111]", None), "seed must be an int, got NoneType"),
+    "seed float": (lambda: segre.random_instance("[2111]", 1.5), "seed must be an int, got float"),
+    "seed text": (lambda: segre.random_instance("[2111]", "a"), "seed must be an int, got str"),
     # a pencil argument that is not a pencil raised AttributeError
     **{
         f"{name} of None": (lambda call=call: call(None), "expected a QuadricPencil, got NoneType")
@@ -295,6 +305,15 @@ WRONG_ITEMS = {
     "class_degree of an int item": (
         lambda: segre.class_degree([5]),
         "singularities must be SingularityType values, got int",
+    ),
+    # these raised TypeError and AttributeError
+    "pencil_from_json of None": (
+        lambda: segre.forms.pencil_from_json(None),
+        "invalid JSON: the JSON object must be str, bytes or bytearray, not NoneType",
+    ),
+    "dual_section of text": (
+        lambda: segre.dual_section("[2111]", "x"),
+        "cover must be a CoverReport, got str",
     ),
 }
 

@@ -190,6 +190,7 @@ class TestPencilJson:
         text = pencil_to_json(p)
         q = pencil_from_json(text)
         assert q.u == p.u and q.v == p.v
+        assert pencil_from_json(text.encode()) == q  # bytes are read as the JSON reader reads them
 
     def test_rational_strings(self):
         p = QuadricPencil(diagonal([Fraction(1, 2), 2, 3, 4, 5]), identity(5))
