@@ -32,7 +32,10 @@ class PencilError(SegreError, ValueError):
     size, a congruence of the wrong size, a singular basis change,
     ``degeneracy_report`` of a pencil with a smooth member, roots that do
     not fit a normal form, a ``random_instance`` seed that is not an
-    ``int``, or a matrix ``render_form`` cannot render."""
+    ``int``, a matrix ``render_form`` cannot render, or an argument of
+    ``squarefree_decomposition`` or ``coprime_basis`` that is not a
+    ``Polynomial`` (or a sequence of them), is zero, or, to
+    ``coprime_basis``, is constant, not monic or not squarefree."""
 
 
 class IllConditionedError(SegreError):

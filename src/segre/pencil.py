@@ -7,19 +7,22 @@ nonsingular member, and reports degeneracy when no member is nonsingular.
 
 Everything runs on the denominator-cleared integer pair.  A pencil's
 determinant comes from a division-free Laplace expansion, memoised over
-column subsets, on the linear entries u - t*v (``_poly_minor``); each
-pencil expands it once, on first use, and keeps it (``_det``): det V, the
-member sweep, the degeneracy test and the invariant factors are read off
-it.  No smaller minor is ever expanded.  An analysis selects a
-nonsingular member first and then analyses the selected pencil.  The
-invariant factors come from root classes (``_root_classes``): the Yun
-parts of the determinant, each with the partition of its
-elementary-divisor exponents, read off one or two exact ranks at each
-repeated part (``_part_classes``).  One fraction-free elimination
-(``_bareiss``) gives every rank, and its echelon rows a kernel basis
-(``_kernel``); one product (``_conj``) gives every A^T M A.  Only the
-finished invariant factors become monic ``Polynomial`` values, which
-makes the integer scaling invisible.
+column subsets (``_poly_minor``).  A pair of small entries runs on the
+integers u - v*2^B, and the determinant is one big integer whose
+balanced base-2^B digits are its coefficients (Kronecker substitution);
+a larger pair runs on the linear entries u - t*v as coefficient lists.
+Each pencil expands its determinant once, on first use, and keeps it
+(``_det``): det V, the member sweep, the degeneracy test and the
+invariant factors are read off it.  No smaller minor is ever expanded.
+An analysis selects a nonsingular member first and then analyses the
+selected pencil.  The invariant factors come from root classes
+(``_root_classes``): the Yun parts of the determinant, each with the
+partition of its elementary-divisor exponents, read off one or two exact
+ranks at each repeated part (``_part_classes``).  One fraction-free
+elimination (``_bareiss``) gives every rank, and its echelon rows a
+kernel basis (``_kernel``); one product (``_conj``) gives every A^T M A.
+Only the finished invariant factors become monic ``Polynomial`` values,
+which makes the integer scaling invisible.
 
 A pencil holds its cleared pair from construction on, with the least common
 denominator, and builds its rational matrices only when they are read.
@@ -49,6 +52,7 @@ from .polynomial import (  # _entry: forms, cli, symbol and the tests import it 
     Rational,
     _EXACT,
     _entry,
+    _int_digits,
     _int_eval,
     _int_mul,
     _int_primitive,
@@ -63,6 +67,9 @@ IntRows = Sequence[Sequence[int]]
 
 # the largest pencil: a Segre quartic surface lives in P^4
 MAX_SIZE = 5
+
+# the widest packing of det(U - t*V) into one integer (``_poly_minor``)
+_PACK_BITS = 480
 
 __all__ = [
     "MAX_SIZE",
@@ -363,13 +370,41 @@ def _poly_minor(iu: IntRows, iv: IntRows) -> list[int]:
 
     Laplace expansion along the rows in order, memoised over column
     subsets: the minor on the first j rows and the j columns of a mask is
-    the signed sum, over the mask's columns c, of the linear entry
-    u - t*v of row j at c times the minor on the mask without c.  Zero
-    entries are skipped.  Only integer products and sums: no evaluation
-    points and no division, over 2^k column subsets, k <= MAX_SIZE.
+    the signed sum, over the mask's columns c, of the entry of row j at c
+    times the minor on the mask without c.  Zero entries are skipped.
+    Only integer products and sums, no division, over 2^k column subsets,
+    k <= MAX_SIZE.
+
+    Small pairs run packed (Kronecker substitution): every coefficient of
+    the determinant is below 2^(B-2) in absolute value, with B the bit
+    length of the product over the rows of the row sums of |u| + |v|, plus
+    2.  When B <= ``_PACK_BITS``, the expansion runs on the integers
+    u - v*2^B, one multiply per term, and the determinant at t = 2^B is
+    read back into its coefficients by ``_int_digits``.  Larger pairs run
+    on the linear entries u - t*v as coefficient lists.
     """
-    minors = [[1]] * (1 << len(iu))
-    for mask, r, terms in _laplace_table(len(iu)):
+    k = len(iu)
+    bound = 1
+    for ru, rv in zip(iu, iv):
+        bound *= sum(map(abs, ru)) + sum(map(abs, rv))
+    bits = bound.bit_length() + 2
+    if bits <= _PACK_BITS:
+        rows = [[u - (v << bits) for u, v in zip(ru, rv)] for ru, rv in zip(iu, iv)]
+        packed = [1] * (1 << k)
+        for mask, r, terms in _laplace_table(k):
+            row = rows[r]
+            acc = 0
+            for c, sign, sub in terms:
+                e = row[c]
+                if e:
+                    if sign > 0:
+                        acc += e * packed[sub]
+                    else:
+                        acc -= e * packed[sub]
+            packed[mask] = acc
+        return _int_digits(packed[-1], 1 << bits)
+    minors = [[1]] * (1 << k)
+    for mask, r, terms in _laplace_table(k):
         ru, rv = iu[r], iv[r]
         acc = [0] * (r + 2)
         for c, sign, sub in terms:

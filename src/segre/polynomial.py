@@ -1,14 +1,16 @@
 """Exact univariate polynomials over the rationals.
 
 All arithmetic runs on one engine of integer coefficient lists, lowest
-degree first: greatest common divisors (a primitive pseudo-remainder
-sequence keeps coefficients small at the degrees, at most seven, this
-package cares about), exact division, Yun decomposition and the coprime
-basis.  Yun runs on the primitive part, and a squarefree one, such as
-the determinant of a generic pencil, is proved so by one integer gcd
-instead of a polynomial gcd chain: the evaluation step of the heuristic
-gcd (Char, Geddes and Gonnet 1989) at a point past Mignotte's bound
-(1974) on the coefficients of factors (``_int_coprime_to_derivative``).
+degree first: greatest common divisors, exact division, Yun
+decomposition and the coprime basis.  Yun runs on the primitive part,
+and every one of its gcds, with the cofactors, is a heuristic gcd (Char,
+Geddes and Gonnet 1989; ``_int_gcd_cofactors``): the gcd of the two
+polynomials' values at one integer point, read back into a polynomial
+by its balanced digits (``_int_digits``) and proved by exact division.
+A squarefree determinant, such as a generic pencil's, is one integer
+gcd.  A primitive pseudo-remainder sequence (``_int_gcd``), which keeps
+coefficients small at the degrees, at most seven, this package cares
+about, runs the coprime basis and answers when the heuristic gives up.
 ``Polynomial`` is the value that leaves the engine: an immutable
 tuple of ``fractions.Fraction`` coefficients (``Rational``) with no
 arithmetic of its own.  Text comes from one renderer on an integer
@@ -151,22 +153,62 @@ def _int_eval(c: Sequence[int], x: int) -> int:
     return v
 
 
-def _int_coprime_to_derivative(a: Sequence[int]) -> bool:
-    """True only if the primitive nonconstant a is coprime to a', proved
-    with one integer gcd: the evaluation step of the heuristic gcd (Char,
-    Geddes and Gonnet 1989) at a point past Mignotte's bound (1974).
+def _int_digits(n: int, x: int) -> list[int]:
+    """The balanced base-x digits of n, lowest first, each in
+    (-x/2, x/2]: the coefficients of the one polynomial with such
+    coefficients that takes the value n at x, trimmed, so that n = 0
+    gives [].  Packed polynomials are read back with it.  x >= 3: base 2
+    has no negative digit."""
+    out: list[int] = []
+    half = x >> 1
+    while n:
+        n, d = divmod(n, x)
+        if d > half:
+            d -= x
+            n += 1
+        out.append(d)
+    return out
 
-    With n = deg a and m = (n + 1) * max|a_i| * 2**n, at least
-    2**n * ||a||_2, Mignotte's bound on every coefficient of every factor
-    of a in Z[t], take xi = 2*m + 2.  A common factor d of a and a' of
-    positive degree then has |d(xi)| > xi**deg(d) / 2 >= xi / 2, since
-    its lower coefficients sum to at most m * (xi**deg(d) - 1) / (xi - 1)
-    at xi; and d(xi) divides gcd(a(xi), a'(xi)), which is nonzero because
-    xi exceeds Cauchy's root bound of a.  So 2 * gcd(a(xi), a'(xi)) <= xi
-    rules d out.  False means only that the test did not decide.
+
+# failed tries of the heuristic gcd before the PRS gcd answers
+_HEU_TRIES = 6
+
+
+def _int_gcd_cofactors(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
+    """(g, a / g, b / g) with g the primitive gcd of a and b (positive
+    leading coefficient), a nonzero: the heuristic gcd of Char, Geddes
+    and Gonnet (1989), on the integers a(xi) and b(xi).
+
+    With M the smaller of the largest absolute coefficients of a and b
+    and xi = 2*M + 2, G is the balanced base-xi expansion of
+    gcd(a(xi), b(xi)) (``_int_digits``) and g its primitive part.  Once g
+    divides a and b (``_int_divide``, which gives the cofactors), it is
+    the gcd: g divides gcd(a, b) = g*c, and a nonconstant c would have
+    |c(xi)| > (xi/2)^deg(c) >= xi/2, as every root of c is a root of a
+    and of b and so below M + 1 = xi/2 in absolute value (Cauchy's root
+    bound), yet c(xi) divides gcd(a(xi), b(xi)) / g(xi) = cont(G), which
+    is at most xi/2.  A gcd(a(xi), b(xi)) of at most xi/2 is G itself, and
+    g = 1 needs no division, so a coprime pair usually costs one integer
+    gcd.  When a division fails, xi grows by about e; after
+    ``_HEU_TRIES`` failed tries the PRS gcd (``_int_gcd``) answers.
     """
-    xi = 2 * ((len(a) * max(map(abs, a))) << (len(a) - 1)) + 2
-    return 2 * math.gcd(_int_eval(a, xi), _int_eval(_int_derivative(a), xi)) <= xi
+    if not b:
+        g = _int_primitive(a)
+        return g, _int_exact_div(a, g), []
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    for _ in range(_HEU_TRIES):
+        gamma = math.gcd(_int_eval(a, xi), _int_eval(b, xi))
+        if 2 * gamma <= xi:  # G = [gamma]: g = 1
+            return [1], list(a), list(b)
+        g = _int_primitive(_int_digits(gamma, xi))
+        qa = _int_divide(a, g)
+        if qa is not None:
+            qb = _int_divide(b, g)
+            if qb is not None:
+                return g, qa, qb
+        xi = xi * 73794 // 27011
+    g = _int_gcd(a, b)
+    return g, _int_exact_div(a, g), _int_exact_div(b, g)
 
 
 def _int_squarefree_decomposition(f: Sequence[int]) -> list[tuple[int, list[int]]]:
@@ -174,29 +216,22 @@ def _int_squarefree_decomposition(f: Sequence[int]) -> list[tuple[int, list[int]
 
     Pairs (k, h) with h primitive, squarefree and pairwise coprime, and f
     a rational multiple of the product of the h**k.  Everything runs on
-    the primitive part a of f.  A nonconstant a that
-    ``_int_coprime_to_derivative`` certifies is squarefree gives [(1, a)],
-    Yun's answer for it, with no polynomial gcd; otherwise Yun runs.  v
-    and w carry the same integer scale throughout, so w - v' is the Yun
-    difference up to that scale and every division below is exact in
-    Z[t].
+    the primitive part a of f, and every gcd with its cofactors comes from
+    ``_int_gcd_cofactors``: a nonconstant a coprime to a', such as the
+    determinant of a generic pencil, gives [(1, a)] after one integer gcd.
+    v and w carry the same integer scale throughout, so w - v' is the Yun
+    difference up to that scale and every cofactor is exact in Z[t].
     """
     a = _int_primitive(f)
-    if len(a) > 1 and _int_coprime_to_derivative(a):
+    u, v, w = _int_gcd_cofactors(a, _int_derivative(a))
+    if u == [1] and len(a) > 1:
         return [(1, a)]
-    da = _int_derivative(a)
-    u = _int_gcd(a, da)
-    v = _int_exact_div(a, u)
-    w = _int_exact_div(da, u)
     out: list[tuple[int, list[int]]] = []
     k = 1
     while len(v) > 1:
-        z = _int_sub(w, _int_derivative(v))
-        h = _int_gcd(v, z)
+        h, v, w = _int_gcd_cofactors(v, _int_sub(w, _int_derivative(v)))
         if len(h) > 1:
             out.append((k, h))
-        v = _int_exact_div(v, h)
-        w = _int_exact_div(z, h)
         k += 1
     return out
 
@@ -429,14 +464,22 @@ def _monic_poly(c: Sequence[int]) -> Polynomial:
     return Polynomial([Fraction(a, c[-1]) for a in c]) if c else Polynomial()
 
 
+def _check_poly(p: object) -> None:
+    if not isinstance(p, Polynomial):
+        raise PencilError(f"expected a Polynomial, got {type(p).__name__}")
+
+
 def squarefree_decomposition(p: Polynomial) -> list[tuple[int, Polynomial]]:
     """Yun decomposition: pairs (k, f) with monic(p) = product of f**k.
 
     The factors f are monic, squarefree and pairwise coprime, so every
-    root of a factor tagged k has multiplicity exactly k in p.
+    root of a factor tagged k has multiplicity exactly k in p.  An
+    argument that is not a ``Polynomial``, or the zero polynomial, raises
+    ``PencilError``.
     """
+    _check_poly(p)
     if p.is_zero:
-        raise ValueError("squarefree decomposition of the zero polynomial is undefined")
+        raise PencilError("squarefree decomposition of the zero polynomial is undefined")
     return [(k, _monic_poly(f)) for k, f in _int_squarefree_decomposition(_int_coeffs(p))]
 
 
@@ -448,16 +491,22 @@ def coprime_basis(ps: Sequence[Polynomial]) -> list[Polynomial]:
     element appearing at most once.  Computed by repeated pairwise gcd
     splitting; no irreducible factorization is performed.  The result is
     sorted by (degree, coefficients from the leading term down) so that
-    equal inputs always produce the identical basis.
+    equal inputs always produce the identical basis.  Inputs that are not
+    a sequence of such ``Polynomial`` values raise ``PencilError``.
     """
+    try:
+        ps = list(ps)
+    except TypeError:
+        raise PencilError(f"polynomials must be a sequence, got {type(ps).__name__}") from None
     cs: list[list[int]] = []
     for p in ps:
-        if p.is_zero or p.is_constant:
-            raise ValueError(f"coprime_basis requires nonconstant inputs, got {p}")
+        _check_poly(p)
+        if p.is_constant:
+            raise PencilError(f"coprime_basis requires nonconstant inputs, got {p}")
         if p.leading != 1:
-            raise ValueError(f"coprime_basis requires monic inputs, got {p}")
+            raise PencilError(f"coprime_basis requires monic inputs, got {p}")
         c = _int_coeffs(p)
         if len(_int_gcd(c, _int_derivative(c))) > 1:
-            raise ValueError(f"coprime_basis requires squarefree inputs, got {p}")
+            raise PencilError(f"coprime_basis requires squarefree inputs, got {p}")
         cs.append(c)
     return [_monic_poly(b) for b in _int_coprime_basis(cs)]

@@ -248,6 +248,34 @@ PENCIL_ERRORS = {
     "seed None": (lambda: segre.random_instance("[2111]", None), "seed must be an int, got NoneType"),
     "seed float": (lambda: segre.random_instance("[2111]", 1.5), "seed must be an int, got float"),
     "seed text": (lambda: segre.random_instance("[2111]", "a"), "seed must be an int, got str"),
+    # the polynomial wrappers raised TypeError and AttributeError on
+    # arguments of the wrong type, and a plain ValueError on refused ones
+    "coprime_basis of an int": (lambda: segre.coprime_basis(5), "polynomials must be a sequence, got int"),
+    "coprime_basis of an int item": (lambda: segre.coprime_basis([5]), "expected a Polynomial, got int"),
+    "coprime_basis of a constant": (
+        lambda: segre.coprime_basis([segre.Polynomial([1])]),
+        "coprime_basis requires nonconstant inputs, got 1",
+    ),
+    "coprime_basis of a non-monic": (
+        lambda: segre.coprime_basis([segre.Polynomial([1, 2])]),
+        "coprime_basis requires monic inputs, got 2*t + 1",
+    ),
+    "coprime_basis of a square": (
+        lambda: segre.coprime_basis([segre.Polynomial([1, 2, 1])]),
+        "coprime_basis requires squarefree inputs, got t^2 + 2*t + 1",
+    ),
+    "squarefree_decomposition of an int": (
+        lambda: segre.polynomial.squarefree_decomposition(5),
+        "expected a Polynomial, got int",
+    ),
+    "squarefree_decomposition of None": (
+        lambda: segre.polynomial.squarefree_decomposition(None),
+        "expected a Polynomial, got NoneType",
+    ),
+    "squarefree_decomposition of zero": (
+        lambda: segre.polynomial.squarefree_decomposition(segre.Polynomial()),
+        "squarefree decomposition of the zero polynomial is undefined",
+    ),
     # a pencil argument that is not a pencil raised AttributeError
     **{
         f"{name} of None": (lambda call=call: call(None), "expected a QuadricPencil, got NoneType")

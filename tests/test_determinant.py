@@ -1,16 +1,19 @@
 """The determinant polynomial det(U - t*V) against three oracles:
 cofactor expansion on sympy's dense lists over QQ, sympy's ``Matrix.det``,
 and the six-point Bareiss evaluation with Newton interpolation that the
-division-free expansion replaced.
+division-free expansion replaced; and the packed (Kronecker-substituted)
+expansion at its width cutoff, with its balanced-digit reader.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import segre.pencil
 from segre.errors import SegreError, SizeLimitError
 from segre.pencil import (
+    _PACK_BITS,
     MAX_SIZE,
     QuadricPencil,
     _laplace_table,
@@ -19,6 +22,7 @@ from segre.pencil import (
     identity,
     invariant_factors,
 )
+from segre.polynomial import _int_digits, _int_eval
 from segre.symbol import random_instance
 from test_pencil import cofactor_det, to_dup
 
@@ -176,6 +180,70 @@ def test_non_contiguous_minors_sympy(digits):
             assert got == cofactor_minor(iu, iv, rows, cols), (rows, cols)
             if digits < 1000 or k <= 3:
                 assert got == sympy_minor(iu, iv, rows, cols), (rows, cols)
+
+
+def row_bound(iu, iv):
+    """The product over the rows of the row sums of |u| + |v|: the packing
+    width B of ``_poly_minor`` is its bit length plus 2."""
+    bound = 1
+    for ru, rv in zip(iu, iv):
+        bound *= sum(map(abs, ru)) + sum(map(abs, rv))
+    return bound
+
+
+def pair_of_width(size, width, seed):
+    """A seeded size x size pair whose packing width is exactly ``width``:
+    random rows below the first, and a first row whose sum of |u| + |v|
+    puts the product at bit length width - 2."""
+    rng = random.Random(width * 10 + seed)
+    iu, iv = random_pair(size, 3, seed)
+    rest = row_bound(iu[1:], iv[1:])
+    lo, hi = -(-(1 << (width - 3)) // rest), ((1 << (width - 2)) - 1) // rest
+    iu[0][0] = 0
+    iu[0][0] = rng.choice((1, -1)) * (rng.randint(lo, hi) - row_bound(iu[:1], iv[:1]))
+    assert row_bound(iu, iv).bit_length() + 2 == width
+    return iu, iv
+
+
+@pytest.mark.parametrize("width", [_PACK_BITS - 1, _PACK_BITS, _PACK_BITS + 1])
+@pytest.mark.parametrize("seed", range(3))
+def test_packed_expansion_at_the_cutoff(monkeypatch, width, seed):
+    # the widest packing, one bit narrower and one bit too wide (the
+    # coefficient lists); every coefficient is below 2^(B - 2)
+    reads = []
+    monkeypatch.setattr(segre.pencil, "_int_digits", lambda n, x: reads.append(x) or _int_digits(n, x))
+    iu, iv = pair_of_width(MAX_SIZE, width, seed)
+    idx = list(range(MAX_SIZE))
+    got = _poly_minor(iu, iv)
+    assert got == sympy_minor(iu, iv, idx, idx)
+    assert len(got) == MAX_SIZE + 1 and all(abs(c) < 1 << (width - 2) for c in got)
+    assert reads == ([1 << width] if width <= _PACK_BITS else [])
+
+
+def test_packed_expansion_of_vanishing_determinants(monkeypatch):
+    reads = []
+    monkeypatch.setattr(segre.pencil, "_int_digits", lambda n, x: reads.append(x) or _int_digits(n, x))
+    iu, iv = random_pair(4, 6, 0)
+    iu[2], iv[2] = list(iu[0]), list(iv[0])  # two equal rows of U - t*V: det = 0
+    assert _poly_minor(iu, iv) == [] == sympy_minor(iu, iv, range(4), range(4))
+    iu[2] = iv[2] = [0] * 4  # a zero row
+    assert _poly_minor(iu, iv) == []
+    assert len(reads) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 2**80), st.data())
+def test_balanced_digits_invert_horner(x, data):
+    # trimmed coefficients in (-x/2, x/2] come back from their value at x,
+    # and any integer has such digits
+    digit = st.integers(-((x - 1) // 2), x // 2)
+    c = data.draw(st.lists(digit, max_size=8))
+    while c and not c[-1]:
+        c.pop()
+    assert _int_digits(_int_eval(c, x), x) == c
+    n = data.draw(st.integers(-(x**9), x**9))
+    d = _int_digits(n, x)
+    assert _int_eval(d, x) == n and all(-x < 2 * a <= x for a in d) and (not d or d[-1])
 
 
 def test_determinant_makes_no_bareiss_call(monkeypatch):

@@ -521,13 +521,16 @@ class TestAnalyzeWork:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_squarefree_determinant_takes_no_polynomial_gcd(self, monkeypatch, seed):
-        # a [11111] determinant is certified squarefree by one integer gcd;
-        # a repeated root still runs Yun's gcd chain
+        # a [11111] determinant is proved squarefree by one heuristic gcd, one
+        # integer gcd; a repeated root runs Yun's chain on heuristic gcds too,
+        # and neither reaches the PRS gcd
         gcds = counting(monkeypatch, segre.polynomial, "_int_gcd")
+        heuristic = counting(monkeypatch, segre.polynomial, "_int_gcd_cofactors")
         analyze_pencil(random_instance("[11111]", seed))
-        assert gcds == []
+        assert len(heuristic) == 1
         analyze_pencil(random_instance("[2111]", seed))
-        assert gcds != []
+        assert len(heuristic) > 2
+        assert gcds == []
 
     def test_det_v_computed_once(self, monkeypatch):
         # det V is the leading coefficient of the expanded determinant,

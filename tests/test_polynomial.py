@@ -2,26 +2,29 @@
 checked against sympy's dense routines over QQ."""
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import QQ, ZZ
-from sympy.polys.densetools import dup_diff, dup_monic
-from sympy.polys.euclidtools import dup_gcd
+from sympy.polys.densetools import dup_content, dup_diff, dup_monic
+from sympy.polys.euclidtools import dup_gcd, dup_inner_gcd
 from sympy.polys.sqfreetools import dup_sqf_list, dup_sqf_part
 
+import segre.polynomial
 from segre.polynomial import (
     Polynomial,
     _int_coeffs,
-    _int_coprime_to_derivative,
     _int_derivative,
     _int_divide,
     _int_exact_div,
     _int_gcd,
+    _int_gcd_cofactors,
     _int_mul,
     _int_primitive,
     _int_squarefree_decomposition,
+    _int_trim,
     _monic_poly,
     coprime_basis,
     squarefree_decomposition,
@@ -265,7 +268,7 @@ def test_coprime_basis_of_products_of_irreducibles(factors, data):
 
 
 # ---------------------------------------------------------------------------
-# the integer engine's Yun decomposition and its squarefree certificate
+# the integer engine's Yun decomposition on the heuristic gcd
 # ---------------------------------------------------------------------------
 
 def sympy_sqf(f: list[int]) -> list[tuple[int, list[int]]]:
@@ -280,9 +283,17 @@ def sympy_sqf(f: list[int]) -> list[tuple[int, list[int]]]:
     return sorted(out)
 
 
+def to_zz(c: list[int]) -> list:
+    """sympy's dense list over ZZ, leading term first."""
+    return [ZZ(x) for x in reversed(c)]
+
+
+def from_zz(f) -> list[int]:
+    return [int(x) for x in reversed(f)]
+
+
 def has_repeated_factor(a: list[int]) -> bool:
-    da = dup_diff([ZZ(c) for c in reversed(a)], 1, ZZ)
-    return len(dup_gcd([ZZ(c) for c in reversed(a)], da, ZZ)) > 1
+    return len(dup_gcd(to_zz(a), dup_diff(to_zz(a), 1, ZZ), ZZ)) > 1
 
 
 def int_product(factors, content: int = 1) -> list[int]:
@@ -307,7 +318,7 @@ int_factors = st.lists(
 )
 contents = st.integers(-(10**40), 10**40).filter(bool)
 
-# repeated factors whose coefficients sit near the bound of the certificate
+# repeated factors, most with coefficients near 10^30
 N = 10**30
 NEAR_BOUND = {
     "(t - N)^2 (t + 1)": [([-N, 1], 2), ([1, 1], 1)],
@@ -323,15 +334,33 @@ NEAR_BOUND = {
 }
 
 
+@contextmanager
+def prs_calls():
+    """The calls to the PRS gcd ``_int_gcd`` made inside the block; a
+    context manager rather than monkeypatch, so hypothesis tests can use it."""
+    calls = []
+    real = segre.polynomial._int_gcd
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    segre.polynomial._int_gcd = counted
+    try:
+        yield calls
+    finally:
+        segre.polynomial._int_gcd = real
+
+
 @settings(max_examples=80, deadline=None)
 @given(int_factors, contents)
 def test_int_squarefree_decomposition_matches_sympy(factors, content):
     f = int_product(factors, content)
-    assert _int_squarefree_decomposition(f) == sympy_sqf(f)
-    # and the certificate never answers "coprime" for a repeated factor
-    a = _int_primitive(f)
-    if len(a) > 1 and _int_coprime_to_derivative(a):
-        assert not has_repeated_factor(a)
+    with prs_calls() as calls:
+        assert _int_squarefree_decomposition(f) == sympy_sqf(f)
+    # a squarefree input takes one heuristic gcd and no PRS gcd
+    if not has_repeated_factor(_int_primitive(f)):
+        assert calls == []
 
 
 @pytest.mark.parametrize("factors", NEAR_BOUND.values(), ids=NEAR_BOUND)
@@ -340,7 +369,7 @@ def test_repeated_factors_near_the_bound(factors, content):
     f = int_product(factors, content)
     a = _int_primitive(f)
     assert has_repeated_factor(a)
-    assert not _int_coprime_to_derivative(a)
+    assert len(_int_gcd_cofactors(a, _int_derivative(a))[0]) > 1
     assert _int_squarefree_decomposition(f) == sympy_sqf(f)
 
 
@@ -351,8 +380,51 @@ def test_repeated_factors_near_the_bound(factors, content):
 ], ids=["near roots", "quadratics", "mixed degrees"])
 def test_squarefree_polynomials_are_certified(factors):
     f = int_product(factors, -(10**25))
-    assert _int_coprime_to_derivative(_int_primitive(f))
-    assert _int_squarefree_decomposition(f) == [(1, _int_primitive(f))] == sympy_sqf(f)
+    a = _int_primitive(f)
+    with prs_calls() as calls:
+        assert _int_gcd_cofactors(a, _int_derivative(a)) == ([1], a, _int_derivative(a))
+        assert _int_squarefree_decomposition(f) == [(1, a)] == sympy_sqf(f)
+    assert calls == []
+
+
+small_int_polys = st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=4).map(_int_trim)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    small_int_polys.filter(bool),
+    small_int_polys.filter(bool),
+    small_int_polys,
+    st.integers(-(10**20), 10**20).filter(bool),
+)
+def test_int_gcd_cofactors_match_sympy(shared, p, q, scale):
+    # products with a shared factor, and q = 0 for b = 0
+    a, b = _int_mul(shared, p), _int_mul([scale], _int_mul(shared, q)) if q else []
+    h, cfa, cfb = dup_inner_gcd(to_zz(a), to_zz(b), ZZ)
+    cont = int(dup_content(h, ZZ))
+    with prs_calls() as calls:
+        g, qa, qb = _int_gcd_cofactors(a, b)
+    assert g == [c // cont for c in from_zz(h)]
+    assert qa == [cont * c for c in from_zz(cfa)] and qb == [cont * c for c in from_zz(cfb)]
+    assert calls == []
+
+
+def test_failed_tries_fall_back_to_the_prs_gcd(monkeypatch):
+    # a digit reader that never gives a divisor: with a nontrivial gcd every
+    # try reads digits and fails, and the PRS gcd gives the same answers
+    cases = [int_product(factors, -(10**25)) for factors in NEAR_BOUND.values()]
+    square = cases[0]  # (t - N)^2 (t + 1)
+    pairs = [([2, -3, 1], [3, -4, 1]), ([6, 6], [-4, -4]), (square, _int_derivative(square))]
+    want = [_int_gcd_cofactors(*ab) for ab in pairs], [_int_squarefree_decomposition(f) for f in cases]
+    digits = []
+    monkeypatch.setattr(segre.polynomial, "_int_digits", lambda n, x: digits.append(x) or [1] * 12)
+    with prs_calls() as calls:
+        assert [_int_gcd_cofactors(*ab) for ab in pairs] == want[0]
+    assert len(calls) == len(pairs) and len(digits) == 6 * len(pairs)
+    assert digits[:6] == sorted(digits[:6]) and len(set(digits[:6])) == 6
+    with prs_calls() as calls:
+        assert [_int_squarefree_decomposition(f) for f in cases] == want[1]
+    assert calls
 
 
 def test_constant_and_zero_inputs_keep_their_results():
