@@ -10,7 +10,9 @@ determinant comes from a division-free Laplace expansion, memoised over
 column subsets (``_poly_minor``).  A pair of small entries runs on the
 integers u - v*2^B, and the determinant is one big integer whose
 balanced base-2^B digits are its coefficients (Kronecker substitution);
-a larger pair runs on the linear entries u - t*v as coefficient lists.
+a larger pair runs on the entries' values at t = 0..k, one product per
+value where a coefficient list takes two per coefficient, and its k + 1
+values are interpolated (``_interpolate``).
 Each pencil expands its determinant once, on first use, and keeps it
 (``_det``): det V, the member sweep, the degeneracy test and the
 invariant factors are read off it.  No smaller minor is ever expanded.
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
@@ -70,6 +73,13 @@ MAX_SIZE = 5
 
 # the widest packing of det(U - t*V) into one integer (``_poly_minor``)
 _PACK_BITS = 480
+
+# _EXTRAPOLATE[j][i] = (-1)^(j - i) * C(j + 1, i): p(j + 1) is the sum over
+# i of _EXTRAPOLATE[j][i] * p(i) for a polynomial p of degree at most j,
+# as its (j + 1)-th forward difference vanishes
+_EXTRAPOLATE = tuple(
+    tuple((-1) ** (j - i) * math.comb(j + 1, i) for i in range(j + 1)) for j in range(MAX_SIZE)
+)
 
 __all__ = [
     "MAX_SIZE",
@@ -365,6 +375,23 @@ def _laplace_table(k: int) -> tuple[tuple[int, int, tuple[tuple[int, int, int], 
     return tuple(table)
 
 
+def _interpolate(vals: Sequence[int]) -> list[int]:
+    """Trimmed integer coefficients of the integer polynomial of degree
+    below ``len(vals)`` (at least 1) with the values ``vals`` at
+    t = 0, 1, ...: Newton's forward differences, each division by j exact
+    as the j-th difference of an integer polynomial is divisible by j!,
+    then Horner in the falling-factorial basis t(t - 1)...(t - i + 1)."""
+    d = list(vals)
+    n = len(d)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            d[i] = (d[i] - d[i - 1]) // j
+    c = [d[-1]]
+    for i in range(n - 2, -1, -1):  # c <- c*(t - i) + d[i]
+        c = [d[i] - i * c[0]] + [a - i * b for a, b in zip(c, c[1:])] + [c[-1]]
+    return _int_trim(c)
+
+
 def _poly_minor(iu: IntRows, iv: IntRows) -> list[int]:
     """Integer coefficients of det(U - t*V), for square integer U and V.
 
@@ -380,8 +407,14 @@ def _poly_minor(iu: IntRows, iv: IntRows) -> list[int]:
     length of the product over the rows of the row sums of |u| + |v|, plus
     2.  When B <= ``_PACK_BITS``, the expansion runs on the integers
     u - v*2^B, one multiply per term, and the determinant at t = 2^B is
-    read back into its coefficients by ``_int_digits``.  Larger pairs run
-    on the linear entries u - t*v as coefficient lists.
+    read back into its coefficients by ``_int_digits``.
+
+    Larger pairs run on values: a minor on j rows, of degree at most j,
+    is held as its values at t = 0..j, and row j's entries as theirs at
+    t = 0..j + 1, so a term costs j + 2 big products where coefficient
+    lists take 2(j + 1).  A minor gains its value at t = j + 1 once, before
+    its use one row down, from the small integer weights ``_EXTRAPOLATE``;
+    the determinant's k + 1 values give its coefficients (``_interpolate``).
     """
     k = len(iu)
     bound = 1
@@ -403,19 +436,23 @@ def _poly_minor(iu: IntRows, iv: IntRows) -> list[int]:
                         acc -= e * packed[sub]
             packed[mask] = acc
         return _int_digits(packed[-1], 1 << bits)
-    minors = [[1]] * (1 << k)
+    vals = [
+        [[u - t * v for t in range(r + 2)] if u or v else None for u, v in zip(ru, rv)]
+        for r, (ru, rv) in enumerate(zip(iu, iv))
+    ]
+    minors = [[1, 1]] * (1 << k)
     for mask, r, terms in _laplace_table(k):
-        ru, rv = iu[r], iv[r]
+        row = vals[r]
         acc = [0] * (r + 2)
         for c, sign, sub in terms:
-            a, b = ru[c], rv[c]
-            if a or b:
-                a, b = sign * a, sign * b
-                for i, x in enumerate(minors[sub]):
-                    acc[i] += a * x
-                    acc[i + 1] -= b * x
+            e = row[c]
+            if e:
+                op = operator.add if sign > 0 else operator.sub
+                acc = list(map(op, acc, map(operator.mul, e, minors[sub])))
+        if r + 1 < k:
+            acc.append(sum(map(operator.mul, _EXTRAPOLATE[r + 1], acc)))
         minors[mask] = acc
-    return _int_trim(minors[-1])
+    return _interpolate(minors[-1])
 
 
 def _det(p: QuadricPencil) -> tuple[int, ...]:

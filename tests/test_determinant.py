@@ -1,8 +1,12 @@
 """The determinant polynomial det(U - t*V) against three oracles:
 cofactor expansion on sympy's dense lists over QQ, sympy's ``Matrix.det``,
 and the six-point Bareiss evaluation with Newton interpolation that the
-division-free expansion replaced; and the packed (Kronecker-substituted)
-expansion at its width cutoff, with its balanced-digit reader.
+division-free expansion replaced.  Both routes of the expansion are
+checked at the width cutoff between them: the packed (Kronecker-
+substituted) one with its balanced-digit reader, and the wide one, which
+expands on the entries' values at t = 0..k because a value costs one big
+product where a coefficient list takes two per coefficient, with its
+extrapolation weights and its interpolation to coefficients.
 """
 
 import random
@@ -13,9 +17,11 @@ from hypothesis import given, settings, strategies as st
 import segre.pencil
 from segre.errors import SegreError, SizeLimitError
 from segre.pencil import (
+    _EXTRAPOLATE,
     _PACK_BITS,
     MAX_SIZE,
     QuadricPencil,
+    _interpolate,
     _laplace_table,
     _poly_minor,
     det_poly,
@@ -45,19 +51,25 @@ def bareiss_det(m):
     return sign * prev
 
 
+def forward_differences(vals):
+    """Newton's divided forward differences of integer values at
+    t = 0, 1, ..., each division by j checked to leave no remainder."""
+    d = list(vals)
+    for j in range(1, len(d)):
+        for i in range(len(d) - 1, j - 1, -1):
+            d[i], rem = divmod(d[i] - d[i - 1], j)
+            assert rem == 0, (j, i)
+    return d
+
+
 def interpolated_minor(iu, iv, rows, cols):
     """det(U - t*V) on rows x cols evaluated at t = 0..k by Bareiss and
     recovered by integer Newton interpolation."""
     k = len(rows)
-    dd = [
+    dd = forward_differences(
         bareiss_det([[iu[r][c] - t * iv[r][c] for c in cols] for r in rows])
         for t in range(k + 1)
-    ]
-    for j in range(1, k + 1):
-        for i in range(k, j - 1, -1):
-            q, rem = divmod(dd[i] - dd[i - 1], j)
-            assert rem == 0
-            dd[i] = q
+    )
     coeffs = [dd[k]]
     for i in range(k - 1, -1, -1):
         shifted = [0] + coeffs
@@ -205,30 +217,78 @@ def pair_of_width(size, width, seed):
     return iu, iv
 
 
+def record_routes(monkeypatch):
+    """Lists that fill as ``_poly_minor`` takes its routes: the base of
+    each packed read, and the number of values of each interpolation."""
+    reads, interpolations = [], []
+    monkeypatch.setattr(segre.pencil, "_int_digits", lambda n, x: reads.append(x) or _int_digits(n, x))
+    monkeypatch.setattr(
+        segre.pencil, "_interpolate", lambda v: interpolations.append(len(v)) or _interpolate(v)
+    )
+    return reads, interpolations
+
+
 @pytest.mark.parametrize("width", [_PACK_BITS - 1, _PACK_BITS, _PACK_BITS + 1])
 @pytest.mark.parametrize("seed", range(3))
 def test_packed_expansion_at_the_cutoff(monkeypatch, width, seed):
     # the widest packing, one bit narrower and one bit too wide (the
-    # coefficient lists); every coefficient is below 2^(B - 2)
-    reads = []
-    monkeypatch.setattr(segre.pencil, "_int_digits", lambda n, x: reads.append(x) or _int_digits(n, x))
+    # values at t = 0..size); every coefficient is below 2^(B - 2)
+    reads, interpolations = record_routes(monkeypatch)
     iu, iv = pair_of_width(MAX_SIZE, width, seed)
     idx = list(range(MAX_SIZE))
     got = _poly_minor(iu, iv)
     assert got == sympy_minor(iu, iv, idx, idx)
     assert len(got) == MAX_SIZE + 1 and all(abs(c) < 1 << (width - 2) for c in got)
-    assert reads == ([1 << width] if width <= _PACK_BITS else [])
+    packed = width <= _PACK_BITS
+    assert reads == ([1 << width] if packed else [])
+    assert interpolations == ([] if packed else [MAX_SIZE + 1])
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_wide_expansion_of_vanishing_determinants(monkeypatch, size):
+    # two equal rows of 1000-digit entries (from size 2 on), det = 0, and
+    # det V = 0 by two equal rows of V (V = 0 at size 1), degree below
+    # size; a zero row would pack, at B = 2
+    reads, interpolations = record_routes(monkeypatch)
+    idx = list(range(size))
+    iu, iv = random_pair(size, 1000, 4)
+    su, sv = random_pair(size, 1000, 5)
+    sv[-1] = list(sv[0]) if size > 1 else [0]
+    got = _poly_minor(su, sv)
+    assert got == sympy_minor(su, sv, idx, idx) and 0 < len(got) <= size
+    if size > 1:
+        iu[-1], iv[-1] = list(iu[0]), list(iv[0])
+        assert _poly_minor(iu, iv) == [] == sympy_minor(iu, iv, idx, idx)
+    assert reads == [] and interpolations == [size + 1] * (1 + (size > 1))
 
 
 def test_packed_expansion_of_vanishing_determinants(monkeypatch):
-    reads = []
-    monkeypatch.setattr(segre.pencil, "_int_digits", lambda n, x: reads.append(x) or _int_digits(n, x))
+    reads, interpolations = record_routes(monkeypatch)
     iu, iv = random_pair(4, 6, 0)
     iu[2], iv[2] = list(iu[0]), list(iv[0])  # two equal rows of U - t*V: det = 0
     assert _poly_minor(iu, iv) == [] == sympy_minor(iu, iv, range(4), range(4))
     iu[2] = iv[2] = [0] * 4  # a zero row
     assert _poly_minor(iu, iv) == []
-    assert len(reads) == 2
+    assert len(reads) == 2 and interpolations == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-(2**17000), 2**17000), max_size=MAX_SIZE + 1), st.data())
+def test_interpolation_and_extrapolation_weights(c, data):
+    # an integer polynomial of degree <= MAX_SIZE comes back from its
+    # values at t = 0..n - 1, n > degree, with every division exact; the
+    # weights give p(j + 1) from p(0..j) at every j >= degree
+    trimmed = list(c)
+    while trimmed and not trimmed[-1]:
+        trimmed.pop()
+    n = data.draw(st.integers(max(len(c), 1), MAX_SIZE + 1))
+    vals = [_int_eval(c, t) for t in range(n)]
+    forward_differences(vals)
+    assert _interpolate(vals) == trimmed
+    assert len(_EXTRAPOLATE) == MAX_SIZE
+    for j in range(max(len(trimmed) - 1, 0), MAX_SIZE):
+        p = [_int_eval(c, t) for t in range(j + 1)]
+        assert sum(w * x for w, x in zip(_EXTRAPOLATE[j], p, strict=True)) == _int_eval(c, j + 1)
 
 
 @settings(max_examples=200, deadline=None)
