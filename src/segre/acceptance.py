@@ -38,7 +38,6 @@ from .symbol import (
     build_normal_form,
     canonicalize,
     compute_symbol,
-    elementary_block,
     random_instance,
 )
 
@@ -214,9 +213,10 @@ def criterion_6_basis_invariance() -> CriterionResult:
 def criterion_7_block_divisors() -> CriterionResult:
     """Each normal block pair has the single elementary divisor (t-a)^e.
 
-    Blocks with e < 5 are padded to full size with distinct simple
-    diagonal roots; the root a must then appear in the top invariant
-    factor with exponent exactly e and nowhere else.
+    The block of [e] at a is padded to full size with 1 x 1 blocks at
+    distinct simple roots, the normal form of [e1...1]; the root a must
+    then appear in the top invariant factor with exponent exactly e and
+    nowhere else.
     """
     rng = random.Random(7)
     bad = []
@@ -228,18 +228,7 @@ def criterion_7_block_divisors() -> CriterionResult:
                 c = Fraction(rng.randint(-9, 9))
                 if c != alpha and c not in pads:
                     pads.append(c)
-            bu, bv = elementary_block(e, alpha)
-            size = 5
-            u = [[Fraction(0)] * size for _ in range(size)]
-            v = [[Fraction(0)] * size for _ in range(size)]
-            for i in range(e):
-                for j in range(e):
-                    u[i][j] = bu[i][j]
-                    v[i][j] = bv[i][j]
-            for k, c in enumerate(pads):
-                u[e + k][e + k] = c
-                v[e + k][e + k] = Fraction(1)
-            pencil = QuadricPencil(as_matrix(u), as_matrix(v))
+            pencil = build_normal_form(f"[{e}{'1' * (5 - e)}]", [alpha, *pads])
             linear = [-alpha.numerator, alpha.denominator]
             exps = []
             for f in invariant_factors(pencil).factors:

@@ -28,6 +28,10 @@ which makes the integer scaling invisible.
 
 A pencil holds its cleared pair from construction on, with the least common
 denominator, and builds its rational matrices only when they are read.
+Outside rationals enter through the ``QuadricPencil`` constructor, which
+reads, checks and clears them; every pencil the package derives from
+others (a congruence, a basis change, a selected member, a normal form,
+an unpickled copy) is built on its integer pair by ``_reduced``.
 
 Pencils are at most ``MAX_SIZE`` x ``MAX_SIZE`` = 5 x 5, quadrics in P^4,
 where Segre quartic surfaces live; a larger or an empty pair raises
@@ -114,8 +118,7 @@ def _exact(rows: Iterable[Iterable[Rational | int | str]]) -> list[list[int | Fr
 
 
 def as_matrix(rows: Iterable[Iterable[Rational | int | str]]) -> Matrix:
-    exact = _exact(rows)
-    return tuple(tuple(c if type(c) is Fraction else Fraction(c) for c in row) for row in exact)
+    return tuple(tuple(c if type(c) is Fraction else Fraction(c) for c in row) for row in _exact(rows))
 
 
 def _check_square(m: Sequence[Sequence[object]]) -> None:
@@ -124,22 +127,25 @@ def _check_square(m: Sequence[Sequence[object]]) -> None:
 
 
 def _check_symmetric(m: Sequence[Sequence[object]], name: str = "matrix") -> None:
-    _check_square(m)
+    """For a matrix ``_exact`` has already read, so square."""
     if any(m[i][j] != m[j][i] for i in range(len(m)) for j in range(i)):
         raise PencilError(f"{name} is not symmetric")
 
 
 def identity(size: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(size)) for i in range(size)
-    )
+    """The size x size identity; a size that is not an ``int`` raises
+    ``PencilError``, one outside 1..``MAX_SIZE`` ``SizeLimitError``."""
+    _check_size(size)
+    return diagonal([1] * size)
 
 
 def diagonal(entries: Sequence[Rational | int]) -> Matrix:
+    """The diagonal matrix of 1..``MAX_SIZE`` entries; other counts raise ``SizeLimitError``."""
     try:
         es = list(entries)
     except TypeError:
         raise PencilError(f"diagonal must be a sequence, got {type(entries).__name__}") from None
+    _check_size(len(es))
     return as_matrix([[es[i] if i == j else 0 for j in range(len(es))] for i in range(len(es))])
 
 
@@ -193,6 +199,8 @@ def _cleared(m: Sequence[Sequence[int | Fraction]]) -> tuple[IntMatrix, int]:
 # ---------------------------------------------------------------------------
 
 def _check_size(size: int) -> None:
+    if not isinstance(size, int):
+        raise PencilError(f"size must be an int, got {type(size).__name__}")
     if size < 1:
         raise SizeLimitError("pencils are at least 1 x 1")
     if size > MAX_SIZE:
@@ -320,6 +328,11 @@ def _rational(im: IntMatrix, mult: int) -> Matrix:
     return tuple(tuple(Fraction(c, mult) for c in row) for row in im)
 
 
+def _lin(iu: IntRows, iv: IntRows, x: int, y: int) -> list[list[int]]:
+    """x*U + y*V on integer matrices."""
+    return [[x * a + y * b for a, b in zip(ru, rv)] for ru, rv in zip(iu, iv)]
+
+
 def _conj(m: IntRows, cols: Sequence[Sequence[int]]) -> list[list[int]]:
     """A^T M A for a symmetric integer M and the integer A with columns ``cols``."""
     at_m = [[sum(x * y for x, y in zip(ac, row)) for row in m] for ac in cols]
@@ -349,12 +362,16 @@ def change_basis(
     c: Rational | int,
     d: Rational | int,
 ) -> QuadricPencil:
-    """Replace (U, V) by (a*U + b*V, c*U + d*V); requires ad - bc != 0."""
+    """Replace (U, V) by (a*U + b*V, c*U + d*V); requires ad - bc != 0.
+    The scalars are read as entries are (``_entry``) and cleared over their
+    least common denominator m: the pair is built over mult * m."""
     _check_pencil(p)
-    a, b, c, d = map(_entry, (a, b, c, d))
+    es = [_entry(e) for e in (a, b, c, d)]
+    m = math.lcm(*(e.denominator for e in es))
+    a, b, c, d = (e.numerator * (m // e.denominator) for e in es)
     if a * d - b * c == 0:
         raise PencilError("pencil basis change must be invertible")
-    return QuadricPencil(p.member(a, b), p.member(c, d))
+    return _reduced(_lin(p._iu, p._iv, a, b), _lin(p._iu, p._iv, c, d), p._mult * m)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +614,7 @@ def _part_classes(iu: IntRows, iv: IntRows, m: int, h: list[int]) -> list[RootCl
             return [c for lin in lins for c in _part_classes(iu, iv, m, lin)]
     c = h[-1]
     if d == 1:  # c*U + h[0]*V: the form below, built directly on the hot path
-        a = [[c * x + h[0] * y for x, y in zip(ru, rv)] for ru, rv in zip(iu, iv)]
+        a = _lin(iu, iv, c, h[0])
     else:
         cc = [[c * (k == l + 1) - h[k] * (l == d - 1) for l in range(d)] for k in range(d)]
         a = [
@@ -675,8 +692,7 @@ def select_nonsingular_member(p: QuadricPencil) -> QuadricPencil:
     if len(f) > size:
         return p
     t0 = _sweep_value(f, size)
-    iu, iv = p._iu, p._iv
-    return _reduced(iv, [[a + t0 * b for a, b in zip(ru, rv)] for ru, rv in zip(iu, iv)], p._mult)
+    return _reduced(p._iv, _lin(p._iu, p._iv, 1, t0), p._mult)
 
 
 def _selected_classes(p: QuadricPencil) -> tuple[Sequence[int], int, list[RootClass]]:

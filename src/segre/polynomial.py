@@ -8,9 +8,10 @@ Geddes and Gonnet 1989; ``_int_gcd_cofactors``): the gcd of the two
 polynomials' values at one integer point, read back into a polynomial
 by its balanced digits (``_int_digits``) and proved by exact division.
 A squarefree determinant, such as a generic pencil's, is one integer
-gcd.  A primitive pseudo-remainder sequence (``_int_gcd``), which keeps
+gcd.  The coprime basis takes its gcds from the same heuristic.  A
+primitive pseudo-remainder sequence (``_int_gcd``), which keeps
 coefficients small at the degrees, at most seven, this package cares
-about, runs the coprime basis and answers when the heuristic gives up.
+about, answers when the heuristic gives up.
 ``Polynomial`` is the value that leaves the engine: an immutable
 tuple of ``fractions.Fraction`` coefficients (``Rational``) with no
 arithmetic of its own.  Text comes from one renderer on an integer
@@ -240,20 +241,20 @@ def _int_coprime_basis(ps: Sequence[Sequence[int]]) -> list[list[int]]:
     """Pairwise-coprime primitive polynomials multiplying out to the inputs.
 
     Inputs are primitive, squarefree and nonconstant.  Repeated pairwise
-    gcd splitting; sorted by the monic (degree, coefficients from the
-    leading term down), so equal inputs always give the identical basis.
+    gcd splitting, each gcd with its cofactors from ``_int_gcd_cofactors``;
+    sorted by the monic (degree, coefficients from the leading term down),
+    so equal inputs always give the identical basis.
     """
     basis: list[list[int]] = []
     queue = [list(p) for p in ps]
     while queue:
         p = queue.pop()
         for i, b in enumerate(basis):
-            g = _int_gcd(p, b)
+            g, q, r = _int_gcd_cofactors(p, b)
             if len(g) > 1:
-                if g != b:
+                if len(r) > 1:
                     basis[i] = g
-                    queue.append(_int_exact_div(b, g))
-                q = _int_exact_div(p, g)
+                    queue.append(r)
                 if len(q) > 1:
                     queue.append(q)
                 break
@@ -506,7 +507,7 @@ def coprime_basis(ps: Sequence[Polynomial]) -> list[Polynomial]:
         if p.leading != 1:
             raise PencilError(f"coprime_basis requires monic inputs, got {p}")
         c = _int_coeffs(p)
-        if len(_int_gcd(c, _int_derivative(c))) > 1:
+        if len(_int_gcd_cofactors(c, _int_derivative(c))[0]) > 1:
             raise PencilError(f"coprime_basis requires squarefree inputs, got {p}")
         cs.append(c)
     return [_monic_poly(b) for b in _int_coprime_basis(cs)]

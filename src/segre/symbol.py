@@ -12,6 +12,7 @@ irrational or complex) root.
 
 from __future__ import annotations
 
+import math
 import re
 from collections.abc import Sequence
 from fractions import Fraction
@@ -25,8 +26,8 @@ from .pencil import (
     _bareiss,
     _check_size,
     _entry,
+    _reduced,
     _selected_classes,
-    as_matrix,
     congruent,
 )
 from .polynomial import Polynomial, Rational, _basis_key, _int_mul, _monic_poly, _rational_str
@@ -283,32 +284,13 @@ def _symbol_from_classes(
 # ---------------------------------------------------------------------------
 
 def elementary_block(e: int, alpha: Rational | int) -> tuple[Matrix, Matrix]:
-    """The e x e symmetric pair whose pencil has the single elementary
-    divisor (lambda - alpha)^e: alpha on the antidiagonal with a run of
-    ones just below it, paired with the exchange matrix.  alpha is read
-    as every matrix entry is (``pencil._entry``)."""
-    u = [[0] * e for _ in range(e)]
-    v = [[0] * e for _ in range(e)]
-    for i in range(e):
-        for j in range(e):
-            if i + j == e - 1:
-                u[i][j] = alpha
-                v[i][j] = 1
-            elif i + j == e:
-                u[i][j] = 1
-    return as_matrix(u), as_matrix(v)
-
-
-def _block_diag(blocks: Sequence[Matrix]) -> Matrix:
-    size = sum(len(b) for b in blocks)
-    out = [[Fraction(0)] * size for _ in range(size)]
-    offset = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            for j, c in enumerate(row):
-                out[offset + i][offset + j] = c
-        offset += len(b)
-    return as_matrix(out)
+    """The e x e symmetric pair with the single elementary divisor
+    (lambda - alpha)^e: the ``u`` and ``v`` of the normal form of [e] at
+    alpha.  An e that is not an ``int`` raises ``PencilError``, one outside
+    1..``pencil.MAX_SIZE`` ``SizeLimitError``."""
+    _check_size(e)
+    p = build_normal_form(SegreSymbol([Group((e,))]), [alpha])
+    return p.u, p.v
 
 
 def build_normal_form(
@@ -323,9 +305,14 @@ def build_normal_form(
     before any block is built; roots that are not a sequence, a root
     ``pencil._entry`` refuses, a wrong number of roots or two equal roots
     raise ``PencilError``.
+
+    Each block is written straight into the integer pair over den, the
+    least common denominator of the roots: U has den * root on the block's
+    antidiagonal and den just below it, V has den on its antidiagonal.
     """
     s = canonicalize(s)
-    _check_size(s.weight)
+    size = s.weight
+    _check_size(size)
     try:
         rs = list(roots)
     except TypeError:
@@ -335,14 +322,20 @@ def build_normal_form(
         raise PencilError(f"{s.render()} needs {len(s.groups)} roots, got {len(rs)}")
     if len(set(rs)) != len(rs):
         raise PencilError("roots of distinct groups must be pairwise distinct")
-    ublocks: list[Matrix] = []
-    vblocks: list[Matrix] = []
+    den = math.lcm(*(r.denominator for r in rs))
+    iu = [[0] * size for _ in range(size)]
+    iv = [[0] * size for _ in range(size)]
+    k = 0  # the first row and column of the next block
     for g, r in zip(s.groups, rs):
+        a = r.numerator * (den // r.denominator)
         for e in g.exponents:
-            bu, bv = elementary_block(e, r)
-            ublocks.append(bu)
-            vblocks.append(bv)
-    return QuadricPencil(_block_diag(ublocks), _block_diag(vblocks))
+            for i in range(k, k + e):
+                j = 2 * k + e - 1 - i  # (i, j) on the block's antidiagonal
+                iu[i][j], iv[i][j] = a, den
+                if i > k:
+                    iu[i][j + 1] = den
+            k += e
+    return _reduced(iu, iv, den)
 
 
 def random_instance(s: SegreSymbol | str, seed: int) -> QuadricPencil:

@@ -8,8 +8,9 @@ import pytest
 
 import segre
 import segre.forms
+import segre.symbol
 from segre.catalog import catalog_row, in_catalog
-from segre.errors import NotInCatalogError, ParseError, PencilError, SegreError
+from segre.errors import NotInCatalogError, ParseError, PencilError, SegreError, SizeLimitError
 
 PUBLIC = [
     "AutE",
@@ -238,6 +239,17 @@ PENCIL_ERRORS = {
     ),
     # an argument that is not iterable raised TypeError
     "diagonal of an int": (lambda: segre.pencil.diagonal(5), "diagonal must be a sequence, got int"),
+    # the matrix helpers raised TypeError on a size that is not an int
+    **{
+        f"{name} of {type(size).__name__}": (
+            lambda call=call, size=size: call(size), f"size must be an int, got {type(size).__name__}"
+        )
+        for name, call in {
+            "identity": segre.pencil.identity,
+            "elementary_block": lambda e: segre.symbol.elementary_block(e, 1),
+        }.items()
+        for size in ("3", None, 2.5)
+    },
     "normal form roots an int": (
         lambda: segre.build_normal_form("[2111]", 5),
         "roots must be a sequence, got int",
@@ -314,6 +326,34 @@ def test_render_form_reads_entries_as_the_pencil_does():
 def test_decimal_entries_are_read_from_their_text():
     assert segre.QuadricPencil([[Decimal("0.1")]], [[1]]).u == ((Fraction(1, 10),),)
     assert segre.Polynomial([Decimal("0.1"), Decimal("2E+3")]).coeffs == (Fraction(1, 10), 2000)
+
+
+# the matrix helpers built an empty matrix below size 1 and any matrix
+# above MAX_SIZE, in time that grows as size^2
+SIZE_ERRORS = {
+    f"{name}({size})": (lambda call=call, size=size: call(size), message)
+    for name, call in {
+        "identity": segre.pencil.identity,
+        "elementary_block": lambda e: segre.symbol.elementary_block(e, 1),
+        "diagonal": lambda n: segre.pencil.diagonal(range(n)),
+    }.items()
+    for size, message in {
+        0: "pencils are at least 1 x 1",
+        -2: "pencils are at least 1 x 1",
+        6: "pencils are at most 5 x 5, got 6 x 6",
+        7: "pencils are at most 5 x 5, got 7 x 7",
+        1200: "pencils are at most 5 x 5, got 1200 x 1200",
+    }.items()
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIZE_ERRORS))
+def test_matrix_helper_sizes_raise_size_limit_error(case):
+    call, message = SIZE_ERRORS[case]
+    with pytest.raises(SegreError) as info:
+        call()
+    assert type(info.value) is SizeLimitError and isinstance(info.value, ValueError)
+    assert str(info.value) == message
 
 
 # constructors and lookups that take typed items, and items of the wrong type

@@ -25,7 +25,6 @@ from segre.pencil import (
     _laplace_table,
     _poly_minor,
     det_poly,
-    identity,
     invariant_factors,
 )
 from segre.polynomial import _int_digits, _int_eval
@@ -323,8 +322,9 @@ def test_determinant_makes_no_bareiss_call(monkeypatch):
 
 def test_pencils_past_the_size_limit_are_refused():
     # pencils are capped at the 5 x 5 of quadrics in P^4
+    big = [[int(i == j) for j in range(MAX_SIZE + 1)] for i in range(MAX_SIZE + 1)]
     with pytest.raises(SizeLimitError, match=f"at most {MAX_SIZE} x {MAX_SIZE}"):
-        QuadricPencil(identity(MAX_SIZE + 1), identity(MAX_SIZE + 1))
+        QuadricPencil(big, big)
     with pytest.raises(SizeLimitError):
         random_instance("[" + "1" * (MAX_SIZE + 1) + "]", 0)
     with pytest.raises(SizeLimitError, match="got 20 x 20"):

@@ -259,9 +259,10 @@ def test_reader_errors_are_unchanged(text, message):
 
 
 _I5 = identity(5)
+_I8 = [[int(i == j) for j in range(8)] for i in range(8)]  # identity() refuses the size itself
 API_ERRORS = [
     (lambda: QuadricPencil(identity(4), identity(5)), ValueError, "U and V must have the same size"),
-    (lambda: QuadricPencil(identity(8), identity(8)), SizeLimitError,
+    (lambda: QuadricPencil(_I8, _I8), SizeLimitError,
      "pencils are at most 5 x 5, got 8 x 8"),
     (lambda: QuadricPencil([[1, 2], [2]], identity(2)), ValueError, "matrix must be square"),
     (lambda: QuadricPencil(identity(2), [[1, 2, 3], [2, 1, 0]]), ValueError,
@@ -271,7 +272,7 @@ API_ERRORS = [
     (lambda: QuadricPencil([["abc"]], [[1]]), ValueError, "Invalid literal for Fraction: 'abc'"),
     (lambda: congruent(QuadricPencil(_I5, _I5), [[1, 2], [3]]), ValueError,
      "matrix must be square"),
-    (lambda: congruent(QuadricPencil(_I5, _I5), identity(8)), SizeLimitError,
+    (lambda: congruent(QuadricPencil(_I5, _I5), _I8), SizeLimitError,
      "pencils are at most 5 x 5, got 8 x 8"),
     (lambda: change_basis(QuadricPencil(_I5, _I5), 1, 2, 2, 4), ValueError,
      "pencil basis change must be invertible"),

@@ -190,8 +190,14 @@ class TestCoprimeBasis:
             product([linear(1), linear(2), linear(3)]),
             product([linear(2), linear(4)]),
             product([linear(3), linear(4)]),
+            product([P(1, 0, 1), linear(2)]),
+            product([P(2, 0, 1), P(1, 0, 1)]),
         ]
-        check_coprime_basis(inputs, coprime_basis(inputs))
+        # the squarefree checks and the splits all take the heuristic gcd
+        with prs_calls() as calls:
+            basis = coprime_basis(inputs)
+        assert calls == []
+        check_coprime_basis(inputs, basis)
 
 
 def check_coprime_basis(inputs, basis):

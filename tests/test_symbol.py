@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -241,6 +242,81 @@ class TestNormalForm:
             sym = canonicalize(text)
             roots = list(range(1, len(sym.groups) + 1))
             assert compute_symbol(build_normal_form(sym, roots)) == sym
+
+
+def _partitions(n, most=None):
+    """The partitions of n, each descending."""
+    if n == 0:
+        yield ()
+    for k in range(min(n, most or n), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
+
+
+def _symbols_up_to(weight):
+    """Every Segre symbol of weight 1..weight, canonical, once each."""
+    found = {}
+
+    def extend(groups, left):
+        if groups:
+            s = SegreSymbol([Group(g) for g in groups]).canonical()
+            found.setdefault(s.render(), s)
+        for k in range(1, left + 1):
+            for lam in _partitions(k):
+                extend(groups + [lam], left - k)
+
+    extend([], weight)
+    return list(found.values())
+
+
+def _fraction_normal_form(s, roots):
+    """The Fraction construction of a normal form: each block by
+    elementary_block's loops, placed on the diagonal, read by QuadricPencil."""
+    ublocks, vblocks = [], []
+    for g, r in zip(s.groups, roots):
+        for e in g.exponents:
+            bu = [[Fraction(0)] * e for _ in range(e)]
+            bv = [[Fraction(0)] * e for _ in range(e)]
+            for i in range(e):
+                for j in range(e):
+                    if i + j == e - 1:
+                        bu[i][j] = Fraction(r)
+                        bv[i][j] = Fraction(1)
+                    elif i + j == e:
+                        bu[i][j] = Fraction(1)
+            assert elementary_block(e, r) == (as_matrix(bu), as_matrix(bv))
+            ublocks.append(bu)
+            vblocks.append(bv)
+
+    def placed(blocks):
+        size = sum(map(len, blocks))
+        out = [[Fraction(0)] * size for _ in range(size)]
+        offset = 0
+        for b in blocks:
+            for i, row in enumerate(b):
+                out[offset + i][offset : offset + len(row)] = row
+            offset += len(b)
+        return out
+
+    return QuadricPencil(placed(ublocks), placed(vblocks))
+
+
+NORMAL_FORM_ROOTS = {
+    "integers": [3, -1, 0, 7, -9],
+    "mixed denominators": [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), 3, Fraction(-1, 4)],
+    "a Decimal": [Decimal("0.25"), 7, Fraction(-3, 5), 0, Fraction(2, 9)],
+}
+
+
+@pytest.mark.parametrize("roots", NORMAL_FORM_ROOTS.values(), ids=NORMAL_FORM_ROOTS)
+def test_normal_forms_match_the_fraction_construction(roots):
+    symbols = _symbols_up_to(5)
+    assert len(symbols) == 1 + 3 + 6 + 14 + 27
+    for s in symbols:
+        rs = roots[: len(s.groups)]
+        p, want = build_normal_form(s, rs), _fraction_normal_form(s, rs)
+        assert (p._mult, p._iu, p._iv) == (want._mult, want._iu, want._iv)
+        assert (p.u, p.v) == (want.u, want.v)
 
 
 class TestRandomInstance:
