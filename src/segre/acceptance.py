@@ -32,7 +32,7 @@ from .pencil import (
     invariant_factors,
     select_nonsingular_member,
 )
-from .polynomial import _int_coeffs, _int_divide
+from .polynomial import _int_divide
 from .symbol import (
     SegreSymbol,
     build_normal_form,
@@ -232,7 +232,7 @@ def criterion_7_block_divisors() -> CriterionResult:
             linear = [-alpha.numerator, alpha.denominator]
             exps = []
             for f in invariant_factors(pencil).factors:
-                d, ct = _int_coeffs(f), 0
+                d, ct = f._c, 0
                 while (d := _int_divide(d, linear)) is not None:
                     ct += 1
                 exps.append(ct)

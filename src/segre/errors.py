@@ -19,8 +19,9 @@ class NoSmoothMemberError(DegeneratePencilError):
 
 class SizeLimitError(SegreError, ValueError):
     """An input outside the sizes handled: an empty (0 x 0) pencil or one
-    larger than ``pencil.MAX_SIZE`` x ``pencil.MAX_SIZE``, or a symbol to
-    classify whose weight is not 5 (a pencil that is not 5 x 5)."""
+    larger than ``pencil.MAX_SIZE`` x ``pencil.MAX_SIZE`` (a matrix to
+    ``render_form`` too), or a symbol to classify whose weight is not 5
+    (a pencil that is not 5 x 5)."""
 
 
 class PencilError(SegreError, ValueError):
@@ -28,14 +29,15 @@ class PencilError(SegreError, ValueError):
     ``QuadricPencil``, a bad entry, scalar, root or polynomial coefficient
     (one that is not a finite rational or that passes the input limits), a
     matrix that is not a sequence of rows, a diagonal, roots or polynomial
-    coefficients not a sequence, a pair not square, symmetric and of one
-    size, a congruence of the wrong size, a singular basis change,
-    ``degeneracy_report`` of a pencil with a smooth member, roots that do
-    not fit a normal form, a ``random_instance`` seed that is not an
-    ``int``, a matrix ``render_form`` cannot render, or an argument of
-    ``squarefree_decomposition`` or ``coprime_basis`` that is not a
-    ``Polynomial`` (or a sequence of them), is zero, or, to
-    ``coprime_basis``, is constant, not monic or not squarefree."""
+    coefficients not a sequence (text and bytes are not one), a pair not
+    square, symmetric and of one size, a congruence of the wrong size, a
+    singular basis change, ``degeneracy_report`` of a pencil with a smooth
+    member, roots that do not fit a normal form, a ``random_instance``
+    seed that is not an ``int``, a matrix ``render_form`` cannot render,
+    an argument of ``squarefree_decomposition`` or ``coprime_basis`` that
+    is not a ``Polynomial`` (or a sequence of them), is zero, or, to
+    ``coprime_basis``, is constant, not monic or not squarefree, or the
+    ``leading`` coefficient of the zero ``Polynomial``."""
 
 
 class IllConditionedError(SegreError):

@@ -26,8 +26,8 @@ from fractions import Fraction
 from ._record import Record
 from .errors import DegreeError, ParseError, ZeroFormError
 from .pencil import (
-    MAX_SIZE, Matrix, QuadricPencil, _check_pencil, _check_square, _check_symmetric, _entry, _exact,
-    as_matrix,
+    MAX_SIZE, Matrix, QuadricPencil, _check_pencil, _check_size, _check_square, _check_symmetric,
+    _entry, _exact, as_matrix,
 )
 from .polynomial import _rational_str
 
@@ -127,10 +127,12 @@ def parse_quadratic_form(text: str) -> ParsedForm:
 
 
 def render_form(matrix: Matrix) -> str:
-    """Canonical text for X^T M X; reparsing returns the identical matrix.
-    The matrix is read as ``QuadricPencil`` reads one, and one that is not
-    square and symmetric raises ``PencilError``."""
+    """Canonical text for X^T M X; reparsing returns the identical matrix,
+    padded with zeros to 5 x 5.  The matrix is read as ``QuadricPencil``
+    reads one: one not square and symmetric raises ``PencilError``, an
+    empty or a larger one than ``MAX_SIZE`` x ``MAX_SIZE`` ``SizeLimitError``."""
     matrix = _exact(matrix)
+    _check_size(len(matrix))
     _check_symmetric(matrix)
     parts: list[tuple[Fraction, str]] = []
     for i in range(len(matrix)):

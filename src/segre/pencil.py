@@ -58,6 +58,7 @@ from .polynomial import (  # _entry: forms, cli, symbol and the tests import it 
     Polynomial,
     Rational,
     _EXACT,
+    _cleared,
     _entry,
     _int_digits,
     _int_eval,
@@ -65,7 +66,8 @@ from .polynomial import (  # _entry: forms, cli, symbol and the tests import it 
     _int_primitive,
     _int_squarefree_decomposition,
     _int_trim,
-    _monic_poly,
+    _items,
+    _of,
 )
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -110,9 +112,10 @@ __all__ = [
 def _exact(rows: Iterable[Iterable[Rational | int | str]]) -> list[list[int | Fraction]]:
     """``as_matrix`` without building a ``Fraction`` for an ``int`` entry."""
     try:
-        out = [[c if type(c) in _EXACT else _entry(c) for c in row] for row in rows]
-    except TypeError:  # rows, or a row, that cannot be iterated
+        rows = [_items(row, "row") for row in _items(rows, "matrix")]
+    except PencilError:  # rows, or a row, that is text or cannot be iterated
         raise PencilError("matrix must be a sequence of rows") from None
+    out = [[c if type(c) in _EXACT else _entry(c) for c in row] for row in rows]
     _check_square(out)
     return out
 
@@ -141,10 +144,7 @@ def identity(size: int) -> Matrix:
 
 def diagonal(entries: Sequence[Rational | int]) -> Matrix:
     """The diagonal matrix of 1..``MAX_SIZE`` entries; other counts raise ``SizeLimitError``."""
-    try:
-        es = list(entries)
-    except TypeError:
-        raise PencilError(f"diagonal must be a sequence, got {type(entries).__name__}") from None
+    es = _items(entries, "diagonal")
     _check_size(len(es))
     return as_matrix([[es[i] if i == j else 0 for j in range(len(es))] for i in range(len(es))])
 
@@ -186,12 +186,6 @@ def _bareiss(m: Sequence[Sequence[int]]) -> tuple[list[int], int, list[list[int]
         pivots.append(c)
     det = sign * prev if len(pivots) == rows == cols else 0
     return pivots, det, a
-
-
-def _cleared(m: Sequence[Sequence[int | Fraction]]) -> tuple[IntMatrix, int]:
-    """The integer matrix mult * m and the least such ``mult``."""
-    mult = math.lcm(*(c.denominator for row in m for c in row))
-    return tuple(tuple(c.numerator * (mult // c.denominator) for c in row) for row in m), mult
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +360,7 @@ def change_basis(
     The scalars are read as entries are (``_entry``) and cleared over their
     least common denominator m: the pair is built over mult * m."""
     _check_pencil(p)
-    es = [_entry(e) for e in (a, b, c, d)]
-    m = math.lcm(*(e.denominator for e in es))
-    a, b, c, d = (e.numerator * (m // e.denominator) for e in es)
+    ((a, b, c, d),), m = _cleared([[_entry(e) for e in (a, b, c, d)]])
     if a * d - b * c == 0:
         raise PencilError("pencil basis change must be invertible")
     return _reduced(_lin(p._iu, p._iv, a, b), _lin(p._iu, p._iv, c, d), p._mult * m)
@@ -495,8 +487,7 @@ def det_poly(p: QuadricPencil) -> Polynomial:
     off the pencil's one expansion (``_det``).
     """
     _check_pencil(p)
-    den = p._mult ** p.size
-    return Polynomial([Fraction(c, den) for c in _det(p)])
+    return _of(_det(p), p._mult ** p.size)
 
 
 class InvariantFactors(Record):
@@ -659,7 +650,7 @@ def invariant_factors(p: QuadricPencil) -> InvariantFactors:
     if not f:
         raise DegeneratePencilError("determinant of the pencil vanishes identically")
     chain = _chain(_root_classes(p._iu, p._iv, f), p.size)
-    return InvariantFactors(tuple(_monic_poly(d) for d in chain))
+    return InvariantFactors(tuple(_of(d, d[-1]) for d in chain))
 
 
 def _sweep_value(f: Sequence[int], size: int) -> int:

@@ -12,13 +12,14 @@ gcd.  The coprime basis takes its gcds from the same heuristic.  A
 primitive pseudo-remainder sequence (``_int_gcd``), which keeps
 coefficients small at the degrees, at most seven, this package cares
 about, answers when the heuristic gives up.
-``Polynomial`` is the value that leaves the engine: an immutable
-tuple of ``fractions.Fraction`` coefficients (``Rational``) with no
-arithmetic of its own.  Text comes from one renderer on an integer
+``Polynomial`` is the value that leaves the engine, with no arithmetic
+of its own: integer coefficients over one denominator (``_of``), with
+``Fraction`` coefficients (``Rational``) built on read; ``_cleared``
+takes the package's one lcm.  Text comes from one renderer on an integer
 coefficient list and a denominator, ``_poly_str``: reports render the
-exact chain's lists with it directly, and ``Polynomial.__str__`` renders
-through it once and keeps the string.  ``_entry`` is the one reader of
-a rational from outside the package.
+exact chain's lists with it directly, and ``Polynomial`` renders its
+pair through it once and keeps the text.  ``_entry`` is the one reader
+of a rational from outside the package, ``_items`` of a sequence of them.
 """
 
 from __future__ import annotations
@@ -334,6 +335,24 @@ def _entry(c: object) -> int | Fraction:
     return q
 
 
+def _items(x: object, what: str) -> list:
+    """``list(x)`` for a sequence read from outside; text, bytes ('12' would
+    be 1 and 2) and a value that cannot be iterated raise ``PencilError``."""
+    if not isinstance(x, (str, bytes, bytearray)):
+        try:
+            return list(x)
+        except TypeError:
+            pass
+    raise PencilError(f"{what} must be a sequence, got {type(x).__name__}")
+
+
+def _cleared(m: Sequence[Sequence[int | Fraction]]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The integer rows mult * m and the least such ``mult``, the least
+    common denominator of the entries; a list takes one row."""
+    mult = math.lcm(*(c.denominator for row in m for c in row))
+    return tuple(tuple(c.numerator * (mult // c.denominator) for c in row) for row in m), mult
+
+
 # Python refuses int -> str past a digit limit (4300 by default, 640 at
 # the least); decimal.Decimal converts exactly with no limit.
 _PLAIN_STR_BITS = 2000
@@ -345,8 +364,7 @@ def _int_str(n: int) -> str:
 
 def _rational_str(q: Rational | int) -> str:
     """``str(q)``, also for numerators past the int->str limit."""
-    num = _int_str(q.numerator)
-    return num if q.denominator == 1 else f"{num}/{_int_str(q.denominator)}"
+    return _poly_str((q.numerator,), q.denominator)
 
 
 def _poly_str(c: Sequence[int], den: int = 1) -> str:
@@ -379,46 +397,46 @@ def _poly_str(c: Sequence[int], den: int = 1) -> str:
 # ---------------------------------------------------------------------------
 
 class Polynomial:
-    """Dense univariate polynomial with ``Fraction`` coefficients, as the
-    engine hands it out: a value to compare, hash, pickle and print.
+    """Dense univariate polynomial, as the engine hands it out: integers
+    ``_c`` over one denominator ``_den`` (``_of``), a value to compare,
+    hash, pickle and print, whose ``coeffs`` are built on first read.
 
     Immutable; the zero polynomial has an empty coefficient tuple and
     degree -1.  Each coefficient is read by ``_entry``, so one it refuses
     raises ``PencilError``, as do coefficients that are not a sequence.
     """
 
-    __slots__ = ("coeffs", "_text")
+    __slots__ = ("_c", "_den", "_coeffs", "_text")
 
-    def __init__(self, coeffs: Iterable[Rational | int] = ()):
-        try:
-            cs = list(coeffs)
-        except TypeError:
-            raise PencilError(f"coefficients must be a sequence, got {type(coeffs).__name__}") from None
-        cs = [q if type(q) is Fraction else Fraction(q) for q in map(_entry, cs)]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "_text", None)  # str(self), made on first use
+    def __new__(cls, coeffs: Iterable[Rational | int] = ()):
+        (c,), den = _cleared([[_entry(q) for q in _items(coeffs, "coefficients")]])
+        return _of(c, den)
 
     # -- basic queries --------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Rational, ...]:
+        if self._coeffs is None:
+            object.__setattr__(self, "_coeffs", tuple(Fraction(a, self._den) for a in self._c))
+        return self._coeffs
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._c) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._c
 
     @property
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self._c) <= 1
 
     @property
     def leading(self) -> Rational:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        if not self._c:
+            raise PencilError("zero polynomial has no leading coefficient")
+        return Fraction(self._c[-1], self._den)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Polynomial is immutable")
@@ -426,16 +444,16 @@ class Polynomial:
     __delattr__ = __setattr__
 
     def __reduce__(self):
-        return type(self), (self.coeffs,)
+        return _of, (self._c, self._den)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
+        return isinstance(other, Polynomial) and (self._c, self._den) == (other._c, other._den)
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self._c, self._den))
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._c)
 
     # -- rendering ------------------------------------------------------------
 
@@ -444,26 +462,23 @@ class Polynomial:
 
     def __str__(self) -> str:
         if self._text is None:
-            den = math.lcm(*(c.denominator for c in self.coeffs))
-            ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
-            object.__setattr__(self, "_text", _poly_str(ints, den))
+            object.__setattr__(self, "_text", _poly_str(self._c, self._den))
         return self._text
+
+
+def _of(c: Sequence[int], den: int) -> Polynomial:
+    """The ``Polynomial`` c[i] / den (den != 0), ``_c`` trimmed and ``_den`` > 0
+    in lowest terms; ``_of(b, b[-1])`` is the monic one of an integer list b."""
+    g = -math.gcd(den, *c) if den < 0 else math.gcd(den, *c)
+    p = object.__new__(Polynomial)
+    for name, value in zip(p.__slots__, (tuple(_int_trim([a // g for a in c])), den // g, None, None)):
+        object.__setattr__(p, name, value)  # _coeffs and _text: built on first read
+    return p
 
 
 # ---------------------------------------------------------------------------
 # Yun decomposition and coprime basis: Polynomial wrappers over the engine
 # ---------------------------------------------------------------------------
-
-def _int_coeffs(p: Polynomial) -> list[int]:
-    """Primitive integer coefficients of a rational multiple of p."""
-    m = math.lcm(*(c.denominator for c in p.coeffs))
-    return _int_primitive([c.numerator * (m // c.denominator) for c in p.coeffs])
-
-
-def _monic_poly(c: Sequence[int]) -> Polynomial:
-    """The monic Polynomial of an integer coefficient list."""
-    return Polynomial([Fraction(a, c[-1]) for a in c]) if c else Polynomial()
-
 
 def _check_poly(p: object) -> None:
     if not isinstance(p, Polynomial):
@@ -481,7 +496,7 @@ def squarefree_decomposition(p: Polynomial) -> list[tuple[int, Polynomial]]:
     _check_poly(p)
     if p.is_zero:
         raise PencilError("squarefree decomposition of the zero polynomial is undefined")
-    return [(k, _monic_poly(f)) for k, f in _int_squarefree_decomposition(_int_coeffs(p))]
+    return [(k, _of(f, f[-1])) for k, f in _int_squarefree_decomposition(p._c)]
 
 
 def coprime_basis(ps: Sequence[Polynomial]) -> list[Polynomial]:
@@ -495,19 +510,15 @@ def coprime_basis(ps: Sequence[Polynomial]) -> list[Polynomial]:
     equal inputs always produce the identical basis.  Inputs that are not
     a sequence of such ``Polynomial`` values raise ``PencilError``.
     """
-    try:
-        ps = list(ps)
-    except TypeError:
-        raise PencilError(f"polynomials must be a sequence, got {type(ps).__name__}") from None
-    cs: list[list[int]] = []
-    for p in ps:
+    cs: list[Sequence[int]] = []
+    for p in _items(ps, "polynomials"):
         _check_poly(p)
         if p.is_constant:
             raise PencilError(f"coprime_basis requires nonconstant inputs, got {p}")
-        if p.leading != 1:
+        c = p._c
+        if c[-1] != p._den:
             raise PencilError(f"coprime_basis requires monic inputs, got {p}")
-        c = _int_coeffs(p)
         if len(_int_gcd_cofactors(c, _int_derivative(c))[0]) > 1:
             raise PencilError(f"coprime_basis requires squarefree inputs, got {p}")
         cs.append(c)
-    return [_monic_poly(b) for b in _int_coprime_basis(cs)]
+    return [_of(b, b[-1]) for b in _int_coprime_basis(cs)]

@@ -12,7 +12,6 @@ irrational or complex) root.
 
 from __future__ import annotations
 
-import math
 import re
 from collections.abc import Sequence
 from fractions import Fraction
@@ -30,7 +29,7 @@ from .pencil import (
     _selected_classes,
     congruent,
 )
-from .polynomial import Polynomial, Rational, _basis_key, _int_mul, _monic_poly, _rational_str
+from .polynomial import Polynomial, Rational, _basis_key, _cleared, _int_mul, _items, _of, _rational_str
 
 __all__ = [
     "ExplicitRoot",
@@ -272,7 +271,7 @@ def _symbol_from_classes(
         if len(b) == 2:
             groups.append(Group(lam, ExplicitRoot(Fraction(-b[0], b[1]))))
         else:
-            poly = _monic_poly(b)
+            poly = _of(b, b[-1])
             if b == top:
                 top_poly = poly
             groups.extend(Group(lam, SymbolicRoot(poly, i)) for i in range(poly.degree))
@@ -313,21 +312,16 @@ def build_normal_form(
     s = canonicalize(s)
     size = s.weight
     _check_size(size)
-    try:
-        rs = list(roots)
-    except TypeError:
-        raise PencilError(f"roots must be a sequence, got {type(roots).__name__}") from None
-    rs = [_entry(r) for r in rs]
+    rs = [_entry(r) for r in _items(roots, "roots")]
     if len(rs) != len(s.groups):
         raise PencilError(f"{s.render()} needs {len(s.groups)} roots, got {len(rs)}")
     if len(set(rs)) != len(rs):
         raise PencilError("roots of distinct groups must be pairwise distinct")
-    den = math.lcm(*(r.denominator for r in rs))
+    (ints,), den = _cleared([rs])
     iu = [[0] * size for _ in range(size)]
     iv = [[0] * size for _ in range(size)]
     k = 0  # the first row and column of the next block
-    for g, r in zip(s.groups, rs):
-        a = r.numerator * (den // r.denominator)
+    for g, a in zip(s.groups, ints):
         for e in g.exponents:
             for i in range(k, k + e):
                 j = 2 * k + e - 1 - i  # (i, j) on the block's antidiagonal

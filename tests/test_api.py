@@ -200,6 +200,24 @@ PENCIL_ERRORS = {
     "list entry": (lambda: segre.QuadricPencil([[[1]]], [[1]]), _NOT_RATIONAL),
     "complex entry": (lambda: segre.QuadricPencil([[1j]], [[1]]), _NOT_RATIONAL),
     "as_matrix of None": (lambda: segre.pencil.as_matrix(None), _NOT_ROWS),
+    # text and bytes were read one character at a time, '12' as 1 and 2
+    "text rows": (lambda: segre.QuadricPencil(["12", "21"], ["10", "01"]), _NOT_ROWS),
+    "bytes rows": (lambda: segre.QuadricPencil([b"12", b"21"], [b"10", b"01"]), _NOT_ROWS),
+    "text matrix": (lambda: segre.QuadricPencil("1", "1"), _NOT_ROWS),
+    "as_matrix of text rows": (lambda: segre.pencil.as_matrix(["12", "21"]), _NOT_ROWS),
+    "congruence of text rows": (lambda: segre.pencil.congruent(_P2, ["10", "01"]), _NOT_ROWS),
+    "render text rows": (lambda: segre.render_form(["12", "21"]), _NOT_ROWS),
+    "render bytearray rows": (lambda: segre.render_form([bytearray(b"1")]), _NOT_ROWS),
+    "Polynomial of text": (lambda: segre.Polynomial("12"), "coefficients must be a sequence, got str"),
+    "Polynomial of bytes": (lambda: segre.Polynomial(b"12"), "coefficients must be a sequence, got bytes"),
+    "diagonal of text": (lambda: segre.pencil.diagonal("12"), "diagonal must be a sequence, got str"),
+    "normal form roots text": (
+        lambda: segre.build_normal_form("[11]", "12"),
+        "roots must be a sequence, got str",
+    ),
+    "coprime_basis of text": (lambda: segre.coprime_basis("t"), "polynomials must be a sequence, got str"),
+    # the one public attribute that raised a plain ValueError
+    "leading of zero": (lambda: segre.Polynomial().leading, "zero polynomial has no leading coefficient"),
     "congruence None": (lambda: segre.pencil.congruent(_P2, None), _NOT_ROWS),
     "member scalar None": (lambda: _P2.member(None, 1), _NOT_RATIONAL),
     # plain ValueErrors
@@ -336,6 +354,8 @@ SIZE_ERRORS = {
         "identity": segre.pencil.identity,
         "elementary_block": lambda e: segre.symbol.elementary_block(e, 1),
         "diagonal": lambda n: segre.pencil.diagonal(range(n)),
+        # rendered X5, X6, ..., which parse_quadratic_form refuses, and "0" for []
+        "render_form": lambda n: segre.render_form([[int(i == j) for j in range(n)] for i in range(n)]),
     }.items()
     for size, message in {
         0: "pencils are at least 1 x 1",

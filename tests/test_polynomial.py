@@ -1,6 +1,9 @@
 """The integer polynomial engine and the ``Polynomial`` wrappers over it,
 checked against sympy's dense routines over QQ."""
 
+import copy
+import math
+import pickle
 import random
 from contextlib import contextmanager
 from fractions import Fraction
@@ -13,9 +16,11 @@ from sympy.polys.euclidtools import dup_gcd, dup_inner_gcd
 from sympy.polys.sqfreetools import dup_sqf_list, dup_sqf_part
 
 import segre.polynomial
+from segre.catalog import CATALOG_ORDER
+from segre.errors import PencilError
+from segre.pencil import _det, congruent, det_poly
 from segre.polynomial import (
     Polynomial,
-    _int_coeffs,
     _int_derivative,
     _int_divide,
     _int_exact_div,
@@ -25,10 +30,11 @@ from segre.polynomial import (
     _int_primitive,
     _int_squarefree_decomposition,
     _int_trim,
-    _monic_poly,
+    _of,
     coprime_basis,
     squarefree_decomposition,
 )
+from segre.symbol import build_normal_form, canonicalize, random_instance
 from test_pencil import from_dup, monic, product, to_dup
 
 
@@ -74,9 +80,10 @@ class TestArithmetic:
             _int_exact_div(p, [-5, 1])
 
     def test_monic(self):
-        assert _monic_poly([2, 4, 2]) == P(1, 2, 1)
-        assert _monic_poly([1, -2]) == P(Fraction(-1, 2), 1)
-        assert _monic_poly([]) == Polynomial()
+        # _of(b, b[-1]) is the monic polynomial of an integer list b
+        assert _of([2, 4, 2], 2) == P(1, 2, 1)
+        assert _of([1, -2], -2) == P(Fraction(-1, 2), 1)
+        assert _of([], 1) == _of([], -5) == Polynomial()
 
     def test_derivative(self):
         assert _int_derivative([5, 3, 2]) == [3, 4]
@@ -113,8 +120,10 @@ class TestGcd:
         # coefficients clear to the primitive 2t - 1
         a = P(Fraction(3, 7), Fraction(-1), Fraction(2, 7))
         b = P(Fraction(-5, 6), Fraction(5, 3))
-        assert _int_coeffs(a) == [3, -7, 2] and _int_coeffs(b) == [-1, 2]
-        assert _int_gcd(_int_coeffs(a), _int_coeffs(b)) == [-1, 2]
+        assert a == _of([3, -7, 2], 7) and b == _of([-10, 20], 12)
+        assert (a._c, a._den, b._c, b._den) == ((3, -7, 2), 7, (-5, 10), 6)
+        assert _int_primitive(a._c) == [3, -7, 2] and _int_primitive(b._c) == [-1, 2]
+        assert _int_gcd(a._c, b._c) == [-1, 2]
 
     def test_content_and_negative_leading_coefficient(self):
         # the gcd is primitive with a positive leading coefficient
@@ -217,9 +226,9 @@ nonzero_polys = small_polys.filter(lambda p: not p.is_zero)
 @settings(max_examples=60, deadline=None)
 @given(nonzero_polys, nonzero_polys)
 def test_gcd_divides_both_and_is_monic(p, q):
-    g = _int_gcd(_int_coeffs(p), _int_coeffs(q))
+    g = _int_gcd(p._c, q._c)
     assert g[-1] > 0
-    assert _monic_poly(g) == from_dup(dup_gcd(to_dup(p.coeffs), to_dup(q.coeffs), QQ))
+    assert _of(g, g[-1]) == from_dup(dup_gcd(to_dup(p.coeffs), to_dup(q.coeffs), QQ))
 
 
 @settings(max_examples=60, deadline=None)
@@ -447,15 +456,14 @@ def test_constant_and_zero_inputs_keep_their_results():
 # rendering: one integer renderer behind every polynomial's text
 # ---------------------------------------------------------------------------
 
-def reference_str(p: Polynomial) -> str:
+def reference_str(p) -> str:
     """``Polynomial.__str__`` as it read on Fraction coefficients, before it
-    delegated to the integer renderer; kept as the reference."""
-    from segre.polynomial import _rational_str
-
-    if p.is_zero:
+    delegated to the integer renderer; kept as the reference.  It reads
+    only ``p.coeffs``, with ``str`` of a ``Fraction`` for each one."""
+    if not p.coeffs:
         return "0"
     parts: list[str] = []
-    for i in range(p.degree, -1, -1):
+    for i in range(len(p.coeffs) - 1, -1, -1):
         c = p.coeffs[i]
         if c == 0:
             continue
@@ -469,9 +477,9 @@ def reference_str(p: Polynomial) -> str:
         if mag == 1 and mono:
             body = mono
         elif mono:
-            body = f"{_rational_str(mag)}*{mono}"
+            body = f"{mag}*{mono}"
         else:
-            body = _rational_str(mag)
+            body = str(mag)
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:
@@ -539,3 +547,104 @@ class TestRendering:
         assert str(p) == "2*t^2 + 1/3" and repr(p) == "Polynomial(2*t^2 + 1/3)"
         assert str(p) is str(p)
         assert calls == [3]
+
+
+# ---------------------------------------------------------------------------
+# the value: an integer tuple over one denominator, against Fraction tuples
+# ---------------------------------------------------------------------------
+
+class FractionPoly:
+    """The reference value: the trimmed tuple of ``Fraction`` coefficients
+    that ``Polynomial`` held before it kept integers over one denominator."""
+
+    def __init__(self, cs):
+        cs = [Fraction(c) for c in cs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+
+# ints and fractions with mixed denominators, negative ones given as such,
+# and zeros, trailing ones too
+rationals = st.one_of(
+    st.integers(-50, 50),
+    st.builds(Fraction, st.integers(-(10**6), 10**6), st.sampled_from([2, -3, 4, -6, 35, -36, 2**70])),
+    st.just(0),
+)
+
+
+def same_value(p: Polynomial, q: Polynomial) -> None:
+    assert p == q and hash(p) == hash(q)
+    assert (p.coeffs, p.degree, p.is_zero, p.is_constant, str(p), bool(p)) == (
+        q.coeffs, q.degree, q.is_zero, q.is_constant, str(q), bool(q)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(rationals, max_size=7))
+def test_value_matches_the_fraction_reference(cs):
+    ref = FractionPoly(cs)
+    p = Polynomial(cs)
+    assert p.coeffs == ref.coeffs and all(type(c) is Fraction for c in p.coeffs)
+    assert p.degree == len(ref.coeffs) - 1 and p.is_zero == (not ref.coeffs)
+    assert str(p) == reference_str(ref)
+    if ref.coeffs:
+        assert p.leading == ref.coeffs[-1] and type(p.leading) is Fraction
+    else:
+        with pytest.raises(PencilError, match="zero polynomial has no leading coefficient"):
+            p.leading
+    assert p._den > 0 and math.gcd(p._den, *p._c) == 1 and (not p._c or p._c[-1])
+    # the same value from any integer list over any denominator, untrimmed
+    den = math.lcm(*(Fraction(c).denominator for c in cs))
+    ints = [int(Fraction(c) * den) for c in cs]
+    for k in (1, -1, 6, -6):
+        same_value(_of([k * a for a in ints], k * den), p)
+    for q in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert type(q) is Polynomial
+        same_value(q, p)
+
+
+# pickles of Polynomial([-1/2, 0, 3, 0]), Polynomial() and
+# Polynomial([2/3, -5/3, 3]) as the Fraction-tuple value wrote them,
+# (Polynomial, (coeffs,)): they load as the integer value
+OLD_PICKLES = {
+    b"\x80\x04\x95a\x00\x00\x00\x00\x00\x00\x00\x8c\x10segre.polynomial\x94\x8c\nPolynomial"
+    b"\x94\x93\x94\x8c\tfractions\x94\x8c\x08Fraction\x94\x93\x94J\xff\xff\xff\xffK\x02\x86"
+    b"\x94R\x94h\x05K\x00K\x01\x86\x94R\x94h\x05K\x03K\x01\x86\x94R\x94\x87\x94\x85\x94R\x94.": (
+        _of([-1, 0, 6], 2)
+    ),
+    b"\x80\x04\x95(\x00\x00\x00\x00\x00\x00\x00\x8c\x10segre.polynomial\x94\x8c\nPolynomial"
+    b"\x94\x93\x94)\x85\x94R\x94.": Polynomial(),
+    b"\x80\x04\x95a\x00\x00\x00\x00\x00\x00\x00\x8c\x10segre.polynomial\x94\x8c\nPolynomial"
+    b"\x94\x93\x94\x8c\tfractions\x94\x8c\x08Fraction\x94\x93\x94K\x02K\x03\x86\x94R\x94h"
+    b"\x05J\xfb\xff\xff\xffK\x03\x86\x94R\x94h\x05K\x03K\x01\x86\x94R\x94\x87\x94\x85\x94R\x94.": (
+        _of([2, -5, 9], 3)
+    ),
+}
+
+
+def test_pickles_of_the_fraction_value_still_load():
+    for data, want in OLD_PICKLES.items():
+        got = pickle.loads(data)
+        same_value(got, want)
+        assert pickle.loads(pickle.dumps(got)) == want
+
+
+def det_cases():
+    """Catalog instances, and normal forms and congruences over rational
+    denominators so that the pencil's denominator is not 1."""
+    # a nonsingular A = (I + v 1^T) diag(1/2, ..., 1/6), det(I + v 1^T) = 11
+    a = [[Fraction(r + (r == c), c + 2) for c in range(5)] for r in range(5)]
+    for i, sym in enumerate(CATALOG_ORDER):
+        roots = [Fraction(j - 2, j % 3 + 2) for j in range(len(canonicalize(sym).groups))]
+        nf = build_normal_form(sym, roots)
+        yield from (random_instance(sym, i), nf, congruent(nf, a))
+
+
+def test_det_poly_is_the_expansion_over_its_denominator():
+    dens = set()
+    for p in det_cases():
+        den = p._mult ** p.size
+        assert det_poly(p).coeffs == tuple(Fraction(c, den) for c in _det(p))
+        dens.add(den)
+    assert len(dens) > 2
