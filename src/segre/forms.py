@@ -26,8 +26,8 @@ from fractions import Fraction
 from ._record import Record
 from .errors import DegreeError, ParseError, ZeroFormError
 from .pencil import (
-    MAX_SIZE, Matrix, QuadricPencil, _check_pencil, _check_size, _check_square, _check_symmetric,
-    _entry, _exact, as_matrix,
+    MAX_SIZE, Matrix, QuadricPencil, _check_pencil, _check_size, _check_symmetric, _exact, _init,
+    _listed, as_matrix,
 )
 from .polynomial import _rational_str
 
@@ -131,8 +131,9 @@ def render_form(matrix: Matrix) -> str:
     padded with zeros to 5 x 5.  The matrix is read as ``QuadricPencil``
     reads one: one not square and symmetric raises ``PencilError``, an
     empty or a larger one than ``MAX_SIZE`` x ``MAX_SIZE`` ``SizeLimitError``."""
+    matrix = _listed(matrix)
+    _check_size(len(matrix))  # before any entry is read
     matrix = _exact(matrix)
-    _check_size(len(matrix))
     _check_symmetric(matrix)
     parts: list[tuple[Fraction, str]] = []
     for i in range(len(matrix)):
@@ -161,13 +162,13 @@ def render_form(matrix: Matrix) -> str:
 def pencil_from_json(text: str) -> QuadricPencil:
     """Load a pencil from a JSON document with 5x5 string matrices U and V.
 
-    Each entry is read once, from its text (a JSON number from ``str`` of
-    it), by ``pencil._entry``: plain integer entries stay ``int``s, so an
-    integer document becomes the pencil's integer pair with no ``Fraction``
-    made, and the pair is cleared once.  A document the JSON reader
-    refuses, also for nesting too deep to recurse into, an integer past
-    Python's int<->str digit limit or a document that is not text or bytes,
-    raises ``ParseError``.
+    Each matrix is read once by ``pencil._exact``, from its entries' text
+    (a JSON number as ``str`` of it, so 0.1 is 1/10): an integer document
+    becomes the pencil's integer pair in one pass, with no ``Fraction``
+    made and no least common denominator taken.  A document the JSON
+    reader refuses, also for nesting too deep to recurse into, an integer
+    past Python's int<->str digit limit or a document that is not text or
+    bytes, raises ``ParseError``.
     """
     try:
         doc = json.loads(text)
@@ -180,15 +181,14 @@ def pencil_from_json(text: str) -> QuadricPencil:
         if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
             raise ParseError("a matrix must be a list of rows, each a list of entries")
         try:
-            mats.append([[_entry(str(c)) for c in row] for row in rows])
-            _check_square(mats[-1])
+            mats.append(_exact([list(map(str, row)) for row in rows]))
         except ValueError as exc:
             raise ParseError(f"bad rational entry in matrix: {exc}") from exc
     u, v = mats
     if len(u) != MAX_SIZE or len(v) != MAX_SIZE:
         raise ParseError(f"matrices must be {MAX_SIZE}x{MAX_SIZE}")
     try:
-        return QuadricPencil(u, v)
+        return _init(object.__new__(QuadricPencil), u, v)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 

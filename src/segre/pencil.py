@@ -28,10 +28,10 @@ which makes the integer scaling invisible.
 
 A pencil holds its cleared pair from construction on, with the least common
 denominator, and builds its rational matrices only when they are read.
-Outside rationals enter through the ``QuadricPencil`` constructor, which
-reads, checks and clears them; every pencil the package derives from
-others (a congruence, a basis change, a selected member, a normal form,
-an unpickled copy) is built on its integer pair by ``_reduced``.
+Outside rationals enter through ``QuadricPencil`` and ``pencil_from_json``,
+which share ``_init``; every pencil the package derives from others (a
+congruence, a basis change, a selected member, a normal form, an unpickled
+copy) is built on its integer pair by ``_reduced``.
 
 Pencils are at most ``MAX_SIZE`` x ``MAX_SIZE`` = 5 x 5, quadrics in P^4,
 where Segre quartic surfaces live; a larger or an empty pair raises
@@ -78,7 +78,7 @@ IntRows = Sequence[Sequence[int]]
 MAX_SIZE = 5
 
 # the widest packing of det(U - t*V) into one integer (``_poly_minor``)
-_PACK_BITS = 480
+_PACK_BITS = 660
 
 # _EXTRAPOLATE[j][i] = (-1)^(j - i) * C(j + 1, i): p(j + 1) is the sum over
 # i of _EXTRAPOLATE[j][i] * p(i) for a polynomial p of degree at most j,
@@ -109,29 +109,37 @@ __all__ = [
 # small exact matrix helpers
 # ---------------------------------------------------------------------------
 
-def _exact(rows: Iterable[Iterable[Rational | int | str]]) -> list[list[int | Fraction]]:
-    """``as_matrix`` without building a ``Fraction`` for an ``int`` entry."""
+def _listed(x: object) -> list:
+    """A matrix's or a row's items as a list, or ``PencilError``."""
     try:
-        rows = [_items(row, "row") for row in _items(rows, "matrix")]
-    except PencilError:  # rows, or a row, that is text or cannot be iterated
+        return x if type(x) is list else _items(x, "matrix")
+    except PencilError:
         raise PencilError("matrix must be a sequence of rows") from None
-    out = [[c if type(c) in _EXACT else _entry(c) for c in row] for row in rows]
-    _check_square(out)
+
+
+def _exact(rows: list) -> list[list[int | Fraction]]:
+    """``as_matrix`` of ``_listed`` rows, with no ``Fraction`` for an ``int``.  A row of
+    text with no ``_`` is read by ``int(c, 10)`` (a ``str`` subclass by its text); any
+    other row, or one where that fails, by ``_entry``, which reads such text by ``int``."""
+    out = []
+    for row in [_listed(row) for row in rows]:
+        try:
+            ints = "_" not in "".join(row) and [int(c, 10) for c in row]
+        except (TypeError, ValueError):  # not all text, or not all integers
+            ints = None
+        out.append(ints or [c if type(c) in _EXACT else _entry(c) for c in row])
+    if any(len(row) != len(out) for row in out):
+        raise PencilError("matrix must be square")
     return out
 
 
 def as_matrix(rows: Iterable[Iterable[Rational | int | str]]) -> Matrix:
-    return tuple(tuple(c if type(c) is Fraction else Fraction(c) for c in row) for row in _exact(rows))
-
-
-def _check_square(m: Sequence[Sequence[object]]) -> None:
-    if any(len(row) != len(m) for row in m):
-        raise PencilError("matrix must be square")
+    return tuple(tuple(c if type(c) is Fraction else Fraction(c) for c in row) for row in _exact(_listed(rows)))
 
 
 def _check_symmetric(m: Sequence[Sequence[object]], name: str = "matrix") -> None:
     """For a matrix ``_exact`` has already read, so square."""
-    if any(m[i][j] != m[j][i] for i in range(len(m)) for j in range(i)):
+    if list(zip(*m)) != list(map(tuple, m)):
         raise PencilError(f"{name} is not symmetric")
 
 
@@ -224,17 +232,11 @@ class QuadricPencil:
         u: Iterable[Iterable[Rational | int | str]],
         v: Iterable[Iterable[Rational | int | str]],
     ):
-        u = _exact(u)
-        v = _exact(v)
-        size = len(u)
-        if size != len(v):
+        u, v = _listed(u), _listed(v)  # sized before any entry is read
+        if len(u) != len(v):
             raise PencilError("U and V must have the same size")
-        _check_size(size)
-        both, mult = _cleared(u + v)
-        iu, iv = both[:size], both[size:]
-        _check_symmetric(iu, "U")
-        _check_symmetric(iv, "V")
-        _store(self, iu, iv, mult)
+        _check_size(len(u))
+        _init(self, _exact(u), _exact(v))
 
     __setattr__ = Record.__setattr__  # raise FrozenInstanceError, as records do
     __delattr__ = Record.__delattr__
@@ -292,30 +294,35 @@ def _check_pencil(p: object) -> None:
         raise PencilError(f"expected a QuadricPencil, got {type(p).__name__}")
 
 
-def _store(p: QuadricPencil, iu: IntMatrix, iv: IntMatrix, mult: int) -> None:
+def _init(p: QuadricPencil, u: list, v: list) -> QuadricPencil:
+    """``p`` built on U and V as ``_exact`` read them, of one size in 1..``MAX_SIZE``."""
+    both, mult = _cleared(u + v)
+    iu, iv = both[: len(u)], both[len(u) :]
+    _check_symmetric(iu, "U")
+    _check_symmetric(iv, "V")
+    return _store(p, iu, iv, mult)
+
+
+def _store(p: QuadricPencil, iu: IntMatrix, iv: IntMatrix, mult: int) -> QuadricPencil:
     for name, value in (("_iu", iu), ("_iv", iv), ("_mult", mult)):
         object.__setattr__(p, name, value)
     for name in ("_u", "_v", "_det"):
         object.__setattr__(p, name, None)
+    return p
 
 
 def _reduced(iu: IntRows, iv: IntRows, den: int) -> QuadricPencil:
     """The pencil (iu / den, iv / den), for symmetric integer matrices of
-    one size and ``den`` > 0, reduced to its least common denominator.
-
-    The least common denominator of the entries c / den is den over the
-    gcd of den and every c.
-    """
+    one size and ``den`` > 0, over its least common denominator: den over
+    the gcd of den and every entry c."""
     _check_size(len(iu))
     g = math.gcd(den, *(c for m in (iu, iv) for row in m for c in row))
-    p = object.__new__(QuadricPencil)
-    _store(
-        p,
+    return _store(
+        object.__new__(QuadricPencil),
         tuple(tuple(c // g for c in row) for row in iu),
         tuple(tuple(c // g for c in row) for row in iv),
         den // g,
     )
-    return p
 
 
 def _rational(im: IntMatrix, mult: int) -> Matrix:
@@ -340,9 +347,10 @@ def congruent(p: QuadricPencil, a: Iterable[Iterable[Rational | int | str]]) -> 
     integer matrices; the result is the integer pair over one denominator.
     """
     _check_pencil(p)
-    ea = _exact(a)
+    ea = _listed(a)
+    _check_size(len(ea))  # before any entry is read
+    ea = _exact(ea)
     if len(ea) != p.size:
-        _check_size(len(ea))
         raise PencilError(f"congruence must be {p.size} x {p.size}, got {len(ea)} x {len(ea)}")
     ia, ma = _cleared(ea)
     cols = list(zip(*ia))

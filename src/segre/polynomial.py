@@ -348,7 +348,9 @@ def _items(x: object, what: str) -> list:
 
 def _cleared(m: Sequence[Sequence[int | Fraction]]) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The integer rows mult * m and the least such ``mult``, the least
-    common denominator of the entries; a list takes one row."""
+    common denominator of the entries; a list takes one row (over 1 if no entry is a ``Fraction``)."""
+    if all(type(c) is int for row in m for c in row):
+        return tuple(map(tuple, m)), 1
     mult = math.lcm(*(c.denominator for row in m for c in row))
     return tuple(tuple(c.numerator * (mult // c.denominator) for c in row) for row in m), mult
 

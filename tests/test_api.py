@@ -376,6 +376,26 @@ def test_matrix_helper_sizes_raise_size_limit_error(case):
     assert str(info.value) == message
 
 
+class _Unread:
+    """A row that fails the test when it is read."""
+
+    def __iter__(self):
+        raise AssertionError("a row of an oversize matrix was read")
+
+    __len__ = __iter__
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: segre.QuadricPencil(m, m),
+    lambda m: segre.pencil.congruent(_P2, m),
+    segre.render_form,
+])
+def test_an_oversize_matrix_is_refused_before_its_rows_are_read(call):
+    with pytest.raises(SizeLimitError) as info:
+        call([_Unread()] * 1200)
+    assert str(info.value) == "pencils are at most 5 x 5, got 1200 x 1200"
+
+
 # constructors and lookups that take typed items, and items of the wrong type
 WRONG_ITEMS = {
     "SegreSymbol of an int": (

@@ -1,17 +1,20 @@
 import json
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from segre.errors import DegreeError, ParseError, ZeroFormError
+import segre.pencil
+from segre.errors import DegreeError, ParseError, PencilError, ZeroFormError
 from segre.forms import (
     parse_quadratic_form,
     pencil_from_json,
     pencil_to_json,
     render_form,
 )
-from segre.pencil import QuadricPencil, diagonal, identity
+from segre.pencil import QuadricPencil, _check_size, _entry, diagonal, identity
 from segre.symbol import build_normal_form
 from test_entry_parse import read_both
 
@@ -253,3 +256,141 @@ class TestPencilJson:
         assert [read_both(t) for t in ("1e3", "-2.5E-2", "1e4299", "0e5")] == [
             Fraction(1000), Fraction(-1, 40), Fraction(10**4299), Fraction(0),
         ]
+
+
+# -- the one-pass reader against the per-entry reference ----------------------
+# ``pencil._exact`` reads a row of integer text in one pass; these tests read
+# the same matrices one entry at a time with ``_entry`` and want the same
+# pencil or the same error.  Under ``python -X int_max_str_digits=640`` the
+# 1000-digit entry fails ``int`` too, so its row takes the per-entry route.
+
+
+class _Text(str):
+    """A ``str`` subclass whose ``int`` differs from its text."""
+
+    def __int__(self):
+        return 7
+
+
+_INTEGER_TEXT = st.one_of(
+    st.integers(-10**30, 10**30).map(str),
+    st.sampled_from([" 7 ", "+3", "-0", "\t-4\n", "\u0663", "\u0661\u0662", "9" * 1000]),
+)
+_OTHER_TEXT = st.one_of(
+    st.sampled_from(["1_000", "-1_0", "1__0", "1/2", "0.1", "1e3", "-2.5E-2", "", "abc", "1/0"]),
+    # past the int<->str digit limit in force (one digit when it is off)
+    st.builds(lambda: "9" * (sys.get_int_max_str_digits() + 1)),
+)
+_JSON_VALUES = st.one_of(st.integers(-10**6, 10**6), st.floats(), st.booleans(), st.none())
+_PYTHON_VALUES = st.one_of(
+    st.sampled_from([Decimal("0.1"), Decimal("12"), Decimal("1E+3"), b"5", Fraction(1, 3), 0.5, True, None]),
+    st.sampled_from(["12", " -7 ", "1/2", "x"]).map(_Text),
+)
+
+
+def _entries(extra):
+    """Integer text only, integer text with other text, or with ``extra`` too."""
+    return st.sampled_from([
+        _INTEGER_TEXT,
+        st.one_of(_INTEGER_TEXT, _OTHER_TEXT),
+        st.one_of(_INTEGER_TEXT, _OTHER_TEXT, extra),
+    ])
+
+
+@st.composite
+def _pairs(draw, sizes, extra):
+    """U and V of one drawn size, symmetric, then perhaps made non-square,
+    asymmetric or of another size."""
+    size, entries = draw(sizes), draw(_entries(extra))
+
+    def symmetric():
+        m = [[None] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(i, size):
+                m[i][j] = m[j][i] = draw(entries)
+        return m
+
+    u, v = symmetric(), symmetric()
+    target = draw(st.sampled_from([u, v]))
+    fault = draw(st.sampled_from(["none", "none", "short row", "long row", "asymmetric", "extra row"]))
+    if fault == "short row":
+        target[draw(st.integers(0, size - 1))].pop()
+    elif fault == "long row":
+        target[draw(st.integers(0, size - 1))].append(draw(entries))
+    elif fault == "asymmetric" and size > 1:
+        target[0][1] = draw(entries)
+    elif fault == "extra row":
+        target.append(list(target[0]))
+    return u, v
+
+
+def _check_square(m):
+    if any(len(row) != len(m) for row in m):
+        raise PencilError("matrix must be square")
+
+
+def _outcome(call, *args):
+    """What ``call(*args)`` returns, or the type and message of its error."""
+    try:
+        return call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _per_entry_json(text):
+    """``pencil_from_json`` reading each entry by ``_entry(str(c))``."""
+    doc = json.loads(text)
+    mats = []
+    for rows in (doc["U"], doc["V"]):
+        try:
+            mats.append([[_entry(str(c)) for c in row] for row in rows])
+            _check_square(mats[-1])
+        except ValueError as exc:
+            raise ParseError(f"bad rational entry in matrix: {exc}") from exc
+    if any(len(m) != 5 for m in mats):
+        raise ParseError("matrices must be 5x5")
+    try:
+        return QuadricPencil(*mats)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def _per_entry_pencil(u, v):
+    """``QuadricPencil(u, v)`` reading each entry by ``_entry(c)``: the
+    sizes are checked before any entry is read."""
+    if len(u) != len(v):
+        raise PencilError("U and V must have the same size")
+    _check_size(len(u))
+    mats = []
+    for m in (u, v):
+        mats.append([[_entry(c) for c in row] for row in m])
+        _check_square(mats[-1])
+    return QuadricPencil(*mats)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pairs(st.sampled_from([5, 5, 5, 4, 6]), _JSON_VALUES))
+def test_one_pass_reader_matches_the_per_entry_reference_on_documents(pair):
+    u, v = pair
+    text = json.dumps({"U": u, "V": v})
+    assert _outcome(pencil_from_json, text) == _outcome(_per_entry_json, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pairs(st.integers(1, 6), _PYTHON_VALUES))
+def test_one_pass_reader_matches_the_per_entry_reference_on_rows(pair):
+    u, v = pair
+    assert _outcome(QuadricPencil, u, v) == _outcome(_per_entry_pencil, u, v)
+
+
+def test_one_pass_reader_reads_an_integer_document_with_no_entry_call(monkeypatch):
+    calls = []
+    monkeypatch.setattr(segre.pencil, "_entry", lambda c: calls.append(c) or _entry(c))
+    u = [[str(10 * i + j if i <= j else 10 * j + i) for j in range(5)] for i in range(5)]
+    v = [[str(int(i == j)) for j in range(5)] for i in range(5)]
+    p = pencil_from_json(json.dumps({"U": u, "V": v}))
+    assert calls == [] and p == QuadricPencil([[int(c) for c in row] for row in u], identity(5))
+    # a row with one entry that is not integer text is read entry by entry
+    u[2][2] = "1/2"
+    assert pencil_from_json(json.dumps({"U": u, "V": v})).u[2][2] == Fraction(1, 2)
+    assert calls == u[2]
