@@ -101,9 +101,10 @@ def numeric_exponent_partitions(p: QuadricPencil) -> SegreSymbol:
         # one SVD call: every shifted matrix, then the powers 2..mult of each
         shifted = m - np.array(centers)[:, None, None] * np.eye(size)
         powers = []
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail the SVD
-            for s, g in zip(shifted, groups):
-                powers += list(accumulate([s] * len(g), np.matmul))[1:]
+        if len(groups) < size:  # else every cluster is one eigenvalue, with no power
+            with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail the SVD
+                for s, g in zip(shifted, groups):
+                    powers += list(accumulate([s] * len(g), np.matmul))[1:]
         stack = np.concatenate((shifted, powers)) if powers else shifted
         sv = np.linalg.svd(stack, compute_uv=False).tolist()
 

@@ -134,7 +134,12 @@ def _exact(rows: list) -> list[list[int | Fraction]]:
 
 
 def as_matrix(rows: Iterable[Iterable[Rational | int | str]]) -> Matrix:
-    return tuple(tuple(c if type(c) is Fraction else Fraction(c) for c in row) for row in _exact(_listed(rows)))
+    """The square matrix of ``Fraction`` entries read from ``rows``; an empty
+    matrix, or one of more than ``MAX_SIZE`` rows, raises ``SizeLimitError``
+    before any row is read."""
+    rows = _listed(rows)
+    _check_size(len(rows))
+    return tuple(tuple(c if type(c) is Fraction else Fraction(c) for c in row) for row in _exact(rows))
 
 
 def _check_symmetric(m: Sequence[Sequence[object]], name: str = "matrix") -> None:

@@ -356,8 +356,10 @@ def _cleared(m: Sequence[Sequence[int | Fraction]]) -> tuple[tuple[tuple[int, ..
 
 
 # Python refuses int -> str past a digit limit (4300 by default, 640 at
-# the least); decimal.Decimal converts exactly with no limit.
+# the least); decimal.Decimal converts exactly with no limit, and in this
+# context multiplies two of its integers with no rounding.
 _PLAIN_STR_BITS = 2000
+_UNROUNDED = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 
 def _int_str(n: int) -> str:
@@ -372,8 +374,17 @@ def _rational_str(q: Rational | int) -> str:
 def _poly_str(c: Sequence[int], den: int = 1) -> str:
     """Text of the polynomial with coefficients c[i] / den (den > 0), the
     ``str`` of every ``Polynomial``: terms from the leading one down, each
-    coefficient in lowest terms and a unit coefficient left out."""
+    coefficient in lowest terms and a unit coefficient left out.
+
+    A numerator of ``_PLAIN_STR_BITS`` or more is written through the
+    numerators' common factor k = gcd(c) / gcd(gcd(c), den), which divides
+    every numerator in lowest terms: k goes to ``Decimal`` once, and each
+    such numerator is the exact product of k and its small cofactor, so a
+    determinant det(A)^2 * det(U0 - t*V0) costs one long conversion, not
+    one per coefficient.
+    """
     parts: list[str] = []
+    k = dk = None  # the common factor and its Decimal, made on the first long numerator
     for i in range(len(c) - 1, -1, -1):
         a = c[i]
         if not a:
@@ -384,7 +395,16 @@ def _poly_str(c: Sequence[int], den: int = 1) -> str:
         if num == d == 1 and mono:
             body = mono
         else:
-            body = _int_str(num) if d == 1 else f"{_int_str(num)}/{_int_str(d)}"
+            if num.bit_length() < _PLAIN_STR_BITS:
+                body = str(num)
+            else:
+                if k is None:
+                    k = _int_content(c)
+                    k //= math.gcd(k, den)
+                    dk = decimal.Decimal(k)
+                body = str(_UNROUNDED.multiply(dk, decimal.Decimal(num // k)))
+            if d != 1:
+                body = f"{body}/{_int_str(d)}"
             if mono:
                 body = f"{body}*{mono}"
         if not parts:

@@ -29,7 +29,7 @@ from .pencil import (
     _selected_classes,
     congruent,
 )
-from .polynomial import Polynomial, Rational, _basis_key, _cleared, _int_mul, _items, _of, _rational_str
+from .polynomial import Polynomial, Rational, _cleared, _int_mul, _items, _of, _rational_str
 
 __all__ = [
     "ExplicitRoot",
@@ -254,9 +254,9 @@ def _symbol_from_classes(
     Roots that share a partition share every exponent in the invariant
     factors; the product of their class factors is one group polynomial,
     whose roots are never found.  A linear one gives an explicit root, any
-    other one symbolic roots, one group per root.  The polynomials are
-    ordered as a coprime basis is (``_basis_key``), which fixes the order
-    of the root descriptors.
+    other one symbolic roots, one group per root.  ``canonical()`` orders
+    the groups by their exponents, which differ between polynomials, so the
+    order of ``classes`` never shows.
     """
     by_partition: dict[tuple[int, ...], list[int]] = {}
     for h, lam in classes:
@@ -264,10 +264,7 @@ def _symbol_from_classes(
         by_partition[lam] = h if b is None else _int_mul(b, h)
     groups: list[Group] = []
     top_poly = None
-    parts = by_partition.items()
-    if len(by_partition) > 1:
-        parts = sorted(parts, key=lambda item: _basis_key(item[1]))
-    for lam, b in parts:
+    for lam, b in by_partition.items():
         if len(b) == 2:
             groups.append(Group(lam, ExplicitRoot(Fraction(-b[0], b[1]))))
         else:

@@ -356,6 +356,8 @@ SIZE_ERRORS = {
         "diagonal": lambda n: segre.pencil.diagonal(range(n)),
         # rendered X5, X6, ..., which parse_quadratic_form refuses, and "0" for []
         "render_form": lambda n: segre.render_form([[int(i == j) for j in range(n)] for i in range(n)]),
+        # built n x n Fractions, 1.44 million at 1200
+        "as_matrix": lambda n: segre.pencil.as_matrix([[int(i == j) for j in range(n)] for i in range(n)]),
     }.items()
     for size, message in {
         0: "pencils are at least 1 x 1",
@@ -389,6 +391,7 @@ class _Unread:
     lambda m: segre.QuadricPencil(m, m),
     lambda m: segre.pencil.congruent(_P2, m),
     segre.render_form,
+    segre.pencil.as_matrix,
 ])
 def test_an_oversize_matrix_is_refused_before_its_rows_are_read(call):
     with pytest.raises(SizeLimitError) as info:

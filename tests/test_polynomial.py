@@ -6,6 +6,7 @@ import math
 import pickle
 import random
 from contextlib import contextmanager
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from sympy.polys.sqfreetools import dup_sqf_list, dup_sqf_part
 import segre.polynomial
 from segre.catalog import CATALOG_ORDER
 from segre.errors import PencilError
-from segre.pencil import _det, congruent, det_poly
+from segre.pencil import _bareiss, _det, congruent, det_poly
 from segre.polynomial import (
     Polynomial,
     _int_derivative,
@@ -34,6 +35,7 @@ from segre.polynomial import (
     coprime_basis,
     squarefree_decomposition,
 )
+from segre.reporting import analyze_pencil
 from segre.symbol import build_normal_form, canonicalize, random_instance
 from test_pencil import from_dup, monic, product, to_dup
 
@@ -487,6 +489,29 @@ def reference_str(p) -> str:
     return " ".join(parts)
 
 
+def decimal_reference(c, den) -> str:
+    """The text of the polynomial c[i] / den, each coefficient a ``Fraction``
+    in lowest terms whose numerator and denominator are written one by one
+    with ``str(Decimal(n))``; it converts no int to text, so it holds at any
+    int->str digit limit."""
+    parts: list[str] = []
+    for i in range(len(c) - 1, -1, -1):
+        q = Fraction(c[i], den)
+        if not q:
+            continue
+        mono = "" if i == 0 else "t" if i == 1 else f"t^{i}"
+        n, d = abs(q.numerator), q.denominator
+        if n == d == 1 and mono:
+            body = mono
+        else:
+            body = str(Decimal(n)) if d == 1 else f"{Decimal(n)}/{Decimal(d)}"
+            if mono:
+                body = f"{body}*{mono}"
+        sign = ("" if q > 0 else "-") if not parts else ("+ " if q > 0 else "- ")
+        parts.append(sign + body)
+    return " ".join(parts) if parts else "0"
+
+
 def _random_int(rng) -> int:
     kind = rng.randrange(6)
     if kind == 0:
@@ -513,6 +538,57 @@ class TestRendering:
             assert _poly_str(ints, den) == want
             big += any(abs(a).bit_length() >= _PLAIN_STR_BITS for a in ints)
         assert big > 100
+
+    def test_common_factor_route_matches_per_coefficient_decimal(self):
+        """k * p with k of 2,000 to 20,000 bits: every long numerator is
+        written through the common factor, against each written alone."""
+        from segre.polynomial import _PLAIN_STR_BITS, _poly_str
+
+        rng = random.Random(2929)
+        cofactors = (
+            lambda: 0,
+            lambda: rng.choice((1, -1)),
+            lambda: rng.randint(-2000, 2000),
+            lambda: rng.choice((1, -1)) * rng.getrandbits(rng.randrange(1, 3000)),  # a big cofactor
+        )
+        routed = 0
+        for _ in range(120):
+            k = rng.getrandbits(rng.randrange(2000, 20001)) | 1
+            k *= rng.choice((1, 2, 6, 35, 2**40 * 3**5))
+            p = [rng.choice(cofactors)() for _ in range(rng.randrange(1, 7))]
+            if rng.random() < 0.3:  # a negative lead
+                p[-1] = -abs(p[-1]) or -1
+            c = [k * a for a in p]
+            den = rng.choice((
+                1,
+                rng.choice((3, 7, 12, 35)),
+                math.gcd(k, 2**40 * 3**5 * 5 * 7) * rng.randint(1, 9),  # sharing primes with k
+                rng.getrandbits(rng.randrange(2000, 2400)) | 1,  # past the limit
+                k * rng.randint(2, 9),
+            ))
+            assert _poly_str(c, den) == decimal_reference(c, den)
+            routed += any(abs(a) // math.gcd(a, den) >= 1 << _PLAIN_STR_BITS for a in c)
+        assert routed > 80
+
+    def test_common_factor_route_on_a_report_determinant(self):
+        """A catalog normal form under a congruence A with 500-digit entries:
+        det(A)^2 * det(U0 - t*V0) is the report's determinant, and its text
+        is each coefficient written alone."""
+        from segre.pencil import _selected_classes
+        from segre.polynomial import _PLAIN_STR_BITS
+
+        rng = random.Random(29)
+        for text in ("[11111]", "[2111]", "[(11)(21)]", "[5]"):
+            s = canonicalize(text)
+            normal = build_normal_form(s, [Fraction(3, 2), -1, 0, 7, -9][: len(s.groups)])
+            a = [[rng.choice((1, -1)) * rng.getrandbits(1661) for _ in range(5)] for _ in range(5)]
+            p = congruent(normal, a)
+            det, den, _ = _selected_classes(p)
+            d_a = _bareiss(a)[1]
+            small = [Fraction(x, normal._mult**5) for x in _det(normal)]
+            assert [Fraction(x, den) for x in det] == [d_a**2 * q for q in small]
+            assert max(abs(x) for x in det).bit_length() > 8 * _PLAIN_STR_BITS
+            assert analyze_pencil(p).determinant == decimal_reference(det, den)
 
     @pytest.mark.parametrize("coeffs,text", [
         ((), "0"),

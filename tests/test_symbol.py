@@ -217,6 +217,23 @@ class TestComputeSymbol:
         assert len(symbolic) == 3
         assert {g.root.poly.degree for g in symbolic} == {3}
 
+    def test_order_of_the_root_classes_never_shows(self):
+        from itertools import permutations
+
+        from segre.pencil import _selected_classes
+        from segre.symbol import _symbol_from_classes
+
+        weight5 = [s for s in _symbols_up_to(5) if s.weight == 5]
+        assert len(weight5) == 27
+        for seed, s in enumerate(weight5):
+            classes = _selected_classes(random_instance(s, seed))[-1]
+            want = _symbol_from_classes(classes)[0]
+            assert want.render() == s.render()
+            for order in permutations(classes):
+                got = _symbol_from_classes(list(order))[0]
+                assert got.render() == want.render()
+                assert got.root_descriptions() == want.root_descriptions()
+
 
 class TestNormalForm:
     def test_block_shapes(self):
