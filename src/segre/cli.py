@@ -25,7 +25,7 @@ from fractions import Fraction
 from .catalog import CATALOG_ORDER
 from .classify import classify_symbol
 from .errors import InternalConsistencyError, ParseError
-from .forms import parse_quadratic_form, pencil_from_json, pencil_to_json, render_form
+from .forms import _matrices_doc, parse_quadratic_form, pencil_from_json, pencil_to_json, render_form
 from .pencil import MAX_SIZE, QuadricPencil, _entry
 from .polynomial import _rational_str
 from .reporting import analyze_pencil, outcome_to_dict, render_pretty, surface_report_to_dict
@@ -116,8 +116,7 @@ def _cmd_normal_form(args) -> int:
     doc = {
         "symbol": sym.canonical().render(),
         "roots": [_rational_str(r) for r in roots],
-        "U": [[_rational_str(c) for c in row] for row in pencil.u],
-        "V": [[_rational_str(c) for c in row] for row in pencil.v],
+        **_matrices_doc(pencil),
         "equations": [render_form(pencil.u), render_form(pencil.v)],
     }
     _emit(doc, args.pretty)

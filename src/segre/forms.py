@@ -26,10 +26,10 @@ from fractions import Fraction
 from ._record import Record
 from .errors import DegreeError, ParseError, ZeroFormError
 from .pencil import (
-    MAX_SIZE, Matrix, QuadricPencil, _check_pencil, _check_size, _check_symmetric, _exact, _init,
-    _listed, as_matrix,
+    MAX_SIZE, Matrix, QuadricPencil, _check_pencil, _check_size, _check_symmetric, _exact,
+    _init, _listed,
 )
-from .polynomial import _rational_str
+from .polynomial import _cleared, _terms_str
 
 __all__ = [
     "ParsedForm",
@@ -123,38 +123,24 @@ def parse_quadratic_form(text: str) -> ParsedForm:
             m[j][i] += coeff / 2
     if all(c == 0 for row in m for c in row):
         raise ZeroFormError(f"form is identically zero: {text[:40]!r}")
-    return ParsedForm(as_matrix(m), text)
+    return ParsedForm(tuple(map(tuple, m)), text)
 
 
 def render_form(matrix: Matrix) -> str:
-    """Canonical text for X^T M X; reparsing returns the identical matrix,
-    padded with zeros to 5 x 5.  The matrix is read as ``QuadricPencil``
-    reads one: one not square and symmetric raises ``PencilError``, an
-    empty or a larger one than ``MAX_SIZE`` x ``MAX_SIZE`` ``SizeLimitError``."""
+    """Canonical text for X^T M X, written by ``polynomial._terms_str`` over one
+    denominator: the terms c*Xi^2 and 2c*Xi*Xj (i < j) of the upper triangle
+    row by row.  Reparsing returns the identical matrix, padded to 5 x 5.  The matrix is read as ``QuadricPencil`` reads one:
+    one not square and symmetric raises ``PencilError``, an empty or a larger
+    one than ``MAX_SIZE`` x ``MAX_SIZE`` ``SizeLimitError``."""
     matrix = _listed(matrix)
     _check_size(len(matrix))  # before any entry is read
     matrix = _exact(matrix)
     _check_symmetric(matrix)
-    parts: list[tuple[Fraction, str]] = []
-    for i in range(len(matrix)):
-        c = matrix[i][i]
-        if c != 0:
-            parts.append((c, f"X{i}^2"))
-        for j in range(i + 1, len(matrix)):
-            c = 2 * matrix[i][j]
-            if c != 0:
-                parts.append((c, f"X{i}*X{j}"))
-    if not parts:
-        return "0"
-    chunks: list[str] = []
-    for c, mono in parts:
-        mag = abs(c)
-        body = mono if mag == 1 else f"{_rational_str(mag)}*{mono}"
-        if not chunks:
-            chunks.append(body if c > 0 else f"-{body}")
-        else:
-            chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(chunks)
+    im, den = _cleared(matrix)
+    n = len(im)  # the terms from the last written to the first, as _terms_str reads them
+    ijs = [(i, j) for i in reversed(range(n)) for j in reversed(range(i, n))]
+    names = [f"X{i}^2" if i == j else f"X{i}*X{j}" for i, j in ijs]
+    return _terms_str([im[i][j] if i == j else 2 * im[i][j] for i, j in ijs], den, names)
 
 
 # -- pencil file format -------------------------------------------------------
@@ -193,12 +179,15 @@ def pencil_from_json(text: str) -> QuadricPencil:
         raise ParseError(str(exc)) from exc
 
 
+def _matrices_doc(p: QuadricPencil) -> dict[str, list[list[str]]]:
+    """U and V as rows of entry text from the pencil's integer pair: ``str`` of
+    each ``Fraction``, also past the int->str digit limit."""
+    return {name: [[_terms_str((c,), p._mult, ("",)) for c in row] for row in m]
+            for name, m in (("U", p._iu), ("V", p._iv))}
+
+
 def pencil_to_json(p: QuadricPencil, extra: dict | None = None) -> str:
+    """The document ``pencil_from_json`` reads back: ``U`` and ``V`` written by
+    ``polynomial._terms_str`` (``_matrices_doc``), then the keys of ``extra``."""
     _check_pencil(p)
-    doc: dict = {
-        "U": [[_rational_str(c) for c in row] for row in p.u],
-        "V": [[_rational_str(c) for c in row] for row in p.v],
-    }
-    if extra:
-        doc.update(extra)
-    return json.dumps(doc, indent=2)
+    return json.dumps({**_matrices_doc(p), **(extra or {})}, indent=2)

@@ -15,11 +15,13 @@ about, answers when the heuristic gives up.
 ``Polynomial`` is the value that leaves the engine, with no arithmetic
 of its own: integer coefficients over one denominator (``_of``), with
 ``Fraction`` coefficients (``Rational``) built on read; ``_cleared``
-takes the package's one lcm.  Text comes from one renderer on an integer
-coefficient list and a denominator, ``_poly_str``: reports render the
-exact chain's lists with it directly, and ``Polynomial`` renders its
-pair through it once and keeps the text.  ``_entry`` is the one reader
-of a rational from outside the package, ``_items`` of a sequence of them.
+takes the package's one lcm.  Exact text has one writer, ``_terms_str``:
+integers over a denominator times named monomials.  Polynomials
+(``_poly_str``; reports write the exact chain's lists, ``Polynomial``
+its pair once, keeping the text), rationals, quadratic forms and pencil
+documents go through it; only section divisors (``SectionDivisor.render``,
+its own rule for multiplicities) and ``--pretty`` layout do not.  ``_entry``
+is the one reader of an outside rational, ``_items`` of a sequence of them.
 """
 
 from __future__ import annotations
@@ -362,26 +364,32 @@ _PLAIN_STR_BITS = 2000
 _UNROUNDED = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 
-def _int_str(n: int) -> str:
-    return str(n) if n.bit_length() < _PLAIN_STR_BITS else str(decimal.Decimal(n))
+# the monomials 1, t, t^2, ... of degrees up to seven, as ``_terms_str`` names them
+_POWERS = ("", "t", *(f"t^{i}" for i in range(2, 8)))
 
 
 def _rational_str(q: Rational | int) -> str:
     """``str(q)``, also for numerators past the int->str limit."""
-    return _poly_str((q.numerator,), q.denominator)
+    return _terms_str((q.numerator,), q.denominator, ("",))
 
 
 def _poly_str(c: Sequence[int], den: int = 1) -> str:
-    """Text of the polynomial with coefficients c[i] / den (den > 0), the
-    ``str`` of every ``Polynomial``: terms from the leading one down, each
-    coefficient in lowest terms and a unit coefficient left out.
+    """The ``str`` of every ``Polynomial``: the sum of c[i] / den * t^i (den > 0)."""
+    names = _POWERS if len(c) <= 8 else (*_POWERS, *(f"t^{i}" for i in range(8, len(c))))
+    return _terms_str(c, den, names)
+
+
+def _terms_str(c: Sequence[int], den: int, names: Sequence[str]) -> str:
+    """The one writer of exact text: the sum of c[i] / den * names[i] (den > 0,
+    "" the name of a constant) from the last i down, each coefficient in lowest
+    terms and a unit one of a monomial left out, joined by ``+ ``/``- ``, or 0.
 
     A numerator of ``_PLAIN_STR_BITS`` or more is written through the
     numerators' common factor k = gcd(c) / gcd(gcd(c), den), which divides
     every numerator in lowest terms: k goes to ``Decimal`` once, and each
     such numerator is the exact product of k and its small cofactor, so a
     determinant det(A)^2 * det(U0 - t*V0) costs one long conversion, not
-    one per coefficient.
+    one per coefficient.  A denominator that long goes to ``Decimal`` alone.
     """
     parts: list[str] = []
     k = dk = None  # the common factor and its Decimal, made on the first long numerator
@@ -389,11 +397,11 @@ def _poly_str(c: Sequence[int], den: int = 1) -> str:
         a = c[i]
         if not a:
             continue
-        mono = "" if i == 0 else "t" if i == 1 else f"t^{i}"
+        m = names[i]
         g = math.gcd(a, den)
         num, d = abs(a) // g, den // g
-        if num == d == 1 and mono:
-            body = mono
+        if num == d == 1 and m:
+            body = m
         else:
             if num.bit_length() < _PLAIN_STR_BITS:
                 body = str(num)
@@ -404,9 +412,9 @@ def _poly_str(c: Sequence[int], den: int = 1) -> str:
                     dk = decimal.Decimal(k)
                 body = str(_UNROUNDED.multiply(dk, decimal.Decimal(num // k)))
             if d != 1:
-                body = f"{body}/{_int_str(d)}"
-            if mono:
-                body = f"{body}*{mono}"
+                body = f"{body}/{d if d.bit_length() < _PLAIN_STR_BITS else decimal.Decimal(d)}"
+            if m:
+                body = f"{body}*{m}"
         if not parts:
             parts.append(body if a > 0 else f"-{body}")
         else:

@@ -1,4 +1,6 @@
 import json
+import math
+import random
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -394,3 +396,73 @@ def test_one_pass_reader_reads_an_integer_document_with_no_entry_call(monkeypatc
     u[2][2] = "1/2"
     assert pencil_from_json(json.dumps({"U": u, "V": v})).u[2][2] == Fraction(1, 2)
     assert calls == u[2]
+
+
+# -- the writer's common-factor route on forms and documents -------------------
+
+def _decimal_text(q: Fraction) -> str:
+    """``str(q)`` with the numerator and the denominator each written by
+    ``str(Decimal(n))``; it converts no int to text, so it holds at any
+    int->str digit limit."""
+    n, d = abs(q.numerator), q.denominator
+    text = str(Decimal(n)) if d == 1 else f"{Decimal(n)}/{Decimal(d)}"
+    return f"-{text}" if q < 0 else text
+
+
+def _reference_form(m) -> str:
+    """X^T M X term by term: each coefficient written alone by ``_decimal_text``."""
+    parts = []
+    for i in range(len(m)):
+        for j in range(i, len(m)):
+            c = m[i][j] if i == j else 2 * m[i][j]
+            if not c:
+                continue
+            mono = f"X{i}^2" if i == j else f"X{i}*X{j}"
+            body = mono if abs(c) == 1 else f"{_decimal_text(abs(c))}*{mono}"
+            parts.append(("" if c > 0 else "-") if not parts else ("+ " if c > 0 else "- "))
+            parts[-1] += body
+    return " ".join(parts) if parts else "0"
+
+
+def _shared_factor_matrix(rng, n: int, k: int):
+    """A symmetric n x n matrix of entries k * a / d: mixed denominators,
+    some sharing primes with k and some past the int->str limit, negative
+    entries, zeros and units, on and off the diagonal."""
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            kind = rng.randrange(6)
+            if kind == 0:
+                c = Fraction(0)
+            elif kind == 1:
+                c = Fraction(rng.choice((1, -1)), 1 if i == j else 2)  # a unit term
+            else:
+                d = rng.choice((
+                    1, 3, 12, 35,
+                    math.gcd(k, 2**40 * 3**5 * 5 * 7) * rng.randint(1, 9),
+                    rng.getrandbits(rng.randrange(2000, 2400)) | 1,
+                ))
+                c = Fraction(k * rng.choice((1, -1)) * rng.randint(1, 10**6), d)
+            m[i][j] = m[j][i] = c
+    return m
+
+
+def test_shared_long_factor_matches_the_per_entry_reference():
+    """Matrices whose entries share a factor of 2,000 to 8,000 bits: each
+    form and each JSON entry equals the text of every coefficient written
+    alone, on and off the diagonal, over mixed denominators."""
+    from segre.polynomial import _PLAIN_STR_BITS
+
+    rng = random.Random(30)
+    routed = 0
+    for _ in range(60):
+        k = (rng.getrandbits(rng.randrange(2000, 8001)) | 1) * rng.choice((1, 2, 6, 35, 2**40 * 3**5))
+        n = rng.randint(1, 5)
+        u, v = (_shared_factor_matrix(rng, n, k) for _ in range(2))
+        assert render_form(u) == _reference_form(u)
+        p = QuadricPencil(u, v)
+        assert [render_form(p.u), render_form(p.v)] == [_reference_form(u), _reference_form(v)]
+        doc = json.loads(pencil_to_json(p))
+        assert doc == {name: [[_decimal_text(c) for c in row] for row in m] for name, m in (("U", u), ("V", v))}
+        routed += any(abs(c.numerator) >> _PLAIN_STR_BITS for row in u for c in row)
+    assert routed > 40

@@ -3,23 +3,33 @@
 The digest covers the 16 catalog symbols at three seeds, the four normal
 pairs with no nonsingular member, and one pencil with det V = 0 whose
 analysis has to re-select a member.  Any change to a report's text, key
-order or values changes the digest.
+order or values changes the digest.  A second digest covers the exact
+text written outside reports: each such pencil's JSON document, its two
+equations and its determinant, and the ``segre normal-form`` document of
+every catalog symbol at rational roots.
 """
 
+import contextlib
 import copy
 import hashlib
+import io
 import json
 import pickle
 
 from segre.acceptance import _degenerate_pairs
 from segre.catalog import CATALOG_ORDER
 from segre.classify import classify_symbol
-from segre.forms import pencil_from_json, pencil_to_json
-from segre.pencil import QuadricPencil, diagonal
+from segre.cli import main
+from segre.forms import pencil_from_json, pencil_to_json, render_form
+from segre.pencil import QuadricPencil, det_poly, diagonal
 from segre.reporting import analyze_pencil, outcome_to_dict, surface_report_to_dict
-from segre.symbol import random_instance
+from segre.symbol import canonicalize, random_instance
 
 GOLDEN_SHA256 = "1e78350d14bb15695c614263fd5e7296db125fc2e1ba69f1747c3960ca71e78b"
+DOCUMENTS_SHA256 = "150a76690316ab984b8186ed04d44e1613e51418cdfdf183ce7b8afb2c225649"
+
+# one rational root per group, as many as a symbol of weight 5 can have
+ROOTS = "1/2,-3,7,11/3,5"
 
 
 def golden_pencils():
@@ -40,6 +50,33 @@ def golden_digest(pencils=None) -> str:
 
 def test_reports_match_pinned_digest():
     assert golden_digest() == GOLDEN_SHA256
+
+
+def normal_form_document(sym: str) -> str:
+    roots = ",".join(ROOTS.split(",")[: len(canonicalize(sym).groups)])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["normal-form", sym, "--roots", roots]) == 0
+    return out.getvalue()
+
+
+def documents_digest() -> str:
+    h = hashlib.sha256()
+    for p in golden_pencils():
+        texts = [pencil_to_json(p), render_form(p.u), render_form(p.v)]
+        det = det_poly(p)
+        if det:
+            texts.append(str(det))
+        for text in texts:
+            h.update(text.encode())
+            h.update(b"\n")
+    for sym in CATALOG_ORDER:
+        h.update(normal_form_document(sym).encode())
+    return h.hexdigest()
+
+
+def test_documents_match_pinned_digest():
+    assert documents_digest() == DOCUMENTS_SHA256
 
 
 def test_pencils_read_back_from_json_match_pinned_digest():

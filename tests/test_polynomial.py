@@ -680,6 +680,36 @@ def test_value_matches_the_fraction_reference(cs):
         same_value(q, p)
 
 
+# a leading coefficient: a unit, a long numerator (past _PLAIN_STR_BITS, so
+# written through the common factor) or a fraction, of either sign
+leads = st.one_of(
+    st.sampled_from([1, -1]),
+    st.integers(2**2000, 2**2600).map(lambda n: n * 3),
+    st.builds(Fraction, st.integers(1, 10**6), st.sampled_from([7, 36, 2**70])),
+).flatmap(lambda c: st.sampled_from([c, -c]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(7, 40), st.data())
+def test_high_degree_text_matches_the_fraction_reference(degree, data):
+    """Degrees past those of a pencil's determinant: two-digit exponents
+    such as t^10, with long numerators and negative leading coefficients."""
+    cs = data.draw(st.lists(st.one_of(rationals, leads), min_size=degree, max_size=degree))
+    p = Polynomial([*cs, data.draw(leads)])
+    assert p.degree == degree
+    assert str(p) == reference_str(p)
+    assert f"t^{degree}" in str(p).split(" ")[0]
+
+
+def test_high_degree_fixed_texts():
+    assert str(Polynomial([0] * 10 + [1])) == "t^10"
+    assert str(Polynomial([1] + [0] * 39 + [-1])) == "-t^40 + 1"
+    long = 3 * 2**2100
+    p = Polynomial([Fraction(1, 2), -1] + [0] * 9 + [-long] + [0] * 27 + [long])
+    assert str(p) == reference_str(p)
+    assert str(p) == f"{long}*t^39 - {long}*t^11 - t + 1/2"
+
+
 # pickles of Polynomial([-1/2, 0, 3, 0]), Polynomial() and
 # Polynomial([2/3, -5/3, 3]) as the Fraction-tuple value wrote them,
 # (Polynomial, (coeffs,)): they load as the integer value
