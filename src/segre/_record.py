@@ -1,12 +1,17 @@
-"""Immutable value records, in place of frozen dataclasses.
+"""Immutable values: one frozen base, and records in place of frozen dataclasses.
 
-A subclass lists its fields as annotations, in order; a class attribute
-of the same name is the field's default.  Instances keep their fields in
-``__dict__``, compare equal when of the same class with equal fields,
-hash as the tuple of their fields, print as ``Name(field=value, ...)``
-and pickle through their constructor.  ``replace(**changes)`` makes a
-copy with some fields changed.  Assigning or deleting an attribute
-raises ``dataclasses.FrozenInstanceError``.
+``Frozen`` is the base of every value type.  Assigning or deleting an
+attribute raises ``dataclasses.FrozenInstanceError``; values compare equal
+when of the same class with equal ``_values()``, and hash as that tuple.
+A slotted value (``QuadricPencil``, ``Polynomial``) names its ``_values()``
+and fills its slots with ``object.__setattr__``; ``SegreSymbol`` keeps its
+own structural ``==`` and ``hash``.
+
+``Record`` is a ``Frozen`` with fields.  A subclass lists its fields as
+annotations, in order; a class attribute of the same name is the field's
+default.  Instances keep their fields in ``__dict__`` (their ``_values()``),
+print as ``Name(field=value, ...)`` and pickle through their constructor.
+``replace(**changes)`` makes a copy with some fields changed.
 
 Unlike a dataclass, a record class generates no code when it is built,
 and this module imports nothing, so records add next to nothing to the
@@ -17,10 +22,32 @@ own ``__init__`` instead, storing its fields into ``self.__dict__``.
 
 from __future__ import annotations
 
-__all__ = ["Record"]
+__all__ = ["Frozen", "Record"]
 
 
-class Record:
+class Frozen:
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class Record(Frozen):
     __slots__ = ()
     __match_args__ = ()  # the field names, set for each subclass
     _names = frozenset()
@@ -65,26 +92,8 @@ class Record:
         """A copy with the given fields changed, made by the constructor."""
         return type(self)(**{**self.__dict__, **changes})
 
-    def __setattr__(self, name, value):
-        from dataclasses import FrozenInstanceError
-
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        from dataclasses import FrozenInstanceError
-
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
     def __reduce__(self):
         return type(self), self._values()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__match_args__, self._values()))

@@ -20,7 +20,7 @@ from __future__ import annotations
 from enum import Enum
 
 from ._record import Record
-from .errors import NotInCatalogError, ParseError
+from .errors import NotInCatalogError, ParseError, SizeLimitError
 from .symbol import SegreSymbol, canonicalize
 
 __all__ = [
@@ -43,20 +43,23 @@ __all__ = [
 
 
 class SingularityType(Record):
-    """A rational double point of type A_n (n >= 1) or D_n (n in {4, 5})."""
+    """A rational double point of type A_n (n >= 1) or D_n (n in {4, 5}).
+    Any other family or index raises ``ParseError``."""
 
     family: str
     index: int
 
     def __post_init__(self):
-        if self.family == "A":
-            if self.index < 1:
-                raise ValueError(f"A_n needs n >= 1, got {self.index}")
-        elif self.family == "D":
-            if self.index not in (4, 5):
-                raise ValueError(f"D_n supported for n in 4..5, got {self.index}")
-        else:
-            raise ValueError(f"unknown singularity family {self.family!r}")
+        family, index = self.family, self.index
+        if not isinstance(family, str) or family not in ("A", "D"):
+            shown = repr(family[:40]) if isinstance(family, str) else f"of type {type(family).__name__}"
+            raise ParseError(f"unknown singularity family {shown}")
+        if type(index) is not int:
+            raise ParseError(f"singularity index must be an int, got {type(index).__name__}")
+        if family == "A" and index < 1:
+            raise ParseError(f"A_n needs n >= 1, got {_shown(index)}")
+        if family == "D" and index not in (4, 5):
+            raise ParseError(f"D_n supported for n in 4..5, got {_shown(index)}")
 
     @property
     def euler(self) -> int:
@@ -65,10 +68,22 @@ class SingularityType(Record):
 
     @classmethod
     def parse(cls, text: str) -> "SingularityType":
-        return cls(text[0], int(text[1:]))
+        """``A1``, ``D4``: a family letter and its index in ASCII digits;
+        other text raises ``ParseError``."""
+        if not isinstance(text, str):
+            raise ParseError(f"singularity type must be text, got {type(text).__name__}")
+        digits = text[1:]
+        if not (digits.isascii() and digits.isdigit()) or len(digits) > 40:
+            raise ParseError(f"bad singularity type {text[:40]!r}")
+        return cls(text[0], int(digits))
 
     def __str__(self) -> str:
         return f"{self.family}{self.index}"
+
+
+def _shown(n: int) -> str:
+    """``n`` as a message writes it: in full below 10^40, else by its bit length."""
+    return str(n) if -10**40 < n < 10**40 else f"an int of {n.bit_length()} bits"
 
 
 def _A(n: int) -> SingularityType:
@@ -90,13 +105,14 @@ class AutE(Enum):
 
 def class_degree(singularities: tuple[SingularityType, ...] | list[SingularityType]) -> int:
     """Degree of the dual variety: 12 minus the fiber Euler numbers.  An
-    item that is not a ``SingularityType`` raises ``ParseError``."""
+    item that is not a ``SingularityType`` raises ``ParseError``, and Euler
+    numbers that sum past 12 ``SizeLimitError``."""
     for s in singularities if isinstance(singularities, (tuple, list)) else (singularities,):
         if type(s) is not SingularityType:
             raise ParseError(f"singularities must be SingularityType values, got {type(s).__name__}")
     total = sum(s.euler for s in singularities)
     if total > 12:
-        raise ValueError(f"euler numbers sum to {total} > 12")
+        raise SizeLimitError(f"euler numbers sum to {_shown(total)} > 12")
     return 12 - total
 
 
@@ -204,7 +220,7 @@ def catalog_row(s: SegreSymbol | str) -> CatalogRow:
     key = _canonical_key(s)
     row = CATALOG.get(key)
     if row is None:
-        raise NotInCatalogError(f"{key} is not one of the 16 catalog symbols")
+        raise NotInCatalogError(f"{key[:40]} is not one of the 16 catalog symbols")
     return row
 
 

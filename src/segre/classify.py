@@ -65,7 +65,7 @@ def classify_symbol(s: SegreSymbol | str) -> SurfaceReport:
     """
     sym = canonicalize(s)
     if sym.weight != 5:
-        raise SizeLimitError(f"classification needs a weight-5 symbol, got {sym.render()}")
+        raise SizeLimitError(f"classification needs a weight-5 symbol, got {sym.render()[:40]}")
     return _structure_report(sym.exponent_structure()).replace(symbol=sym)
 
 

@@ -20,8 +20,9 @@ class NoSmoothMemberError(DegeneratePencilError):
 class SizeLimitError(SegreError, ValueError):
     """An input outside the sizes handled: an empty (0 x 0) pencil or one
     larger than ``pencil.MAX_SIZE`` x ``pencil.MAX_SIZE`` (a matrix to
-    ``render_form`` too), or a symbol to classify whose weight is not 5
-    (a pencil that is not 5 x 5)."""
+    ``render_form`` too), a symbol to classify whose weight is not 5
+    (a pencil that is not 5 x 5), or singularities whose Euler numbers sum
+    past 12 (``class_degree``)."""
 
 
 class PencilError(SegreError, ValueError):
@@ -58,8 +59,10 @@ class NotInCatalogError(SegreError, ValueError):
 
 class ParseError(SegreError, ValueError):
     """Malformed quadratic-form expression, matrix file or symbol, a
-    matrix document that is not text or bytes, or a symbol group,
-    singularity list item or cover of the wrong type."""
+    matrix document that is not text or bytes, a symbol group, singularity
+    list item or cover of the wrong type, or a ``SingularityType`` that is
+    malformed or unknown (text not a letter and ASCII digits, a family
+    not A or D, an index not an ``int`` or out of range)."""
 
 
 class DegreeError(ParseError):

@@ -46,7 +46,7 @@ import operator
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
-from ._record import Record
+from ._record import Frozen, Record
 from .errors import (
     DegeneratePencilError,
     InternalConsistencyError,
@@ -214,7 +214,7 @@ def _check_size(size: int) -> None:
         raise SizeLimitError(f"pencils are at most {MAX_SIZE} x {MAX_SIZE}, got {size} x {size}")
 
 
-class QuadricPencil:
+class QuadricPencil(Frozen):
     """Pair of symmetric rational matrices spanning a pencil of quadrics.
 
     ``n`` is the ambient projective dimension: the matrices are
@@ -243,19 +243,11 @@ class QuadricPencil:
         _check_size(len(u))
         _init(self, _exact(u), _exact(v))
 
-    __setattr__ = Record.__setattr__  # raise FrozenInstanceError, as records do
-    __delattr__ = Record.__delattr__
+    def _values(self) -> tuple:  # equal pencils hold equal pairs
+        return self._mult, self._iu, self._iv
 
     def __reduce__(self):
         return _reduced, (self._iu, self._iv, self._mult)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self._mult, self._iu, self._iv) == (other._mult, other._iu, other._iv)
-
-    def __hash__(self) -> int:  # equal pencils hold equal pairs
-        return hash((self._mult, self._iu, self._iv))
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(u={self.u!r}, v={self.v!r})"

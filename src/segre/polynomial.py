@@ -33,6 +33,7 @@ import sys
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
+from ._record import Frozen
 from .errors import PencilError
 
 Rational = Fraction
@@ -426,7 +427,7 @@ def _terms_str(c: Sequence[int], den: int, names: Sequence[str]) -> str:
 # public polynomial type
 # ---------------------------------------------------------------------------
 
-class Polynomial:
+class Polynomial(Frozen):
     """Dense univariate polynomial, as the engine hands it out: integers
     ``_c`` over one denominator ``_den`` (``_of``), a value to compare,
     hash, pickle and print, whose ``coeffs`` are built on first read.
@@ -468,19 +469,11 @@ class Polynomial:
             raise PencilError("zero polynomial has no leading coefficient")
         return Fraction(self._c[-1], self._den)
 
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("Polynomial is immutable")
-
-    __delattr__ = __setattr__
+    def _values(self) -> tuple:
+        return self._c, self._den
 
     def __reduce__(self):
         return _of, (self._c, self._den)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and (self._c, self._den) == (other._c, other._den)
-
-    def __hash__(self) -> int:
-        return hash((self._c, self._den))
 
     def __bool__(self) -> bool:
         return bool(self._c)

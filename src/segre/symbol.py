@@ -16,7 +16,7 @@ import re
 from collections.abc import Sequence
 from fractions import Fraction
 
-from ._record import Record
+from ._record import Frozen, Record
 from .errors import ParseError, PencilError
 from .pencil import (
     Matrix,
@@ -112,7 +112,7 @@ class Group(Record):
 _SYMBOL_TOKEN = re.compile(r"\(([1-9]+)\)|([1-9])|(.)")
 
 
-class SegreSymbol:
+class SegreSymbol(Frozen):
     """Ordered multiset of root groups.
 
     Equality and hashing ignore root descriptors: two symbols are equal
@@ -141,11 +141,6 @@ class SegreSymbol:
         object.__setattr__(self, "_text", None)
         object.__setattr__(self, "_structure", None)
         object.__setattr__(self, "_canonical", False)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("SegreSymbol is immutable")
-
-    __delattr__ = __setattr__
 
     def __reduce__(self):
         return type(self), (self.groups,)

@@ -12,11 +12,13 @@ from segre.catalog import (
     TABLE3_ORDER,
     AutE,
     SingularityType,
+    catalog_row,
     class_degree,
     transitions,
 )
 from segre.classify import _structure_report, classify_symbol
-from segre.errors import InternalConsistencyError, SizeLimitError
+from segre.covers import covers_of
+from segre.errors import InternalConsistencyError, NotInCatalogError, ParseError, SizeLimitError
 from segre.reporting import analyze_pencil
 from segre.symbol import ExplicitRoot, Group, SegreSymbol, canonicalize, random_instance
 
@@ -40,6 +42,29 @@ class TestSingularityType:
         with pytest.raises(ValueError):
             SingularityType("E", 6)
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: SingularityType.parse(""), "bad singularity type ''"),
+            (lambda: SingularityType.parse("A"), "bad singularity type 'A'"),
+            (lambda: SingularityType.parse("A-1"), "bad singularity type 'A-1'"),
+            (lambda: SingularityType.parse("A" + "9" * 5000), f"bad singularity type {'A' + '9' * 39!r}"),
+            (lambda: SingularityType.parse(None), "singularity type must be text, got NoneType"),
+            (lambda: SingularityType("A", "x"), "singularity index must be an int, got str"),
+            (lambda: SingularityType("A", True), "singularity index must be an int, got bool"),
+            (lambda: SingularityType("Q", 1), "unknown singularity family 'Q'"),
+            (lambda: SingularityType("Q" * 100, 1), f"unknown singularity family {'Q' * 40!r}"),
+            (lambda: SingularityType(None, 1), "unknown singularity family of type NoneType"),
+            (lambda: SingularityType("A", 0), "A_n needs n >= 1, got 0"),
+            (lambda: SingularityType("A", -(10**5000)), "A_n needs n >= 1, got an int of 16610 bits"),
+            (lambda: SingularityType("D", 6), "D_n supported for n in 4..5, got 6"),
+        ],
+    )
+    def test_bad_input_is_a_parse_error(self, make, message):
+        with pytest.raises(ParseError) as info:
+            make()
+        assert str(info.value) == message and isinstance(info.value, ValueError)
+
 
 class TestClassDegree:
     def test_smooth(self):
@@ -57,6 +82,19 @@ class TestClassDegree:
     def test_rejects_overflow(self):
         with pytest.raises(ValueError):
             class_degree(sings("D5+D5"))
+
+    @pytest.mark.parametrize(
+        "points, total",
+        [("A12", "13"), ("D5+D5", "14"), ("A11+A1", "14")],
+    )
+    def test_an_euler_sum_past_12_is_a_size_limit_error(self, points, total):
+        with pytest.raises(SizeLimitError, match=f"^euler numbers sum to {total} > 12$") as info:
+            class_degree(sings(points))
+        assert isinstance(info.value, ValueError)
+
+    def test_a_huge_euler_sum_is_not_written_out(self):
+        with pytest.raises(SizeLimitError, match="^euler numbers sum to an int of 16610 bits > 12$"):
+            class_degree([SingularityType("A", 10**5000)])
 
 
 class TestCatalogData:
@@ -162,6 +200,17 @@ class TestClassify:
     def test_rejects_wrong_weight(self):
         with pytest.raises(ValueError):
             classify_symbol("[1111]")
+
+    def test_a_long_symbol_is_quoted_to_40_characters(self):
+        long = SegreSymbol.parse("[" + "1" * 100_000 + "]")
+        shown = "[" + "1" * 39
+        with pytest.raises(SizeLimitError) as info:
+            classify_symbol(long)
+        assert str(info.value) == f"classification needs a weight-5 symbol, got {shown}"
+        for lookup in (covers_of, transitions, catalog_row):
+            with pytest.raises(NotInCatalogError) as info:
+                lookup(long)
+            assert str(info.value) == f"{shown} is not one of the 16 catalog symbols"
 
     @pytest.mark.parametrize("size", [4, 6])
     def test_analyze_refuses_a_pencil_not_five_by_five(self, size):

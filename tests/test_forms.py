@@ -44,6 +44,12 @@ class TestParse:
         b = parse_quadratic_form("2*X0*X1 + X2^2")
         assert a.matrix == b.matrix
 
+    @pytest.mark.parametrize("text", ["X0^2 + 1/2*X1*X2 - 3*X4^2", "2X0X1 + X2^2", "-X3*X4 + 7/3*X0^2"])
+    def test_render_is_render_form_and_reparses_to_the_matrix(self, text):
+        f = parse_quadratic_form(text)
+        assert f.render() == render_form(f.matrix)
+        assert parse_quadratic_form(f.render()).matrix == f.matrix
+
     def test_collects_repeated_monomials(self):
         f = parse_quadratic_form("X0*X1 + X1*X0 + X0^2 - X0^2")
         assert f.matrix[0][1] == 1

@@ -335,6 +335,19 @@ class TestInvariantFactors:
         with pytest.raises(DegeneratePencilError):
             invariant_factors(p)
 
+    @pytest.mark.parametrize(
+        "symbol, roots, degrees",
+        [("[2111]", [2, 3, 4, 5], [5]), ("[11111]", [0, 1, 2, 3, 4], [5]), ("[(11)(11)1]", [1, 2, 3], [2, 3])],
+    )
+    def test_nontrivial_drops_the_constant_factors_in_order(self, symbol, roots, degrees):
+        p = build_normal_form(symbol, roots)
+        inv = invariant_factors(p)
+        constants = 5 - len(degrees)
+        assert inv.factors[:constants] == (Polynomial([1]),) * constants
+        assert inv.nontrivial == inv.factors[constants:]
+        assert [f.degree for f in inv.nontrivial] == degrees
+        assert product(inv.nontrivial) == monic(det_poly(p))
+
 
 def count_minors(monkeypatch, p, *routes):
     """The sizes of the determinants that the routes, run on p in turn,
