@@ -43,8 +43,9 @@ __all__ = [
 
 
 class SingularityType(Record):
-    """A rational double point of type A_n (n >= 1) or D_n (n in {4, 5}).
-    Any other family or index raises ``ParseError``."""
+    """A rational double point of type A_n (1 <= n < 10^40, the indices
+    ``parse`` reads) or D_n (n in {4, 5}).  Any other family or index
+    raises ``ParseError``."""
 
     family: str
     index: int
@@ -58,6 +59,8 @@ class SingularityType(Record):
             raise ParseError(f"singularity index must be an int, got {type(index).__name__}")
         if family == "A" and index < 1:
             raise ParseError(f"A_n needs n >= 1, got {_shown(index)}")
+        if family == "A" and index >= 10**40:  # str() of it could pass the int-str limit
+            raise ParseError(f"A_n needs n < 10^40, got {_shown(index)}")
         if family == "D" and index not in (4, 5):
             raise ParseError(f"D_n supported for n in 4..5, got {_shown(index)}")
 

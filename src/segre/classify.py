@@ -61,12 +61,17 @@ def classify_symbol(s: SegreSymbol | str) -> SurfaceReport:
 
     The report depends only on the exponent structure, so it is built once
     per structure (at most 27 of weight 5) and handed out with the
-    caller's symbol, root descriptors included.
+    caller's symbol, root descriptors included: a new report that takes
+    the cached one's fields as they are, with no second pass through the
+    constructor.
     """
     sym = canonicalize(s)
-    if sym.weight != 5:
+    structure = sym.exponent_structure()
+    if sum(map(sum, structure)) != 5:  # the weight
         raise SizeLimitError(f"classification needs a weight-5 symbol, got {sym.render()[:40]}")
-    return _structure_report(sym.exponent_structure()).replace(symbol=sym)
+    r = object.__new__(SurfaceReport)
+    vars(r).update(vars(_structure_report(structure)), symbol=sym)
+    return r
 
 
 @cache

@@ -60,9 +60,12 @@ class NotInCatalogError(SegreError, ValueError):
 class ParseError(SegreError, ValueError):
     """Malformed quadratic-form expression, matrix file or symbol, a
     matrix document that is not text or bytes, a symbol group, singularity
-    list item or cover of the wrong type, or a ``SingularityType`` that is
+    list item or cover of the wrong type, an outcome, surface report or
+    report dict of the wrong type given to ``reporting`` (or an outcome
+    that holds neither report), or a ``SingularityType`` that is
     malformed or unknown (text not a letter and ASCII digits, a family
-    not A or D, an index not an ``int`` or out of range)."""
+    not A or D, an index not an ``int`` or out of range, A_n for n of
+    10^40 or more included)."""
 
 
 class DegreeError(ParseError):

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import marshal
 from functools import cache
+from operator import itemgetter
 
 from ._record import Record
 from .classify import SurfaceReport, _structure_report, classify_symbol
 from .covers import CoverReport
-from .errors import NoSmoothMemberError
+from .errors import NoSmoothMemberError, ParseError
 from .pencil import (
     DegeneracyReport,
     QuadricPencil,
@@ -50,9 +51,10 @@ def analyze_pencil(p: QuadricPencil) -> AnalysisOutcome:
     The determinant and the invariant factors are those of the pencil
     ``select_nonsingular_member(p)`` returns; both come from that
     pencil's one expansion of det(U - t*V), and both stay integer lists
-    until they are rendered into the report.  When the polynomial of the symbol's one
-    group is the last invariant factor, as for an irreducible determinant,
-    the factor's text is the root descriptors' text.
+    until they are rendered into the report.  A constant factor is written
+    "1" as it is.  When the polynomial of the symbol's one group is the
+    last invariant factor, as for an irreducible determinant, the factor's
+    text is the root descriptors' text.
     """
     try:
         det, den, classes = _selected_classes(p)
@@ -60,7 +62,7 @@ def analyze_pencil(p: QuadricPencil) -> AnalysisOutcome:
         return AnalysisOutcome(degeneracy=degeneracy_report(p))
     chain = _chain(classes, p.size)
     sym, top = _symbol_from_classes(classes, chain[-1])
-    texts = [_poly_str(d, d[-1]) for d in chain[:-1]]
+    texts = [_poly_str(d, d[-1]) if len(d) > 1 else "1" for d in chain[:-1]]
     texts.append(str(top) if top is not None else _poly_str(chain[-1], chain[-1][-1]))
     return AnalysisOutcome(
         surface=classify_symbol(sym),
@@ -106,21 +108,31 @@ def _report_body(r: SurfaceReport) -> dict:
     }
 
 
+# every field of a SurfaceReport but the symbol, its first, as one tuple
+_fields = itemgetter(*SurfaceReport.__match_args__[1:])
+
+
 @cache
-def _catalog_body(structure: tuple[tuple[int, ...], ...]) -> bytes:
-    """The body of the report ``classify_symbol`` caches for one Segre
-    structure, as marshal bytes: loading them is a deep copy at C speed."""
-    return marshal.dumps(_report_body(_structure_report(structure)))
+def _catalog_body(structure: tuple[tuple[int, ...], ...]) -> tuple[tuple, bytes | None]:
+    """The fields but the symbol of the report ``classify_symbol`` caches
+    for one structure and, for a Segre surface, its body as marshal bytes:
+    loading them is a deep copy at C speed."""
+    r = _structure_report(structure)
+    return _fields(vars(r)), marshal.dumps(_report_body(r)) if r.is_segre else None
 
 
 def surface_report_to_dict(r: SurfaceReport) -> dict:
     """The report dict of ``r``; the caller may mutate it.
 
     ``classify_symbol`` hands out one report per exponent structure, with
-    the caller's symbol, so such a report's body is rendered once per
-    structure and each caller gets a fresh copy.  Any other report is
-    rendered as it is.
+    the caller's symbol, so a report whose every field but the symbol is
+    the cached report's, or equal to it (one tuple comparison), gets the
+    body rendered once per structure, as a fresh copy for each caller.
+    Any other report is rendered as it is.  An ``r`` that is not a
+    ``SurfaceReport`` raises ``ParseError``.
     """
+    if not isinstance(r, SurfaceReport):
+        raise ParseError(f"report must be a SurfaceReport, got {type(r).__name__}")
     symbol = r.symbol.render()
     if not r.is_segre:
         return {
@@ -129,15 +141,18 @@ def surface_report_to_dict(r: SurfaceReport) -> dict:
             "reason": r.reason,
             "verdict": "not a Segre quartic surface",
         }
-    structure = r.symbol.exponent_structure()
-    base = _structure_report(structure)
-    # every field but the symbol the very object, or equal to it
-    if vars(r) | {"symbol": base.symbol} == vars(base):
-        return {"symbol": symbol, **marshal.loads(_catalog_body(structure))}
+    fields, body = _catalog_body(r.symbol.exponent_structure())
+    if _fields(vars(r)) == fields:
+        return {"symbol": symbol, **marshal.loads(body)}
     return {"symbol": symbol, **_report_body(r)}
 
 
 def outcome_to_dict(o: AnalysisOutcome) -> dict:
+    """The report dict of an outcome; the caller may mutate it.  An ``o``
+    that is not an ``AnalysisOutcome``, or one that holds neither report,
+    raises ``ParseError``."""
+    if not isinstance(o, AnalysisOutcome):
+        raise ParseError(f"outcome must be an AnalysisOutcome, got {type(o).__name__}")
     if o.is_degenerate:
         d = o.degeneracy
         return {
@@ -156,7 +171,10 @@ def outcome_to_dict(o: AnalysisOutcome) -> dict:
 
 
 def render_pretty(doc: dict) -> str:
-    """Human-oriented rendering of a report dict."""
+    """Human-oriented rendering of a report dict; a ``doc`` that is not a
+    ``dict`` raises ``ParseError``."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"report must be a dict, got {type(doc).__name__}")
     lines: list[str] = []
 
     def emit(key: str, value, indent: int = 0):

@@ -101,12 +101,17 @@ class Group(Record):
         return len(self.exponents) >= 2
 
     def sort_key(self):
-        # descending by (weight, exponent sequence, size)
-        return (-self.weight, tuple(-e for e in self.exponents), -len(self.exponents))
+        return _order(self.exponents)
 
     def render(self) -> str:
         digits = "".join(str(e) for e in self.exponents)
         return f"({digits})" if self.bracketed else digits
+
+
+def _order(exponents: tuple[int, ...]):
+    """A group's place in canonical order, from its exponents alone:
+    descending by (weight, exponent sequence, size)."""
+    return (-sum(exponents), tuple(-e for e in exponents), -len(exponents))
 
 
 _SYMBOL_TOKEN = re.compile(r"\(([1-9]+)\)|([1-9])|(.)")
@@ -119,10 +124,10 @@ class SegreSymbol(Frozen):
     exactly when their canonicalized exponent structures coincide, which
     is what congruence and pencil-basis invariance preserve.  The rendered
     text and the exponent structure are computed once per symbol, on their
-    first use.  A symbol made by ``canonical()`` knows its groups are in
-    canonical order: it is its own canonical form, and its structure is
-    read in group order.  Groups that are not a sequence of ``Group``
-    values raise ``ParseError``.
+    first use.  A symbol made by ``canonical()`` or by ``compute_symbol``
+    knows its groups are in canonical order: it is its own canonical form,
+    and its structure is read in group order when it is made.  Groups
+    that are not a sequence of ``Group`` values raise ``ParseError``.
     """
 
     __slots__ = ("groups", "_text", "_structure", "_canonical")
@@ -175,14 +180,12 @@ class SegreSymbol(Frozen):
     def canonical(self) -> "SegreSymbol":
         if self._canonical:
             return self
-        s = SegreSymbol(sorted(self.groups, key=Group.sort_key))
-        object.__setattr__(s, "_canonical", True)
-        return s
+        return _canonical_symbol(sorted(self.groups, key=Group.sort_key))
 
     def exponent_structure(self) -> tuple[tuple[int, ...], ...]:
         """The multiset of group exponent multisets, canonically ordered."""
-        if self._structure is None:
-            groups = self.groups if self._canonical else sorted(self.groups, key=Group.sort_key)
+        if self._structure is None:  # a canonical symbol has it from birth
+            groups = sorted(self.groups, key=Group.sort_key)
             object.__setattr__(self, "_structure", tuple(g.exponents for g in groups))
         return self._structure
 
@@ -217,6 +220,15 @@ class SegreSymbol(Frozen):
         return f"SegreSymbol.parse({self.render()!r})"
 
 
+def _canonical_symbol(groups: Sequence[Group]) -> SegreSymbol:
+    """The symbol of ``groups``, which are in canonical order: marked as its
+    own canonical form, with its exponent structure read in group order."""
+    s = SegreSymbol(groups)
+    object.__setattr__(s, "_canonical", True)
+    object.__setattr__(s, "_structure", tuple([g.exponents for g in s.groups]))
+    return s
+
+
 def canonicalize(s: SegreSymbol | str) -> SegreSymbol:
     """Canonical ordering: exponents descending inside each group, groups
     descending by (weight, exponent sequence, size).  Idempotent."""
@@ -249,9 +261,12 @@ def _symbol_from_classes(
     Roots that share a partition share every exponent in the invariant
     factors; the product of their class factors is one group polynomial,
     whose roots are never found.  A linear one gives an explicit root, any
-    other one symbolic roots, one group per root.  ``canonical()`` orders
-    the groups by their exponents, which differ between polynomials, so the
-    order of ``classes`` never shows.
+    other one symbolic roots, one group per root.  The symbol is built in
+    canonical order: the partitions (descending, so each is its groups'
+    exponents) by the order ``Group.sort_key`` gives them, and the groups
+    of one partition by root index.  Distinct partitions never tie, so the
+    order of ``classes`` never shows, and the one symbol made is its own
+    canonical form, with its exponent structure filled in.
     """
     by_partition: dict[tuple[int, ...], list[int]] = {}
     for h, lam in classes:
@@ -259,7 +274,8 @@ def _symbol_from_classes(
         by_partition[lam] = h if b is None else _int_mul(b, h)
     groups: list[Group] = []
     top_poly = None
-    for lam, b in by_partition.items():
+    for lam in sorted(by_partition, key=_order):
+        b = by_partition[lam]
         if len(b) == 2:
             groups.append(Group(lam, ExplicitRoot(Fraction(-b[0], b[1]))))
         else:
@@ -267,7 +283,7 @@ def _symbol_from_classes(
             if b == top:
                 top_poly = poly
             groups.extend(Group(lam, SymbolicRoot(poly, i)) for i in range(poly.degree))
-    return SegreSymbol(groups).canonical(), top_poly
+    return _canonical_symbol(groups), top_poly
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 import segre
 import segre.forms
+import segre.reporting
 import segre.symbol
 from segre.catalog import catalog_row, in_catalog
 from segre.errors import NotInCatalogError, ParseError, PencilError, SegreError, SizeLimitError
@@ -425,6 +426,22 @@ WRONG_ITEMS = {
     "dual_section of text": (
         lambda: segre.dual_section("[2111]", "x"),
         "cover must be a CoverReport, got str",
+    ),
+    "outcome_to_dict of an int": (
+        lambda: segre.reporting.outcome_to_dict(42),
+        "outcome must be an AnalysisOutcome, got int",
+    ),
+    "outcome_to_dict of an outcome with no report": (
+        lambda: segre.reporting.outcome_to_dict(segre.reporting.AnalysisOutcome()),
+        "report must be a SurfaceReport, got NoneType",
+    ),
+    "render_pretty of an int": (
+        lambda: segre.reporting.render_pretty(42),
+        "report must be a dict, got int",
+    ),
+    "surface_report_to_dict of text": (
+        lambda: segre.reporting.surface_report_to_dict("x"),
+        "report must be a SurfaceReport, got str",
     ),
 }
 

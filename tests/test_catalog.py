@@ -57,6 +57,8 @@ class TestSingularityType:
             (lambda: SingularityType(None, 1), "unknown singularity family of type NoneType"),
             (lambda: SingularityType("A", 0), "A_n needs n >= 1, got 0"),
             (lambda: SingularityType("A", -(10**5000)), "A_n needs n >= 1, got an int of 16610 bits"),
+            (lambda: SingularityType("A", 10**40), "A_n needs n < 10^40, got an int of 133 bits"),
+            (lambda: SingularityType("A", 10**5000), "A_n needs n < 10^40, got an int of 16610 bits"),
             (lambda: SingularityType("D", 6), "D_n supported for n in 4..5, got 6"),
         ],
     )
@@ -64,6 +66,14 @@ class TestSingularityType:
         with pytest.raises(ParseError) as info:
             make()
         assert str(info.value) == message and isinstance(info.value, ValueError)
+
+    def test_the_largest_index_is_the_largest_parse_reads(self):
+        # every index the constructor takes has at most 40 digits, so its
+        # text never reaches the int-str limit
+        top = SingularityType("A", 10**40 - 1)
+        assert top == SingularityType.parse("A" + "9" * 40)
+        assert str(top) == "A" + "9" * 40
+        assert repr(top) == f"SingularityType(family='A', index={'9' * 40})"
 
 
 class TestClassDegree:
@@ -93,8 +103,8 @@ class TestClassDegree:
         assert isinstance(info.value, ValueError)
 
     def test_a_huge_euler_sum_is_not_written_out(self):
-        with pytest.raises(SizeLimitError, match="^euler numbers sum to an int of 16610 bits > 12$"):
-            class_degree([SingularityType("A", 10**5000)])
+        with pytest.raises(SizeLimitError, match="^euler numbers sum to an int of 134 bits > 12$"):
+            class_degree([SingularityType("A", 10**40 - 1)] * 2)
 
 
 class TestCatalogData:

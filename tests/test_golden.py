@@ -16,13 +16,16 @@ import io
 import json
 import pickle
 
+import pytest
+
+import segre.reporting
 from segre.acceptance import _degenerate_pairs
-from segre.catalog import CATALOG_ORDER
-from segre.classify import classify_symbol
+from segre.catalog import CATALOG_ORDER, AutE, SingularityType
+from segre.classify import SurfaceReport, classify_symbol
 from segre.cli import main
 from segre.forms import pencil_from_json, pencil_to_json, render_form
 from segre.pencil import QuadricPencil, det_poly, diagonal
-from segre.reporting import analyze_pencil, outcome_to_dict, surface_report_to_dict
+from segre.reporting import _report_body, analyze_pencil, outcome_to_dict, surface_report_to_dict
 from segre.symbol import canonicalize, random_instance
 
 GOLDEN_SHA256 = "1e78350d14bb15695c614263fd5e7296db125fc2e1ba69f1747c3960ca71e78b"
@@ -106,6 +109,56 @@ def test_a_report_changed_past_its_symbol_is_rendered_as_it_is():
     assert doc["notes"] == ["changed"] and doc["transitions"] == []
     assert surface_report_to_dict(r)["transitions"] != []
     assert surface_report_to_dict(r)["notes"] == list(r.notes)
+
+
+# one changed value for each field of a catalog report but its symbol
+CHANGED = {
+    "is_segre": False,
+    "reason": "changed",
+    "singularities": (SingularityType("A", 2),),
+    "class_degree": 9,
+    "q_star_count": 2,
+    "lines_total": 7,
+    "planes_in_dual": 3,
+    "aut_e": AutE.C_STAR,
+    "covers": (),
+    "transitions": (),
+    "genus": 2,
+    "embedding_degree": 6,
+    "notes": ("changed",),
+}
+
+
+def test_every_field_but_the_symbol_is_changed_once():
+    assert list(CHANGED) == list(SurfaceReport.__match_args__[1:])
+
+
+@pytest.mark.parametrize("field", list(CHANGED))
+def test_a_report_changed_in_one_field_is_rendered_as_it_is(field):
+    r = classify_symbol("[2111]")
+    surface_report_to_dict(r)  # the shared body of [2111] is rendered
+    changed = r.replace(**{field: CHANGED[field]})
+    assert getattr(changed, field) != getattr(r, field)
+    if field == "is_segre":
+        want = {"symbol": "[2111]", "is_segre": False, "reason": None,
+                "verdict": "not a Segre quartic surface"}
+    else:
+        want = {"symbol": "[2111]", **_report_body(changed)}
+    assert json.dumps(surface_report_to_dict(changed), indent=2) == json.dumps(want, indent=2)
+
+
+def test_a_report_built_equal_by_hand_shares_the_body(monkeypatch):
+    r = classify_symbol("[2111]")
+    want = json.dumps(surface_report_to_dict(r), indent=2)
+    # equal fields that are not the same objects, given in reverse order
+    hand = SurfaceReport(**{n: copy.deepcopy(v) for n, v in reversed(vars(r).items())})
+    assert hand == r and hand.covers is not r.covers
+
+    def rendered(report):
+        raise AssertionError("a report equal to the catalog's was rendered again")
+
+    monkeypatch.setattr(segre.reporting, "_report_body", rendered)
+    assert json.dumps(surface_report_to_dict(hand), indent=2) == want
 
 
 def test_outcomes_pickle_and_copy_to_the_same_report():

@@ -85,10 +85,12 @@ class TestCanonicalize:
 
     @pytest.mark.parametrize("symbol", ["[11111]", "[(11)111]", "[2111]", "[(21)2]", "[(111)11]"])
     def test_one_report_canonicalizes_twice(self, monkeypatch, symbol):
-        # compute_symbol orders the groups and classify_symbol canonicalizes
-        # its argument; the text and the exponent structure are kept per
-        # symbol, so the report reuses them.  Before they were kept, the
-        # count was 4 (3 off the catalog).
+        # compute_symbol builds its symbol in canonical order, marked as its
+        # own canonical form, so classify_symbol's canonicalize is the one
+        # call and returns it; the text and the exponent structure are kept
+        # per symbol, so the report reuses them.  The name keeps the count
+        # of 2 from before the symbol was built in order, and before the
+        # text and structure were kept the count was 4 (3 off the catalog).
         from segre.reporting import outcome_to_dict
 
         p = random_instance(symbol, 0)
@@ -102,7 +104,7 @@ class TestCanonicalize:
 
         monkeypatch.setattr(SegreSymbol, "canonical", counted)
         doc = outcome_to_dict(analyze_pencil(p))
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert doc["symbol"] == canonicalize(symbol).render()
 
     def test_text_and_structure_are_kept(self):
@@ -135,8 +137,9 @@ class TestComputeSymbol:
 
     def test_irreducible_quintic_rendered_once(self, monkeypatch):
         # d_5 is the polynomial of the root descriptors: the factor's text is
-        # theirs, so a [11111] op renders d_1..d_4, the determinant and the
-        # quintic once each
+        # theirs, and the constant d_1..d_4 are written "1" with no call, so
+        # a [11111] op renders the determinant and the quintic once each
+        # (before constants were written as they are, the count was 6)
         import segre.polynomial
         import segre.reporting
         from segre.reporting import outcome_to_dict
@@ -154,7 +157,7 @@ class TestComputeSymbol:
         monkeypatch.setattr(segre.polynomial, "_poly_str", counted)
         monkeypatch.setattr(segre.reporting, "_poly_str", counted)
         doc = outcome_to_dict(analyze_pencil(QuadricPencil(u, identity(5))))
-        assert len(texts) == 6
+        assert len(texts) == 2
         assert texts.count(doc["invariant_factors"][-1]) == 1
 
     def test_five_distinct_eigenvalues(self):
@@ -233,6 +236,37 @@ class TestComputeSymbol:
                 got = _symbol_from_classes(list(order))[0]
                 assert got.render() == want.render()
                 assert got.root_descriptions() == want.root_descriptions()
+
+    def test_symbol_is_born_canonical(self):
+        # the symbol compute_symbol and analyze_pencil build in canonical
+        # order is the one the public constructor and canonical() give for
+        # its groups
+        from test_differential import CASES, ONE, block_diag, case, jordan_two
+
+        weight5 = [s for s in _symbols_up_to(5) if s.weight == 5]
+        pencils = [random_instance(s, seed) for s in weight5 for seed in range(3)]
+        pencils += [case(name) for name in CASES]  # irrational roots
+        imaginary = ([[0, 1], [1, 0]], [[1, 0], [0, -1]])  # V^-1 U has t^2 + 1
+        pencils += [
+            block_diag(imaginary, imaginary, ONE),
+            block_diag(jordan_two(*imaginary), ONE),
+            block_diag(imaginary, ONE, ONE, ([[5]], [[1]])),
+        ]
+        for p in pencils:
+            sym = compute_symbol(p)
+            rebuilt = SegreSymbol(list(sym.groups)).canonical()
+            assert sym.canonical() is sym
+            assert [(g.exponents, g.root) for g in sym.groups] == [
+                (g.exponents, g.root) for g in rebuilt.groups
+            ]
+            assert sym.render() == rebuilt.render()
+            assert sym.exponent_structure() == rebuilt.exponent_structure()
+            assert sym.root_descriptions() == rebuilt.root_descriptions()
+            # the groups of one polynomial come in root-index order
+            for poly in {g.root.poly for g in sym.groups if isinstance(g.root, SymbolicRoot)}:
+                indices = [g.root.index for g in sym.groups
+                           if isinstance(g.root, SymbolicRoot) and g.root.poly == poly]
+                assert indices == list(range(poly.degree))
 
 
 class TestNormalForm:
