@@ -211,16 +211,12 @@ TABLE2_ROWS: tuple[Table2Row, ...] = (
 TABLE3_ORDER: tuple[str, ...] = ("[32]", "[5]")
 
 
-def _canonical_key(s: SegreSymbol | str) -> str:
-    return canonicalize(s).render()
-
-
 def in_catalog(s: SegreSymbol | str) -> bool:
-    return _canonical_key(s) in CATALOG
+    return canonicalize(s).render() in CATALOG
 
 
 def catalog_row(s: SegreSymbol | str) -> CatalogRow:
-    key = _canonical_key(s)
+    key = canonicalize(s).render()
     row = CATALOG.get(key)
     if row is None:
         raise NotInCatalogError(f"{key[:40]} is not one of the 16 catalog symbols")

@@ -5,16 +5,10 @@ from __future__ import annotations
 from functools import cache
 
 from ._record import Record
-from .catalog import (
-    AutE,
-    SingularityType,
-    catalog_row,
-    in_catalog,
-    transitions,
-)
+from .catalog import CATALOG, AutE, SingularityType, transitions
 from .covers import BaseKind, CoverReport, covers_of
 from .errors import SizeLimitError
-from .symbol import Group, SegreSymbol, canonicalize
+from .symbol import Group, SegreSymbol, _canonical_symbol, canonicalize
 
 __all__ = ["SurfaceReport", "classify_symbol"]
 
@@ -76,11 +70,14 @@ def classify_symbol(s: SegreSymbol | str) -> SurfaceReport:
 
 @cache
 def _structure_report(structure: tuple[tuple[int, ...], ...]) -> SurfaceReport:
-    sym = SegreSymbol([Group(exps) for exps in structure])
-    if not in_catalog(sym):
+    """The report of one exponent structure, in canonical order.  Its
+    symbol is made canonical, so the covers and transitions never sort or
+    render it again, and its catalog row is read once."""
+    sym = _canonical_symbol([Group(exps) for exps in structure])
+    row = CATALOG.get(sym.render())
+    if row is None:
         return SurfaceReport(symbol=sym, is_segre=False, reason=_rejection_reason(sym))
 
-    row = catalog_row(sym)
     notes: list[str] = []
     if row.printed_class_discrepancy is not None:
         notes.append(

@@ -77,10 +77,6 @@ class BranchStructure(Record):
         return sum(c.dual_degree for c in self.components)
 
 
-def _structure(kinds: list[ComponentKind], configuration: str, conics: int | None = None):
-    return BranchStructure(tuple(kinds), configuration, conics)
-
-
 _K = ComponentKind
 
 # Weight-4 symbols of branch curves, canonical rendering -> structure.
@@ -88,27 +84,27 @@ _K = ComponentKind
 # structure of a quartic pencil intersection in CP3 depends only on its
 # symbol, not on which quadric of its pencil the curve is projected to.
 BRANCH_STRUCTURES: dict[str, BranchStructure] = {
-    "[1111]": _structure([_K.ELLIPTIC], "smooth elliptic curve", 4),
-    "[211]": _structure([_K.NODAL_RATIONAL], "rational curve with one node", 2),
-    "[31]": _structure([_K.CUSPIDAL_RATIONAL], "rational curve with one cusp", 1),
-    "[(11)11]": _structure(
-        [_K.CONIC, _K.CONIC], "two conics meeting transversally at two points"
+    "[1111]": BranchStructure((_K.ELLIPTIC,), "smooth elliptic curve", 4),
+    "[211]": BranchStructure((_K.NODAL_RATIONAL,), "rational curve with one node", 2),
+    "[31]": BranchStructure((_K.CUSPIDAL_RATIONAL,), "rational curve with one cusp", 1),
+    "[(11)11]": BranchStructure(
+        (_K.CONIC, _K.CONIC), "two conics meeting transversally at two points"
     ),
-    "[(21)1]": _structure([_K.CONIC, _K.CONIC], "two conics touching at one point"),
-    "[22]": _structure(
-        [_K.LINE, _K.RATIONAL_NORMAL_CUBIC],
+    "[(21)1]": BranchStructure((_K.CONIC, _K.CONIC), "two conics touching at one point"),
+    "[22]": BranchStructure(
+        (_K.LINE, _K.RATIONAL_NORMAL_CUBIC),
         "line and twisted cubic meeting transversally at two points",
     ),
-    "[4]": _structure(
-        [_K.LINE, _K.RATIONAL_NORMAL_CUBIC], "line and twisted cubic touching at one point"
+    "[4]": BranchStructure(
+        (_K.LINE, _K.RATIONAL_NORMAL_CUBIC), "line and twisted cubic touching at one point"
     ),
-    "[2(11)]": _structure(
-        [_K.LINE, _K.LINE, _K.CONIC], "two lines and a conic forming a triangle"
+    "[2(11)]": BranchStructure(
+        (_K.LINE, _K.LINE, _K.CONIC), "two lines and a conic forming a triangle"
     ),
-    "[(31)]": _structure(
-        [_K.LINE, _K.LINE, _K.CONIC], "two lines and a conic through one common point"
+    "[(31)]": BranchStructure(
+        (_K.LINE, _K.LINE, _K.CONIC), "two lines and a conic through one common point"
     ),
-    "[(11)(11)]": _structure([_K.LINE] * 4, "four lines forming a quadrilateral"),
+    "[(11)(11)]": BranchStructure((_K.LINE,) * 4, "four lines forming a quadrilateral"),
 }
 
 
@@ -162,23 +158,16 @@ _VERTEX_BY_COMPANION = {
 }
 
 
-def _branch_lookup(sym: SegreSymbol) -> BranchStructure:
-    key = sym.canonical().render()
-    st = BRANCH_STRUCTURES.get(key)
-    if st is None:
-        raise InternalConsistencyError(f"no structural table entry for branch {key}")
-    return st
-
-
 def covers_of(s: SegreSymbol | str) -> list[CoverReport]:
     """One cover per '1' entry of a catalog symbol, sections attached.
 
     Entries are scanned in canonical symbol order; equal-root unbracketed
     1s give symbol-identical covers and are still listed once per entry.
-    [32] and [5] contain no 1 and admit no cover.
+    [32] and [5] contain no 1 and admit no cover.  The symbol's catalog
+    row is read once, and each cover is built once, with its section.
     """
-    row = catalog_row(s)  # NotInCatalogError for non-catalog symbols
     sym = canonicalize(s)
+    cls = catalog_row(sym).class_degree  # NotInCatalogError for non-catalog symbols
     reports: list[CoverReport] = []
     entry = 0
     for gi, group in enumerate(sym.groups):
@@ -199,16 +188,22 @@ def covers_of(s: SegreSymbol | str) -> list[CoverReport]:
                         raise InternalConsistencyError(
                             f"unexpected bracketed group {group.exponents} in {sym.render()}"
                         )
-                structure = _branch_lookup(branch)
-                report = CoverReport(
-                    base=base,
-                    source_entry=entry,
-                    source_group=group.exponents,
-                    branch_symbol=branch,
-                    branch_structure=structure,
-                    vertex_on_branch=vertex,
+                structure = BRANCH_STRUCTURES.get(branch.render())
+                if structure is None:
+                    raise InternalConsistencyError(
+                        f"no structural table entry for branch {branch.render()}"
+                    )
+                reports.append(
+                    CoverReport(
+                        base=base,
+                        source_entry=entry,
+                        source_group=group.exponents,
+                        branch_symbol=branch,
+                        branch_structure=structure,
+                        vertex_on_branch=vertex,
+                        section=_section(sym, cls, base, structure, vertex),
+                    )
                 )
-                reports.append(report.replace(section=dual_section(sym, report)))
             entry += 1
     return reports
 
@@ -222,13 +217,23 @@ def dual_section(s: SegreSymbol | str, cover: CoverReport) -> SectionDivisor:
     must be 1 when the vertex is a cusp or the branch's unique singular
     point, and 2 when it is a node.  Nodes of the branch away from the
     vertex never contribute a plane.  A cover that is not a
-    ``CoverReport`` raises ``ParseError``.
+    ``CoverReport`` raises ``ParseError``.  ``covers_of`` attaches this
+    section to every cover it builds, through the same rule.
     """
     if not isinstance(cover, CoverReport):
         raise ParseError(f"cover must be a CoverReport, got {type(cover).__name__}")
-    cls = catalog_row(s).class_degree
-    bdd = cover.branch_structure.dual_degree
-    if cover.base is BaseKind.SMOOTH_QUADRIC:
+    sym = canonicalize(s)
+    cls = catalog_row(sym).class_degree
+    return _section(sym, cls, cover.base, cover.branch_structure, cover.vertex_on_branch)
+
+
+def _section(
+    sym: SegreSymbol, cls: int, base: BaseKind, branch: BranchStructure, vertex: VertexPosition
+) -> SectionDivisor:
+    """``dual_section``'s rule for a cover of the canonical catalog symbol
+    ``sym``, of class ``cls``, with this base, branch and vertex."""
+    bdd = branch.dual_degree
+    if base is BaseKind.SMOOTH_QUADRIC:
         terms = (
             SectionTerm(SectionComponent.Q_STAR, 2, 2),
             SectionTerm(SectionComponent.B_STAR, 1, bdd),
@@ -240,11 +245,10 @@ def dual_section(s: SegreSymbol | str, cover: CoverReport) -> SectionDivisor:
             VertexPosition.NODE: 2,
             VertexPosition.CUSP: 1,
             VertexPosition.IS_SINGULAR_LOCUS: 1,
-        }[cover.vertex_on_branch]
-        if m not in (0, 1, 2) or m != expected:
+        }[vertex]
+        if m != expected:
             raise InternalConsistencyError(
-                f"cone cover of {canonicalize(s).render()}: vertex multiplicity "
-                f"{m}, expected {expected}"
+                f"cone cover of {sym.render()}: vertex multiplicity {m}, expected {expected}"
             )
         terms = (SectionTerm(SectionComponent.B_STAR, 1, bdd),)
         if m:
@@ -252,7 +256,6 @@ def dual_section(s: SegreSymbol | str, cover: CoverReport) -> SectionDivisor:
     section = SectionDivisor(terms)
     if section.total_degree != cls:
         raise InternalConsistencyError(
-            f"section of {canonicalize(s).render()} sums to {section.total_degree}, "
-            f"class is {cls}"
+            f"section of {sym.render()} sums to {section.total_degree}, class is {cls}"
         )
     return section

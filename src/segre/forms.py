@@ -187,7 +187,9 @@ def _matrices_doc(p: QuadricPencil) -> dict[str, list[list[str]]]:
 
 
 def pencil_to_json(p: QuadricPencil, extra: dict | None = None) -> str:
-    """The document ``pencil_from_json`` reads back: ``U`` and ``V`` written by
-    ``polynomial._terms_str`` (``_matrices_doc``), then the keys of ``extra``."""
+    """The pencil's document: ``U`` and ``V`` written by ``polynomial._terms_str``
+    (``_matrices_doc``), then the keys of ``extra``.  ``pencil_from_json`` reads
+    back the document of a 5 x 5 pencil and refuses any other size with
+    ``ParseError``."""
     _check_pencil(p)
     return json.dumps({**_matrices_doc(p), **(extra or {})}, indent=2)

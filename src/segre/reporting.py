@@ -149,12 +149,14 @@ def surface_report_to_dict(r: SurfaceReport) -> dict:
 
 def outcome_to_dict(o: AnalysisOutcome) -> dict:
     """The report dict of an outcome; the caller may mutate it.  An ``o``
-    that is not an ``AnalysisOutcome``, or one that holds neither report,
-    raises ``ParseError``."""
+    that is not an ``AnalysisOutcome``, one that holds neither report, or
+    one with a field of the wrong type raises ``ParseError``."""
     if not isinstance(o, AnalysisOutcome):
         raise ParseError(f"outcome must be an AnalysisOutcome, got {type(o).__name__}")
     if o.is_degenerate:
         d = o.degeneracy
+        if not isinstance(d, DegeneracyReport):
+            raise _wrong_field("degeneracy", "a DegeneracyReport", d)
         return {
             "is_segre": False,
             "degenerate_pencil": True,
@@ -163,11 +165,25 @@ def outcome_to_dict(o: AnalysisOutcome) -> dict:
             "verdict": d.verdict,
         }
     doc = surface_report_to_dict(o.surface)
-    if o.symbol is not None:
-        doc["roots"] = o.symbol.root_descriptions()
-    doc["invariant_factors"] = list(o.invariant_factors)
-    doc["determinant"] = o.determinant
+    symbol, factors, det = o.symbol, o.invariant_factors, o.determinant
+    if symbol is not None:
+        if not isinstance(symbol, SegreSymbol):
+            raise _wrong_field("symbol", "a SegreSymbol", symbol)
+        doc["roots"] = symbol.root_descriptions()
+    if not isinstance(factors, (tuple, list)):
+        raise _wrong_field("invariant_factors", "a tuple of str", factors)
+    for f in factors:
+        if type(f) is not str:
+            raise _wrong_field("invariant_factors item", "a str", f)
+    if det is not None and type(det) is not str:
+        raise _wrong_field("determinant", "a str", det)
+    doc["invariant_factors"] = list(factors)
+    doc["determinant"] = det
     return doc
+
+
+def _wrong_field(field: str, wanted: str, got) -> ParseError:
+    return ParseError(f"outcome {field} must be {wanted}, got {type(got).__name__}")
 
 
 def render_pretty(doc: dict) -> str:

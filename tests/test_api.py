@@ -435,6 +435,39 @@ WRONG_ITEMS = {
         lambda: segre.reporting.outcome_to_dict(segre.reporting.AnalysisOutcome()),
         "report must be a SurfaceReport, got NoneType",
     ),
+    # these raised AttributeError and TypeError
+    "outcome_to_dict of an outcome with an int symbol": (
+        lambda: segre.reporting.outcome_to_dict(
+            segre.reporting.AnalysisOutcome(surface=segre.classify_symbol("[2111]"), symbol=5)
+        ),
+        "outcome symbol must be a SegreSymbol, got int",
+    ),
+    "outcome_to_dict of an outcome with an int degeneracy": (
+        lambda: segre.reporting.outcome_to_dict(segre.reporting.AnalysisOutcome(degeneracy=5)),
+        "outcome degeneracy must be a DegeneracyReport, got int",
+    ),
+    "outcome_to_dict of an outcome with int invariant factors": (
+        lambda: segre.reporting.outcome_to_dict(
+            segre.reporting.AnalysisOutcome(
+                surface=segre.classify_symbol("[2111]"), invariant_factors=5
+            )
+        ),
+        "outcome invariant_factors must be a tuple of str, got int",
+    ),
+    "outcome_to_dict of an outcome with an int invariant factor": (
+        lambda: segre.reporting.outcome_to_dict(
+            segre.reporting.AnalysisOutcome(
+                surface=segre.classify_symbol("[2111]"), invariant_factors=("1", 2)
+            )
+        ),
+        "outcome invariant_factors item must be a str, got int",
+    ),
+    "outcome_to_dict of an outcome with an int determinant": (
+        lambda: segre.reporting.outcome_to_dict(
+            segre.reporting.AnalysisOutcome(surface=segre.classify_symbol("[2111]"), determinant=5)
+        ),
+        "outcome determinant must be a str, got int",
+    ),
     "render_pretty of an int": (
         lambda: segre.reporting.render_pretty(42),
         "report must be a dict, got int",

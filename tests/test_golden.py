@@ -6,7 +6,9 @@ analysis has to re-select a member.  Any change to a report's text, key
 order or values changes the digest.  A second digest covers the exact
 text written outside reports: each such pencil's JSON document, its two
 equations and its determinant, and the ``segre normal-form`` document of
-every catalog symbol at rational roots.
+every catalog symbol at rational roots.  A third covers the reports
+``classify_symbol`` builds for all 27 weight-5 exponent structures, off
+the catalog too, and two more the ``segre catalog`` output.
 """
 
 import contextlib
@@ -21,15 +23,27 @@ import pytest
 import segre.reporting
 from segre.acceptance import _degenerate_pairs
 from segre.catalog import CATALOG_ORDER, AutE, SingularityType
-from segre.classify import SurfaceReport, classify_symbol
+from segre.classify import SurfaceReport, _structure_report, classify_symbol
 from segre.cli import main
 from segre.forms import pencil_from_json, pencil_to_json, render_form
 from segre.pencil import QuadricPencil, det_poly, diagonal
-from segre.reporting import _report_body, analyze_pencil, outcome_to_dict, surface_report_to_dict
-from segre.symbol import canonicalize, random_instance
+from segre.reporting import (
+    _catalog_body,
+    _report_body,
+    analyze_pencil,
+    outcome_to_dict,
+    surface_report_to_dict,
+)
+from segre.symbol import Group, SegreSymbol, canonicalize, random_instance
+from test_catalog import WEIGHT_FIVE
 
 GOLDEN_SHA256 = "1e78350d14bb15695c614263fd5e7296db125fc2e1ba69f1747c3960ca71e78b"
 DOCUMENTS_SHA256 = "150a76690316ab984b8186ed04d44e1613e51418cdfdf183ce7b8afb2c225649"
+STRUCTURES_SHA256 = "63d6441951ae7b48e29a1b8f0040f9c182ccce143a879376ebe6f730d9fcf0b2"
+CATALOG_SHA256 = {
+    (): "66de6291b73b4386dc22e0cee41fd0446b0013e22f0a7583c657d8a733e10598",
+    ("--pretty",): "ce865535b5f99ed5c6362d879f23c60e7f932bc44c224184166ca60b67835ce8",
+}
 
 # one rational root per group, as many as a symbol of weight 5 can have
 ROOTS = "1/2,-3,7,11/3,5"
@@ -80,6 +94,31 @@ def documents_digest() -> str:
 
 def test_documents_match_pinned_digest():
     assert documents_digest() == DOCUMENTS_SHA256
+
+
+def structures_digest() -> str:
+    h = hashlib.sha256()
+    for structure in WEIGHT_FIVE:
+        r = classify_symbol(SegreSymbol([Group(e) for e in structure]))
+        h.update(json.dumps(surface_report_to_dict(r), indent=2).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def test_structure_reports_match_pinned_digest():
+    # built afresh: neither the report nor its rendered body is cached
+    _structure_report.cache_clear()
+    _catalog_body.cache_clear()
+    assert len(WEIGHT_FIVE) == 27
+    assert structures_digest() == STRUCTURES_SHA256
+
+
+@pytest.mark.parametrize("flags", list(CATALOG_SHA256))
+def test_catalog_output_matches_pinned_digest(flags):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["catalog", *flags]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == CATALOG_SHA256[flags]
 
 
 def test_pencils_read_back_from_json_match_pinned_digest():

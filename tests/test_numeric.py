@@ -138,6 +138,30 @@ class TestAgreement:
             numeric = numeric_exponent_partitions(inst).exponent_structure()
             assert numeric == exact
 
+    def test_a_bridging_eigenvalue_merges_two_clusters(self):
+        # V^-1 U has eigenvalues 1 +- i/25, 10001/10000, 3 and 5.  The link
+        # radius is 5 * _CLUSTER_TOL**(1/3) = 0.05: the conjugates, 0.08
+        # apart, start two clusters, and 1.0001, 0.04 from each, links them
+        # into one.  The oracle refuses that cluster or agrees with the
+        # exact path.
+        import numpy as np
+
+        c = Fraction(1, 25)
+        u = [[1, c, 0, 0, 0], [c, -1, 0, 0, 0], [0, 0, Fraction(10001, 10000), 0, 0],
+             [0, 0, 0, 3, 0], [0, 0, 0, 0, 5]]
+        p = QuadricPencil(u, diagonal([1, -1, 1, 1, 1]))
+        m = np.linalg.solve(np.array(diagonal([1, -1, 1, 1, 1]), float), np.array(u, float))
+        near_one = [z for z in np.linalg.eigvals(m).tolist() if abs(z - 1) < 0.1]
+        low, real, high = sorted(near_one, key=lambda z: z.imag)
+        radius = 5 * segre.numeric._CLUSTER_TOL ** (1 / 3)
+        assert abs(high - low) > radius
+        assert abs(real - low) <= radius and abs(real - high) <= radius
+        try:
+            got = numeric_exponent_partitions(p)
+        except IllConditionedError:
+            return
+        assert got == compute_symbol(p) == "[11111]"
+
 
 def test_exact_path_does_not_import_numpy():
     src = str(Path(__file__).resolve().parents[1] / "src")
