@@ -25,7 +25,6 @@ from .covers import (
     SectionDivisor,
     VertexPosition,
     covers_of,
-    dual_section,
 )
 from .errors import (
     DegeneratePencilError,
@@ -115,7 +114,6 @@ __all__ = [
     "covers_of",
     "degeneracy_report",
     "det_poly",
-    "dual_section",
     "invariant_factors",
     "numeric_exponent_partitions",
     "parse_quadratic_form",

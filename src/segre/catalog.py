@@ -36,7 +36,6 @@ __all__ = [
     "TABLE2_ROWS",
     "TABLE3_ORDER",
     "catalog_row",
-    "in_catalog",
     "transitions",
     "TRANSITIONS",
 ]
@@ -209,10 +208,6 @@ TABLE2_ROWS: tuple[Table2Row, ...] = (
 
 # Rows with no double-cover structure at all.
 TABLE3_ORDER: tuple[str, ...] = ("[32]", "[5]")
-
-
-def in_catalog(s: SegreSymbol | str) -> bool:
-    return canonicalize(s).render() in CATALOG
 
 
 def catalog_row(s: SegreSymbol | str) -> CatalogRow:

@@ -16,7 +16,7 @@ from enum import Enum
 
 from ._record import Record
 from .catalog import VertexPosition, catalog_row
-from .errors import InternalConsistencyError, ParseError
+from .errors import InternalConsistencyError
 from .symbol import Group, SegreSymbol, canonicalize
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "SectionDivisor",
     "CoverReport",
     "covers_of",
-    "dual_section",
 ]
 
 
@@ -150,11 +149,13 @@ class CoverReport(Record):
     section: SectionDivisor | None = None
 
 
-_VERTEX_BY_COMPANION = {
-    (1,): VertexPosition.OFF_BRANCH,
-    (2,): VertexPosition.NODE,
-    (3,): VertexPosition.CUSP,
-    (4,): VertexPosition.IS_SINGULAR_LOCUS,
+# A bracketed group less its 1 -> where the cone vertex lies on the branch,
+# and the multiplicity m that its dual plane v* is forced to take in the section.
+_CONE_VERTEX = {
+    (1,): (VertexPosition.OFF_BRANCH, 0),
+    (2,): (VertexPosition.NODE, 2),
+    (3,): (VertexPosition.CUSP, 1),
+    (4,): (VertexPosition.IS_SINGULAR_LOCUS, 1),
 }
 
 
@@ -165,6 +166,13 @@ def covers_of(s: SegreSymbol | str) -> list[CoverReport]:
     1s give symbol-identical covers and are still listed once per entry.
     [32] and [5] contain no 1 and admit no cover.  The symbol's catalog
     row is read once, and each cover is built once, with its section.
+
+    The section is the dual-variety divisor cut by the cover's hyperplane.
+    Smooth-quadric base: 2Q* + B* (the dual variety has ordinary double
+    points along Q*).  Cone base: B* + m*v* (B* alone when m = 0), where
+    m = class - deg B* is forced by the vertex: 0 off the branch, 2 at a
+    node, 1 at a cusp or the branch's unique singular point.  Nodes of the
+    branch away from the vertex never contribute a plane.
     """
     sym = canonicalize(s)
     cls = catalog_row(sym).class_degree  # NotInCatalogError for non-catalog symbols
@@ -177,17 +185,18 @@ def covers_of(s: SegreSymbol | str) -> list[CoverReport]:
                 if not group.bracketed:
                     branch = SegreSymbol(others).canonical()
                     base = BaseKind.SMOOTH_QUADRIC
-                    vertex = VertexPosition.NOT_APPLICABLE
+                    vertex, forced = VertexPosition.NOT_APPLICABLE, None
                 else:
                     rest = list(group.exponents)
                     rest.remove(1)
                     branch = SegreSymbol(others + [Group(tuple(rest))]).canonical()
                     base = BaseKind.QUADRATIC_CONE
-                    vertex = _VERTEX_BY_COMPANION.get(tuple(rest))
-                    if vertex is None:
+                    cone = _CONE_VERTEX.get(tuple(rest))
+                    if cone is None:
                         raise InternalConsistencyError(
                             f"unexpected bracketed group {group.exponents} in {sym.render()}"
                         )
+                    vertex, forced = cone
                 structure = BRANCH_STRUCTURES.get(branch.render())
                 if structure is None:
                     raise InternalConsistencyError(
@@ -201,54 +210,30 @@ def covers_of(s: SegreSymbol | str) -> list[CoverReport]:
                         branch_symbol=branch,
                         branch_structure=structure,
                         vertex_on_branch=vertex,
-                        section=_section(sym, cls, base, structure, vertex),
+                        section=_section(sym, cls, structure, forced),
                     )
                 )
             entry += 1
     return reports
 
 
-def dual_section(s: SegreSymbol | str, cover: CoverReport) -> SectionDivisor:
-    """Decompose the dual-variety section cut by the cover's hyperplane.
-
-    Smooth-quadric base: 2Q* + B* (the dual variety has ordinary double
-    points along Q*).  Cone base: B* alone when the vertex avoids the
-    branch, else B* + m*v* where m is forced by the degree bookkeeping and
-    must be 1 when the vertex is a cusp or the branch's unique singular
-    point, and 2 when it is a node.  Nodes of the branch away from the
-    vertex never contribute a plane.  A cover that is not a
-    ``CoverReport`` raises ``ParseError``.  ``covers_of`` attaches this
-    section to every cover it builds, through the same rule.
-    """
-    if not isinstance(cover, CoverReport):
-        raise ParseError(f"cover must be a CoverReport, got {type(cover).__name__}")
-    sym = canonicalize(s)
-    cls = catalog_row(sym).class_degree
-    return _section(sym, cls, cover.base, cover.branch_structure, cover.vertex_on_branch)
-
-
 def _section(
-    sym: SegreSymbol, cls: int, base: BaseKind, branch: BranchStructure, vertex: VertexPosition
+    sym: SegreSymbol, cls: int, branch: BranchStructure, forced: int | None
 ) -> SectionDivisor:
-    """``dual_section``'s rule for a cover of the canonical catalog symbol
-    ``sym``, of class ``cls``, with this base, branch and vertex."""
+    """The section of a cover of the canonical catalog symbol ``sym``, of
+    class ``cls``, with this branch: over a smooth quadric when ``forced``
+    is None, else over a cone whose v* multiplicity must be ``forced``."""
     bdd = branch.dual_degree
-    if base is BaseKind.SMOOTH_QUADRIC:
+    if forced is None:
         terms = (
             SectionTerm(SectionComponent.Q_STAR, 2, 2),
             SectionTerm(SectionComponent.B_STAR, 1, bdd),
         )
     else:
         m = cls - bdd
-        expected = {
-            VertexPosition.OFF_BRANCH: 0,
-            VertexPosition.NODE: 2,
-            VertexPosition.CUSP: 1,
-            VertexPosition.IS_SINGULAR_LOCUS: 1,
-        }[vertex]
-        if m != expected:
+        if m != forced:
             raise InternalConsistencyError(
-                f"cone cover of {sym.render()}: vertex multiplicity {m}, expected {expected}"
+                f"cone cover of {sym.render()}: vertex multiplicity {m}, expected {forced}"
             )
         terms = (SectionTerm(SectionComponent.B_STAR, 1, bdd),)
         if m:

@@ -37,8 +37,7 @@ class PencilError(SegreError, ValueError):
     seed that is not an ``int``, a matrix ``render_form`` cannot render,
     an argument of ``squarefree_decomposition`` or ``coprime_basis`` that
     is not a ``Polynomial`` (or a sequence of them), is zero, or, to
-    ``coprime_basis``, is constant, not monic or not squarefree, or the
-    ``leading`` coefficient of the zero ``Polynomial``."""
+    ``coprime_basis``, is constant, not monic or not squarefree."""
 
 
 class IllConditionedError(SegreError):
@@ -59,13 +58,13 @@ class NotInCatalogError(SegreError, ValueError):
 
 class ParseError(SegreError, ValueError):
     """Malformed quadratic-form expression, matrix file or symbol, a
-    matrix document that is not text or bytes, a symbol group, singularity
-    list item or cover of the wrong type, an outcome, surface report or
-    report dict of the wrong type given to ``reporting`` (or an outcome
-    that holds neither report), or a ``SingularityType`` that is
-    malformed or unknown (text not a letter and ASCII digits, a family
-    not A or D, an index not an ``int`` or out of range, A_n for n of
-    10^40 or more included)."""
+    matrix document that is not text or bytes, a symbol group or
+    singularity list item of the wrong type, an outcome, surface report,
+    report symbol or report dict of the wrong type given to ``reporting``
+    (or an outcome that holds neither report), or a ``SingularityType``
+    that is malformed or unknown (text not a letter and ASCII digits, a
+    family not A or D, an index not an ``int`` or out of range, A_n for n
+    of 10^40 or more included)."""
 
 
 class DegreeError(ParseError):

@@ -217,9 +217,9 @@ def _check_size(size: int) -> None:
 class QuadricPencil(Frozen):
     """Pair of symmetric rational matrices spanning a pencil of quadrics.
 
-    ``n`` is the ambient projective dimension: the matrices are
-    (n+1) x (n+1), with 1 <= n + 1 <= ``MAX_SIZE``; an empty or a larger
-    pair raises ``SizeLimitError``.  Values are immutable; every operation
+    The matrices are ``size`` x ``size``, with 1 <= ``size`` <= ``MAX_SIZE``,
+    so the quadrics lie in CP^(size - 1); an empty or a larger pair raises
+    ``SizeLimitError``.  Values are immutable; every operation
     on pencils is a pure function, so concurrent use needs no coordination.
 
     The pencil holds the denominator-cleared integer pair (mult * U,
@@ -274,10 +274,6 @@ class QuadricPencil(Frozen):
         with det(-mult * V) t^size, or has lower degree when det V = 0."""
         f, size = _det(self), self.size
         return Fraction((-1) ** size * f[size] if len(f) > size else 0, self._mult ** size)
-
-    @property
-    def n(self) -> int:
-        return self.size - 1
 
     def member(self, x: Rational | int, y: Rational | int) -> Matrix:
         """The matrix x*U + y*V."""

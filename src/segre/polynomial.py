@@ -463,12 +463,6 @@ class Polynomial(Frozen):
     def is_constant(self) -> bool:
         return len(self._c) <= 1
 
-    @property
-    def leading(self) -> Rational:
-        if not self._c:
-            raise PencilError("zero polynomial has no leading coefficient")
-        return Fraction(self._c[-1], self._den)
-
     def _values(self) -> tuple:
         return self._c, self._den
 

@@ -129,10 +129,13 @@ def surface_report_to_dict(r: SurfaceReport) -> dict:
     the cached report's, or equal to it (one tuple comparison), gets the
     body rendered once per structure, as a fresh copy for each caller.
     Any other report is rendered as it is.  An ``r`` that is not a
-    ``SurfaceReport`` raises ``ParseError``.
+    ``SurfaceReport``, or whose symbol is not a ``SegreSymbol``, raises
+    ``ParseError``.
     """
     if not isinstance(r, SurfaceReport):
         raise ParseError(f"report must be a SurfaceReport, got {type(r).__name__}")
+    if not isinstance(r.symbol, SegreSymbol):
+        raise ParseError(f"report symbol must be a SegreSymbol, got {type(r.symbol).__name__}")
     symbol = r.symbol.render()
     if not r.is_segre:
         return {
@@ -199,7 +202,7 @@ def render_pretty(doc: dict) -> str:
             lines.append(f"{pad}{key}:")
             for k, v in value.items():
                 emit(k, v, indent + 1)
-        elif isinstance(value, list) and value and isinstance(value[0], dict):
+        elif isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
             lines.append(f"{pad}{key}:")
             for i, v in enumerate(value):
                 lines.append(f"{pad}  - #{i}")

@@ -19,7 +19,6 @@ from fractions import Fraction
 from ._record import Frozen, Record
 from .errors import ParseError, PencilError
 from .pencil import (
-    Matrix,
     QuadricPencil,
     RootClass,
     _bareiss,
@@ -38,7 +37,6 @@ __all__ = [
     "SegreSymbol",
     "canonicalize",
     "compute_symbol",
-    "elementary_block",
     "build_normal_form",
     "random_instance",
 ]
@@ -289,16 +287,6 @@ def _symbol_from_classes(
 # ---------------------------------------------------------------------------
 # symbol -> pencil
 # ---------------------------------------------------------------------------
-
-def elementary_block(e: int, alpha: Rational | int) -> tuple[Matrix, Matrix]:
-    """The e x e symmetric pair with the single elementary divisor
-    (lambda - alpha)^e: the ``u`` and ``v`` of the normal form of [e] at
-    alpha.  An e that is not an ``int`` raises ``PencilError``, one outside
-    1..``pencil.MAX_SIZE`` ``SizeLimitError``."""
-    _check_size(e)
-    p = build_normal_form(SegreSymbol([Group((e,))]), [alpha])
-    return p.u, p.v
-
 
 def build_normal_form(
     s: SegreSymbol | str, roots: Sequence[Rational | int]

@@ -3,6 +3,7 @@ removed here is an API change and belongs in README and CHANGES.md."""
 
 from decimal import Decimal
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -10,7 +11,7 @@ import segre
 import segre.forms
 import segre.reporting
 import segre.symbol
-from segre.catalog import catalog_row, in_catalog
+from segre.catalog import catalog_row
 from segre.errors import NotInCatalogError, ParseError, PencilError, SegreError, SizeLimitError
 
 PUBLIC = [
@@ -54,7 +55,6 @@ PUBLIC = [
     "covers_of",
     "degeneracy_report",
     "det_poly",
-    "dual_section",
     "invariant_factors",
     "numeric_exponent_partitions",
     "parse_quadratic_form",
@@ -74,10 +74,21 @@ def test_every_public_name_resolves():
     assert [name for name in PUBLIC if getattr(segre, name, None) is None] == []
 
 
-@pytest.mark.parametrize("name", ["poly_gcd", "squarefree_part", "NumericPartition"])
+# dotted paths from the package
+@pytest.mark.parametrize("name", [
+    "poly_gcd",
+    "squarefree_part",
+    "NumericPartition",
+    "dual_section",
+    "covers.dual_section",
+    "catalog.in_catalog",
+    "symbol.elementary_block",
+    "Polynomial.leading",
+    "QuadricPencil.n",
+])
 def test_removed_names_are_gone(name):
     with pytest.raises(AttributeError):
-        getattr(segre, name)
+        reduce(getattr, name.split("."), segre)
 
 
 # every public callable that takes symbol text, and malformed texts for it
@@ -89,7 +100,8 @@ SYMBOL_CALLABLES = {
     "random_instance": lambda s: segre.random_instance(s, 0),
     "build_normal_form": lambda s: segre.build_normal_form(s, [1]),
     "catalog.catalog_row": catalog_row,
-    "catalog.in_catalog": in_catalog,
+    # the catalog membership test, as README gives it
+    "catalog membership": lambda s: segre.canonicalize(s).render() in segre.CATALOG,
 }
 MALFORMED_SYMBOLS = ["", "[", "[]", "[0]", "[x1]", "11", 5, None]
 
@@ -217,8 +229,6 @@ PENCIL_ERRORS = {
         "roots must be a sequence, got str",
     ),
     "coprime_basis of text": (lambda: segre.coprime_basis("t"), "polynomials must be a sequence, got str"),
-    # the one public attribute that raised a plain ValueError
-    "leading of zero": (lambda: segre.Polynomial().leading, "zero polynomial has no leading coefficient"),
     "congruence None": (lambda: segre.pencil.congruent(_P2, None), _NOT_ROWS),
     "member scalar None": (lambda: _P2.member(None, 1), _NOT_RATIONAL),
     # plain ValueErrors
@@ -260,13 +270,9 @@ PENCIL_ERRORS = {
     "diagonal of an int": (lambda: segre.pencil.diagonal(5), "diagonal must be a sequence, got int"),
     # the matrix helpers raised TypeError on a size that is not an int
     **{
-        f"{name} of {type(size).__name__}": (
-            lambda call=call, size=size: call(size), f"size must be an int, got {type(size).__name__}"
+        f"identity of {type(size).__name__}": (
+            lambda size=size: segre.pencil.identity(size), f"size must be an int, got {type(size).__name__}"
         )
-        for name, call in {
-            "identity": segre.pencil.identity,
-            "elementary_block": lambda e: segre.symbol.elementary_block(e, 1),
-        }.items()
         for size in ("3", None, 2.5)
     },
     "normal form roots an int": (
@@ -353,7 +359,6 @@ SIZE_ERRORS = {
     f"{name}({size})": (lambda call=call, size=size: call(size), message)
     for name, call in {
         "identity": segre.pencil.identity,
-        "elementary_block": lambda e: segre.symbol.elementary_block(e, 1),
         "diagonal": lambda n: segre.pencil.diagonal(range(n)),
         # rendered X5, X6, ..., which parse_quadratic_form refuses, and "0" for []
         "render_form": lambda n: segre.render_form([[int(i == j) for j in range(n)] for i in range(n)]),
@@ -368,6 +373,15 @@ SIZE_ERRORS = {
         1200: "pencils are at most 5 x 5, got 1200 x 1200",
     }.items()
 }
+# a single elementary block of size e, (lambda - 1)^e, built from its symbol;
+# an e below 1 is refused by Group before any size check
+SIZE_ERRORS.update({
+    f"single block({size})": (
+        lambda size=size: segre.build_normal_form(segre.SegreSymbol([segre.symbol.Group((size,))]), [1]),
+        f"pencils are at most 5 x 5, got {size} x {size}",
+    )
+    for size in (6, 7, 1200)
+})
 
 
 @pytest.mark.parametrize("case", sorted(SIZE_ERRORS))
@@ -423,10 +437,6 @@ WRONG_ITEMS = {
         lambda: segre.forms.pencil_from_json(None),
         "invalid JSON: the JSON object must be str, bytes or bytearray, not NoneType",
     ),
-    "dual_section of text": (
-        lambda: segre.dual_section("[2111]", "x"),
-        "cover must be a CoverReport, got str",
-    ),
     "outcome_to_dict of an int": (
         lambda: segre.reporting.outcome_to_dict(42),
         "outcome must be an AnalysisOutcome, got int",
@@ -476,6 +486,17 @@ WRONG_ITEMS = {
         lambda: segre.reporting.surface_report_to_dict("x"),
         "report must be a SurfaceReport, got str",
     ),
+    # this raised AttributeError at the symbol's render()
+    "surface_report_to_dict of a report with an int symbol": (
+        lambda: segre.reporting.surface_report_to_dict(segre.SurfaceReport(symbol=5, is_segre=False)),
+        "report symbol must be a SegreSymbol, got int",
+    ),
+    "outcome_to_dict of an outcome whose report has an int symbol": (
+        lambda: segre.reporting.outcome_to_dict(
+            segre.reporting.AnalysisOutcome(surface=segre.SurfaceReport(symbol=5, is_segre=False))
+        ),
+        "report symbol must be a SegreSymbol, got int",
+    ),
 }
 
 
@@ -486,3 +507,9 @@ def test_wrong_typed_items_raise_parse_error(case):
         call()
     assert type(info.value) is ParseError and isinstance(info.value, ValueError)
     assert str(info.value) == message
+
+
+def test_render_pretty_writes_a_mixed_list_as_text():
+    # only a list of dicts is written item by item; this one raised
+    # AttributeError, 'int' object has no attribute 'items'
+    assert segre.reporting.render_pretty({"a": [{"b": 1}, 5]}) == "a: {'b': 1}, 5"

@@ -1,5 +1,6 @@
 import pytest
 
+from segre import covers
 from segre.catalog import CATALOG, CATALOG_ORDER, TABLE1_ORDER
 from segre.covers import (
     BRANCH_STRUCTURES,
@@ -7,8 +8,8 @@ from segre.covers import (
     SectionComponent,
     VertexPosition,
     covers_of,
-    dual_section,
 )
+from segre.errors import InternalConsistencyError
 from segre.symbol import SegreSymbol
 
 
@@ -99,26 +100,22 @@ class TestBranchDualDegree:
 
 class TestDualSection:
     def test_quadric_section(self):
-        c = covers_by_base("[1112]", BaseKind.SMOOTH_QUADRIC)[0]
-        s = dual_section("[1112]", c)
+        s = covers_by_base("[1112]", BaseKind.SMOOTH_QUADRIC)[0].section
         assert s.render() == "2*Q*(deg 2) + B*(deg 6)"
         assert s.total_degree == 10
 
     def test_cone_off_branch_section(self):
-        c = covers_by_base("[(11)111]", BaseKind.QUADRATIC_CONE)[0]
-        s = dual_section("[(11)111]", c)
+        s = covers_by_base("[(11)111]", BaseKind.QUADRATIC_CONE)[0].section
         assert s.render() == "B*(deg 8)"
         assert s.total_degree == 8
 
     def test_cone_node_section(self):
-        c = covers_by_base("[(12)2]", BaseKind.QUADRATIC_CONE)[0]
-        s = dual_section("[(12)2]", c)
+        s = covers_by_base("[(12)2]", BaseKind.QUADRATIC_CONE)[0].section
         assert s.render() == "B*(deg 4) + 2*v*(deg 1)"
         assert s.total_degree == 6
 
     def test_cone_singular_locus_section(self):
-        c = covers_by_base("[(14)]", BaseKind.QUADRATIC_CONE)[0]
-        s = dual_section("[(14)]", c)
+        s = covers_by_base("[(14)]", BaseKind.QUADRATIC_CONE)[0].section
         assert s.render() == "B*(deg 4) + v*(deg 1)"
         assert s.total_degree == 5
 
@@ -127,6 +124,20 @@ class TestDualSection:
             cls = CATALOG[sym].class_degree
             for c in covers_of(sym):
                 assert c.section.total_degree == cls
+
+    # a branch table entry of the wrong dual degree, 6 for [1111] where it
+    # is 8, breaks the bookkeeping: each check names the symbol and numbers
+    def test_a_section_off_the_class_is_refused(self, monkeypatch):
+        monkeypatch.setitem(covers.BRANCH_STRUCTURES, "[1111]", BRANCH_STRUCTURES["[211]"])
+        with pytest.raises(InternalConsistencyError) as info:
+            covers_of("[11111]")
+        assert str(info.value) == "section of [11111] sums to 10, class is 12"
+
+    def test_a_cone_vertex_off_its_multiplicity_is_refused(self, monkeypatch):
+        monkeypatch.setitem(covers.BRANCH_STRUCTURES, "[1111]", BRANCH_STRUCTURES["[211]"])
+        with pytest.raises(InternalConsistencyError) as info:
+            covers_of("[(11)111]")
+        assert str(info.value) == "cone cover of [(11)111]: vertex multiplicity 2, expected 0"
 
     def test_sections_contain_only_known_components(self):
         # branch nodes away from the vertex never add a plane term

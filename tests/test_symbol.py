@@ -16,7 +16,6 @@ from segre.symbol import (
     build_normal_form,
     canonicalize,
     compute_symbol,
-    elementary_block,
     random_instance,
 )
 
@@ -271,9 +270,9 @@ class TestComputeSymbol:
 
 class TestNormalForm:
     def test_block_shapes(self):
-        bu, bv = elementary_block(3, 7)
-        assert bu == as_matrix([[0, 0, 7], [0, 7, 1], [7, 1, 0]])
-        assert bv == as_matrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+        p = build_normal_form("[3]", [7])
+        assert p.u == as_matrix([[0, 0, 7], [0, 7, 1], [7, 1, 0]])
+        assert p.v == as_matrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
 
     def test_single_block_symbol(self):
         p = build_normal_form("[5]", [1])
@@ -321,8 +320,9 @@ def _symbols_up_to(weight):
 
 
 def _fraction_normal_form(s, roots):
-    """The Fraction construction of a normal form: each block by
-    elementary_block's loops, placed on the diagonal, read by QuadricPencil."""
+    """The Fraction construction of a normal form: each block by loops,
+    checked against the normal form of [e], placed on the diagonal, read by
+    QuadricPencil."""
     ublocks, vblocks = [], []
     for g, r in zip(s.groups, roots):
         for e in g.exponents:
@@ -335,7 +335,8 @@ def _fraction_normal_form(s, roots):
                         bv[i][j] = Fraction(1)
                     elif i + j == e:
                         bu[i][j] = Fraction(1)
-            assert elementary_block(e, r) == (as_matrix(bu), as_matrix(bv))
+            block = build_normal_form(SegreSymbol([Group((e,))]), [r])
+            assert (block.u, block.v) == (as_matrix(bu), as_matrix(bv))
             ublocks.append(bu)
             vblocks.append(bv)
 
