@@ -59,9 +59,10 @@ class NotInCatalogError(SegreError, ValueError):
 class ParseError(SegreError, ValueError):
     """Malformed quadratic-form expression, matrix file or symbol, a
     matrix document that is not text or bytes, a symbol group or
-    singularity list item of the wrong type, an outcome, surface report,
-    report symbol or report dict of the wrong type given to ``reporting``
-    (or an outcome that holds neither report), or a ``SingularityType``
+    singularity list item of the wrong type, group exponents that are not
+    a sequence of positive ``int``s, an outcome, surface report, report
+    symbol, report field or report dict of the wrong type given to
+    ``reporting`` (or an outcome that holds neither report), or a ``SingularityType``
     that is malformed or unknown (text not a letter and ASCII digits, a
     family not A or D, an index not an ``int`` or out of range, A_n for n
     of 10^40 or more included)."""

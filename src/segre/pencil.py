@@ -27,7 +27,7 @@ Only the finished invariant factors become monic ``Polynomial`` values,
 which makes the integer scaling invisible.
 
 A pencil holds its cleared pair from construction on, with the least common
-denominator, and builds its rational matrices only when they are read.
+denominator, and builds its rational matrices each time they are read.
 Outside rationals enter through ``QuadricPencil`` and ``pencil_from_json``,
 which share ``_init``; every pencil the package derives from others (a
 congruence, a basis change, a selected member, a normal form, an unpickled
@@ -225,11 +225,11 @@ class QuadricPencil(Frozen):
     The pencil holds the denominator-cleared integer pair (mult * U,
     mult * V) with ``mult`` the least common denominator of the entries, so
     equal pencils hold equal pairs.  The rational matrices ``u`` and ``v``
-    are built from it on their first read, and its determinant expansion
-    (``_det``) on its first use.
+    are built from it on each read; its determinant expansion (``_det``),
+    which every analysis reads twice, is kept from its first use.
     """
 
-    __slots__ = ("_iu", "_iv", "_mult", "_u", "_v", "_det", "__weakref__")
+    __slots__ = ("_iu", "_iv", "_mult", "_det", "__weakref__")
     __match_args__ = ("u", "v")
 
     def __init__(
@@ -254,15 +254,11 @@ class QuadricPencil(Frozen):
 
     @property
     def u(self) -> Matrix:
-        if self._u is None:
-            object.__setattr__(self, "_u", _rational(self._iu, self._mult))
-        return self._u
+        return _rational(self._iu, self._mult)
 
     @property
     def v(self) -> Matrix:
-        if self._v is None:
-            object.__setattr__(self, "_v", _rational(self._iv, self._mult))
-        return self._v
+        return _rational(self._iv, self._mult)
 
     @property
     def size(self) -> int:
@@ -297,10 +293,8 @@ def _init(p: QuadricPencil, u: list, v: list) -> QuadricPencil:
 
 
 def _store(p: QuadricPencil, iu: IntMatrix, iv: IntMatrix, mult: int) -> QuadricPencil:
-    for name, value in (("_iu", iu), ("_iv", iv), ("_mult", mult)):
+    for name, value in (("_iu", iu), ("_iv", iv), ("_mult", mult), ("_det", None)):
         object.__setattr__(p, name, value)
-    for name in ("_u", "_v", "_det"):
-        object.__setattr__(p, name, None)
     return p
 
 

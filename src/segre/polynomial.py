@@ -14,7 +14,7 @@ coefficients small at the degrees, at most seven, this package cares
 about, answers when the heuristic gives up.
 ``Polynomial`` is the value that leaves the engine, with no arithmetic
 of its own: integer coefficients over one denominator (``_of``), with
-``Fraction`` coefficients (``Rational``) built on read; ``_cleared``
+``Fraction`` coefficients (``Rational``) built on each read; ``_cleared``
 takes the package's one lcm.  Exact text has one writer, ``_terms_str``:
 integers over a denominator times named monomials.  Polynomials
 (``_poly_str``; reports write the exact chain's lists, ``Polynomial``
@@ -430,14 +430,14 @@ def _terms_str(c: Sequence[int], den: int, names: Sequence[str]) -> str:
 class Polynomial(Frozen):
     """Dense univariate polynomial, as the engine hands it out: integers
     ``_c`` over one denominator ``_den`` (``_of``), a value to compare,
-    hash, pickle and print, whose ``coeffs`` are built on first read.
+    hash, pickle and print, whose ``coeffs`` are built on each read.
 
     Immutable; the zero polynomial has an empty coefficient tuple and
     degree -1.  Each coefficient is read by ``_entry``, so one it refuses
     raises ``PencilError``, as do coefficients that are not a sequence.
     """
 
-    __slots__ = ("_c", "_den", "_coeffs", "_text")
+    __slots__ = ("_c", "_den", "_text")
 
     def __new__(cls, coeffs: Iterable[Rational | int] = ()):
         (c,), den = _cleared([[_entry(q) for q in _items(coeffs, "coefficients")]])
@@ -447,9 +447,7 @@ class Polynomial(Frozen):
 
     @property
     def coeffs(self) -> tuple[Rational, ...]:
-        if self._coeffs is None:
-            object.__setattr__(self, "_coeffs", tuple(Fraction(a, self._den) for a in self._c))
-        return self._coeffs
+        return tuple(Fraction(a, self._den) for a in self._c)
 
     @property
     def degree(self) -> int:
@@ -488,8 +486,8 @@ def _of(c: Sequence[int], den: int) -> Polynomial:
     in lowest terms; ``_of(b, b[-1])`` is the monic one of an integer list b."""
     g = -math.gcd(den, *c) if den < 0 else math.gcd(den, *c)
     p = object.__new__(Polynomial)
-    for name, value in zip(p.__slots__, (tuple(_int_trim([a // g for a in c])), den // g, None, None)):
-        object.__setattr__(p, name, value)  # _coeffs and _text: built on first read
+    for name, value in zip(p.__slots__, (tuple(_int_trim([a // g for a in c])), den // g, None)):
+        object.__setattr__(p, name, value)  # _text: written on first read
     return p
 
 

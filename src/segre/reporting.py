@@ -11,6 +11,7 @@ from functools import cache
 from operator import itemgetter
 
 from ._record import Record
+from .catalog import AutE, SingularityType
 from .classify import SurfaceReport, _structure_report, classify_symbol
 from .covers import CoverReport
 from .errors import NoSmoothMemberError, ParseError
@@ -128,14 +129,14 @@ def surface_report_to_dict(r: SurfaceReport) -> dict:
     the caller's symbol, so a report whose every field but the symbol is
     the cached report's, or equal to it (one tuple comparison), gets the
     body rendered once per structure, as a fresh copy for each caller.
-    Any other report is rendered as it is.  An ``r`` that is not a
-    ``SurfaceReport``, or whose symbol is not a ``SegreSymbol``, raises
-    ``ParseError``.
+    Any other report is rendered as it is, once its fields pass
+    ``_REPORT_FIELDS``.  An ``r`` that is not a ``SurfaceReport``, or whose
+    symbol or a checked field has the wrong type, raises ``ParseError``.
     """
     if not isinstance(r, SurfaceReport):
         raise ParseError(f"report must be a SurfaceReport, got {type(r).__name__}")
     if not isinstance(r.symbol, SegreSymbol):
-        raise ParseError(f"report symbol must be a SegreSymbol, got {type(r.symbol).__name__}")
+        raise _wrong_field("report", "symbol", SegreSymbol, r.symbol)
     symbol = r.symbol.render()
     if not r.is_segre:
         return {
@@ -147,6 +148,7 @@ def surface_report_to_dict(r: SurfaceReport) -> dict:
     fields, body = _catalog_body(r.symbol.exponent_structure())
     if _fields(vars(r)) == fields:
         return {"symbol": symbol, **marshal.loads(body)}
+    _check_fields("report", r, _REPORT_FIELDS)
     return {"symbol": symbol, **_report_body(r)}
 
 
@@ -157,9 +159,8 @@ def outcome_to_dict(o: AnalysisOutcome) -> dict:
     if not isinstance(o, AnalysisOutcome):
         raise ParseError(f"outcome must be an AnalysisOutcome, got {type(o).__name__}")
     if o.is_degenerate:
+        _check_fields("outcome", o, _DEGENERATE_FIELDS)
         d = o.degeneracy
-        if not isinstance(d, DegeneracyReport):
-            raise _wrong_field("degeneracy", "a DegeneracyReport", d)
         return {
             "is_segre": False,
             "degenerate_pencil": True,
@@ -168,25 +169,47 @@ def outcome_to_dict(o: AnalysisOutcome) -> dict:
             "verdict": d.verdict,
         }
     doc = surface_report_to_dict(o.surface)
-    symbol, factors, det = o.symbol, o.invariant_factors, o.determinant
-    if symbol is not None:
-        if not isinstance(symbol, SegreSymbol):
-            raise _wrong_field("symbol", "a SegreSymbol", symbol)
-        doc["roots"] = symbol.root_descriptions()
-    if not isinstance(factors, (tuple, list)):
-        raise _wrong_field("invariant_factors", "a tuple of str", factors)
-    for f in factors:
-        if type(f) is not str:
-            raise _wrong_field("invariant_factors item", "a str", f)
-    if det is not None and type(det) is not str:
-        raise _wrong_field("determinant", "a str", det)
-    doc["invariant_factors"] = list(factors)
-    doc["determinant"] = det
+    _check_fields("outcome", o, _OUTCOME_FIELDS)
+    if o.symbol is not None:
+        doc["roots"] = o.symbol.root_descriptions()
+    doc["invariant_factors"] = list(o.invariant_factors)
+    doc["determinant"] = o.determinant
     return doc
 
 
-def _wrong_field(field: str, wanted: str, got) -> ParseError:
-    return ParseError(f"outcome {field} must be {wanted}, got {type(got).__name__}")
+# The fields of a record checked before it is rendered: each has a type, a
+# tuple of types (named by the first), or a list of one type for a tuple or
+# list of items of that type.
+_DEGENERATE_FIELDS = {"degeneracy": DegeneracyReport}
+_OUTCOME_FIELDS = {
+    "symbol": (SegreSymbol, type(None)), "invariant_factors": [str], "determinant": (str, type(None)),
+}
+_REPORT_FIELDS = {
+    "singularities": [SingularityType], "aut_e": AutE, "covers": [CoverReport],
+    "transitions": [SegreSymbol], "notes": [str],
+}
+
+
+def _check_fields(owner: str, r: Record, fields: dict) -> None:
+    """``ParseError`` for the first field of ``r`` that ``fields`` refuses."""
+    values = vars(r)
+    for name, wanted in fields.items():
+        value = values[name]
+        if not isinstance(value, (tuple, list) if type(wanted) is list else wanted):
+            raise _wrong_field(owner, name, wanted, value)
+        if type(wanted) is list:
+            for item in value:
+                if not isinstance(item, wanted[0]):
+                    raise _wrong_field(owner, f"{name} item", wanted[0], item)
+
+
+def _wrong_field(owner: str, field: str, wanted, got) -> ParseError:
+    if type(wanted) is list:
+        text = f"a tuple of {wanted[0].__name__}"
+    else:
+        name = (wanted[0] if type(wanted) is tuple else wanted).__name__
+        text = f"{'an' if name[0] in 'AEIOU' else 'a'} {name}"
+    return ParseError(f"{owner} {field} must be {text}, got {type(got).__name__}")
 
 
 def render_pretty(doc: dict) -> str:

@@ -7,7 +7,9 @@ from the root classes of ``pencil._root_classes``: the Yun parts of the
 determinant, each with the partition that exact ranks at its roots give.
 Roots that share a partition form one group polynomial, and a group
 polynomial of degree g contributes g identical groups, one per (possibly
-irrational or complex) root.
+irrational or complex) root.  A ``SegreSymbol`` holds its groups, and
+one born canonical, as ``compute_symbol`` makes it, its exponent
+structure too.
 """
 
 from __future__ import annotations
@@ -75,17 +77,21 @@ RootDescriptor = ExplicitRoot | SymbolicRoot | None
 
 
 class Group(Record):
-    """One root group: exponent multiset plus an optional root descriptor."""
+    """One root group: exponent multiset plus an optional root descriptor.
+    Exponents that are not a sequence, none, or one that is not an ``int``
+    of at least 1 (a ``bool`` is not) raise ``ParseError``."""
 
     exponents: tuple[int, ...]
     root: RootDescriptor = None
 
     def __init__(self, exponents: tuple[int, ...], root: RootDescriptor = None):
+        if type(exponents) is not tuple and not isinstance(exponents, Sequence):
+            raise ParseError(f"group exponents must be a sequence, got {type(exponents).__name__}")
         if not exponents:
-            raise ValueError("a group needs at least one exponent")
+            raise ParseError("a group needs at least one exponent")
         for e in exponents:
-            if not isinstance(e, int) or e < 1:
-                raise ValueError(f"exponents must be positive integers: {exponents}")
+            if type(e) is not int or e < 1:
+                raise ParseError(f"exponents must be positive integers: {str(exponents)[:40]}")
         d = self.__dict__
         d["exponents"] = tuple(sorted(exponents, reverse=True))
         d["root"] = root
@@ -120,15 +126,16 @@ class SegreSymbol(Frozen):
 
     Equality and hashing ignore root descriptors: two symbols are equal
     exactly when their canonicalized exponent structures coincide, which
-    is what congruence and pencil-basis invariance preserve.  The rendered
-    text and the exponent structure are computed once per symbol, on their
-    first use.  A symbol made by ``canonical()`` or by ``compute_symbol``
-    knows its groups are in canonical order: it is its own canonical form,
-    and its structure is read in group order when it is made.  Groups
-    that are not a sequence of ``Group`` values raise ``ParseError``.
+    is what congruence and pencil-basis invariance preserve.  A symbol
+    made by ``canonical()`` or by ``compute_symbol`` is born canonical: its
+    groups are in canonical order, it holds its exponent structure
+    (``_structure``), read in group order when it is made, and it is its
+    own canonical form.  Any other symbol holds only its groups, and its
+    text and structure are computed on each call.  Groups that are not a
+    sequence of ``Group`` values raise ``ParseError``.
     """
 
-    __slots__ = ("groups", "_text", "_structure", "_canonical")
+    __slots__ = ("groups", "_structure")
 
     def __init__(self, groups: Sequence[Group]):
         try:
@@ -141,9 +148,7 @@ class SegreSymbol(Frozen):
             if type(g) is not Group:
                 raise ParseError(f"symbol groups must be Group values, got {type(g).__name__}")
         object.__setattr__(self, "groups", groups)
-        object.__setattr__(self, "_text", None)
         object.__setattr__(self, "_structure", None)
-        object.__setattr__(self, "_canonical", False)
 
     def __reduce__(self):
         return type(self), (self.groups,)
@@ -176,24 +181,21 @@ class SegreSymbol(Frozen):
         return sum(g.weight for g in self.groups)
 
     def canonical(self) -> "SegreSymbol":
-        if self._canonical:
+        if self._structure is not None:  # born canonical
             return self
         return _canonical_symbol(sorted(self.groups, key=Group.sort_key))
 
     def exponent_structure(self) -> tuple[tuple[int, ...], ...]:
         """The multiset of group exponent multisets, canonically ordered."""
-        if self._structure is None:  # a canonical symbol has it from birth
-            groups = sorted(self.groups, key=Group.sort_key)
-            object.__setattr__(self, "_structure", tuple(g.exponents for g in groups))
-        return self._structure
+        if self._structure is not None:  # born canonical
+            return self._structure
+        return tuple(g.exponents for g in sorted(self.groups, key=Group.sort_key))
 
     def unbracketed_ones(self) -> int:
         return sum(1 for g in self.groups if g.exponents == (1,))
 
     def render(self) -> str:
-        if self._text is None:
-            object.__setattr__(self, "_text", "[" + "".join(g.render() for g in self.groups) + "]")
-        return self._text
+        return "[" + "".join(g.render() for g in self.groups) + "]"
 
     def root_descriptions(self) -> list[str]:
         return [g.root.describe() if g.root is not None else "unspecified" for g in self.groups]
@@ -219,10 +221,9 @@ class SegreSymbol(Frozen):
 
 
 def _canonical_symbol(groups: Sequence[Group]) -> SegreSymbol:
-    """The symbol of ``groups``, which are in canonical order: marked as its
-    own canonical form, with its exponent structure read in group order."""
+    """The symbol of ``groups``, which are in canonical order, born canonical:
+    it holds its exponent structure, read in group order."""
     s = SegreSymbol(groups)
-    object.__setattr__(s, "_canonical", True)
     object.__setattr__(s, "_structure", tuple([g.exponents for g in s.groups]))
     return s
 

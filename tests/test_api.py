@@ -491,6 +491,33 @@ WRONG_ITEMS = {
         lambda: segre.reporting.surface_report_to_dict(segre.SurfaceReport(symbol=5, is_segre=False)),
         "report symbol must be a SegreSymbol, got int",
     ),
+    # these raised TypeError and AttributeError while the report was rendered
+    **{
+        f"surface_report_to_dict of a report with {field}={value!r}": (
+            lambda field=field, value=value: segre.reporting.surface_report_to_dict(
+                segre.classify_symbol("[2111]").replace(**{field: value})
+            ),
+            f"report {message}",
+        )
+        for field, value, message in [
+            ("singularities", 5, "singularities must be a tuple of SingularityType, got int"),
+            ("singularities", ("A1",), "singularities item must be a SingularityType, got str"),
+            ("aut_e", 5, "aut_e must be an AutE, got int"),
+            ("aut_e", None, "aut_e must be an AutE, got NoneType"),
+            ("covers", 5, "covers must be a tuple of CoverReport, got int"),
+            ("covers", (5,), "covers item must be a CoverReport, got int"),
+            ("transitions", (5,), "transitions item must be a SegreSymbol, got int"),
+            ("transitions", ("[311]",), "transitions item must be a SegreSymbol, got str"),
+            ("notes", 5, "notes must be a tuple of str, got int"),
+            ("notes", [5], "notes item must be a str, got int"),
+        ]
+    },
+    "outcome_to_dict of an outcome whose report has int covers": (
+        lambda: segre.reporting.outcome_to_dict(
+            segre.reporting.AnalysisOutcome(surface=segre.classify_symbol("[2111]").replace(covers=5))
+        ),
+        "report covers must be a tuple of CoverReport, got int",
+    ),
     "outcome_to_dict of an outcome whose report has an int symbol": (
         lambda: segre.reporting.outcome_to_dict(
             segre.reporting.AnalysisOutcome(surface=segre.SurfaceReport(symbol=5, is_segre=False))

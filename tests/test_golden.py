@@ -200,6 +200,17 @@ def test_a_report_built_equal_by_hand_shares_the_body(monkeypatch):
     assert json.dumps(surface_report_to_dict(hand), indent=2) == want
 
 
+def test_a_cached_report_takes_no_field_checks(monkeypatch):
+    r = classify_symbol("[2111]")
+    want = json.dumps(surface_report_to_dict(r), indent=2)
+
+    def checked(*args):
+        raise AssertionError("a report equal to the catalog's was checked field by field")
+
+    monkeypatch.setattr(segre.reporting, "_check_fields", checked)
+    assert json.dumps(surface_report_to_dict(r), indent=2) == want
+
+
 def test_outcomes_pickle_and_copy_to_the_same_report():
     # outcomes can be sent to worker processes and copied whole
     for p in golden_pencils():

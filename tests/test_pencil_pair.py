@@ -35,7 +35,9 @@ from segre.pencil import (
     identity,
     select_nonsingular_member,
 )
+from segre.polynomial import Polynomial
 from segre.reporting import analyze_pencil, outcome_to_dict
+from segre.symbol import SegreSymbol
 
 
 def _symmetric_texts(rng: random.Random, entry) -> list[list[str]]:
@@ -313,28 +315,41 @@ def test_empty_pencil_is_refused(make):
 
 def test_integer_documents_never_build_the_rational_matrices(monkeypatch):
     """An integer pencil goes from its JSON text through the analysis, the
-    report, member selection and the numeric oracle on its integer pair."""
+    report, member selection and the numeric oracle on its integer pair.
+    Once the per-structure report caches are filled, an analysis and its
+    report read no ``Polynomial.coeffs`` and render the symbol once, or not
+    at all for a degenerate pencil: no second read that a kept form would
+    save."""
     rng = random.Random(11)
     docs = [
         _doc(*(_symmetric_texts(rng, lambda r: str(r.randint(-999, 999))) for _ in range(2))),
         _doc_of(diagonal([1, 2, 3, 4, 5]), diagonal([1, 1, 1, 1, 0])),
         _doc_of(diagonal([1, 1, 2, 3, 4]), diagonal([1, 1, 0, 0, 0])),
+        _doc_of(diagonal([1, 1, 1, 0, 0]), diagonal([1, 2, 0, 0, 0])),  # degenerate
     ]
-    built = []
+    built, read, renders = [], [], []
     monkeypatch.setattr(segre.pencil, "_rational", lambda *a: built.append(a))
+    coeffs, render = Polynomial.coeffs, SegreSymbol.render
+    monkeypatch.setattr(Polynomial, "coeffs", property(lambda f: read.append(f) or coeffs.fget(f)))
+    monkeypatch.setattr(SegreSymbol, "render", lambda s: renders.append(s) or render(s))
     for text in docs:
         made = []
         with _counting_fractions(made):
             p = pencil_from_json(text)
         assert made == []
-        outcome_to_dict(analyze_pencil(p))
+        outcome_to_dict(analyze_pencil(p))  # fills the per-structure caches
+        renders.clear()
+        outcome = analyze_pencil(p)
+        outcome_to_dict(outcome)
+        assert len(renders) == (0 if outcome.is_degenerate else 1)
+        if outcome.is_degenerate:
+            continue
         selected = select_nonsingular_member(p)
         try:
             numeric_exponent_partitions(selected)
         except IllConditionedError:  # refused after its float matrices were formed
             pass
-        assert (p._u, p._v, selected._u, selected._v) == (None,) * 4
-    assert built == []
+    assert (built, read) == ([], [])
 
 
 

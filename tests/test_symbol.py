@@ -54,11 +54,26 @@ class TestParseRender:
             assert SegreSymbol.parse(s.render()) == s
             assert s.render() == text  # catalog keys are stored canonically
 
-    def test_group_validation(self):
-        with pytest.raises(ValueError):
-            Group(())
-        with pytest.raises(ValueError):
-            Group((0, 1))
+    @pytest.mark.parametrize("exponents,message", [
+        ((), "a group needs at least one exponent"),
+        ((0, 1), "exponents must be positive integers: (0, 1)"),
+        # these raised TypeError, and a bool was taken for an exponent
+        (5, "group exponents must be a sequence, got int"),
+        (None, "group exponents must be a sequence, got NoneType"),
+        ({2, 1}, "group exponents must be a sequence, got set"),
+        ((True,), "exponents must be positive integers: (True,)"),
+        ((2, 1.0), "exponents must be positive integers: (2, 1.0)"),
+        ((2, "1"), "exponents must be positive integers: (2, '1')"),
+        ((1,) * 30 + (0,), "exponents must be positive integers: (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, "),
+    ])
+    def test_group_validation(self, exponents, message):
+        with pytest.raises(ParseError) as info:
+            Group(exponents)
+        assert isinstance(info.value, ValueError)
+        assert str(info.value) == message
+
+    def test_a_group_takes_any_sequence_of_exponents(self):
+        assert Group([1, 2]) == Group(range(2, 0, -1)) == Group((2, 1))
 
 
 class TestCanonicalize:
@@ -106,13 +121,16 @@ class TestCanonicalize:
         assert len(calls) == 1
         assert doc["symbol"] == canonicalize(symbol).render()
 
-    def test_text_and_structure_are_kept(self):
+    def test_parsed_text_and_structure_are_computed_not_stored(self):
+        # a symbol stores its structure only when born canonical
         s = SegreSymbol.parse("[1(11)2]")
-        assert s.render() is s.render() == "[1(11)2]"
-        assert s.exponent_structure() is s.exponent_structure() == ((2,), (1, 1), (1,))
-        assert s.exponent_structure() == s.canonical().exponent_structure()
-        with pytest.raises(AttributeError):
-            s._text = "[5]"
+        assert s.render() == s.render() == "[1(11)2]"
+        assert s.exponent_structure() == s.exponent_structure() == ((2,), (1, 1), (1,))
+        assert s._structure is None
+        born = s.canonical()
+        assert born is not s and born.canonical() is born
+        assert born.exponent_structure() is born._structure
+        assert born.exponent_structure() is born.exponent_structure() == s.exponent_structure()
 
 
 class TestComputeSymbol:

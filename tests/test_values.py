@@ -9,6 +9,8 @@
   symbol), and ``__eq__`` of another class returns ``NotImplemented``.
 - Pickle, ``copy`` and ``deepcopy`` round-trip.
 - A pencil takes a weak reference.
+- Each stores the values it is built from, and only the lazy forms an
+  analysis reads twice.
 
 The file needs neither pytest nor numpy and runs as a plain script too::
 
@@ -49,6 +51,21 @@ def test_the_value_types_and_records_are_the_frozen_types():
     assert not any(hasattr(value, "__dict__") for value in EXAMPLES)
     assert QuadricPencil.__eq__ is Polynomial.__eq__ is Frozen.__eq__
     assert QuadricPencil.__hash__ is Polynomial.__hash__ is Frozen.__hash__
+
+
+def test_a_value_stores_what_it_is_built_from():
+    # and the lazy forms that one analysis reads twice: a pencil's determinant
+    # expansion, a polynomial's text and a born-canonical symbol's structure;
+    # u, v, coeffs and render() give equal values on each read
+    assert QuadricPencil.__slots__ == ("_iu", "_iv", "_mult", "_det", "__weakref__")
+    assert Polynomial.__slots__ == ("_c", "_den", "_text")
+    assert SegreSymbol.__slots__ == ("groups", "_structure")
+    for p in PENCILS:
+        assert (p.u, p.v) == (p.u, p.v)
+    for f in POLYNOMIALS:
+        assert f.coeffs == f.coeffs
+    for s in SYMBOLS:
+        assert s.render() == s.render()
 
 
 def test_set_and_delete_raise_the_record_texts():
