@@ -15,12 +15,15 @@ value where a coefficient list takes two per coefficient, and its k + 1
 values are interpolated (``_interpolate``).
 Each pencil expands its determinant once, on first use, and keeps it
 (``_det``): det V, the member sweep, the degeneracy test and the
-invariant factors are read off it.  No smaller minor is ever expanded.
+invariant factors are read off it.  The same expansion's memo holds the
+leading principal (size - 1)-minor, which is kept beside it; no other
+minor is ever expanded.
 An analysis selects a nonsingular member first and then analyses the
 selected pencil.  The invariant factors come from root classes
 (``_root_classes``): the Yun parts of the determinant, each with the
-partition of its elementary-divisor exponents, read off one or two exact
-ranks at each repeated part (``_part_classes``).  One fraction-free
+partition of its elementary-divisor exponents, read off the leading
+minor where it proves one block, and otherwise off one or two exact
+ranks at the repeated part (``_part_classes``).  One fraction-free
 elimination (``_bareiss``) gives every rank, and its echelon rows a
 kernel basis (``_kernel``); one product (``_conj``) gives every A^T M A.
 Only the finished invariant factors become monic ``Polynomial`` values,
@@ -61,6 +64,7 @@ from .polynomial import (  # _entry: forms, cli, symbol and the tests import it 
     _cleared,
     _entry,
     _int_digits,
+    _int_divide,
     _int_eval,
     _int_mul,
     _int_primitive,
@@ -225,8 +229,9 @@ class QuadricPencil(Frozen):
     The pencil holds the denominator-cleared integer pair (mult * U,
     mult * V) with ``mult`` the least common denominator of the entries, so
     equal pencils hold equal pairs.  The rational matrices ``u`` and ``v``
-    are built from it on each read; its determinant expansion (``_det``),
-    which every analysis reads twice, is kept from its first use.
+    are built from it on each read; its determinant expansion (``_det``,
+    the determinant and its leading principal minor), which every analysis
+    reads twice, is kept from its first use.
     """
 
     __slots__ = ("_iu", "_iv", "_mult", "_det", "__weakref__")
@@ -268,7 +273,7 @@ class QuadricPencil(Frozen):
     def det_v(self) -> Fraction:
         """det V, read off the determinant expansion (``_det``): f leads
         with det(-mult * V) t^size, or has lower degree when det V = 0."""
-        f, size = _det(self), self.size
+        f, size = _det(self)[0], self.size
         return Fraction((-1) ** size * f[size] if len(f) > size else 0, self._mult ** size)
 
     def member(self, x: Rational | int, y: Rational | int) -> Matrix:
@@ -323,8 +328,8 @@ def _lin(iu: IntRows, iv: IntRows, x: int, y: int) -> list[list[int]]:
 
 def _conj(m: IntRows, cols: Sequence[Sequence[int]]) -> list[list[int]]:
     """A^T M A for a symmetric integer M and the integer A with columns ``cols``."""
-    at_m = [[sum(x * y for x, y in zip(ac, row)) for row in m] for ac in cols]
-    return [[sum(x * y for x, y in zip(row, ac)) for ac in cols] for row in at_m]
+    at_m = [[sum(map(operator.mul, ac, row)) for row in m] for ac in cols]
+    return [[sum(map(operator.mul, row, ac)) for ac in cols] for row in at_m]
 
 
 def congruent(p: QuadricPencil, a: Iterable[Iterable[Rational | int | str]]) -> QuadricPencil:
@@ -396,31 +401,38 @@ def _interpolate(vals: Sequence[int]) -> list[int]:
     return _int_trim(c)
 
 
-def _poly_minor(iu: IntRows, iv: IntRows) -> list[int]:
-    """Integer coefficients of det(U - t*V), for square integer U and V.
+def _poly_minor(iu: IntRows, iv: IntRows) -> tuple[list[int], list[int]]:
+    """Integer coefficients of det(U - t*V), for square integer U and V,
+    and of its leading principal minor on the first k - 1 rows and columns.
 
     Laplace expansion along the rows in order, memoised over column
     subsets: the minor on the first j rows and the j columns of a mask is
     the signed sum, over the mask's columns c, of the entry of row j at c
     times the minor on the mask without c.  Zero entries are skipped.
     Only integer products and sums, no division, over 2^k column subsets,
-    k <= MAX_SIZE.
+    k <= MAX_SIZE.  The leading minor is the memo's entry at the mask of
+    the first k - 1 columns, so it costs no product of its own.
 
     Small pairs run packed (Kronecker substitution): every coefficient of
     the determinant is below 2^(B-2) in absolute value, with B the bit
     length of the product over the rows of the row sums of |u| + |v|, plus
     2.  When B <= ``_PACK_BITS``, the expansion runs on the integers
     u - v*2^B, one multiply per term, and the determinant at t = 2^B is
-    read back into its coefficients by ``_int_digits``.
+    read back into its coefficients by ``_int_digits``.  So is the leading
+    minor, whose coefficients are below the product over its k - 1 rows:
+    within the same bound unless the last row is zero, and then the
+    determinant vanishes and the minor is never read (``_det``).
 
     Larger pairs run on values: a minor on j rows, of degree at most j,
     is held as its values at t = 0..j, and row j's entries as theirs at
     t = 0..j + 1, so a term costs j + 2 big products where coefficient
     lists take 2(j + 1).  A minor gains its value at t = j + 1 once, before
     its use one row down, from the small integer weights ``_EXTRAPOLATE``;
-    the determinant's k + 1 values give its coefficients (``_interpolate``).
+    the determinant's k + 1 values give its coefficients, and the leading
+    minor's first k values its own (``_interpolate``).
     """
     k = len(iu)
+    lead = (1 << k - 1) - 1  # the mask of the leading principal minor's columns
     bound = 1
     for ru, rv in zip(iu, iv):
         bound *= sum(map(abs, ru)) + sum(map(abs, rv))
@@ -439,7 +451,7 @@ def _poly_minor(iu: IntRows, iv: IntRows) -> list[int]:
                     else:
                         acc -= e * packed[sub]
             packed[mask] = acc
-        return _int_digits(packed[-1], 1 << bits)
+        return _int_digits(packed[-1], 1 << bits), _int_digits(packed[lead], 1 << bits)
     vals = [
         [[u - t * v for t in range(r + 2)] if u or v else None for u, v in zip(ru, rv)]
         for r, (ru, rv) in enumerate(zip(iu, iv))
@@ -456,19 +468,22 @@ def _poly_minor(iu: IntRows, iv: IntRows) -> list[int]:
         if r + 1 < k:
             acc.append(sum(map(operator.mul, _EXTRAPOLATE[r + 1], acc)))
         minors[mask] = acc
-    return _interpolate(minors[-1])
+    return _interpolate(minors[-1]), _interpolate(minors[lead][:k])
 
 
-def _det(p: QuadricPencil) -> tuple[int, ...]:
-    """mult^size * det(U - t*V) as integer coefficients, lowest degree
+def _det(p: QuadricPencil) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """mult^size * det(U - t*V) and mult^(size - 1) times its leading
+    principal (size - 1)-minor, as integer coefficients, lowest degree
     first: ``_poly_minor`` on the cleared pair, expanded on first use and
-    kept in the pencil.  Two threads may both expand it on a first read;
-    both store the same value."""
-    f = p._det
-    if f is None:
-        f = tuple(_poly_minor(p._iu, p._iv))
-        object.__setattr__(p, "_det", f)
-    return f
+    kept in the pencil.  The minor is read only where the determinant is
+    nonzero, by the root classes (``_part_classes``).  Two threads may
+    both expand it on a first read; both store the same value."""
+    fd = p._det
+    if fd is None:
+        f, lead = _poly_minor(p._iu, p._iv)
+        fd = tuple(f), tuple(lead)
+        object.__setattr__(p, "_det", fd)
+    return fd
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +497,7 @@ def det_poly(p: QuadricPencil) -> Polynomial:
     off the pencil's one expansion (``_det``).
     """
     _check_pencil(p)
-    return _of(_det(p), p._mult ** p.size)
+    return _of(_det(p)[0], p._mult ** p.size)
 
 
 class InvariantFactors(Record):
@@ -559,33 +574,49 @@ def _partition(m: int, at_least: Sequence[int]) -> tuple[int, ...] | None:
     return tuple(big + sizes)
 
 
-def _root_classes(iu: IntRows, iv: IntRows, f: Sequence[int]) -> list[RootClass]:
+def _root_classes(iu: IntRows, iv: IntRows, f: Sequence[int], lead: Sequence[int]) -> list[RootClass]:
     """The roots of f = det(U - t*V) (nonzero, up to a constant) as classes
     (primitive integer factor, partition): every root of the factor has
     elementary divisors of U - t*V with those exponents, descending.  Each
-    Yun part of f gives its classes by ``_part_classes``."""
-    return [c for m, h in _int_squarefree_decomposition(f) for c in _part_classes(iu, iv, m, h)]
+    Yun part of f gives its classes by ``_part_classes``, which reads
+    ``lead``, the leading principal (n - 1)-minor of U - t*V up to a
+    nonzero constant (empty, it proves nothing)."""
+    return [
+        c for m, h in _int_squarefree_decomposition(f) for c in _part_classes(iu, iv, m, h, lead)
+    ]
 
 
-def _part_classes(iu: IntRows, iv: IntRows, m: int, h: list[int]) -> list[RootClass]:
+def _part_classes(iu: IntRows, iv: IntRows, m: int, h: list[int], lead: Sequence[int]) -> list[RootClass]:
     """The root classes of h, a primitive squarefree factor of the
-    determinant whose roots have multiplicity m, from one or two exact
-    ranks (after Van Dooren 1979).
+    determinant whose roots have multiplicity m, from the leading minor
+    ``lead`` or from one or two exact ranks (after Van Dooren 1979).
 
     Simple roots have partition (1,), and a quadratic h with rational
-    roots is split into its two linear factors.  Otherwise, with d the
-    degree of h, c its leading coefficient and C its companion matrix,
-    A = c*(U x I_d) - V x (c*C) is the direct sum of c*(U - r*V) over the
-    roots r of h, so its nullity over d counts the blocks at each root.
-    As d*m <= ``MAX_SIZE`` = 5, a part of degree 3 or more is simple, and
-    one of degree 2 left unsplit is irreducible with m = 2: its conjugate
-    roots share (2) or (11), one block or two.  Where that count leaves a
-    linear root's partition open, nullity(A) - rank(K^T V K), K an integer
-    kernel basis of A = c*U + h(0)*V read off the echelon rows of A's one
-    elimination (``_kernel``), counts the blocks of size two or more
-    (x in ker A starts a chain of length two or more when V*x lies in the
-    image of A, orthogonal to ker A as A is symmetric); at m <= 5 those
-    are one block, (2, 2) or (3, 2).  Counts that leave it open raise
+    roots is split into its two linear factors.  As d*m <= ``MAX_SIZE``
+    = 5, with d the degree of h, a part of degree 3 or more is simple,
+    and one of degree 2 left unsplit is irreducible with m = 2: its
+    conjugate roots share (2) or (11), one block or two.  So h is
+    irreducible from here on, and it divides ``lead`` exactly when
+    ``lead`` vanishes at one, and so at every, root of h.
+
+    Where ``lead`` does not vanish at a root r, U - r*V has rank n - 1,
+    one less than n as the determinant vanishes there, so r has one
+    elementary divisor, and the partition is (m,) with no elimination.
+    That covers every pencil in general position: for a symmetric A of
+    rank n - 1 with kernel vector k, adj A = l*k*k^T with l != 0, so the
+    leading minor adj(A)[n][n] = l*k_n^2 vanishes only when k_n = 0, as
+    for a block-diagonal normal form or a root with two or more blocks.
+
+    Otherwise, with c the leading coefficient of h and C its companion
+    matrix, A = c*(U x I_d) - V x (c*C) is the direct sum of c*(U - r*V)
+    over the roots r of h, so its nullity over d counts the blocks at
+    each root.  Where that count leaves a linear root's partition open,
+    nullity(A) - rank(K^T V K), K an integer kernel basis of
+    A = c*U + h(0)*V read off the echelon rows of A's one elimination
+    (``_kernel``), counts the blocks of size two or more (x in ker A
+    starts a chain of length two or more when V*x lies in the image of A,
+    orthogonal to ker A as A is symmetric); at m <= 5 those are one
+    block, (2, 2) or (3, 2).  Counts that leave it open raise
     ``InternalConsistencyError``.
     """
     if m == 1:
@@ -597,7 +628,9 @@ def _part_classes(iu: IntRows, iv: IntRows, m: int, h: list[int]) -> list[RootCl
         s = math.isqrt(disc) if disc > 0 else 0
         if s * s == disc:  # rational roots
             lins = (_int_primitive([c1 - s, 2 * c2]), _int_primitive([c1 + s, 2 * c2]))
-            return [c for lin in lins for c in _part_classes(iu, iv, m, lin)]
+            return [c for lin in lins for c in _part_classes(iu, iv, m, lin, lead)]
+    if _int_divide(lead, h) is None:  # the leading minor is nonzero at the roots
+        return [(h, (m,))]
     c = h[-1]
     if d == 1:  # c*U + h[0]*V: the form below, built directly on the hot path
         a = _lin(iu, iv, c, h[0])
@@ -641,10 +674,10 @@ def invariant_factors(p: QuadricPencil) -> InvariantFactors:
     identically; callers route that case to degeneracy classification.
     """
     _check_pencil(p)
-    f = _det(p)
+    f, lead = _det(p)
     if not f:
         raise DegeneratePencilError("determinant of the pencil vanishes identically")
-    chain = _chain(_root_classes(p._iu, p._iv, f), p.size)
+    chain = _chain(_root_classes(p._iu, p._iv, f, lead), p.size)
     return InvariantFactors(tuple(_of(d, d[-1]) for d in chain))
 
 
@@ -674,7 +707,7 @@ def select_nonsingular_member(p: QuadricPencil) -> QuadricPencil:
     identically, and ``NoSmoothMemberError`` is raised.
     """
     _check_pencil(p)
-    f, size = _det(p), p.size
+    f, size = _det(p)[0], p.size
     if len(f) > size:
         return p
     t0 = _sweep_value(f, size)
@@ -687,8 +720,8 @@ def _selected_classes(p: QuadricPencil) -> tuple[Sequence[int], int, list[RootCl
     (U', V') that ``select_nonsingular_member`` returns; raises
     ``NoSmoothMemberError`` when no member is nonsingular."""
     s = select_nonsingular_member(p)
-    f = _det(s)
-    return f, s._mult ** s.size, _root_classes(s._iu, s._iv, f)
+    f, lead = _det(s)
+    return f, s._mult ** s.size, _root_classes(s._iu, s._iv, f, lead)
 
 
 class DegeneracyReport(Record):
@@ -709,7 +742,7 @@ def degeneracy_report(p: QuadricPencil) -> DegeneracyReport:
     with det(U - t*V) identically zero (see ``_sweep_value``); a pencil
     with a nonsingular member raises ``PencilError``."""
     _check_pencil(p)
-    if _det(p):
+    if _det(p)[0]:
         raise PencilError("pencil has a nonsingular member; nothing to report")
     r0 = p.size - len(_bareiss(p._iu + p._iv)[0])
     return DegeneracyReport(common_kernel_dim=r0, is_cone=r0 > 0)

@@ -11,9 +11,9 @@ from functools import cache
 from operator import itemgetter
 
 from ._record import Record
-from .catalog import AutE, SingularityType
+from .catalog import AutE, SingularityType, VertexPosition
 from .classify import SurfaceReport, _structure_report, classify_symbol
-from .covers import CoverReport
+from .covers import BaseKind, BranchStructure, CoverReport, SectionDivisor
 from .errors import NoSmoothMemberError, ParseError
 from .pencil import (
     DegeneracyReport,
@@ -130,15 +130,19 @@ def surface_report_to_dict(r: SurfaceReport) -> dict:
     the cached report's, or equal to it (one tuple comparison), gets the
     body rendered once per structure, as a fresh copy for each caller.
     Any other report is rendered as it is, once its fields pass
-    ``_REPORT_FIELDS``.  An ``r`` that is not a ``SurfaceReport``, or whose
-    symbol or a checked field has the wrong type, raises ``ParseError``.
+    ``_REPORT_FIELDS`` and each cover's pass ``_COVER_FIELDS``; a report
+    that is not a Segre surface's renders only its ``reason`` besides the
+    symbol, and checks only it.  An ``r`` that is not a ``SurfaceReport``,
+    or whose symbol or a checked field has the wrong type, raises
+    ``ParseError``, which names the type in at most 40 characters.
     """
     if not isinstance(r, SurfaceReport):
-        raise ParseError(f"report must be a SurfaceReport, got {type(r).__name__}")
+        raise ParseError(f"report must be a SurfaceReport, got {type(r).__name__[:40]}")
     if not isinstance(r.symbol, SegreSymbol):
         raise _wrong_field("report", "symbol", SegreSymbol, r.symbol)
     symbol = r.symbol.render()
     if not r.is_segre:
+        _check_fields("report", r, _REASON_FIELDS)
         return {
             "symbol": symbol,
             "is_segre": False,
@@ -149,6 +153,8 @@ def surface_report_to_dict(r: SurfaceReport) -> dict:
     if _fields(vars(r)) == fields:
         return {"symbol": symbol, **marshal.loads(body)}
     _check_fields("report", r, _REPORT_FIELDS)
+    for c in r.covers:
+        _check_fields("report cover", c, _COVER_FIELDS)
     return {"symbol": symbol, **_report_body(r)}
 
 
@@ -157,7 +163,7 @@ def outcome_to_dict(o: AnalysisOutcome) -> dict:
     that is not an ``AnalysisOutcome``, one that holds neither report, or
     one with a field of the wrong type raises ``ParseError``."""
     if not isinstance(o, AnalysisOutcome):
-        raise ParseError(f"outcome must be an AnalysisOutcome, got {type(o).__name__}")
+        raise ParseError(f"outcome must be an AnalysisOutcome, got {type(o).__name__[:40]}")
     if o.is_degenerate:
         _check_fields("outcome", o, _DEGENERATE_FIELDS)
         d = o.degeneracy
@@ -179,14 +185,21 @@ def outcome_to_dict(o: AnalysisOutcome) -> dict:
 
 # The fields of a record checked before it is rendered: each has a type, a
 # tuple of types (named by the first), or a list of one type for a tuple or
-# list of items of that type.
+# list of items of that type.  No field or item takes a bool.
+_NONE = type(None)
 _DEGENERATE_FIELDS = {"degeneracy": DegeneracyReport}
-_OUTCOME_FIELDS = {
-    "symbol": (SegreSymbol, type(None)), "invariant_factors": [str], "determinant": (str, type(None)),
-}
+_OUTCOME_FIELDS = {"symbol": (SegreSymbol, _NONE), "invariant_factors": [str], "determinant": (str, _NONE)}
+_REASON_FIELDS = {"reason": (str, _NONE)}
 _REPORT_FIELDS = {
-    "singularities": [SingularityType], "aut_e": AutE, "covers": [CoverReport],
-    "transitions": [SegreSymbol], "notes": [str],
+    **_REASON_FIELDS, "singularities": [SingularityType], "class_degree": (int, _NONE),
+    "q_star_count": int, "lines_total": (int, _NONE), "planes_in_dual": (int, _NONE), "aut_e": AutE,
+    "covers": [CoverReport], "transitions": [SegreSymbol], "genus": int, "embedding_degree": int,
+    "notes": [str],
+}
+_COVER_FIELDS = {
+    "base": BaseKind, "source_entry": int, "source_group": [int], "branch_symbol": SegreSymbol,
+    "branch_structure": BranchStructure, "vertex_on_branch": VertexPosition,
+    "section": (SectionDivisor, _NONE),
 }
 
 
@@ -195,11 +208,11 @@ def _check_fields(owner: str, r: Record, fields: dict) -> None:
     values = vars(r)
     for name, wanted in fields.items():
         value = values[name]
-        if not isinstance(value, (tuple, list) if type(wanted) is list else wanted):
+        if type(value) is bool or not isinstance(value, (tuple, list) if type(wanted) is list else wanted):
             raise _wrong_field(owner, name, wanted, value)
         if type(wanted) is list:
             for item in value:
-                if not isinstance(item, wanted[0]):
+                if type(item) is bool or not isinstance(item, wanted[0]):
                     raise _wrong_field(owner, f"{name} item", wanted[0], item)
 
 
@@ -208,15 +221,15 @@ def _wrong_field(owner: str, field: str, wanted, got) -> ParseError:
         text = f"a tuple of {wanted[0].__name__}"
     else:
         name = (wanted[0] if type(wanted) is tuple else wanted).__name__
-        text = f"{'an' if name[0] in 'AEIOU' else 'a'} {name}"
-    return ParseError(f"{owner} {field} must be {text}, got {type(got).__name__}")
+        text = f"{'an' if name[0] in 'AEIOUaeiou' else 'a'} {name}"
+    return ParseError(f"{owner} {field} must be {text}, got {type(got).__name__[:40]}")
 
 
 def render_pretty(doc: dict) -> str:
     """Human-oriented rendering of a report dict; a ``doc`` that is not a
     ``dict`` raises ``ParseError``."""
     if not isinstance(doc, dict):
-        raise ParseError(f"report must be a dict, got {type(doc).__name__}")
+        raise ParseError(f"report must be a dict, got {type(doc).__name__[:40]}")
     lines: list[str] = []
 
     def emit(key: str, value, indent: int = 0):

@@ -4,7 +4,8 @@ The Segre symbol of a pencil records the exponents of the elementary
 divisors of U - lambda*V, grouping entries that share a root inside round
 brackets.  It is computed here without any root finding or factorization,
 from the root classes of ``pencil._root_classes``: the Yun parts of the
-determinant, each with the partition that exact ranks at its roots give.
+determinant, each with the partition that the leading principal minor
+or exact ranks at its roots give.
 Roots that share a partition form one group polynomial, and a group
 polynomial of degree g contributes g identical groups, one per (possibly
 irrational or complex) root.  A ``SegreSymbol`` holds its groups, and
@@ -76,10 +77,33 @@ class SymbolicRoot(Record):
 RootDescriptor = ExplicitRoot | SymbolicRoot | None
 
 
+# an int exponent this far from 0 has more digits than a refusal quotes
+_QUOTED_INT = 10**40
+
+
+def _quoted(exponents: Sequence) -> str:
+    """The exponents written as a tuple, cut to 40 characters.  An int of
+    more than 40 digits is written by its bit length, and writing stops
+    once the quote is full, so no exponent is ever converted to text past
+    the int-str digit limit."""
+    parts, size = [], 0
+    for e in exponents:
+        if size > 40:
+            break
+        if type(e) is int and not -_QUOTED_INT < e < _QUOTED_INT:
+            part = f"{'-' if e < 0 else ''}<int of {e.bit_length()} bits>"
+        else:
+            part = repr(e)
+        parts.append(part)
+        size += len(part) + 2
+    return f"({', '.join(parts)}{',' if len(exponents) == 1 else ''})"[:40]
+
+
 class Group(Record):
     """One root group: exponent multiset plus an optional root descriptor.
     Exponents that are not a sequence, none, or one that is not an ``int``
-    of at least 1 (a ``bool`` is not) raise ``ParseError``."""
+    of at least 1 (a ``bool`` is not) raise ``ParseError``, which quotes
+    them as a tuple in at most 40 characters (``_quoted``)."""
 
     exponents: tuple[int, ...]
     root: RootDescriptor = None
@@ -91,7 +115,7 @@ class Group(Record):
             raise ParseError("a group needs at least one exponent")
         for e in exponents:
             if type(e) is not int or e < 1:
-                raise ParseError(f"exponents must be positive integers: {str(exponents)[:40]}")
+                raise ParseError(f"exponents must be positive integers: {_quoted(exponents)}")
         d = self.__dict__
         d["exponents"] = tuple(sorted(exponents, reverse=True))
         d["root"] = root

@@ -510,8 +510,48 @@ WRONG_ITEMS = {
             ("transitions", ("[311]",), "transitions item must be a SegreSymbol, got str"),
             ("notes", 5, "notes must be a tuple of str, got int"),
             ("notes", [5], "notes item must be a str, got int"),
+            # these rendered as they were, a bool as true or false
+            ("class_degree", object(), "class_degree must be an int, got object"),
+            ("class_degree", True, "class_degree must be an int, got bool"),
+            ("q_star_count", None, "q_star_count must be an int, got NoneType"),
+            ("lines_total", 1.5, "lines_total must be an int, got float"),
+            ("planes_in_dual", "3", "planes_in_dual must be an int, got str"),
+            ("genus", False, "genus must be an int, got bool"),
+            ("embedding_degree", None, "embedding_degree must be an int, got NoneType"),
+            ("reason", 5, "reason must be a str, got int"),
         ]
     },
+    # these raised AttributeError while the cover was rendered, or rendered as they were
+    **{
+        f"surface_report_to_dict of a cover with {field}={value!r}": (
+            lambda field=field, value=value: segre.reporting.surface_report_to_dict(
+                (r := segre.classify_symbol("[2111]")).replace(covers=(r.covers[0].replace(**{field: value}),))
+            ),
+            f"report cover {message}",
+        )
+        for field, value, message in [
+            ("base", 5, "base must be a BaseKind, got int"),
+            ("source_entry", "0", "source_entry must be an int, got str"),
+            ("source_group", 1, "source_group must be a tuple of int, got int"),
+            ("source_group", (2, True), "source_group item must be an int, got bool"),
+            ("branch_symbol", "[211]", "branch_symbol must be a SegreSymbol, got str"),
+            ("branch_structure", None, "branch_structure must be a BranchStructure, got NoneType"),
+            ("vertex_on_branch", "node", "vertex_on_branch must be a VertexPosition, got str"),
+            ("section", 5, "section must be a SectionDivisor, got int"),
+        ]
+    },
+    "surface_report_to_dict of a non-Segre report with an int reason": (
+        lambda: segre.reporting.surface_report_to_dict(
+            segre.SurfaceReport(symbol=segre.SegreSymbol.parse("[(111)11]"), is_segre=False, reason=5)
+        ),
+        "report reason must be a str, got int",
+    ),
+    "surface_report_to_dict of a report whose class_degree has a long type name": (
+        lambda: segre.reporting.surface_report_to_dict(
+            segre.classify_symbol("[2111]").replace(class_degree=type("N" * 60, (), {})())
+        ),
+        "report class_degree must be an int, got " + "N" * 40,
+    ),
     "outcome_to_dict of an outcome whose report has int covers": (
         lambda: segre.reporting.outcome_to_dict(
             segre.reporting.AnalysisOutcome(surface=segre.classify_symbol("[2111]").replace(covers=5))

@@ -127,8 +127,12 @@ def square_cases(size, digits):
 def check_square(oracle, size, digits):
     idx = list(range(size))
     for name, iu, iv in square_cases(size, digits):
-        got = _poly_minor(iu, iv)
+        got, lead = _poly_minor(iu, iv)
         assert got == oracle(iu, iv, idx, idx), name
+        # the leading principal minor, within the packing bound unless the
+        # last row of the pencil is zero (then det = 0 and it is not read)
+        if any(iu[-1]) or any(iv[-1]):
+            assert lead == oracle(iu, iv, idx[:-1], idx[:-1]), name
         assert len(got) <= size + 1 and (not got or got[-1] != 0), name
         if name in ("zero pencil", "zero row"):
             assert got == [], name
@@ -186,8 +190,9 @@ def test_non_contiguous_minors_sympy(digits):
     iu, iv = pair
     for k in range(1, 6):
         for rows, cols in zip(subsets(size, k, rng, 3), reversed(subsets(size, k, rng, 3))):
-            got = _poly_minor(*([[m[r][c] for c in cols] for r in rows] for m in (iu, iv)))
+            got, lead = _poly_minor(*([[m[r][c] for c in cols] for r in rows] for m in (iu, iv)))
             assert got == interpolated_minor(iu, iv, rows, cols), (rows, cols)
+            assert lead == interpolated_minor(iu, iv, rows[:-1], cols[:-1]), (rows, cols)
             assert got == cofactor_minor(iu, iv, rows, cols), (rows, cols)
             if digits < 1000 or k <= 3:
                 assert got == sympy_minor(iu, iv, rows, cols), (rows, cols)
@@ -235,12 +240,13 @@ def test_packed_expansion_at_the_cutoff(monkeypatch, width, seed):
     reads, interpolations = record_routes(monkeypatch)
     iu, iv = pair_of_width(MAX_SIZE, width, seed)
     idx = list(range(MAX_SIZE))
-    got = _poly_minor(iu, iv)
+    got, lead = _poly_minor(iu, iv)
     assert got == sympy_minor(iu, iv, idx, idx)
-    assert len(got) == MAX_SIZE + 1 and all(abs(c) < 1 << (width - 2) for c in got)
+    assert lead == sympy_minor(iu, iv, idx[:-1], idx[:-1])
+    assert len(got) == MAX_SIZE + 1 and all(abs(c) < 1 << (width - 2) for c in got + lead)
     packed = width <= _PACK_BITS
-    assert reads == ([1 << width] if packed else [])
-    assert interpolations == ([] if packed else [MAX_SIZE + 1])
+    assert reads == ([1 << width] * 2 if packed else [])
+    assert interpolations == ([] if packed else [MAX_SIZE + 1, MAX_SIZE])
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -253,22 +259,28 @@ def test_wide_expansion_of_vanishing_determinants(monkeypatch, size):
     iu, iv = random_pair(size, 1000, 4)
     su, sv = random_pair(size, 1000, 5)
     sv[-1] = list(sv[0]) if size > 1 else [0]
-    got = _poly_minor(su, sv)
+    got, lead = _poly_minor(su, sv)
     assert got == sympy_minor(su, sv, idx, idx) and 0 < len(got) <= size
+    assert lead == sympy_minor(su, sv, idx[:-1], idx[:-1])
     if size > 1:
         iu[-1], iv[-1] = list(iu[0]), list(iv[0])
-        assert _poly_minor(iu, iv) == [] == sympy_minor(iu, iv, idx, idx)
-    assert reads == [] and interpolations == [size + 1] * (1 + (size > 1))
+        got, lead = _poly_minor(iu, iv)
+        assert got == [] == sympy_minor(iu, iv, idx, idx)
+        # the values route reads the leading minor exactly even then
+        assert lead == sympy_minor(iu, iv, idx[:-1], idx[:-1]) != []
+    assert reads == [] and interpolations == [size + 1, size] * (1 + (size > 1))
 
 
 def test_packed_expansion_of_vanishing_determinants(monkeypatch):
     reads, interpolations = record_routes(monkeypatch)
     iu, iv = random_pair(4, 6, 0)
     iu[2], iv[2] = list(iu[0]), list(iv[0])  # two equal rows of U - t*V: det = 0
-    assert _poly_minor(iu, iv) == [] == sympy_minor(iu, iv, range(4), range(4))
-    iu[2] = iv[2] = [0] * 4  # a zero row
-    assert _poly_minor(iu, iv) == []
-    assert len(reads) == 2 and interpolations == []
+    got, lead = _poly_minor(iu, iv)
+    assert got == [] == sympy_minor(iu, iv, range(4), range(4))
+    assert lead == sympy_minor(iu, iv, range(3), range(3))
+    iu[2] = iv[2] = [0] * 4  # a zero row, within the leading minor
+    assert _poly_minor(iu, iv) == ([], [])
+    assert len(reads) == 4 and interpolations == []
 
 
 @settings(max_examples=150, deadline=None)
@@ -315,7 +327,7 @@ def test_determinant_makes_no_bareiss_call(monkeypatch):
 
     monkeypatch.setattr(segre.pencil, "_bareiss", counted)
     p = random_instance("[(21)2]", 0)
-    assert len(_poly_minor(p._iu, p._iv)) == p.size + 1
+    assert len(_poly_minor(p._iu, p._iv)[0]) == p.size + 1
     det_poly(p)
     assert calls == []
 

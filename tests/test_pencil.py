@@ -35,7 +35,7 @@ from segre.pencil import (
     invariant_factors,
     select_nonsingular_member,
 )
-from segre.polynomial import Polynomial
+from segre.polynomial import Polynomial, _int_eval
 from segre.reporting import analyze_pencil
 from segre.symbol import build_normal_form, canonicalize, compute_symbol, random_instance
 
@@ -69,8 +69,10 @@ def monic(p: Polynomial) -> Polynomial:
 
 def cofactor_det(mat):
     """Independent determinant oracle: recursive cofactor expansion of a
-    matrix of dense sympy lists over QQ."""
+    matrix of dense sympy lists over QQ; the empty matrix's is 1."""
     n = len(mat)
+    if n == 0:
+        return [QQ(1)]
     if n == 1:
         return mat[0][0]
     total = []
@@ -287,8 +289,10 @@ class TestBareiss:
                 for cols in combinations(range(5), k):
                     sub = [[mat[r][c] for c in cols] for r in rows]
                     want = dup_mul(cofactor_det(sub), [QQ(mult**k)], QQ)
-                    got = _poly_minor(*([[m[r][c] for c in cols] for r in rows] for m in (iu, iv)))
+                    got, lead = _poly_minor(*([[m[r][c] for c in cols] for r in rows] for m in (iu, iv)))
                     assert to_dup(got) == want
+                    sub = [row[:-1] for row in sub[:-1]]  # the leading principal minor
+                    assert to_dup(lead) == dup_mul(cofactor_det(sub), [QQ(mult ** (k - 1))], QQ)
 
 
 class TestInvariantFactors:
@@ -669,6 +673,66 @@ class TestAnalyzeWork:
         outcome = analyze_pencil(q)
         assert outcome.invariant_factors == tuple(str(f) for f in invariant_factors(selected).factors)
         assert outcome.determinant == str(det_poly(selected))
+
+
+def _weight_five_pencils():
+    """For each weight-5 symbol and seed 0..2: the random instance, the
+    normal form on its roots, and (V, U - r*V) of each, whose det V' = 0
+    at r, the first of those roots."""
+    for symbol in CATALOG_ORDER + OFF_CATALOG:
+        for seed in range(3):
+            p = random_instance(symbol, seed)
+            roots = random.Random(seed).sample(range(-9, 10), len(canonicalize(symbol).groups))
+            normal = build_normal_form(symbol, roots)
+            for q in (p, normal):
+                yield symbol, q
+                yield symbol, change_basis(q, 0, 1, 1, -roots[0])
+
+
+class TestLeadingMinor:
+    def test_weight_five_symbols_take_the_same_classes_without_it(self, monkeypatch):
+        # an empty leading minor proves nothing, so every repeated part
+        # is eliminated; the classes must not change, and the minor must
+        # spare some eliminations
+        from segre.pencil import _det, _root_classes
+
+        checked = set()
+        calls = counting(monkeypatch, segre.pencil, "_bareiss")
+        spared = 0
+        for symbol, p in _weight_five_pencils():
+            f, lead = _det(p)
+            start = len(calls)
+            want = _root_classes(p._iu, p._iv, f, ())
+            middle = len(calls)
+            assert _root_classes(p._iu, p._iv, f, lead) == want, (symbol, p)
+            assert len(calls) - middle <= middle - start
+            spared += (middle - start) - (len(calls) - middle)
+            checked.add(symbol)
+        assert len(checked) == 27 and spared > 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_block_at_each_root_takes_no_elimination(self, monkeypatch, seed):
+        # the random congruence leaves the leading minor nonzero at the
+        # double root of [2111]; the double root of [(11)111] has two
+        # blocks, so the minor vanishes there and one elimination counts them
+        calls = counting(monkeypatch, segre.pencil, "_bareiss")
+        assert analyze_pencil(random_instance("[2111]", seed)).symbol.render() == "[2111]"
+        assert calls == []
+        assert analyze_pencil(random_instance("[(11)111]", seed)).symbol.render() == "[(11)111]"
+        assert len(calls) == 1
+
+    def test_a_normal_form_eliminates_where_its_minor_vanishes(self, monkeypatch):
+        # the normal form's 2 x 2 block sits in its first rows, its kernel
+        # vector at the root has a zero last entry, and so the leading
+        # minor vanishes there: one elimination reads the one block
+        from segre.pencil import _det
+
+        p = build_normal_form("[2111]", [1, 2, 3, 4])
+        f, lead = _det(p)
+        assert _int_eval(lead, 1) == 0 != _int_eval(lead, 4)
+        calls = counting(monkeypatch, segre.pencil, "_bareiss")
+        assert analyze_pencil(p).symbol.render() == "[2111]"
+        assert len(calls) == 1
 
 
 class TestChainCheck:

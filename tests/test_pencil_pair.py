@@ -153,7 +153,7 @@ def test_change_basis_gives_the_fraction_pencil():
 ])
 def test_member_selection_with_singular_v_gives_the_fraction_pencil(p):
     assert p.det_v == 0
-    t = _sweep_value(_poly_minor(p._iu, p._iv), p.size)
+    t = _sweep_value(_poly_minor(p._iu, p._iv)[0], p.size)
     _same_pencil(select_nonsingular_member(p), QuadricPencil(p.v, p.member(1, t)))
 
 

@@ -65,6 +65,14 @@ class TestParseRender:
         ((2, 1.0), "exponents must be positive integers: (2, 1.0)"),
         ((2, "1"), "exponents must be positive integers: (2, '1')"),
         ((1,) * 30 + (0,), "exponents must be positive integers: (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, "),
+        ([0, 1], "exponents must be positive integers: (0, 1)"),
+        # these raised the int-str ValueError, not ParseError: the quote
+        # converted every exponent to text
+        ((10**5000, 0), "exponents must be positive integers: (<int of 16610 bits>, 0)"),
+        ((-(10**5000),), "exponents must be positive integers: (-<int of 16610 bits>,)"),
+        ((2, 10**40, 0), "exponents must be positive integers: (2, <int of 133 bits>, 0)"),
+        ((2, 10**40 - 1, 0), "exponents must be positive integers: (2, " + "9" * 36),
+        ((0,) + (10**5000,) * 10**5, "exponents must be positive integers: (0, <int of 16610 bits>, <int of 16610 b"),
     ])
     def test_group_validation(self, exponents, message):
         with pytest.raises(ParseError) as info:
