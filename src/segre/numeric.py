@@ -3,9 +3,10 @@
 Independently of the exact path, the elementary-divisor exponents can be
 recovered numerically: form M = V^-1 U, cluster its eigenvalues, and read
 the block-size partition of each cluster off the rank staircase of powers
-of M - alpha*I: one SVD call over the stack of every shifted matrix and
-its powers, with clustering and rank counts on Python numbers.  numpy is
-imported on the first call, so the exact path never loads it.  The oracle
+of M - alpha*I: one scan of the eigenvalue pairs links the clusters, one
+SVD call covers the stack of every shifted matrix and its powers, and one
+bisection of each row of sorted singular values counts its rank.  numpy
+is imported on the first call, so the exact path never loads it.  The oracle
 exists to cross-validate, so it refuses with ``IllConditionedError``
 instead of guessing whenever clustering or the staircase is ambiguous at
 its fixed tolerances, or double precision cannot hold the pencil.
@@ -13,6 +14,7 @@ its fixed tolerances, or double precision cannot hold the pencil.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import accumulate, combinations
 
 from ._record import Record
@@ -64,29 +66,35 @@ def numeric_exponent_partitions(p: QuadricPencil) -> SegreSymbol:
     p = select_nonsingular_member(p)
     size = p.size
     iu, iv, mult = p._iu, p._iv, p._mult
-    try:  # int / int rounds correctly, as float(Fraction) does
-        u = np.array([[c / mult for c in row] for row in iu])
-        v = np.array([[c / mult for c in row] for row in iv])
-    except OverflowError as exc:
-        raise IllConditionedError(f"pencil entries exceed double precision: {exc}") from exc
+    try:  # float(int) and int / int round correctly, as float(Fraction) does
+        rows = iu + iv if mult == 1 else [[c / mult for c in row] for row in iu + iv]
+        uv = np.array(rows, float)
+    except OverflowError as exc:  # float(int) words it otherwise: keep the int / int text
+        raise IllConditionedError(
+            "pencil entries exceed double precision: integer division result too large for a float"
+        ) from exc
     try:
-        m = np.linalg.solve(v, u)
+        m = np.linalg.solve(uv[size:], uv[:size])
         if not np.isfinite(m).all():
             raise IllConditionedError("V^-1 U overflows double precision")
         values = np.linalg.eigvals(m)
         eigs = values.tolist()
-        scale = max(1.0, max(abs(z) for z in eigs))
+        scale = max(1.0, max(map(abs, eigs)))
         link_radius = scale * _CLUSTER_TOL ** (1.0 / 3.0)
 
-        groups: list[list[int]] = []  # indices into eigs, linked in (real, imag) order
-        for i in sorted(range(size), key=lambda j: (eigs[j].real, eigs[j].imag)):
-            linked = [g for g in groups if any(abs(eigs[i] - eigs[j]) <= link_radius for j in g)]
+        # one scan of the pairs in (real, imag) order; only linked eigenvalues merge
+        order = sorted(range(size), key=lambda j: (eigs[j].real, eigs[j].imag))
+        pairs = combinations(order, 2)
+        links = {(i, j) for i, j in pairs if abs(eigs[i] - eigs[j]) <= link_radius}
+        groups = [] if links else [[i] for i in order]  # indices into eigs
+        for j in order if links else ():
+            linked = [g for g in groups if any((i, j) in links for i in g)]
             for g in linked[1:]:
                 groups.remove(g)
             if linked:
-                linked[0] += [i] + [j for g in linked[1:] for j in g]
+                linked[0] += [j] + [i for g in linked[1:] for i in g]
             else:
-                groups.append([i])
+                groups.append([j])
 
         # numpy scalars: numpy's complex / int rounds unlike Python's
         centers = [sum(values[i] for i in g) / len(g) for g in groups]
@@ -101,12 +109,12 @@ def numeric_exponent_partitions(p: QuadricPencil) -> SegreSymbol:
         # one SVD call: every shifted matrix, then the powers 2..mult of each
         shifted = m - np.array(centers)[:, None, None] * np.eye(size)
         powers = []
-        if len(groups) < size:  # else every cluster is one eigenvalue, with no power
+        if links:  # else every cluster is one eigenvalue, with no power
             with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail the SVD
                 for s, g in zip(shifted, groups):
                     powers += list(accumulate([s] * len(g), np.matmul))[1:]
         stack = np.concatenate((shifted, powers)) if powers else shifted
-        sv = np.linalg.svd(stack, compute_uv=False).tolist()
+        sv = np.linalg.svd(stack, compute_uv=False)[:, ::-1].tolist()  # each row ascending
 
         out: list[Group] = []
         at = len(groups)
@@ -114,20 +122,22 @@ def numeric_exponent_partitions(p: QuadricPencil) -> SegreSymbol:
             mult = len(g)
             ranks = [size]
             for k, row in enumerate([first] + sv[at : at + mult - 1], start=1):
-                threshold = _RANK_TOL * first[0] ** k  # first[0] = sigma_1
-                ranks.append(sum(s > threshold for s in row))
+                threshold = _RANK_TOL * first[-1] ** k  # first[-1] = sigma_1
+                ranks.append(size - bisect_right(row, threshold))  # the values above it
             at += mult - 1
             if ranks[-1] != size - mult:
                 raise IllConditionedError(
                     f"rank staircase of cluster {center:.6g} does not reach "
                     f"corank {mult}: ranks {ranks}"
                 )
-            try:  # the corank check makes the staircase sum to mult
-                partition = _partition(mult, [a - b for a, b in zip(ranks, ranks[1:])])
-            except InternalConsistencyError:
-                raise IllConditionedError(
-                    f"non-monotone rank staircase for cluster {center:.6g}"
-                ) from None
+            partition = (1,)  # one eigenvalue, of corank 1, is one block
+            if mult > 1:
+                try:  # the corank check makes the staircase sum to mult
+                    partition = _partition(mult, [a - b for a, b in zip(ranks, ranks[1:])])
+                except InternalConsistencyError:
+                    raise IllConditionedError(
+                        f"non-monotone rank staircase for cluster {center:.6g}"
+                    ) from None
             out.append(Group(partition, NumericRoot(complex(center))))
     except (np.linalg.LinAlgError, OverflowError) as exc:
         raise IllConditionedError(f"double precision fails on V^-1 U: {exc}") from exc

@@ -16,8 +16,9 @@ values are interpolated (``_interpolate``).
 Each pencil expands its determinant once, on first use, and keeps it
 (``_det``): det V, the member sweep, the degeneracy test and the
 invariant factors are read off it.  The same expansion's memo holds the
-leading principal (size - 1)-minor, which is kept beside it; no other
-minor is ever expanded.
+leading principal (size - 1)-minor, which is kept beside it undecoded
+and decoded only where a repeated root reads it; no other minor is ever
+expanded.
 An analysis selects a nonsingular member first and then analyses the
 selected pencil.  The invariant factors come from root classes
 (``_root_classes``): the Yun parts of the determinant, each with the
@@ -46,7 +47,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 
 from ._record import Frozen, Record
@@ -230,8 +231,8 @@ class QuadricPencil(Frozen):
     mult * V) with ``mult`` the least common denominator of the entries, so
     equal pencils hold equal pairs.  The rational matrices ``u`` and ``v``
     are built from it on each read; its determinant expansion (``_det``,
-    the determinant and its leading principal minor), which every analysis
-    reads twice, is kept from its first use.
+    the determinant and the undecoded leading principal minor), which every
+    analysis reads twice, is kept from its first use.
     """
 
     __slots__ = ("_iu", "_iv", "_mult", "_det", "__weakref__")
@@ -401,9 +402,10 @@ def _interpolate(vals: Sequence[int]) -> list[int]:
     return _int_trim(c)
 
 
-def _poly_minor(iu: IntRows, iv: IntRows) -> tuple[list[int], list[int]]:
+def _poly_minor(iu: IntRows, iv: IntRows) -> tuple[list[int], Callable[[], list[int]]]:
     """Integer coefficients of det(U - t*V), for square integer U and V,
-    and of its leading principal minor on the first k - 1 rows and columns.
+    and a call that decodes those of its leading principal minor on the
+    first k - 1 rows and columns, so that only a reader of it pays.
 
     Laplace expansion along the rows in order, memoised over column
     subsets: the minor on the first j rows and the j columns of a mask is
@@ -411,7 +413,8 @@ def _poly_minor(iu: IntRows, iv: IntRows) -> tuple[list[int], list[int]]:
     times the minor on the mask without c.  Zero entries are skipped.
     Only integer products and sums, no division, over 2^k column subsets,
     k <= MAX_SIZE.  The leading minor is the memo's entry at the mask of
-    the first k - 1 columns, so it costs no product of its own.
+    the first k - 1 columns, so it costs no product of its own; the call
+    keeps that entry, packed or as values, and decodes it as below.
 
     Small pairs run packed (Kronecker substitution): every coefficient of
     the determinant is below 2^(B-2) in absolute value, with B the bit
@@ -451,7 +454,8 @@ def _poly_minor(iu: IntRows, iv: IntRows) -> tuple[list[int], list[int]]:
                     else:
                         acc -= e * packed[sub]
             packed[mask] = acc
-        return _int_digits(packed[-1], 1 << bits), _int_digits(packed[lead], 1 << bits)
+        base = 1 << bits
+        return _int_digits(packed[-1], base), functools.partial(_int_digits, packed[lead], base)
     vals = [
         [[u - t * v for t in range(r + 2)] if u or v else None for u, v in zip(ru, rv)]
         for r, (ru, rv) in enumerate(zip(iu, iv))
@@ -468,20 +472,21 @@ def _poly_minor(iu: IntRows, iv: IntRows) -> tuple[list[int], list[int]]:
         if r + 1 < k:
             acc.append(sum(map(operator.mul, _EXTRAPOLATE[r + 1], acc)))
         minors[mask] = acc
-    return _interpolate(minors[-1]), _interpolate(minors[lead][:k])
+    return _interpolate(minors[-1]), functools.partial(_interpolate, minors[lead][:k])
 
 
-def _det(p: QuadricPencil) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """mult^size * det(U - t*V) and mult^(size - 1) times its leading
-    principal (size - 1)-minor, as integer coefficients, lowest degree
-    first: ``_poly_minor`` on the cleared pair, expanded on first use and
-    kept in the pencil.  The minor is read only where the determinant is
-    nonzero, by the root classes (``_part_classes``).  Two threads may
-    both expand it on a first read; both store the same value."""
+def _det(p: QuadricPencil) -> tuple[tuple[int, ...], Callable[[], list[int]]]:
+    """mult^size * det(U - t*V), as integer coefficients, lowest degree
+    first, and the call that decodes mult^(size - 1) times its leading
+    principal (size - 1)-minor: ``_poly_minor`` on the cleared pair,
+    expanded on first use and kept in the pencil.  The minor is decoded
+    only where the determinant has a repeated root, by the root classes
+    (``_root_classes``).  Two threads may both expand it on a first read;
+    either result serves."""
     fd = p._det
     if fd is None:
         f, lead = _poly_minor(p._iu, p._iv)
-        fd = tuple(f), tuple(lead)
+        fd = tuple(f), lead
         object.__setattr__(p, "_det", fd)
     return fd
 
@@ -574,16 +579,20 @@ def _partition(m: int, at_least: Sequence[int]) -> tuple[int, ...] | None:
     return tuple(big + sizes)
 
 
-def _root_classes(iu: IntRows, iv: IntRows, f: Sequence[int], lead: Sequence[int]) -> list[RootClass]:
+def _root_classes(
+    iu: IntRows, iv: IntRows, f: Sequence[int], lead: Callable[[], Sequence[int]]
+) -> list[RootClass]:
     """The roots of f = det(U - t*V) (nonzero, up to a constant) as classes
     (primitive integer factor, partition): every root of the factor has
     elementary divisors of U - t*V with those exponents, descending.  Each
-    Yun part of f gives its classes by ``_part_classes``, which reads
-    ``lead``, the leading principal (n - 1)-minor of U - t*V up to a
-    nonzero constant (empty, it proves nothing)."""
-    return [
-        c for m, h in _int_squarefree_decomposition(f) for c in _part_classes(iu, iv, m, h, lead)
-    ]
+    Yun part of f gives its classes by ``_part_classes``, which reads the
+    leading principal (n - 1)-minor of U - t*V up to a nonzero constant
+    (empty, it proves nothing).  ``lead()`` decodes it, once, and only
+    when some part has multiplicity two or more: a squarefree f, as in
+    general position, decodes nothing."""
+    parts = _int_squarefree_decomposition(f)
+    minor = lead() if any(m > 1 for m, _ in parts) else ()
+    return [c for m, h in parts for c in _part_classes(iu, iv, m, h, minor)]
 
 
 def _part_classes(iu: IntRows, iv: IntRows, m: int, h: list[int], lead: Sequence[int]) -> list[RootClass]:

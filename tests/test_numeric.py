@@ -19,8 +19,10 @@ from segre.catalog import CATALOG_ORDER
 from segre.pencil import (
     MAX_SIZE,
     QuadricPencil,
+    _bareiss,
     _partition,
     as_matrix,
+    congruent,
     diagonal,
     identity,
     select_nonsingular_member,
@@ -70,6 +72,17 @@ class TestExamples:
         assert numeric_exponent_partitions(p) == compute_symbol(p) == "[11111]"
 
 
+def _refused_before_an_overflow() -> QuadricPencil:
+    """A pencil whose first cluster is refused and whose second one has a
+    rank threshold past double precision.  The eigenvalue -1 comes first,
+    and M + I has sigma_1 = 10^200, so its threshold leaves rank 1, not 4;
+    the 2-block at 0 after it has sigma_1 = 10^200 too, whose square
+    overflows a float."""
+    e = Fraction(1, 10**200)
+    v = [[0, e, 0, 0, 0], [e, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]
+    return QuadricPencil(diagonal([0, 1, -1, 2, 3]), v)
+
+
 class TestRefusal:
     @pytest.mark.parametrize("name", sorted(_degenerate_pairs()))
     def test_no_smooth_member_raises(self, name):
@@ -85,7 +98,10 @@ class TestRefusal:
 
     def test_thousand_digit_entries_refused(self):
         p = QuadricPencil(diagonal([10**999 * k for k in range(1, 6)]), identity(5))
-        with pytest.raises(IllConditionedError):
+        with pytest.raises(
+            IllConditionedError,
+            match="pencil entries exceed double precision: integer division result too large for a float",
+        ):
             numeric_exponent_partitions(p)
 
     def test_tight_tolerance_refuses_rather_than_guesses(self, monkeypatch):
@@ -118,6 +134,10 @@ class TestRefusal:
         assert compute_symbol(p).exponent_structure() == ((2,), (1,), (1,), (1,))
         with pytest.raises(IllConditionedError, match="double precision fails"):
             numeric_exponent_partitions(p)
+
+    def test_a_cluster_refused_before_a_later_threshold_overflows(self):
+        with pytest.raises(IllConditionedError, match=r"corank 1: ranks \[5, 1\]$"):
+            numeric_exponent_partitions(_refused_before_an_overflow())
 
     def test_overflowing_powers_refused_with_warnings_as_errors(self):
         # the square of M - 10^300*I overflows; no RuntimeWarning escapes
@@ -219,6 +239,24 @@ def test_oracle_digest_is_pinned():
     assert (len(texts), refused, digest) == (131, 3, ORACLE_SHA256)
 
 
+def _near_miss_pencils() -> list[QuadricPencil]:
+    """[11111], [2111] and [(11)111] with roots 1, 1 + d, 2, 3 (and 4) for
+    d = 10^-2, ..., 10^-12, under one congruence with entries in -3..3: 33
+    pencils whose nearby eigenvalues link into clusters."""
+    rng = random.Random(2026)
+    while True:
+        a = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(5)]
+        if _bareiss(a)[1]:
+            break
+    pencils = []
+    for e in range(2, 13):
+        d = 1 + Fraction(1, 10**e)
+        for symbol, roots in [("[11111]", [1, d, 2, 3, 4]), ("[2111]", [1, d, 2, 3]),
+                              ("[(11)111]", [1, d, 2, 3])]:
+            pencils.append(congruent(build_normal_form(symbol, roots), a))
+    return pencils
+
+
 def _reference_oracle(p):
     """The oracle as a loop over clusters, with one SVD per cluster and
     power and its own staircase-to-partition loop, kept to check the
@@ -317,10 +355,14 @@ def _outcome(oracle, p: QuadricPencil):
 def test_stacked_svd_matches_the_reference_loop(monkeypatch, tol):
     for name, value in tol.items():
         monkeypatch.setattr(segre.numeric, name, value)
-    pencils = _oracle_pencils()
+    # the root 0 of -diag(0, ..., 4) is one eigenvalue, -0.0, whose centre is 0j
+    pencils = _oracle_pencils() + _near_miss_pencils() + [
+        QuadricPencil(diagonal([0, 1, 2, 3, 4]), diagonal([-1] * 5)),
+        _refused_before_an_overflow(),
+    ]
     got = [_outcome(numeric_exponent_partitions, p) for p in pencils]
     assert got == [_outcome(_reference_oracle, p) for p in pencils]
-    # refusals are compared too: 3, 5 and 15 of the 131 with numpy 2.4's LAPACK
+    # refusals are compared too: 3, 5 and 15 of the 131 oracle pencils with numpy 2.4's LAPACK
     assert any(isinstance(g, tuple) for g in got)
 
 

@@ -292,7 +292,7 @@ class TestBareiss:
                     got, lead = _poly_minor(*([[m[r][c] for c in cols] for r in rows] for m in (iu, iv)))
                     assert to_dup(got) == want
                     sub = [row[:-1] for row in sub[:-1]]  # the leading principal minor
-                    assert to_dup(lead) == dup_mul(cofactor_det(sub), [QQ(mult ** (k - 1))], QQ)
+                    assert to_dup(lead()) == dup_mul(cofactor_det(sub), [QQ(mult ** (k - 1))], QQ)
 
 
 class TestInvariantFactors:
@@ -702,7 +702,7 @@ class TestLeadingMinor:
         for symbol, p in _weight_five_pencils():
             f, lead = _det(p)
             start = len(calls)
-            want = _root_classes(p._iu, p._iv, f, ())
+            want = _root_classes(p._iu, p._iv, f, lambda: ())
             middle = len(calls)
             assert _root_classes(p._iu, p._iv, f, lead) == want, (symbol, p)
             assert len(calls) - middle <= middle - start
@@ -729,10 +729,25 @@ class TestLeadingMinor:
 
         p = build_normal_form("[2111]", [1, 2, 3, 4])
         f, lead = _det(p)
-        assert _int_eval(lead, 1) == 0 != _int_eval(lead, 4)
+        assert _int_eval(lead(), 1) == 0 != _int_eval(lead(), 4)
         calls = counting(monkeypatch, segre.pencil, "_bareiss")
         assert analyze_pencil(p).symbol.render() == "[2111]"
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_squarefree_determinant_decodes_no_minor(self, monkeypatch, seed):
+        # a pencil in general position, packed or on values, decodes its
+        # determinant and not the leading minor; a double root decodes both
+        reads = counting(monkeypatch, segre.pencil, "_int_digits")
+        interpolations = counting(monkeypatch, segre.pencil, "_interpolate")
+        assert analyze_pencil(random_instance("[11111]", seed)).symbol.render() == "[11111]"
+        assert len(reads) == 1 and interpolations == []
+        wide = congruent(random_instance("[11111]", seed), diagonal([10**200, 1, 1, 1, 1]))
+        assert analyze_pencil(wide).symbol.render() == "[11111]"
+        assert len(reads) == 1 and len(interpolations) == 1
+        reads.clear()
+        assert analyze_pencil(random_instance("[2111]", seed)).symbol.render() == "[2111]"
+        assert len(reads) == 2
 
 
 class TestChainCheck:
